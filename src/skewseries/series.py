@@ -18,6 +18,12 @@ Multiplication follows the commutation rule directly: f*g accumulates
 r_i * (Y**i g) while Y**i g is advanced one Y-step at a time.  Because
 canonical representatives have fewer than K rows, the infinite inner
 sums of the distributed product truncate on their own.
+
+Inversion is Newton iteration: each round squares the error 1 - f*x
+and so doubles the filtration level to which x inverts f.  The rounds
+run on a ladder of precisions, each at most twice the one before, through
+``SkewData.at_precision``, so only the last one pays for products at
+full precision.
 """
 from __future__ import annotations
 
@@ -29,7 +35,6 @@ from .coeff import (
     Vec,
     vadd,
     vcanon,
-    vinv,
     vis_unit,
     vmul,
     vone,
@@ -315,26 +320,30 @@ class SkewSeries:
         return vis_unit(self.sd.ctx, self.rows[0])
 
     def inverse(self) -> "SkewSeries":
-        """Two-sided inverse mod G_K via the geometric series.
+        """Two-sided inverse mod G_K by Newton iteration with precision doubling.
 
-        With c = (row 0)**-1, h = 1 - c*f lies in G_1, so the partial
-        sum (1 + h + ... + h**(K-1)) * c inverts f exactly mod G_K.
+        x starts as the inverse of the row-0 constant mod p, which
+        inverts f mod G_1.  If f*x = 1 - e with e in G_m, then
+        x' = x + x*e gives f*x' = 1 - e**2 with e**2 in G_2m, so each
+        round may run at up to twice the precision of the one before.
+        The levels are K, ceil(K/2), ceil(K/4), ..., 1, taken from the
+        bottom up, so only the last round works at precision above K/2.
+        A right inverse of a unit is its two-sided inverse, and
+        canonical rows are unique mod G_K.
         """
-        sd = self.sd
-        ctx = sd.ctx
-        K = ctx.K
         if not self.is_unit():
             raise NotAUnit("row 0 is not a unit of the coefficient ring")
-        c = vinv(ctx, self.rows[0], K)
-        h = _left_coeff_mul(sd, c, self.rows)
-        one = sd.one().rows
-        h = tuple(vsub(ctx, a, b, K - j) for j, (a, b) in enumerate(zip(one, h)))
-        acc = one
-        for _ in range(K - 1):
-            acc = _mul_rows(sd, h, acc)
-            acc = tuple(vadd(ctx, a, b, K - j) for j, (a, b) in enumerate(zip(acc, one)))
-        inv_rows = _mul_rows(sd, acc, sd.embed(CoeffSeries(ctx, c)).rows)
-        return SkewSeries(sd, inv_rows)
+        sd = self.sd
+        ladder = [sd.ctx.K]
+        while ladder[-1] > 1:
+            ladder.append((ladder[-1] + 1) // 2)
+        x = SkewSeries(sd.at_precision(1), [(pow(self.rows[0][0], -1, sd.ctx.p),)])
+        for m in reversed(ladder[:-1]):
+            sm = sd.at_precision(m)
+            f = change_precision(self, sm)
+            x = change_precision(x, sm)
+            x = x + x * (sm.one() - f * x)
+        return x
 
     # -- polynomial degree ---------------------------------------------
     def y_degree(self) -> int:

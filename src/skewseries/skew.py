@@ -13,11 +13,12 @@ triangular precision bookkeeping work.
 and sigma^-1(X); applying sigma is a Z_p-linear combination of those
 powers, one column per canonical X-digit.  Twist tables -- the rows
 (Y**n r)_i of the skew commutation rule, see :mod:`skewseries.series` --
-are memoized per coefficient value.
+are memoized per coefficient value, least recently used first out.
 """
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
@@ -41,6 +42,12 @@ from .errors import ContextMismatch, InvalidAction
 from .precision import AtLeast, PadicInt, PrecisionContext
 
 DEFAULT_GUARD = 5
+
+# Twist tables kept per SkewData, so memory stays flat in long-running
+# use.  Right-coefficient round trips of fresh K = 16 series touch about
+# 260 distinct rows between two round trips of one reused series; the
+# bound keeps well clear of that, so reuse still hits.
+TWIST_CACHE_SIZE = 512
 
 
 class SkewData:
@@ -82,7 +89,7 @@ class SkewData:
             ipows.append(vmul(ctx, ipows[-1], isig, K))
         self._sig_pows = tuple(pows)
         self._isig_pows = tuple(ipows)
-        self._twist: dict[tuple[Vec, bool], list[list[Vec]]] = {}
+        self._twist: OrderedDict[tuple[Vec, bool], list[list[Vec]]] = OrderedDict()
         self._lock = threading.Lock()
         self._derived: dict[int, "SkewData"] = {}
         if vorder(ctx, sig, K) != 1:
@@ -135,11 +142,12 @@ class SkewData:
         """
         if K == self.ctx.K:
             return self
-        cached = self._derived.get(K)
-        if cached is None:
-            cached = SkewData(self.ctx.with_K(K), self._eps_raw, self.guard)
-            self._derived[K] = cached
-        return cached
+        with self._lock:
+            cached = self._derived.get(K)
+            if cached is None:
+                cached = SkewData(self.ctx.with_K(K), self._eps_raw, self.guard)
+                self._derived[K] = cached
+            return cached
 
     # -- applying the twist --------------------------------------------
     def _apply(self, pows: Sequence[Vec], u: Vec, q: int) -> Vec:
@@ -209,7 +217,13 @@ class SkewData:
             return rows
         key = (u, inverse)
         with self._lock:
-            rows = self._twist.setdefault(key, [[u]])
+            rows = self._twist.get(key)
+            if rows is None:
+                rows = self._twist[key] = [[u]]
+                if len(self._twist) > TWIST_CACHE_SIZE:
+                    self._twist.popitem(last=False)
+            else:
+                self._twist.move_to_end(key)
             extend(rows)
             return [row[:] for row in rows[: n + 1]]
 

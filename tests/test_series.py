@@ -17,6 +17,8 @@ from skewseries import (
 )
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 
+import commutative_oracle as co
+from inverse_oracle import geometric_inverse
 from util import rand_coeff, rand_series, rand_unit
 
 
@@ -118,6 +120,23 @@ def test_two_sided_inverse():
             assert u * inv == sd.one()
             assert inv * u == sd.one()
             assert inv.inverse() == u
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p, eps", ((2, 3), (3, 4), (5, 6), (2, 1), (3, 1), (5, 1)))
+def test_newton_inverse_matches_oracles(p, eps, mode):
+    # eps = 1 is the trivial twist, where the commutative oracle applies too.
+    co_mode = "zp" if mode == INTEGRAL else "fp"
+    for K in (1, 2, 3, 8, 16, 17):
+        sd = build_skew(PrecisionContext(p, K, mode), eps)
+        rng = Random(f"newton-inverse:{p}:{eps}:{mode}:{K}")
+        for _ in range(10 if K <= 3 else 2 if K <= 8 else 1):
+            u = rand_unit(sd, rng)
+            v = u.inverse()
+            assert v.rows == geometric_inverse(u).rows
+            assert u * v == sd.one() == v * u
+            if eps == 1:
+                assert v.rows == co.inv(p, K, co_mode, u.rows)
 
 
 def test_not_a_unit_iff_row0_constant_divisible():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from random import Random
 
 import pytest
@@ -14,8 +16,9 @@ from skewseries import (
     validate_axioms,
 )
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
+from skewseries.skew import TWIST_CACHE_SIZE
 
-from util import rand_coeff
+from util import rand_coeff, rand_unit
 
 
 def test_sigma_of_x_known_value():
@@ -104,6 +107,59 @@ def test_twist_table_cache_consistency():
         r = rand_coeff(sd.ctx, rng)
         n = rng.randrange(0, 5)
         assert sd.twist_table(r, n, use_cache=True) == sd.twist_table(r, n, use_cache=False)
+    # More distinct rows than the cache holds: the oldest are evicted,
+    # and recomputing an evicted table gives the same rows.
+    fresh = [CoeffSeries(sd.ctx, (i % 81, i // 81)) for i in range(TWIST_CACHE_SIZE + 100)]
+    for r in fresh:
+        sd.twist_table(r, 2)
+    assert len(sd._twist) <= TWIST_CACHE_SIZE
+    for r in fresh[:5] + fresh[-5:]:
+        assert sd.twist_table(r, 3, use_cache=True) == sd.twist_table(r, 3, use_cache=False)
+    assert len(sd._twist) <= TWIST_CACHE_SIZE
+
+
+def test_twist_cache_keeps_recently_used_rows():
+    sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
+    kept = CoeffSeries(sd.ctx, (1, 1, 1))
+    sd.twist_table(kept, 1)
+    for i in range(2 * TWIST_CACHE_SIZE):
+        sd.twist_table(CoeffSeries(sd.ctx, (i % 81, i // 81)), 1)
+        if i % 100 == 0:
+            sd.twist_table(kept, 1)
+    assert (kept.coeffs, False) in sd._twist
+
+
+def test_at_precision_and_inverse_under_threads():
+    sd = build_skew(PrecisionContext(3, 9, INTEGRAL), 4)
+    unit = rand_unit(sd, Random(307))
+    levels = list(range(1, 20))
+    n_threads = 8
+    lifts: list[dict[int, object]] = [{} for _ in range(n_threads)]
+    inverses: list[object] = [None] * n_threads
+
+    def work(i: int) -> None:
+        order = levels[:]
+        Random(i).shuffle(order)
+        for K in order:
+            lifts[i][K] = sd.at_precision(K)
+        inverses[i] = unit.inverse()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    for t in threads:
+        assert not t.is_alive()
+    for K in levels:
+        assert all(lift[K] is lifts[0][K] for lift in lifts)
+    assert all(v is not None and v == inverses[0] for v in inverses)
+    assert unit * inverses[0] == sd.one()
 
 
 def test_twist_table_first_rows():

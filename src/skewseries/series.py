@@ -24,11 +24,17 @@ and so doubles the filtration level to which x inverts f.  The rounds
 run on a ladder of precisions, each at most twice the one before, through
 ``SkewData.at_precision``, so only the last one pays for products at
 full precision.
+
+Right coefficients, f = sum_j Y**j b_j, come by Horner's rule: one
+Y-step per coefficient for b_0 + Y(b_1 + Y(b_2 + ...)), and for
+(...(a_2 Y + a_1) Y) + a_0 the same step with sigma^-1 for sigma, since
+s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).  Canonicalizing after each
+step is exact because G_K is a two-sided ideal.
 """
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coeff import (
     CoeffSeries,
@@ -37,7 +43,6 @@ from .coeff import (
     vcanon,
     vis_unit,
     vmul,
-    vone,
     vorder,
     vsub,
     vzero,
@@ -47,6 +52,7 @@ from .precision import AtLeast
 from .skew import SkewData
 
 Rows = tuple[Vec, ...]
+Twist = Callable[[Vec, int], Vec]
 
 
 def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
@@ -61,11 +67,15 @@ def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(out)
 
 
-def _y_step(sd: SkewData, rows: Rows) -> Rows:
-    """Rows of Y * f: row j becomes sigma(f_(j-1)) + delta(f_j)."""
+def _y_step(sd: SkewData, rows: Rows, twist: Twist) -> Rows:
+    """Rows of Y * f: row j becomes t(f_(j-1)) + (t - id)(f_j), t = ``twist``.
+
+    With t = sd.sig_vec these are left rows; with t = sd.isig_vec they
+    are the right rows of f * Y, by s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).
+    """
     ctx = sd.ctx
     K = ctx.K
-    sig = [sd.sig_vec(r, K - j) if any(r) else r for j, r in enumerate(rows)]
+    sig = [twist(r, K - j) if any(r) else r for j, r in enumerate(rows)]
     out = []
     for j in range(K):
         acc = [0] * K
@@ -77,6 +87,20 @@ def _y_step(sd: SkewData, rows: Rows) -> Rows:
             acc = [x + y - z for x, y, z in zip(acc, d, r)]
         out.append(vcanon(ctx, acc, K - j))
     return tuple(out)
+
+
+def _horner(sd: SkewData, coeffs: Sequence[Vec], twist: Twist) -> Rows:
+    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) under the Y-step of ``twist``."""
+    ctx = sd.ctx
+    K = ctx.K
+    coeffs = list(coeffs[:K])  # Y**j c_j lies in G_K for j >= K
+    while coeffs and not any(coeffs[-1]):
+        coeffs.pop()
+    rows = _canon_rows(sd, coeffs[-1:])
+    for c in reversed(coeffs[:-1]):
+        rows = _y_step(sd, rows, twist)
+        rows = (vadd(ctx, rows[0], c, K),) + rows[1:]
+    return rows
 
 
 def _left_coeff_mul(sd: SkewData, c: Vec, rows: Rows) -> Rows:
@@ -108,7 +132,7 @@ def _mul_rows(sd: SkewData, fr: Rows, gr: Rows) -> Rows:
                     for a in range(K):
                         row[a] += prod[a]
         if i < top:
-            cur = _y_step(sd, cur)
+            cur = _y_step(sd, cur, sd.sig_vec)
     return tuple(vcanon(ctx, acc[j], K - j) for j in range(K))
 
 
@@ -398,45 +422,20 @@ class SkewSeries:
 
     # -- right-coefficient form ------------------------------------------
     def right_coefficients(self) -> list[CoeffSeries]:
-        """Coefficients b_j with f = sum_j Y**j b_j.
-
-        Moving a_j across Y**j uses the inverse-twist commutation rule
-        r Y = Y sigma^-1(r) - delta(sigma^-1(r)); the delta part gains
-        one m-power per row it drops, so canonical precision survives.
-        """
+        """Coefficients b_j with f = sum_j Y**j b_j (see the module notes)."""
         sd = self.sd
-        ctx = sd.ctx
-        K = ctx.K
-        out = [[0] * K for _ in range(K)]
-        for j, aj in enumerate(self.rows):
-            if not any(aj):
-                continue
-            table = sd._twist_rows(aj, j, inverse=True)
-            for i, e in enumerate(table[j]):
-                row = out[i]
-                for a in range(K):
-                    if e[a]:
-                        row[a] += e[a]
-        return [CoeffSeries(ctx, vcanon(ctx, r, K - i)) for i, r in enumerate(out)]
+        return [CoeffSeries(sd.ctx, r) for r in _horner(sd, self.rows, sd.isig_vec)]
 
     @classmethod
     def from_right_coefficients(
         cls, sd: SkewData, bcoeffs: Sequence[CoeffSeries]
     ) -> "SkewSeries":
         """Reassemble sum_j Y**j b_j into left-coefficient rows."""
-        ctx = sd.ctx
-        K = ctx.K
-        out = [[0] * K for _ in range(K)]
-        for j, bj in enumerate(bcoeffs):
-            if bj.is_zero():
-                continue
-            table = sd._twist_rows(bj.coeffs, j)
-            for i, e in enumerate(table[j]):
-                row = out[i]
-                for a in range(K):
-                    if e[a]:
-                        row[a] += e[a]
-        return cls(sd, out)
+        coeffs = []
+        for b in bcoeffs:
+            sd.ctx.check_same(b.ctx)
+            coeffs.append(b.coeffs)
+        return cls(sd, _horner(sd, coeffs, sd.sig_vec))
 
 
 def change_precision(f: SkewSeries, sd: SkewData) -> SkewSeries:

@@ -11,9 +11,11 @@ triangular precision bookkeeping work.
 
 ``SkewData`` holds the exponent and the precomputed powers of sigma(X)
 and sigma^-1(X); applying sigma is a Z_p-linear combination of those
-powers, one column per canonical X-digit.  Twist tables -- the rows
-(Y**n r)_i of the skew commutation rule, see :mod:`skewseries.series` --
-are memoized per coefficient value, least recently used first out.
+powers, one column per canonical X-digit.  ``twist_table`` lists the
+rows (Y**n r)_i of the skew commutation rule and memoizes them per
+coefficient value, least recently used first out; the series layer
+itself steps one Y at a time (see :mod:`skewseries.series`) and does
+not use the tables.
 """
 from __future__ import annotations
 
@@ -43,10 +45,8 @@ from .precision import AtLeast, PadicInt, PrecisionContext
 
 DEFAULT_GUARD = 5
 
-# Twist tables kept per SkewData, so memory stays flat in long-running
-# use.  Right-coefficient round trips of fresh K = 16 series touch about
-# 260 distinct rows between two round trips of one reused series; the
-# bound keeps well clear of that, so reuse still hits.
+# Twist tables kept per SkewData by ``twist_table``, so memory stays
+# flat in long-running use.
 TWIST_CACHE_SIZE = 512
 
 
@@ -89,7 +89,7 @@ class SkewData:
             ipows.append(vmul(ctx, ipows[-1], isig, K))
         self._sig_pows = tuple(pows)
         self._isig_pows = tuple(ipows)
-        self._twist: OrderedDict[tuple[Vec, bool], list[list[Vec]]] = OrderedDict()
+        self._twist: OrderedDict[Vec, list[list[Vec]]] = OrderedDict()
         self._lock = threading.Lock()
         self._derived: dict[int, "SkewData"] = {}
         if vorder(ctx, sig, K) != 1:
@@ -184,22 +184,19 @@ class SkewData:
         )
 
     # -- twist tables --------------------------------------------------
-    def _twist_rows(self, u: Vec, n: int, inverse: bool = False, use_cache: bool = True) -> list[list[Vec]]:
+    def _twist_rows(self, u: Vec, n: int, use_cache: bool = True) -> list[list[Vec]]:
         """Rows 0..n of the commutation table of u.
 
         Row m lists (Y**m u)_0 .. (Y**m u)_m with the recursion
-        (Y**(m+1) u)_j = sigma((Y**m u)_(j-1)) + delta((Y**m u)_j);
-        with ``inverse`` the pair (sigma^-1, sigma^-1 - id) is used,
-        which is the commutation rule of the right-coefficient form.
+        (Y**(m+1) u)_j = sigma((Y**m u)_(j-1)) + delta((Y**m u)_j).
         """
         K = self.ctx.K
-        app = self.isig_vec if inverse else self.sig_vec
 
         def extend(rows: list[list[Vec]]) -> None:
             while len(rows) <= n:
                 prev = rows[-1]
                 m = len(rows) - 1
-                sig_prev = [app(e, K) for e in prev]
+                sig_prev = [self.sig_vec(e, K) for e in prev]
                 nxt = []
                 for j in range(m + 2):
                     parts = [0] * K
@@ -215,15 +212,14 @@ class SkewData:
             rows = [[u]]
             extend(rows)
             return rows
-        key = (u, inverse)
         with self._lock:
-            rows = self._twist.get(key)
+            rows = self._twist.get(u)
             if rows is None:
-                rows = self._twist[key] = [[u]]
+                rows = self._twist[u] = [[u]]
                 if len(self._twist) > TWIST_CACHE_SIZE:
                     self._twist.popitem(last=False)
             else:
-                self._twist.move_to_end(key)
+                self._twist.move_to_end(u)
             extend(rows)
             return [row[:] for row in rows[: n + 1]]
 

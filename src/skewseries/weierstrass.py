@@ -209,7 +209,7 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
 
     yjf = [list(fb.rows)]  # representatives of Y**j * f, row-major digit table
     for _ in range(1, Kb):
-        yjf.append(_y_step(big, yjf[-1]))
+        yjf.append(_y_step(big, yjf[-1], big.sig_vec))
 
     qslots = [(j, a) for j in range(Kb) for a in range(Kb - j)]
     col_index = {slot: i for i, slot in enumerate(qslots)}

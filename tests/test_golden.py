@@ -1,10 +1,13 @@
-"""Frozen CLI outputs: `invert`, `prepare` and `divide` byte for byte.
+"""Frozen CLI outputs, byte for byte.
 
-Every case under ``tests/golden/`` is an input file, the exit code and
-stderr of one CLI run on it, and the bytes that run wrote to ``--out``.
-The inputs come from fixed seeds and are stored, so the corpus does not
-move when the random generators in ``util`` do.  Each fast path that
-replaces an algorithm behind these subcommands must reproduce the bytes.
+Every case under ``tests/golden/`` is one CLI run: its argv, exit code,
+stdout and stderr in the manifest, and the bytes it wrote to ``--out``.
+Runs of ``invert``, ``prepare`` and ``divide`` read an input file, which
+comes from fixed seeds and is stored, so the corpus does not move when
+the random generators in ``util`` do.  Runs of ``selfcheck``, ``axioms``,
+``xi`` and ``omega`` take no input file; their argv says it all.  Each
+fast path that replaces an algorithm behind these subcommands must
+reproduce the bytes.
 
 Regenerate the corpus only at a commit whose output is the reference:
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import io
 import json
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from random import Random
 
@@ -32,21 +35,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 
 
-def _inputs() -> dict[str, tuple[str, dict]]:
-    """Case name -> (subcommand, input object), drawn from fixed seeds."""
-    cases: dict[str, tuple[str, dict]] = {}
+def _inputs() -> dict[str, tuple[list[str], dict | None]]:
+    """Case name -> (argv without --in/--out, input object or None)."""
+    cases: dict[str, tuple[list[str], dict | None]] = {}
     for i, (p, K, mode, eps) in enumerate(
         ((2, 5, INTEGRAL, 3), (3, 8, INTEGRAL, 4), (5, 6, CHARP, 6))
     ):
         sd = build_skew(PrecisionContext(p, K, mode), eps)
         u = rand_unit(sd, Random(f"golden-invert-{i}"))
-        cases[f"invert-{i}"] = ("invert", dump_series(u))
+        cases[f"invert-{i}"] = (["invert", "--seed", "7"], dump_series(u))
     for i, (p, K, mode, eps, s) in enumerate(
         ((3, 6, INTEGRAL, 4, 2), (2, 5, INTEGRAL, 3, 1), (5, 4, CHARP, 6, 3))
     ):
         sd = build_skew(PrecisionContext(p, K, mode), eps)
         f = rand_reduced_order(sd, Random(f"golden-prepare-{i}"), s)
-        cases[f"prepare-{i}"] = ("prepare", dump_series(f))
+        cases[f"prepare-{i}"] = (["prepare", "--seed", "7"], dump_series(f))
     for i, (p, K, mode, eps, s) in enumerate(
         ((3, 4, INTEGRAL, 4, 2), (2, 5, INTEGRAL, 3, 1), (5, 4, CHARP, 6, 0))
     ):
@@ -54,31 +57,38 @@ def _inputs() -> dict[str, tuple[str, dict]]:
         rng = Random(f"golden-divide-{i}")
         f = rand_reduced_order(sd, rng, s)
         g = rand_series(sd, rng)
-        cases[f"divide-{i}"] = ("divide", dump_division_problem(g, f))
+        cases[f"divide-{i}"] = (["divide", "--seed", "7"], dump_division_problem(g, f))
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     nonunit = rand_reduced_order(sd, Random("golden-invert-nonunit"), 1)
-    cases["invert-nonunit"] = ("invert", dump_series(nonunit))
+    cases["invert-nonunit"] = (["invert", "--seed", "7"], dump_series(nonunit))
+    cases["selfcheck-42"] = (["selfcheck", "--seed", "42"], None)
+    cases["axioms-0"] = (["axioms", "--p", "3", "--K", "6", "--epsilon", "4", "--seed", "5"], None)
+    cases["xi-0"] = (["xi", "--p", "3", "--K", "8", "--n", "2"], None)
+    cases["omega-0"] = (["omega", "--p", "2", "--K", "7", "--mode", "fp", "--n", "3"], None)
     return cases
 
 
-def _run(subcommand: str, infile: Path, outfile: Path) -> int:
-    return main([subcommand, "--in", str(infile), "--out", str(outfile), "--seed", "7"])
+def _run(argv: list[str], infile: Path | None, outfile: Path) -> int:
+    inflag = ["--in", str(infile)] if infile is not None else []
+    return main([*argv, *inflag, "--out", str(outfile)])
 
 
 def _manifest() -> dict:
     return json.loads(MANIFEST.read_text())
 
 
-def _names() -> list[str]:
-    return sorted(f.name.removesuffix(".in.json") for f in GOLDEN.glob("*.in.json"))
+def _infile(name: str) -> Path | None:
+    infile = GOLDEN / f"{name}.in.json"
+    return infile if infile.exists() else None
 
 
-@pytest.mark.parametrize("name", _names())
+@pytest.mark.parametrize("name", sorted(_manifest()))
 def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
     case = _manifest()[name]
     out = tmp_path / "out.json"
-    code = _run(case["subcommand"], GOLDEN / f"{name}.in.json", out)
-    assert (code, capsys.readouterr().err) == (case["exit"], case["stderr"])
+    code = _run(case["argv"], _infile(name), out)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
     expected = GOLDEN / f"{name}.out.json"
     if expected.exists():
         assert out.read_bytes() == expected.read_bytes()
@@ -87,7 +97,10 @@ def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
 
 
 def test_golden_corpus_is_complete():
-    assert sorted(_manifest()) == _names() == sorted(_inputs())
+    inputs = _inputs()
+    assert sorted(_manifest()) == sorted(inputs)
+    with_input = sorted(f.name.removesuffix(".in.json") for f in GOLDEN.glob("*.in.json"))
+    assert with_input == sorted(name for name, (_, obj) in inputs.items() if obj is not None)
 
 
 if __name__ == "__main__":
@@ -95,11 +108,15 @@ if __name__ == "__main__":
     for old in GOLDEN.glob("*.json"):
         old.unlink()
     manifest = {}
-    for name, (subcommand, obj) in _inputs().items():
-        infile = GOLDEN / f"{name}.in.json"
-        write_json_atomic(str(infile), obj)
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code = _run(subcommand, infile, GOLDEN / f"{name}.out.json")
-        manifest[name] = {"subcommand": subcommand, "exit": code, "stderr": err.getvalue()}
+    for name, (argv, obj) in _inputs().items():
+        infile = None
+        if obj is not None:
+            infile = GOLDEN / f"{name}.in.json"
+            write_json_atomic(str(infile), obj)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = _run(argv, infile, GOLDEN / f"{name}.out.json")
+        manifest[name] = {
+            "argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()
+        }
     write_json_atomic(str(MANIFEST), manifest)

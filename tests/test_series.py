@@ -19,6 +19,7 @@ from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 
 import commutative_oracle as co
 from inverse_oracle import geometric_inverse
+from twist_oracle import table_from_right_coefficients, table_right_coefficients
 from util import rand_coeff, rand_series, rand_unit
 
 
@@ -171,6 +172,40 @@ def test_right_coefficients_round_trip():
             f = rand_series(sd, rng)
             rc = f.right_coefficients()
             assert SkewSeries.from_right_coefficients(sd, rc) == f
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p, eps", ((2, 3), (3, 4), (5, 6), (2, 1), (3, 1), (5, 1)))
+def test_horner_basis_changes_match_twist_tables(p, eps, mode):
+    # Both directions share one Y-step, so a round trip alone cannot
+    # catch an error in it; each direction is checked on its own here.
+    for K in (1, 2, 3, 8, 16, 17):
+        sd = build_skew(PrecisionContext(p, K, mode), eps)
+        rng = Random(f"horner:{p}:{eps}:{mode}:{K}")
+        for _ in range(10 if K <= 3 else 2 if K <= 8 else 1):
+            f = rand_series(sd, rng)
+            rc = f.right_coefficients()
+            assert rc == table_right_coefficients(f)
+            bs = [rand_coeff(sd.ctx, rng) for _ in range(K)]
+            g = SkewSeries.from_right_coefficients(sd, bs)
+            assert g.rows == table_from_right_coefficients(sd, bs).rows
+            if eps == 1:
+                # sigma = id: Y commutes with R, so both forms agree.
+                assert [r.coeffs for r in rc] == list(f.rows)
+                assert g.rows == SkewSeries.from_rows(sd, bs).rows
+
+
+def test_from_right_coefficients_drops_terms_in_g_k():
+    sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
+    rng = Random(409)
+    bs = [rand_coeff(sd.ctx, rng) for _ in range(6)]
+    # Y**4 b_4 and Y**5 b_5 lie in G_4.
+    assert SkewSeries.from_right_coefficients(sd, bs) == SkewSeries.from_right_coefficients(
+        sd, bs[:4]
+    )
+    other = build_skew(PrecisionContext(3, 5, INTEGRAL), 4)
+    with pytest.raises(ContextMismatch):
+        SkewSeries.from_right_coefficients(sd, [rand_coeff(other.ctx, rng)])
 
 
 def test_change_precision_round_trip():

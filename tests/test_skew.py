@@ -126,7 +126,7 @@ def test_twist_cache_keeps_recently_used_rows():
         sd.twist_table(CoeffSeries(sd.ctx, (i % 81, i // 81)), 1)
         if i % 100 == 0:
             sd.twist_table(kept, 1)
-    assert (kept.coeffs, False) in sd._twist
+    assert kept.coeffs in sd._twist
 
 
 def test_at_precision_and_inverse_under_threads():

@@ -96,7 +96,14 @@ class PrecisionContext:
             raise ContextMismatch(f"contexts differ: {self} vs {other}")
 
 
-@lru_cache(maxsize=None)
+# Slot-moduli tuples kept across contexts.  One (p, K, mode) needs K + 1
+# of them, and a division at K = 8, s = 3 touches fewer than 100, so the
+# bound leaves room for many contexts while keeping memory flat in
+# long-running use.
+SLOT_MODULI_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=SLOT_MODULI_CACHE_SIZE)
 def _slot_moduli(p: int, K: int, mode: str, q: int) -> tuple[int, ...]:
     if mode == CHARP:
         return tuple(p if a < q else 1 for a in range(K))

@@ -15,9 +15,12 @@ makes row-tuple equality *the* congruence mod G_K: ``__eq__`` is the
 dedicated mod-G_K comparator and never compares invisible tails.
 
 Multiplication follows the commutation rule directly: f*g accumulates
-r_i * (Y**i g) while Y**i g is advanced one Y-step at a time.  Because
-canonical representatives have fewer than K rows, the infinite inner
-sums of the distributed product truncate on their own.
+r_i * (Y**i g) over a table of the powers Y**i g, each one Y-step from
+the one before.  ``f * g`` advances the table as it reads it; a caller
+that multiplies many series by one fixed g builds the table once and
+passes it to ``_mul_rows``.  Because canonical representatives have
+fewer than K rows, the infinite inner sums of the distributed product
+truncate on their own.
 
 Inversion is Newton iteration: each round squares the error 1 - f*x
 and so doubles the filtration level to which x inverts f.  The rounds
@@ -34,7 +37,7 @@ step is exact because G_K is a two-sided ideal.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coeff import (
     CoeffSeries,
@@ -109,7 +112,18 @@ def _left_coeff_mul(sd: SkewData, c: Vec, rows: Rows) -> Rows:
     return tuple(vmul(ctx, c, rows[j], K - j) for j in range(K))
 
 
-def _mul_rows(sd: SkewData, fr: Rows, gr: Rows) -> Rows:
+def _y_powers(sd: SkewData, gr: Rows) -> Iterator[Rows]:
+    """Rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand."""
+    while True:
+        yield gr
+        gr = _y_step(sd, gr, sd.sig_vec)
+
+
+def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[Rows], lo: int = 0) -> Rows:
+    """Rows of f*g from the rows of f and the powers Y**i g in ``gpows``.
+
+    Only rows >= ``lo`` are computed; the rows below it are left zero.
+    """
     ctx = sd.ctx
     K = ctx.K
     top = -1
@@ -117,23 +131,18 @@ def _mul_rows(sd: SkewData, fr: Rows, gr: Rows) -> Rows:
         if any(fr[j]):
             top = j
             break
-    if top < 0:
-        return tuple(vzero(ctx) for _ in range(K))
     acc = [[0] * K for _ in range(K)]
-    cur = gr
-    for i in range(top + 1):
-        fi = fr[i]
+    # zip reads fr first, so no Y-step is taken past Y**top g
+    for fi, cur in zip(fr[: top + 1], gpows):
         if any(fi):
-            for j in range(K):
+            for j in range(lo, K):
                 cj = cur[j]
                 if any(cj):
                     prod = vmul(ctx, fi, cj, K - j)
                     row = acc[j]
                     for a in range(K):
                         row[a] += prod[a]
-        if i < top:
-            cur = _y_step(sd, cur, sd.sig_vec)
-    return tuple(vcanon(ctx, acc[j], K - j) for j in range(K))
+    return (vzero(ctx),) * lo + tuple(vcanon(ctx, acc[j], K - j) for j in range(lo, K))
 
 
 class ResidueSeries:
@@ -292,19 +301,11 @@ class SkewSeries:
 
     # -- multiplication -------------------------------------------------
     def __mul__(self, other) -> "SkewSeries":
-        if isinstance(other, SkewSeries):
-            self._same(other)
-            return SkewSeries(self.sd, _mul_rows(self.sd, self.rows, other.rows))
-        if isinstance(other, CoeffSeries):
-            self.sd.ctx.check_same(other.ctx)
-            return SkewSeries(
-                self.sd, _mul_rows(self.sd, self.rows, self.sd.embed(other).rows)
-            )
-        if isinstance(other, int):
-            return SkewSeries(
-                self.sd, _mul_rows(self.sd, self.rows, self.sd.embed(other).rows)
-            )
-        return NotImplemented
+        if not isinstance(other, (SkewSeries, CoeffSeries, int)):
+            return NotImplemented
+        other = self._same(other)
+        sd = self.sd
+        return SkewSeries(sd, _mul_rows(sd, self.rows, _y_powers(sd, other.rows)))
 
     def __rmul__(self, other) -> "SkewSeries":
         # left action of the coefficient ring (rowwise product)

@@ -4,7 +4,10 @@ For f of reduced order s (least index whose Y-coefficient is a unit of
 R), every g splits as g = q*f + rem with deg_Y rem < s.  The quotient is
 found by the contraction q ~ shift_down(g + q*h) where h = Y**s - G*f
 has all coefficients in m; each iterate gains one level of m-depth, so K
-iterations settle everything visible.
+iterations settle everything visible.  The right operands h and f never
+change during a division, so the tables of Y**i h and Y**i f are built
+once and every product reads them; the rows below s of each q*h, which
+the shift-down drops, are never computed.
 
 Precision is the delicate part.  Right-multiplication by f is not
 injective on representatives: e.g. (p**2 + Y**2)*(Y**2 - p) vanishes mod
@@ -35,6 +38,7 @@ wanted, come from the same construct-natively-elevated pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .coeff import CoeffSeries, vcanon
 from .errors import (
@@ -45,7 +49,7 @@ from .errors import (
 )
 from .linalg import solve_mod_prime_power
 from .precision import AtLeast, INTEGRAL
-from .series import SkewSeries, _y_step, change_precision
+from .series import SkewSeries, _mul_rows, _y_powers, change_precision
 from .skew import SkewData
 
 
@@ -93,24 +97,27 @@ def _divide_core(
 ) -> tuple[SkewSeries, SkewSeries]:
     """Division at the current working precision; s >= 1 assumed."""
     K = sd.ctx.K
+    fpows = list(islice(_y_powers(sd, f.rows), K))
     g0 = _shift_down(sd, f, s)
     G = g0.inverse()
-    h = sd.y(s) - G * f
+    h = sd.y(s) - SkewSeries(sd, _mul_rows(sd, G.rows, fpows))
     for j in range(K):
         if h.rows[j][0] % sd.ctx.p != 0:
             raise InternalPrecisionLoss(
                 "correction series escaped the maximal ideal; "
                 "the reduced order of the divisor is inconsistent"
             )
+    # every shifted-down q has degree < K - s, so it reads Y**i h for i < K - s
+    hpows = list(islice(_y_powers(sd, h.rows), K - s))
     q = _shift_down(sd, g, s)
     total = q
     for _ in range(1, K):
-        q = _shift_down(sd, q * h, s)
+        q = _shift_down(sd, SkewSeries(sd, _mul_rows(sd, q.rows, hpows, s)), s)
         if q.is_zero():
             break
         total = total + q
     quot = total * G
-    rem = g - quot * f
+    rem = g - SkewSeries(sd, _mul_rows(sd, quot.rows, fpows))
     for j in range(s, K):
         if any(rem.rows[j]):
             raise InternalPrecisionLoss(
@@ -207,9 +214,8 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     Kb = big.ctx.K
     gb, fb = change_precision(g, big), change_precision(f, big)
 
-    yjf = [list(fb.rows)]  # representatives of Y**j * f, row-major digit table
-    for _ in range(1, Kb):
-        yjf.append(_y_step(big, yjf[-1], big.sig_vec))
+    # representatives of Y**j * f, row-major digit table
+    yjf = list(islice(_y_powers(big, fb.rows), Kb))
 
     qslots = [(j, a) for j in range(Kb) for a in range(Kb - j)]
     col_index = {slot: i for i, slot in enumerate(qslots)}

@@ -1,0 +1,47 @@
+"""The contraction of `weierstrass._divide_core` with every product taken
+in full: the slow twin of the package's table-based contraction, kept as
+a differential oracle.
+
+Each right multiplication by h or f rebuilds the powers Y**i h or Y**i f
+of its fixed right operand, and each product computes the rows below s
+that the shift-down then drops.  The package builds both tables once per
+division and skips those rows; the rows of (quot, rem) must not change.
+"""
+
+from __future__ import annotations
+
+from skewseries import SkewData, SkewSeries
+from skewseries.errors import InternalPrecisionLoss
+from skewseries.weierstrass import _shift_down
+
+
+def _divide_core(
+    sd: SkewData, g: SkewSeries, f: SkewSeries, s: int
+) -> tuple[SkewSeries, SkewSeries]:
+    """Division at the current working precision; s >= 1 assumed."""
+    K = sd.ctx.K
+    g0 = _shift_down(sd, f, s)
+    G = g0.inverse()
+    h = sd.y(s) - G * f
+    for j in range(K):
+        if h.rows[j][0] % sd.ctx.p != 0:
+            raise InternalPrecisionLoss(
+                "correction series escaped the maximal ideal; "
+                "the reduced order of the divisor is inconsistent"
+            )
+    q = _shift_down(sd, g, s)
+    total = q
+    for _ in range(1, K):
+        q = _shift_down(sd, q * h, s)
+        if q.is_zero():
+            break
+        total = total + q
+    quot = total * G
+    rem = g - quot * f
+    for j in range(s, K):
+        if any(rem.rows[j]):
+            raise InternalPrecisionLoss(
+                "remainder extends to degree >= reduced order; "
+                "working precision too small for this divisor"
+            )
+    return quot, SkewSeries.from_rows(sd, [list(r) for r in rem.rows[:s]])

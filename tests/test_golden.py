@@ -1,13 +1,14 @@
 """Frozen CLI outputs, byte for byte.
 
 Every case under ``tests/golden/`` is one CLI run: its argv, exit code,
-stdout and stderr in the manifest, and the bytes it wrote to ``--out``.
-Runs of ``invert``, ``prepare`` and ``divide`` read an input file, which
-comes from fixed seeds and is stored, so the corpus does not move when
-the random generators in ``util`` do.  Runs of ``selfcheck``, ``axioms``,
-``xi`` and ``omega`` take no input file; their argv says it all.  Each
-fast path that replaces an algorithm behind these subcommands must
-reproduce the bytes.
+stdout and stderr in the manifest, and the bytes it wrote to ``--out``
+(and, for ``rankgrowth``, to the ``.csv`` beside it).  Runs of
+``invert``, ``prepare``, ``divide``, ``descend`` and ``rankgrowth`` read
+an input file, which comes from fixed seeds and is stored, so the corpus
+does not move when the random generators in ``util`` do.  Runs of
+``selfcheck``, ``axioms``, ``xi`` and ``omega`` take no input file; their
+argv says it all.  Each fast path that replaces an algorithm behind these
+subcommands must reproduce the bytes.
 
 Regenerate the corpus only at a commit whose output is the reference:
 
@@ -24,12 +25,17 @@ from random import Random
 
 import pytest
 
-from skewseries import build_skew, write_json_atomic
+from skewseries import ModuleSpec, build_skew, write_json_atomic
 from skewseries.cli import main
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
-from skewseries.serialize import dump_division_problem, dump_series
+from skewseries.serialize import (
+    dump_division_problem,
+    dump_module_spec,
+    dump_series,
+    dump_z_poly,
+)
 
-from util import rand_reduced_order, rand_series, rand_unit
+from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
@@ -61,6 +67,17 @@ def _inputs() -> dict[str, tuple[list[str], dict | None]]:
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     nonunit = rand_reduced_order(sd, Random("golden-invert-nonunit"), 1)
     cases["invert-nonunit"] = (["invert", "--seed", "7"], dump_series(nonunit))
+    sd = build_skew(PrecisionContext(3, 6, INTEGRAL), 4)
+    rng = Random("golden-descend-0")
+    zpoly = [rand_coeff(sd.ctx, rng) for _ in range(3)]
+    cases["descend-0"] = (["descend", "--seed", "7"], dump_z_poly(sd, zpoly))
+    spec = ModuleSpec(
+        3, d=1, torsion_polys=((0, 1), (3, 3, 1), (3, 1)), p_power_ranks=(2,)
+    )
+    cases["rankgrowth-0"] = (
+        ["rankgrowth", "--seed", "7", "--n-max", "3", "--K", "8"],
+        dump_module_spec(spec),
+    )
     cases["selfcheck-42"] = (["selfcheck", "--seed", "42"], None)
     cases["axioms-0"] = (["axioms", "--p", "3", "--K", "6", "--epsilon", "4", "--seed", "5"], None)
     cases["xi-0"] = (["xi", "--p", "3", "--K", "8", "--n", "2"], None)
@@ -89,11 +106,14 @@ def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
     code = _run(case["argv"], _infile(name), out)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
-    expected = GOLDEN / f"{name}.out.json"
-    if expected.exists():
-        assert out.read_bytes() == expected.read_bytes()
-    else:
-        assert not out.exists()
+    for written, expected in (
+        (out, GOLDEN / f"{name}.out.json"),
+        (out.with_suffix(".csv"), GOLDEN / f"{name}.out.csv"),
+    ):
+        if expected.exists():
+            assert written.read_bytes() == expected.read_bytes()
+        else:
+            assert not written.exists()
 
 
 def test_golden_corpus_is_complete():
@@ -105,7 +125,7 @@ def test_golden_corpus_is_complete():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.glob("*.json"):
+    for old in [*GOLDEN.glob("*.json"), *GOLDEN.glob("*.csv")]:
         old.unlink()
     manifest = {}
     for name, (argv, obj) in _inputs().items():

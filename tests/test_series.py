@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from skewseries import (
     change_precision,
 )
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
+from skewseries.series import _mul_rows, _y_powers
 
 import commutative_oracle as co
 from inverse_oracle import geometric_inverse
@@ -104,6 +106,21 @@ def test_g_order_examples():
     assert (sd.embed(3) * sd.y()).g_order() == 2  # p Y: row 1, order 1
     o = sd.zero().g_order()
     assert isinstance(o, AtLeast) and o.bound == 4
+
+
+def test_mul_rows_computes_only_the_rows_from_lo():
+    rng = Random(403)
+    for sd in skews():
+        K = sd.ctx.K
+        for _ in range(5):
+            f, g = rand_series(sd, rng), rand_series(sd, rng)
+            full = (f * g).rows
+            table = list(islice(_y_powers(sd, g.rows), K))
+            for lo in range(K + 1):
+                part = _mul_rows(sd, f.rows, table, lo)
+                assert len(part) == K
+                assert part[lo:] == full[lo:]
+                assert all(not any(r) for r in part[:lo])
 
 
 def test_geometric_series_inverse():

@@ -20,6 +20,7 @@ from skewseries import (
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 from skewseries.weierstrass import _divide_core
 
+from contraction_oracle import _divide_core as oracle_divide_core
 from util import rand_reduced_order, rand_series, rand_unit
 
 
@@ -153,6 +154,24 @@ def test_oracle_agreement_random():
             f = rand_reduced_order(sd, rng, s)
             g = rand_series(sd, rng)
             assert divide(g, f) == divide_oracle(g, f)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_divide_core_matches_contraction_oracle(p, mode):
+    # The table-based contraction must give the rows of the full products.
+    for eps in (1, 1 + p):
+        for K in (2, 3, 5, 8, 17):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"contraction:{p}:{mode}:{eps}:{K}")
+            for s in (1, 2, 3):
+                if s >= K:
+                    continue
+                f = rand_reduced_order(sd, rng, s)
+                for g in (rand_series(sd, rng), sd.y(s)):
+                    got = _divide_core(sd, g, f, s)
+                    want = oracle_divide_core(sd, g, f, s)
+                    assert (got[0].rows, got[1].rows) == (want[0].rows, want[1].rows)
 
 
 def test_quotient_uniqueness_at_working_precision():

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import NotAUnit, SubstitutionDiverges
-from .precision import CHARP, AtLeast, PadicInt, PrecisionContext
+from .precision import CHARP, AtLeast, PrecisionContext
 
 Vec = tuple[int, ...]
 
@@ -175,20 +175,6 @@ class CoeffSeries:
         return cls(ctx, list(vals))
 
     @classmethod
-    def from_padic(cls, ctx: PrecisionContext, vals: Sequence[PadicInt]) -> "CoeffSeries":
-        out = []
-        for a, v in enumerate(vals):
-            if v.p != ctx.p:
-                raise ValueError(f"scalar prime {v.p} does not match context")
-            need = 1 if ctx.mode == CHARP else max(ctx.K - a, 0)
-            if v.prec < need:
-                raise ValueError(
-                    f"coefficient of X^{a} needs precision {need}, got {v.prec}"
-                )
-            out.append(v.residue)
-        return cls(ctx, out)
-
-    @classmethod
     def zero(cls, ctx: PrecisionContext) -> "CoeffSeries":
         return cls(ctx, ())
 
@@ -199,14 +185,6 @@ class CoeffSeries:
     @classmethod
     def x(cls, ctx: PrecisionContext) -> "CoeffSeries":
         return cls(ctx, (0, 1))
-
-    # -- views ---------------------------------------------------------
-    def padic_coeff(self, a: int) -> PadicInt:
-        """The X**a coefficient as a tracked-precision scalar."""
-        if not 0 <= a < self.ctx.K:
-            raise IndexError(a)
-        prec = 1 if self.ctx.mode == CHARP else self.ctx.K - a
-        return PadicInt(self.ctx.p, self.coeffs[a], prec)
 
     # -- arithmetic ----------------------------------------------------
     def _other(self, other) -> Vec:

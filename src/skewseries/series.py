@@ -9,10 +9,15 @@ the commutation rule
 Elements are known modulo the two-sided filtration ideal G_K whose
 Y**j-row is m**(K-j); concretely row j is a coefficient vector at
 m-precision K - j, so the X**a Y**j slot carries K - j - a scalar
-digits.  All operations happen on canonical representatives of A/G_K
-(G_K is an ideal, so operating and re-canonicalizing is exact), which
-makes row-tuple equality *the* congruence mod G_K: ``__eq__`` is the
-dedicated mod-G_K comparator and never compares invisible tails.
+digits.  All operations happen on canonical representatives of A/G_K,
+which makes row-tuple equality *the* congruence mod G_K: ``__eq__`` is
+the dedicated mod-G_K comparator and never compares invisible tails.
+
+G_K is a two-sided ideal and reduction by a slot modulus commutes with
++ and *, so the row kernels (``_mul_rows``, ``_y_step``) build raw
+integer sums and reduce each output row exactly once, with one
+``vcanon``.  ``SkewSeries._trusted`` wraps rows that are already
+canonical without a second pass; the public constructors canonicalize.
 
 Multiplication follows the commutation rule directly: f*g accumulates
 r_i * (Y**i g) over a table of the powers Y**i g, each one Y-step from
@@ -37,7 +42,7 @@ step is exact because G_K is a two-sided ideal.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coeff import (
     CoeffSeries,
@@ -55,7 +60,6 @@ from .precision import AtLeast
 from .skew import SkewData
 
 Rows = tuple[Vec, ...]
-Twist = Callable[[Vec, int], Vec]
 
 
 def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
@@ -70,20 +74,22 @@ def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(out)
 
 
-def _y_step(sd: SkewData, rows: Rows, twist: Twist) -> Rows:
-    """Rows of Y * f: row j becomes t(f_(j-1)) + (t - id)(f_j), t = ``twist``.
+def _y_step(sd: SkewData, rows: Rows, pows: Sequence[Vec]) -> Rows:
+    """Rows of Y * f: row j becomes t(f_(j-1)) + (t - id)(f_j).
 
-    With t = sd.sig_vec these are left rows; with t = sd.isig_vec they
-    are the right rows of f * Y, by s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).
+    t is given by the powers ``pows`` of t(X): ``sd._sig_pows`` gives left
+    rows, ``sd._isig_pows`` the right rows of f * Y, by s Y = Y sigma^-1(s)
+    + (sigma^-1 - id)(s).  The twists are raw sums from ``SkewData._apply``
+    and each output row is reduced exactly once.
     """
     ctx = sd.ctx
     K = ctx.K
-    sig = [twist(r, K - j) if any(r) else r for j, r in enumerate(rows)]
+    sig = [sd._apply(pows, r, K - j) if any(r) else r for j, r in enumerate(rows)]
     out = []
     for j in range(K):
         acc = [0] * K
         if j >= 1 and any(sig[j - 1]):
-            acc = list(sig[j - 1])
+            acc = sig[j - 1]
         if any(rows[j]):
             d = sig[j]
             r = rows[j]
@@ -92,8 +98,8 @@ def _y_step(sd: SkewData, rows: Rows, twist: Twist) -> Rows:
     return tuple(out)
 
 
-def _horner(sd: SkewData, coeffs: Sequence[Vec], twist: Twist) -> Rows:
-    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) under the Y-step of ``twist``."""
+def _horner(sd: SkewData, coeffs: Sequence[Vec], pows: Sequence[Vec]) -> Rows:
+    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) under the Y-step of ``pows``."""
     ctx = sd.ctx
     K = ctx.K
     coeffs = list(coeffs[:K])  # Y**j c_j lies in G_K for j >= K
@@ -101,7 +107,7 @@ def _horner(sd: SkewData, coeffs: Sequence[Vec], twist: Twist) -> Rows:
         coeffs.pop()
     rows = _canon_rows(sd, coeffs[-1:])
     for c in reversed(coeffs[:-1]):
-        rows = _y_step(sd, rows, twist)
+        rows = _y_step(sd, rows, pows)
         rows = (vadd(ctx, rows[0], c, K),) + rows[1:]
     return rows
 
@@ -116,32 +122,37 @@ def _y_powers(sd: SkewData, gr: Rows) -> Iterator[Rows]:
     """Rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand."""
     while True:
         yield gr
-        gr = _y_step(sd, gr, sd.sig_vec)
+        gr = _y_step(sd, gr, sd._sig_pows)
 
 
 def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[Rows], lo: int = 0) -> Rows:
     """Rows of f*g from the rows of f and the powers Y**i g in ``gpows``.
 
     Only rows >= ``lo`` are computed; the rows below it are left zero.
+    Each Cauchy product f_i[a] * (Y**i g)_j[b] is added raw into slot
+    a + b of row j, for a + b < K - j, and each finished row is reduced
+    exactly once.
     """
     ctx = sd.ctx
     K = ctx.K
-    top = -1
-    for j in range(K - 1, -1, -1):
-        if any(fr[j]):
-            top = j
-            break
-    acc = [[0] * K for _ in range(K)]
+    top = max((j for j in range(K) if any(fr[j])), default=-1)
+    acc = [[0] * (K - j) for j in range(K)]
     # zip reads fr first, so no Y-step is taken past Y**top g
     for fi, cur in zip(fr[: top + 1], gpows):
-        if any(fi):
+        digits = [(a, x) for a, x in enumerate(fi) if x]
+        if digits:
             for j in range(lo, K):
                 cj = cur[j]
                 if any(cj):
-                    prod = vmul(ctx, fi, cj, K - j)
                     row = acc[j]
-                    for a in range(K):
-                        row[a] += prod[a]
+                    q = K - j
+                    for a, x in digits:
+                        if a >= q:
+                            break
+                        for b in range(q - a):
+                            y = cj[b]
+                            if y:
+                                row[a + b] += x * y
     return (vzero(ctx),) * lo + tuple(vcanon(ctx, acc[j], K - j) for j in range(lo, K))
 
 
@@ -200,6 +211,14 @@ class SkewSeries:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SkewSeries is immutable")
+
+    @classmethod
+    def _trusted(cls, sd: SkewData, rows: Rows) -> "SkewSeries":
+        """Wrap ``rows``, a K-tuple of canonical row tuples, unchecked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "sd", sd)
+        object.__setattr__(f, "rows", rows)
+        return f
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -266,38 +285,26 @@ class SkewSeries:
         self.sd.check_same(other.sd)
         return other
 
+    def _rowwise(self, op, other: "SkewSeries") -> "SkewSeries":
+        # vadd and vsub reduce each row, so the result is canonical
+        ctx = self.sd.ctx
+        pairs = zip(self.rows, other.rows)
+        rows = tuple(op(ctx, a, b, ctx.K - j) for j, (a, b) in enumerate(pairs))
+        return SkewSeries._trusted(self.sd, rows)
+
     def __add__(self, other: "SkewSeries | CoeffSeries | int") -> "SkewSeries":
-        other = self._same(other)
-        K = self.sd.ctx.K
-        return SkewSeries(
-            self.sd,
-            [
-                vadd(self.sd.ctx, a, b, K - j)
-                for j, (a, b) in enumerate(zip(self.rows, other.rows))
-            ],
-        )
+        return self._rowwise(vadd, self._same(other))
 
     __radd__ = __add__
 
     def __sub__(self, other: "SkewSeries | CoeffSeries | int") -> "SkewSeries":
-        other = self._same(other)
-        K = self.sd.ctx.K
-        return SkewSeries(
-            self.sd,
-            [
-                vsub(self.sd.ctx, a, b, K - j)
-                for j, (a, b) in enumerate(zip(self.rows, other.rows))
-            ],
-        )
+        return self._rowwise(vsub, self._same(other))
 
     def __rsub__(self, other: "SkewSeries | CoeffSeries | int") -> "SkewSeries":
         return self._same(other).__sub__(self)
 
     def __neg__(self) -> "SkewSeries":
-        K = self.sd.ctx.K
-        return SkewSeries(
-            self.sd, [vsub(self.sd.ctx, vzero(self.sd.ctx), r, K - j) for j, r in enumerate(self.rows)]
-        )
+        return self.sd.zero()._rowwise(vsub, self)
 
     # -- multiplication -------------------------------------------------
     def __mul__(self, other) -> "SkewSeries":
@@ -305,7 +312,7 @@ class SkewSeries:
             return NotImplemented
         other = self._same(other)
         sd = self.sd
-        return SkewSeries(sd, _mul_rows(sd, self.rows, _y_powers(sd, other.rows)))
+        return SkewSeries._trusted(sd, _mul_rows(sd, self.rows, _y_powers(sd, other.rows)))
 
     def __rmul__(self, other) -> "SkewSeries":
         # left action of the coefficient ring (rowwise product)
@@ -409,6 +416,8 @@ class SkewSeries:
         """Inverse Pascal transform: a_j = sum_i C(i, j) c_i."""
         ctx = sd.ctx
         K = ctx.K
+        for c in zcoeffs:
+            ctx.check_same(c.ctx)
         rows = []
         for j in range(K):
             acc = [0] * K
@@ -425,7 +434,7 @@ class SkewSeries:
     def right_coefficients(self) -> list[CoeffSeries]:
         """Coefficients b_j with f = sum_j Y**j b_j (see the module notes)."""
         sd = self.sd
-        return [CoeffSeries(sd.ctx, r) for r in _horner(sd, self.rows, sd.isig_vec)]
+        return [CoeffSeries(sd.ctx, r) for r in _horner(sd, self.rows, sd._isig_pows)]
 
     @classmethod
     def from_right_coefficients(
@@ -436,15 +445,21 @@ class SkewSeries:
         for b in bcoeffs:
             sd.ctx.check_same(b.ctx)
             coeffs.append(b.coeffs)
-        return cls(sd, _horner(sd, coeffs, sd.sig_vec))
+        return cls(sd, _horner(sd, coeffs, sd._sig_pows))
 
 
 def change_precision(f: SkewSeries, sd: SkewData) -> SkewSeries:
     """Reinterpret f's canonical digits over another precision window.
 
-    Raising K is an exact lift of the representative; lowering K is
-    truncation mod the larger G_K.
+    Raising K is an exact lift of the representative: canonical digits
+    stay canonical at the finer slot precisions, so the rows are only
+    padded with zeros.  Lowering K is truncation mod the larger G_K.
     """
     if sd.ctx.p != f.sd.ctx.p or sd.ctx.mode != f.sd.ctx.mode:
         raise ValueError("change_precision only adjusts K")
-    return SkewSeries(sd, [list(r) for r in f.rows[: sd.ctx.K]])
+    K, old = sd.ctx.K, f.sd.ctx.K
+    if K > old:
+        pad = (0,) * (K - old)
+        rows = tuple(r + pad for r in f.rows) + (vzero(sd.ctx),) * (K - old)
+        return SkewSeries._trusted(sd, rows)
+    return SkewSeries(sd, f.rows[:K])

@@ -150,24 +150,28 @@ class SkewData:
             return cached
 
     # -- applying the twist --------------------------------------------
-    def _apply(self, pows: Sequence[Vec], u: Vec, q: int) -> Vec:
-        K = self.ctx.K
-        acc = [0] * K
-        for a in range(K):
+    def _apply(self, pows: Sequence[Vec], u: Vec, q: int) -> list[int]:
+        """Raw, unreduced digits of sum_a u_a * pows[a] in the slots below q.
+
+        The caller reduces the finished row once, at precision q or coarser.
+        """
+        lim = min(self.ctx.K, q)
+        acc = [0] * lim
+        for a in range(lim):
             c = u[a]
             if c:
                 pa = pows[a]
-                for b in range(a, K):
+                for b in range(a, lim):
                     x = pa[b]
                     if x:
                         acc[b] += c * x
-        return vcanon(self.ctx, acc, q)
+        return acc
 
     def sig_vec(self, u: Vec, q: int) -> Vec:
-        return self._apply(self._sig_pows, u, q)
+        return vcanon(self.ctx, self._apply(self._sig_pows, u, q), q)
 
     def isig_vec(self, u: Vec, q: int) -> Vec:
-        return self._apply(self._isig_pows, u, q)
+        return vcanon(self.ctx, self._apply(self._isig_pows, u, q), q)
 
     def apply_sigma(self, r: CoeffSeries) -> CoeffSeries:
         self.ctx.check_same(r.ctx)

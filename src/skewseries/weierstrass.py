@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .coeff import CoeffSeries, vcanon
+from .coeff import CoeffSeries, vcanon, vzero
 from .errors import (
     InternalPrecisionLoss,
     NotDivisible,
@@ -84,12 +84,13 @@ class DistinguishedPoly:
 def _shift_down(sd: SkewData, f: SkewSeries, s: int) -> SkewSeries:
     """Drop rows < s and shift the rest down: division by Y**s on the right.
 
-    Pure relabelling: stored digits are already canonical at the finer
-    row precisions, so nothing is recomputed and nothing is lost.
+    Pure relabelling: row j + s is canonical at m-precision K - j - s,
+    hence at the finer K - j of row j, so the rows are wrapped as they
+    are, with zero rows on top; nothing is recomputed and nothing is lost.
     """
     if s == 0:
         return f
-    return SkewSeries.from_rows(sd, [list(r) for r in f.rows[s:]])
+    return SkewSeries._trusted(sd, f.rows[s:] + (vzero(sd.ctx),) * s)
 
 
 def _divide_core(
@@ -100,7 +101,7 @@ def _divide_core(
     fpows = list(islice(_y_powers(sd, f.rows), K))
     g0 = _shift_down(sd, f, s)
     G = g0.inverse()
-    h = sd.y(s) - SkewSeries(sd, _mul_rows(sd, G.rows, fpows))
+    h = sd.y(s) - SkewSeries._trusted(sd, _mul_rows(sd, G.rows, fpows))
     for j in range(K):
         if h.rows[j][0] % sd.ctx.p != 0:
             raise InternalPrecisionLoss(
@@ -112,12 +113,12 @@ def _divide_core(
     q = _shift_down(sd, g, s)
     total = q
     for _ in range(1, K):
-        q = _shift_down(sd, SkewSeries(sd, _mul_rows(sd, q.rows, hpows, s)), s)
+        q = _shift_down(sd, SkewSeries._trusted(sd, _mul_rows(sd, q.rows, hpows, s)), s)
         if q.is_zero():
             break
         total = total + q
     quot = total * G
-    rem = g - SkewSeries(sd, _mul_rows(sd, quot.rows, fpows))
+    rem = g - SkewSeries._trusted(sd, _mul_rows(sd, quot.rows, fpows))
     for j in range(s, K):
         if any(rem.rows[j]):
             raise InternalPrecisionLoss(

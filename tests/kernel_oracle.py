@@ -1,0 +1,92 @@
+"""The row kernels of `skewseries.series` with a reduction after every
+product: the slow twins of the package's reduce-once kernels, kept as a
+differential oracle.
+
+Here each twist is reduced by ``sig_vec``/``isig_vec`` before the Y-step
+reduces the row again, and each Cauchy product ``vmul`` is reduced before
+the row sum is reduced again.  The package builds raw integer sums and
+reduces each output row once; since G_K is a two-sided ideal and slot
+reduction commutes with + and *, the rows must not change.  The twist is
+passed as a map ``(u, q) -> canonical vector``: ``sd.sig_vec`` for left
+rows, ``sd.isig_vec`` for the right rows of f * Y.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable, Iterator, Sequence
+
+from skewseries import SkewData
+from skewseries.coeff import Vec, vadd, vcanon, vmul, vzero
+from skewseries.series import _canon_rows
+
+Rows = tuple[Vec, ...]
+Twist = Callable[[Vec, int], Vec]
+
+
+def _y_step(sd: SkewData, rows: Rows, twist: Twist) -> Rows:
+    """Rows of Y * f: row j becomes t(f_(j-1)) + (t - id)(f_j), t = ``twist``.
+
+    With t = sd.sig_vec these are left rows; with t = sd.isig_vec they
+    are the right rows of f * Y, by s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).
+    """
+    ctx = sd.ctx
+    K = ctx.K
+    sig = [twist(r, K - j) if any(r) else r for j, r in enumerate(rows)]
+    out = []
+    for j in range(K):
+        acc = [0] * K
+        if j >= 1 and any(sig[j - 1]):
+            acc = list(sig[j - 1])
+        if any(rows[j]):
+            d = sig[j]
+            r = rows[j]
+            acc = [x + y - z for x, y, z in zip(acc, d, r)]
+        out.append(vcanon(ctx, acc, K - j))
+    return tuple(out)
+
+
+def _horner(sd: SkewData, coeffs: Sequence[Vec], twist: Twist) -> Rows:
+    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) under the Y-step of ``twist``."""
+    ctx = sd.ctx
+    K = ctx.K
+    coeffs = list(coeffs[:K])  # Y**j c_j lies in G_K for j >= K
+    while coeffs and not any(coeffs[-1]):
+        coeffs.pop()
+    rows = _canon_rows(sd, coeffs[-1:])
+    for c in reversed(coeffs[:-1]):
+        rows = _y_step(sd, rows, twist)
+        rows = (vadd(ctx, rows[0], c, K),) + rows[1:]
+    return rows
+
+
+def _y_powers(sd: SkewData, gr: Rows) -> Iterator[Rows]:
+    """Rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand."""
+    while True:
+        yield gr
+        gr = _y_step(sd, gr, sd.sig_vec)
+
+
+def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[Rows], lo: int = 0) -> Rows:
+    """Rows of f*g from the rows of f and the powers Y**i g in ``gpows``.
+
+    Only rows >= ``lo`` are computed; the rows below it are left zero.
+    """
+    ctx = sd.ctx
+    K = ctx.K
+    top = -1
+    for j in range(K - 1, -1, -1):
+        if any(fr[j]):
+            top = j
+            break
+    acc = [[0] * K for _ in range(K)]
+    # zip reads fr first, so no Y-step is taken past Y**top g
+    for fi, cur in zip(fr[: top + 1], gpows):
+        if any(fi):
+            for j in range(lo, K):
+                cj = cur[j]
+                if any(cj):
+                    prod = vmul(ctx, fi, cj, K - j)
+                    row = acc[j]
+                    for a in range(K):
+                        row[a] += prod[a]
+    return (vzero(ctx),) * lo + tuple(vcanon(ctx, acc[j], K - j) for j in range(lo, K))

@@ -10,6 +10,15 @@ does not move when the random generators in ``util`` do.  Runs of
 argv says it all.  Each fast path that replaces an algorithm behind these
 subcommands must reproduce the bytes.
 
+The ``error-*`` cases freeze the failure paths: exit 3 for malformed
+JSON, a non-canonical residue without ``--normalize``, operands over
+different contexts and a bad flag; exit 2 for a strict rank growth whose
+pivots fall in the guard band; exit 1 for ``prepare`` on a series with no
+visible unit.  An input given as text is stored as is (it need not be
+JSON); the path of the input file is written ``<in>`` in the manifest,
+and usage lines are formatted at 80 columns, so the corpus does not
+depend on where the checkout lives or on the terminal.
+
 Regenerate the corpus only at a commit whose output is the reference:
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -19,20 +28,23 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from skewseries import ModuleSpec, build_skew, write_json_atomic
+from skewseries import ModuleSpec, SkewSeries, build_skew, write_json_atomic
 from skewseries.cli import main
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 from skewseries.serialize import (
+    canonical_json,
     dump_division_problem,
     dump_module_spec,
     dump_series,
     dump_z_poly,
+    write_text_atomic,
 )
 
 from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
@@ -41,9 +53,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 
 
-def _inputs() -> dict[str, tuple[list[str], dict | None]]:
-    """Case name -> (argv without --in/--out, input object or None)."""
-    cases: dict[str, tuple[list[str], dict | None]] = {}
+def _inputs() -> dict[str, tuple[list[str], dict | str | None]]:
+    """Case name -> (argv without --in/--out, input object, text or None)."""
+    cases: dict[str, tuple[list[str], dict | str | None]] = {}
     for i, (p, K, mode, eps) in enumerate(
         ((2, 5, INTEGRAL, 3), (3, 8, INTEGRAL, 4), (5, 6, CHARP, 6))
     ):
@@ -82,12 +94,40 @@ def _inputs() -> dict[str, tuple[list[str], dict | None]]:
     cases["axioms-0"] = (["axioms", "--p", "3", "--K", "6", "--epsilon", "4", "--seed", "5"], None)
     cases["xi-0"] = (["xi", "--p", "3", "--K", "8", "--n", "2"], None)
     cases["omega-0"] = (["omega", "--p", "2", "--K", "7", "--mode", "fp", "--n", "3"], None)
+
+    invert = cases["invert-0"][1]
+    cases["error-malformed-json"] = (["invert", "--seed", "7"], canonical_json(invert)[:40])
+    noncanonical = json.loads(json.dumps(invert))
+    noncanonical["rows"][0][0] = str(invert["p"] ** invert["K"])
+    cases["error-noncanonical"] = (["invert", "--seed", "7"], noncanonical)
+    sd4 = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
+    sd5 = build_skew(PrecisionContext(3, 5, INTEGRAL), 4)
+    rng = Random("golden-error-mismatch")
+    cases["error-context-mismatch"] = (
+        ["divide", "--seed", "7"],
+        {
+            "kind": "division_problem",
+            "dividend": dump_series(rand_series(sd4, rng)),
+            "divisor": dump_series(rand_reduced_order(sd5, rng, 1)),
+        },
+    )
+    cases["error-bad-flag"] = (["omega", "--p", "3", "--K", "four", "--n", "1"], None)
+    cases["error-guard-band"] = (
+        ["rankgrowth", "--seed", "7", "--n-max", "3", "--K", "4"],
+        dump_module_spec(spec),
+    )
+    in_m = rand_series(sd4, Random("golden-error-no-unit"))
+    in_m = SkewSeries.from_rows(sd4, [[r[0] - r[0] % 3, *r[1:]] for r in in_m.rows])
+    cases["error-no-visible-unit"] = (["prepare", "--seed", "7"], dump_series(in_m))
     return cases
 
 
 def _run(argv: list[str], infile: Path | None, outfile: Path) -> int:
     inflag = ["--in", str(infile)] if infile is not None else []
-    return main([*argv, *inflag, "--out", str(outfile)])
+    try:
+        return main([*argv, *inflag, "--out", str(outfile)])
+    except SystemExit as exc:  # argparse rejects a flag before main's handlers
+        return exc.code
 
 
 def _manifest() -> dict:
@@ -99,13 +139,21 @@ def _infile(name: str) -> Path | None:
     return infile if infile.exists() else None
 
 
+def _placeholder(text: str, infile: Path | None) -> str:
+    return text.replace(str(infile), "<in>") if infile is not None else text
+
+
 @pytest.mark.parametrize("name", sorted(_manifest()))
-def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
+def test_cli_output_matches_golden_bytes(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     case = _manifest()[name]
     out = tmp_path / "out.json"
-    code = _run(case["argv"], _infile(name), out)
+    infile = _infile(name)
+    code = _run(case["argv"], infile, out)
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+    assert (code, captured.out, _placeholder(captured.err, infile)) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
     for written, expected in (
         (out, GOLDEN / f"{name}.out.json"),
         (out.with_suffix(".csv"), GOLDEN / f"{name}.out.csv"),
@@ -124,6 +172,7 @@ def test_golden_corpus_is_complete():
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(exist_ok=True)
     for old in [*GOLDEN.glob("*.json"), *GOLDEN.glob("*.csv")]:
         old.unlink()
@@ -132,11 +181,17 @@ if __name__ == "__main__":
         infile = None
         if obj is not None:
             infile = GOLDEN / f"{name}.in.json"
-            write_json_atomic(str(infile), obj)
+            if isinstance(obj, str):
+                write_text_atomic(str(infile), obj)
+            else:
+                write_json_atomic(str(infile), obj)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = _run(argv, infile, GOLDEN / f"{name}.out.json")
         manifest[name] = {
-            "argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()
+            "argv": argv,
+            "exit": code,
+            "stdout": out.getvalue(),
+            "stderr": _placeholder(err.getvalue(), infile),
         }
     write_json_atomic(str(MANIFEST), manifest)

@@ -259,6 +259,17 @@ class SNFResult:
     precision_flag: bool
 
 
+def _smith_rank(
+    mat: list[list[int]], p: int, M: int, guard: int
+) -> tuple[list[int], int, bool]:
+    """Smith valuations of mat mod p**M, the rank of the kernel (valuations
+    that reach M) and the guard-band flag (a finite valuation > M - guard)."""
+    if guard < 1:
+        raise ValueError("guard must be >= 1")
+    vals = smith_valuations(mat, p, M)
+    return vals, sum(v >= M for v in vals), any(M - guard < v < M for v in vals)
+
+
 def snf_rank(matrix: Sequence[Sequence[PadicInt]], guard: int = 2) -> SNFResult:
     """Elementary divisor valuations of a p-adic matrix at its precision.
 
@@ -266,22 +277,13 @@ def snf_rank(matrix: Sequence[Sequence[PadicInt]], guard: int = 2) -> SNFResult:
     counted as kernel directions; finite valuations inside the guard
     band (> M - guard) set precision_flag.
     """
-    if guard < 1:
-        raise ValueError("guard must be >= 1")
     rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return SNFResult((), 0, False)
-    p = rows[0][0].p
-    M = rows[0][0].prec
-    for r in rows:
-        for x in r:
-            if x.p != p or x.prec != M:
-                raise ValueError("matrix entries must share prime and precision")
-    vals = smith_valuations([[x.residue for x in r] for r in rows], p, M)
-    divisors = tuple(AtLeast(M) if v >= M else v for v in vals)
-    rank = sum(1 for v in vals if v >= M)
-    flag = any(v < M and v > M - guard for v in vals)
-    return SNFResult(divisors, rank, flag)
+    entries = [x for r in rows for x in r]
+    p, M = (entries[0].p, entries[0].prec) if entries else (2, 1)  # no divisors
+    if any(x.p != p or x.prec != M for x in entries):
+        raise ValueError("matrix entries must share prime and precision")
+    vals, rank, flag = _smith_rank([[x.residue for x in r] for r in rows], p, M, guard)
+    return SNFResult(tuple(AtLeast(M) if v >= M else v for v in vals), rank, flag)
 
 
 def _poly_xmul(v: list[int], F: tuple[int, ...], mod: int) -> list[int]:
@@ -338,9 +340,7 @@ def _coinvariant(
         cols.append(v)
         v = _poly_xmul(v, F, mod)
     matrix = [[cols[a][i] for a in range(D)] for i in range(D)]
-    vals = smith_valuations(matrix, p, M)
-    rank = sum(1 for x in vals if x >= M)
-    flag = any(x < M and x > M - guard for x in vals)
+    _, rank, flag = _smith_rank(matrix, p, M, guard)
     return rank, flag
 
 
@@ -354,6 +354,8 @@ def coinvariant_rank(
     PrecisionInsufficient instead of silently flagging.
     """
     F = _check_poly(p, poly)
+    if M < 1:
+        raise ValueError("precision M must be >= 1")
     rank, flag = _coinvariant(p, F, n, M, guard)
     if strict and flag:
         raise PrecisionInsufficient(
@@ -397,6 +399,8 @@ def rank_growth(
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    if M < 1 or guard < 1:
+        raise ValueError("precision M and guard must be >= 1")
     p = spec.p
     table = []
     cs = []

@@ -4,8 +4,18 @@ Two consumers: the independent linear-system route to Weierstrass
 division, and the Smith-style elementary divisor computation behind the
 rank experiments.  Entries are plain integers mod p**N; a valuation of
 N means "not visible at this precision".
+
+Both run one elimination, whose pivot is the first entry, in row-major
+order, of least valuation in the remaining block.  It is found with one
+`math.gcd` per row, not one `pval` per entry: v_p of a row's gcd is the
+least valuation in that row, so the pivot row is the first row whose gcd
+has the least valuation, and the pivot column is the first entry of that
+row not divisible by p**(v+1).  A row that a step leaves alone loses only
+a zero (its pivot-column entry), so its gcd is kept, not recomputed.
 """
 from __future__ import annotations
+
+from math import gcd
 
 from .errors import SystemSingularAtPrecision
 
@@ -21,70 +31,85 @@ def pval(x: int, p: int, N: int) -> int:
     return v
 
 
+def _take(xs: list, i: int):
+    """Swap xs[0] with xs[i], then remove and return the new front."""
+    x = xs[i]
+    xs[i] = xs[0]
+    del xs[0]
+    return x
+
+
+def _eliminate(
+    A: list[list[int]], p: int, N: int, b: list[int] | None = None
+) -> list[tuple[int, int, int, list[int], int | None]]:
+    """Take pivots out of the block A (entries in [0, p**N)) until it vanishes.
+
+    Each step swaps the pivot p**v * u to the front of the block (row 0
+    with its row, column 0 with its column j, `b` following the rows),
+    clears the column below it by row operations and drops the pivot row
+    and column.  The pivot divides the whole block, so every quotient is
+    exact.  A and b end as the rows no pivot reached.  Returns per pivot
+    (v, u, j, row, c): `row` is the rest of the pivot row, c its b entry.
+    """
+    mod = p**N
+    gs = [gcd(*row) for row in A]
+    piv = []
+    while A and A[0]:
+        bi, pk = -1, mod
+        for i, g in enumerate(gs):
+            if g % pk:  # a row valuation below the least so far
+                bi, v = i, pval(g, p, N)
+                pk = p**v
+        if bi < 0:
+            break  # the block vanishes mod p**N
+        row = _take(A, bi)
+        _take(gs, bi)
+        c = None if b is None else _take(b, bi)
+        j = next(j for j, x in enumerate(row) if x % (pk * p))
+        u = _take(row, j) // pk
+        uinv = pow(u, -1, mod)
+        for i, r in enumerate(A):
+            if e := _take(r, j):
+                f = (e // pk) * uinv % mod
+                A[i] = [(x - f * y) % mod for x, y in zip(r, row)]
+                gs[i] = gcd(*A[i])
+                if b is not None:
+                    b[i] = (b[i] - f * c) % mod
+        piv.append((v, u, j, row, c))
+    return piv
+
+
 def solve_mod_prime_power(
     rows: list[list[int]], rhs: list[int], p: int, N: int
 ) -> list[int]:
     """One solution of A x = b over Z/p**N, free variables set to zero.
 
-    Diagonalizes L A M = D where the pivot of each step is an entry of
-    globally minimal valuation in the remaining block: such a pivot
-    p**v * u divides the whole block, so clearing its row and column is
-    exact and no back-substitution ambiguity arises.  The diagonal
-    system D y = L b then splits into independent congruences (solvable
-    exactly when the original system is), and x = M y.
+    Reduces L A M = D, each pivot the first row-major entry of least
+    valuation in the remaining block (found by row gcds, see the module
+    docstring): such a pivot divides the whole block, so clearing its
+    row and column is exact.  The diagonal system D y = L b splits into
+    independent congruences (solvable exactly when the original system
+    is).  M is the product, step by step, of a column swap and the column
+    operations that clear the pivot row; x = M y is evaluated from the
+    right, which is back-substitution over the pivot rows.
     """
     mod = p**N
-    m = len(rows)
-    n = len(rows[0]) if m else 0
     A = [[x % mod for x in row] for row in rows]
     b = [x % mod for x in rhs]
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    piv: list[tuple[int, int]] = []  # (valuation, unit) per diagonal slot
-    t = 0
-    size = min(m, n)
-    while t < size:
-        bi = bj = -1
-        bv = N
-        for i in range(t, m):
-            for j in range(t, n):
-                v = pval(A[i][j], p, N)
-                if v < bv:
-                    bi, bj, bv = i, j, v
-        if bi < 0:
-            break  # remaining block vanishes mod p**N
-        A[t], A[bi] = A[bi], A[t]
-        b[t], b[bi] = b[bi], b[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
-            for row in M:
-                row[t], row[bj] = row[bj], row[t]
-        u = A[t][t] // p**bv
-        uinv = pow(u, -1, mod)
-        for i in range(t + 1, m):
-            e = A[i][t]
-            if e:
-                f = (e // p**bv) * uinv % mod
-                A[i] = [(x - f * y) % mod for x, y in zip(A[i], A[t])]
-                b[i] = (b[i] - f * b[t]) % mod
-        for j in range(t + 1, n):
-            e = A[t][j]
-            if e:
-                f = (e // p**bv) * uinv % mod
-                A[t][j] = 0
-                for row in M:
-                    row[j] = (row[j] - f * row[t]) % mod
-        piv.append((bv, u))
-        t += 1
-    for i in range(t, m):
-        if b[i] % mod != 0:
-            raise SystemSingularAtPrecision("inconsistent linear system")
-    y = [0] * n
-    for i, (v, u) in enumerate(piv):
-        if b[i] % p**v != 0:
+    x = [0] * (len(A[0]) if A else 0)
+    piv = _eliminate(A, p, N, b)
+    if any(b[: len(A)]):
+        raise SystemSingularAtPrecision("inconsistent linear system")
+    for t in reversed(range(len(piv))):
+        v, u, j, row, c = piv[t]
+        pk = p**v
+        if c % pk != 0:
             raise SystemSingularAtPrecision("pivot does not divide the residual")
-        y[i] = (b[i] // p**v) * pow(u, -1, p ** (N - v)) % p ** (N - v)
-    return [sum(M[i][j] * y[j] for j in range(n) if y[j]) % mod for i in range(n)]
+        y = (c // pk) * pow(u, -1, p ** (N - v)) % p ** (N - v)
+        s = sum((a // pk) * z for a, z in zip(row, x[t + 1 :]) if z)
+        x[t] = (y - s * pow(u, -1, mod)) % mod
+        x[t], x[t + j] = x[t + j], x[t]
+    return x
 
 
 def smith_valuations(mat: list[list[int]], p: int, N: int) -> list[int]:
@@ -92,45 +117,12 @@ def smith_valuations(mat: list[list[int]], p: int, N: int) -> list[int]:
 
     Returned sorted ascending, each capped at N (N meaning the divisor
     is not visible, i.e. a kernel direction at this precision).  The
-    pivot of each step is a global minimal-valuation entry of the
-    remaining block, so it divides that whole block and row/column
-    clearing is exact.
+    pivots are those of `solve_mod_prime_power`, found by row gcds; each
+    divides its whole block, so row operations alone expose the divisors
+    and no column operation is carried out.
     """
     mod = p**N
     A = [[x % mod for x in row] for row in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    out = []
-    t = 0
-    size = min(m, n)
-    while t < size:
-        bi = bj = -1
-        bv = N
-        for i in range(t, m):
-            for j in range(t, n):
-                v = pval(A[i][j], p, N)
-                if v < bv:
-                    bi, bj, bv = i, j, v
-        if bi < 0:
-            out.extend([N] * (size - t))
-            break
-        A[t], A[bi] = A[bi], A[t]
-        for row in A:
-            row[t], row[bj] = row[bj], row[t]
-        u = A[t][t] // p**bv
-        uinv = pow(u, -1, mod)
-        for i in range(t + 1, m):
-            e = A[i][t]
-            if e:
-                f = (e // p**bv) * uinv % mod
-                A[i] = [(x - f * y) % mod for x, y in zip(A[i], A[t])]
-        for j in range(t + 1, n):
-            e = A[t][j]
-            if e:
-                f = (e // p**bv) * uinv % mod
-                for i in range(t, m):
-                    A[i][j] = (A[i][j] - f * A[i][t]) % mod
-        out.append(bv)
-        t += 1
-    out.sort()
-    return out
+    size = min(len(A), len(A[0])) if A else 0
+    vals = [v for v, *_ in _eliminate(A, p, N)]
+    return sorted(vals + [N] * (size - len(vals)))

@@ -137,6 +137,23 @@ def test_rankgrowth_requires_out(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rankgrowth_rejects_precision_or_guard_below_one(tmp_path, capsys):
+    src = tmp_path / "spec.json"
+    write_json_atomic(
+        str(src),
+        dump_module_spec(ModuleSpec(3, d=1, torsion_polys=((0, 1), (3, 3, 1), (3, 1)))),
+    )
+    out = tmp_path / "growth.json"
+    base = ("rankgrowth", "--in", str(src), "--n-max", "3", "--out", str(out))
+    for flags in (("--K", "0"), ("--K", "-1"), ("--K", "8", "--guard", "0")):
+        assert run(*base, *flags) == 3
+        assert "invalid rank-growth parameters" in capsys.readouterr().err
+        assert not out.exists()
+    assert run(*base, "--K", "8") == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["c"] == 3
+
+
 def test_axioms(capsys, tmp_path):
     out = tmp_path / "ax.json"
     code = run("axioms", "--p", "3", "--K", "4", "--epsilon", "4",

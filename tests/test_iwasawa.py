@@ -216,6 +216,20 @@ def test_snf_guard_validation():
         snf_rank([[PadicInt(2, 1, 3)]], guard=0)
 
 
+@pytest.mark.parametrize("M, guard", [(0, 2), (-1, 2), (8, 0), (8, -1)])
+def test_rank_growth_rejects_precision_or_guard_below_one(M, guard):
+    spec = ModuleSpec(3, d=1, torsion_polys=((0, 1), (3, 3, 1), (3, 1)))
+    for strict in (True, False):
+        with pytest.raises(ValueError):
+            rank_growth(spec, 3, M, guard=guard, strict=strict)
+    with pytest.raises(ValueError):
+        rank_growth(ModuleSpec(3, d=1), 3, M, guard=guard)   # no torsion to rank
+    with pytest.raises(ValueError):
+        coinvariant_rank(3, (3, 1), 1, M, guard=guard)
+    with pytest.raises(ValueError):
+        coinvariant_rank(3, (3, 1), 1, M, guard=guard, strict=False)
+
+
 def test_snf_corank_matches_rational_nullity():
     rng = Random(602)
     M = 12

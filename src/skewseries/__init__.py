@@ -61,7 +61,7 @@ from .serialize import (
     read_json,
     write_json_atomic,
 )
-from .series import ResidueSeries, SkewSeries, change_precision
+from .series import SkewSeries, change_precision
 from .skew import AxiomReport, SkewData, build_skew, validate_axioms
 from .weierstrass import DistinguishedPoly, divide, divide_oracle, prepare
 
@@ -89,7 +89,6 @@ __all__ = [
     "PrecisionContext",
     "PrecisionError",
     "PrecisionInsufficient",
-    "ResidueSeries",
     "SNFResult",
     "SchemaError",
     "SkewData",

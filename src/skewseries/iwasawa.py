@@ -1,18 +1,20 @@
 """Cyclotomic elements, normality witnesses, ideal descent, rank growth.
 
-The coefficient ring carries the tower of elements omega_n = (1+X)**p**n
-- 1 and their ratios xi_n; both are computed by binomial/sum formulas
-only, never by power-series division (dividing by a non-unit is
-ill-conditioned at triangular precision).  On top of these sit three
+The coefficient ring carries the tower omega_n = (1+X)**p**n - 1 and its
+ratios xi_n, built by the recursion 1 + omega_n = (1 + omega_(n-1))**p,
+never by power-series division (dividing by a non-unit is ill-conditioned
+at triangular precision).  As omega_n lies in m**(n+1), the powers reach
+1 within K - 1 steps and stay there.  On top of these sit three
 experiment drivers: an explicit witness that omega_n generates the same
 left and right ideal, a two-sided-ideal descent producing a scalar
-element, and the coinvariant rank-growth law lambda_n = d*p**n + c.
+element, and the coinvariant rank-growth law lambda_n = d*p**n + c,
+which reads one tower mod (F, p**M) per torsion polynomial F.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coeff import CoeffSeries
 from .errors import (
@@ -30,14 +32,21 @@ from .skew import SkewData
 # -- cyclotomic tower ----------------------------------------------------
 
 
+def _tower(ctx: PrecisionContext, n: int) -> CoeffSeries:
+    """(1+X)**(p**n) by n p-th powers, stopping once the power is 1."""
+    g = CoeffSeries.from_ints(ctx, (1, 1))
+    while n > 0 and not (g - 1).is_zero():
+        g, n = g**ctx.p, n - 1
+    return g
+
+
 def omega(ctx: PrecisionContext, n: int) -> CoeffSeries:
     """omega_n = (1+X)**(p**n) - 1; omega_-1 = 1, omega_0 = X."""
     if n < -1:
         raise ValueError("omega is defined for n >= -1")
     if n == -1:
         return CoeffSeries.one(ctx)
-    g = CoeffSeries.from_ints(ctx, (1, 1))
-    return g ** (ctx.p**n) - 1
+    return _tower(ctx, n) - 1
 
 
 def xi(ctx: PrecisionContext, n: int) -> CoeffSeries:
@@ -46,7 +55,7 @@ def xi(ctx: PrecisionContext, n: int) -> CoeffSeries:
         raise ValueError("xi is defined for n >= 0")
     if n == 0:
         return CoeffSeries.x(ctx)
-    t = CoeffSeries.from_ints(ctx, (1, 1)) ** (ctx.p ** (n - 1))
+    t = _tower(ctx, n - 1)
     acc = CoeffSeries.one(ctx)
     term = CoeffSeries.one(ctx)
     for _ in range(ctx.p - 1):
@@ -286,61 +295,53 @@ def snf_rank(matrix: Sequence[Sequence[PadicInt]], guard: int = 2) -> SNFResult:
     return SNFResult(tuple(AtLeast(M) if v >= M else v for v in vals), rank, flag)
 
 
-def _poly_xmul(v: list[int], F: tuple[int, ...], mod: int) -> list[int]:
+def _poly_rem(v: Sequence[int], F: tuple[int, ...], mod: int) -> list[int]:
+    """Remainder of v by the monic F in (Z/mod)[X]; each entry is reduced once."""
     D = len(F) - 1
-    out = [0] + v[: D - 1] if D > 1 else [0]
-    top = v[D - 1]
-    if top:
-        out = [(x - top * c) % mod for x, c in zip(out, F[:D])]
-    return [x % mod for x in out]
-
-
-def _poly_mul_mod(
-    a: list[int], b: list[int], F: tuple[int, ...], mod: int
-) -> list[int]:
-    D = len(F) - 1
-    out = [0] * D
-    xa = list(a)
-    for c in b:
+    v = list(v) + [0] * (D - len(v))
+    for i in range(len(v) - 1, D - 1, -1):
+        c = v[i] % mod
         if c:
-            for i in range(D):
-                out[i] = (out[i] + c * xa[i]) % mod
-        xa = _poly_xmul(xa, F, mod)
-    return out
+            for k in range(D):
+                v[i - D + k] -= c * F[k]
+    return [x % mod for x in v[:D]]
 
 
-def _omega_mod(p: int, F: tuple[int, ...], n: int, M: int) -> list[int]:
-    """omega_n reduced in (Z/p**M)[X]/F."""
-    D = len(F) - 1
+def _omega_tower(p: int, F: tuple[int, ...], n_max: int, M: int) -> Iterator[list[int]]:
+    """omega_n in (Z/p**M)[X]/F for n = 0..n_max: 1 + omega_n = (1 + omega_(n-1))**p."""
     mod = p**M
-    base = [1, 1][:D] + [0] * max(0, D - 2)
-    if D == 1:
-        base = [(1 - F[0]) % mod]  # X = -a0 in the quotient
-    res = [1] + [0] * (D - 1)
-    e = p**n
-    while e:
-        if e & 1:
-            res = _poly_mul_mod(res, base, F, mod)
-        e >>= 1
-        if e:
-            base = _poly_mul_mod(base, base, F, mod)
-    res[0] = (res[0] - 1) % mod
-    return res
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b):
+                    out[i + k] += x * y
+        return _poly_rem(out, F, mod)
+
+    g = _poly_rem([1, 1], F, mod)
+    for n in range(n_max + 1):
+        yield [(g[0] - 1) % mod] + g[1:]
+        if n < n_max:
+            h = g  # square-and-multiply over the bits of p
+            for bit in bin(p)[3:]:
+                h = mul(h, h)
+                if bit == "1":
+                    h = mul(h, g)
+            g = h
 
 
 def _coinvariant(
-    p: int, F: tuple[int, ...], n: int, M: int, guard: int
+    p: int, F: tuple[int, ...], om: list[int], M: int, guard: int, strict: bool
 ) -> tuple[int, bool]:
-    D = len(F) - 1
-    om = _omega_mod(p, F, n, M)
-    mod = p**M
-    cols = []
-    v = om
-    for _ in range(D):
-        cols.append(v)
-        v = _poly_xmul(v, F, mod)
-    matrix = [[cols[a][i] for a in range(D)] for i in range(D)]
-    _, rank, flag = _smith_rank(matrix, p, M, guard)
+    """Corank and guard-band flag of om acting on (Z/p**M)[X]/F by multiplication."""
+    cols = [_poly_rem([0] * a + om, F, p**M) for a in range(len(F) - 1)]
+    _, rank, flag = _smith_rank([list(r) for r in zip(*cols)], p, M, guard)
+    if strict and flag:
+        raise PrecisionInsufficient(
+            f"a pivot valuation falls within {guard} digits of the working "
+            f"precision {M}; raise M to separate kernel from artifact"
+        )
     return rank, flag
 
 
@@ -356,13 +357,10 @@ def coinvariant_rank(
     F = _check_poly(p, poly)
     if M < 1:
         raise ValueError("precision M must be >= 1")
-    rank, flag = _coinvariant(p, F, n, M, guard)
-    if strict and flag:
-        raise PrecisionInsufficient(
-            f"a pivot valuation falls within {guard} digits of the working "
-            f"precision {M}; raise M to separate kernel from artifact"
-        )
-    return rank
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    *_, om = _omega_tower(p, F, n, M)
+    return _coinvariant(p, F, om, M, guard, strict)[0]
 
 
 @dataclass
@@ -402,20 +400,13 @@ def rank_growth(
     if M < 1 or guard < 1:
         raise ValueError("precision M and guard must be >= 1")
     p = spec.p
-    table = []
-    cs = []
-    for n in range(n_max + 1):
-        lam = spec.d * p**n
-        flag = False
-        for F in spec.torsion_polys:
-            if strict:
-                lam += coinvariant_rank(p, F, n, M, guard)
-            else:
-                r, fl = _coinvariant(p, F, n, M, guard)
-                lam += r
-                flag = flag or fl
-        table.append((n, lam, flag))
-        cs.append(lam - spec.d * p**n)
+    cs = [0] * (n_max + 1)  # c_n = lambda_n - d*p**n: the torsion ranks
+    flags = [False] * (n_max + 1)
+    for F in spec.torsion_polys:
+        for n, om in enumerate(_omega_tower(p, F, n_max, M)):
+            r, fl = _coinvariant(p, F, om, M, guard, strict)
+            cs[n] += r
+            flags[n] |= fl
     stable_from = n_max
     for n0 in range(n_max + 1):
         if all(c == cs[n_max] for c in cs[n0:]):
@@ -426,5 +417,7 @@ def rank_growth(
         c=cs[n_max],
         stable_from=stable_from,
         stabilized=stable_from < n_max,
-        table=tuple(table),
+        table=tuple(
+            (n, spec.d * p**n + c, fl) for n, (c, fl) in enumerate(zip(cs, flags))
+        ),
     )

@@ -156,50 +156,6 @@ def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[Rows], lo: int = 0) -> Row
     return (vzero(ctx),) * lo + tuple(vcanon(ctx, acc[j], K - j) for j in range(lo, K))
 
 
-class ResidueSeries:
-    """The reduction in k[[Y]] = (R/m)[[Y]] mod Y**K (sigma acts trivially)."""
-
-    __slots__ = ("p", "digits")
-
-    def __init__(self, p: int, digits: Sequence[int]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "digits", tuple(d % p for d in digits))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("ResidueSeries is immutable")
-
-    def __add__(self, other: "ResidueSeries") -> "ResidueSeries":
-        return ResidueSeries(self.p, [x + y for x, y in zip(self.digits, other.digits)])
-
-    def __mul__(self, other: "ResidueSeries") -> "ResidueSeries":
-        K = len(self.digits)
-        out = [0] * K
-        for i, x in enumerate(self.digits):
-            if x:
-                for j in range(K - i):
-                    out[i + j] += x * other.digits[j]
-        return ResidueSeries(self.p, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ResidueSeries)
-            and self.p == other.p
-            and self.digits == other.digits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.digits))
-
-    def __repr__(self) -> str:
-        return f"ResidueSeries(p={self.p}, {list(self.digits)})"
-
-    def order(self) -> int | AtLeast:
-        for j, d in enumerate(self.digits):
-            if d:
-                return j
-        return AtLeast(len(self.digits))
-
-
 class SkewSeries:
     """An element of A/G_K in canonical row form."""
 
@@ -325,10 +281,6 @@ class SkewSeries:
         return NotImplemented
 
     # -- structure ------------------------------------------------------
-    def reduce(self) -> ResidueSeries:
-        """Image in k[[Y]]/(Y**K): constant scalar digit of every row."""
-        return ResidueSeries(self.sd.ctx.p, [r[0] for r in self.rows])
-
     def reduced_order(self) -> int | AtLeast:
         """Least j whose row is a unit of R; AtLeast(K) if none is visible."""
         p = self.sd.ctx.p

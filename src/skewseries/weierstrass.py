@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .coeff import CoeffSeries, vcanon, vzero
+from .coeff import CoeffSeries, vzero
 from .errors import (
     InternalPrecisionLoss,
     NotDivisible,
@@ -198,9 +198,9 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     rows >= s of g = q*f + rem are a linear system in the digits of q.
     In integral mode the slot congruence mod p**(K'-n-b) is scaled by
     p**(n+b) into a uniform modulus p**K'; in char-p mode everything
-    already lives mod p.  Solved with valuation-pivoting elimination,
-    then rem is read off row by row.  Meant for small K (matrix side
-    grows like K'**2 with K' = s*K + 1).
+    already lives mod p.  Solved with valuation-pivoting elimination;
+    then rem = g - q*f from the same table of Y**j * f.  Meant for small
+    K (matrix side grows like K'**2 with K' = s*K + 1).
     """
     sd = f.sd
     sd.check_same(g.sd)
@@ -215,49 +215,27 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     Kb = big.ctx.K
     gb, fb = change_precision(g, big), change_precision(f, big)
 
-    # representatives of Y**j * f, row-major digit table
+    # representatives of Y**j * f: digit (n, b) of X**a * Y**j * f is
+    # yjf[j][n][b - a], the X-shift moving digits up
     yjf = list(islice(_y_powers(big, fb.rows), Kb))
-
     qslots = [(j, a) for j in range(Kb) for a in range(Kb - j)]
-    col_index = {slot: i for i, slot in enumerate(qslots)}
-
-    def coefficient(j: int, a: int, n: int, b: int) -> int:
-        # digit (n, b) of X**a * (Y**j * f); the X-shift moves digits up
-        if b < a or n >= len(yjf[j]):
-            return 0
-        row = yjf[j][n]
-        return row[b - a] if b - a < len(row) else 0
 
     integral = sd.ctx.mode == INTEGRAL
     N = Kb if integral else 1
     mod = p**N
     rows_mat: list[list[int]] = []
     rhs: list[int] = []
-    eqslots = [(n, b) for n in range(s, Kb) for b in range(Kb - n)]
-    for n, b in eqslots:
-        scale = p ** (n + b) if integral else 1
-        rows_mat.append(
-            [coefficient(j, a, n, b) * scale % mod for (j, a) in qslots]
-        )
-        rhs.append(gb.rows[n][b] * scale % mod)
-    x = solve_mod_prime_power(rows_mat, rhs, p, N)
-
-    qrows = []
-    for j in range(Kb):
-        qrows.append(
-            vcanon(big.ctx, [x[col_index[(j, a)]] for a in range(Kb - j)], Kb - j)
-        )
-    qb = SkewSeries.from_rows(big, qrows)
-    remrows = []
-    for n in range(s):
-        digits = []
+    for n in range(s, Kb):
         for b in range(Kb - n):
-            acc = gb.rows[n][b] - sum(
-                coefficient(j, a, n, b) * x[col_index[(j, a)]]
-                for (j, a) in qslots
-                if x[col_index[(j, a)]]
+            scale = p ** (n + b) if integral else 1
+            rows_mat.append(
+                [yjf[j][n][b - a] * scale % mod if a <= b else 0 for j, a in qslots]
             )
-            digits.append(acc)
-        remrows.append(vcanon(big.ctx, digits, Kb - n))
-    remb = SkewSeries.from_rows(big, remrows)
+            rhs.append(gb.rows[n][b] * scale % mod)
+    x = iter(solve_mod_prime_power(rows_mat, rhs, p, N))
+
+    qb = SkewSeries.from_rows(big, [list(islice(x, Kb - j)) for j in range(Kb)])
+    # qb is x reduced mod G_K', a two-sided ideal, so qb*f = x*f mod G_K'
+    rem = gb - SkewSeries._trusted(big, _mul_rows(big, qb.rows, yjf))
+    remb = SkewSeries.from_rows(big, rem.rows[:s])
     return change_precision(qb, sd), change_precision(remb, sd)

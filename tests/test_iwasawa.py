@@ -27,8 +27,11 @@ from skewseries import (
     snf_rank,
     xi,
 )
+import skewseries.coeff
+from skewseries.iwasawa import _coinvariant, _omega_tower
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 
+import rank_oracle
 from util import rand_coeff
 
 
@@ -72,6 +75,26 @@ def test_omega_edge_cases():
         omega(ctx, -2)
     with pytest.raises(ValueError):
         xi(ctx, -1)
+
+
+def test_omega_and_xi_large_n_do_not_hang(monkeypatch):
+    calls = 0
+    vmul = skewseries.coeff.vmul
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("omega/xi did not stop at the stable level")
+        return vmul(*args)
+
+    monkeypatch.setattr(skewseries.coeff, "vmul", counted)
+    for mode in (INTEGRAL, CHARP):
+        ctx = PrecisionContext(3, 4, mode)
+        assert omega(ctx, 10**5).is_zero()
+        assert omega(ctx, 10**5) == omega(ctx, 3)
+        assert xi(ctx, 10**5) == xi(ctx, 5)
+    assert xi(PrecisionContext(3, 4, INTEGRAL), 10**5).coeffs[0] == 3
 
 
 def test_omega_m_order():
@@ -281,6 +304,51 @@ def test_coinvariant_strict_flag():
         coinvariant_rank(2, (2, 1), 0, 2, guard=2)
     # same computation with a comfortable window is fine
     assert coinvariant_rank(2, (2, 1), 0, 8, guard=2) == 0
+
+
+def test_coinvariant_rejects_negative_level():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        coinvariant_rank(2, (2, 1), -1, 8)
+
+
+GUARD_BAND = (
+    "a pivot valuation falls within {guard} digits of the working "
+    "precision {M}; raise M to separate kernel from artifact"
+)
+
+
+def _oracle_polys(p, rng):
+    """X**D and one random distinguished F with signed lower coefficients,
+    for each degree D = 1..8."""
+    for D in range(1, 9):
+        yield (0,) * D + (1,)
+        yield tuple(p * rng.randrange(-3, 4) for _ in range(D)) + (1,)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_growth_against_from_scratch_oracle(p):
+    rng = Random(800 + p)
+    n_max = 6
+    for F in _oracle_polys(p, rng):
+        spec = ModuleSpec(p, d=rng.randrange(3), torsion_polys=(F,))
+        for M in range(1, 13):
+            tower = list(_omega_tower(p, F, n_max, M))
+            levels = range(n_max + 1)
+            assert tower == [rank_oracle._omega_mod(p, F, n, M) for n in levels]
+            for guard in (1, 2, 3):
+                expect = [rank_oracle._coinvariant(p, F, n, M, guard) for n in levels]
+                got = [_coinvariant(p, F, om, M, guard, False) for om in tower]
+                assert got == expect
+                table = tuple(
+                    (n, spec.d * p**n + r, fl) for n, (r, fl) in enumerate(expect)
+                )
+                assert rank_growth(spec, n_max, M, guard, strict=False).table == table
+                if any(fl for _, fl in expect):
+                    with pytest.raises(PrecisionInsufficient) as exc:
+                        rank_growth(spec, n_max, M, guard)
+                    assert str(exc.value) == GUARD_BAND.format(guard=guard, M=M)
+                else:
+                    assert rank_growth(spec, n_max, M, guard).table == table
 
 
 def test_rank_growth_reference_specs():

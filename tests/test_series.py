@@ -246,14 +246,6 @@ def test_change_precision_round_trip():
             assert not any(lifted.row(j).coeffs[4 - j:])
 
 
-def test_reduce_to_residue_series():
-    sd = build_skew(PrecisionContext(3, 3, INTEGRAL), 4)
-    f = SkewSeries.from_rows(sd, [CoeffSeries(sd.ctx, (4, 3, 2)), 5, 1])
-    r = f.reduce()
-    r2 = (f + sd.embed(3)).reduce()   # adding p does not change the reduction
-    assert r == r2
-
-
 def test_y_degree_and_rows():
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     f = sd.y(2) + sd.embed(7)

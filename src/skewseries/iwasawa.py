@@ -308,8 +308,12 @@ def _poly_rem(v: Sequence[int], F: tuple[int, ...], mod: int) -> list[int]:
 
 
 def _omega_tower(p: int, F: tuple[int, ...], n_max: int, M: int) -> Iterator[list[int]]:
-    """omega_n in (Z/p**M)[X]/F for n = 0..n_max: 1 + omega_n = (1 + omega_(n-1))**p."""
+    """omega_n in (Z/p**M)[X]/F for n = 0..n_max: 1 + omega_n = (1 + omega_(n-1))**p.
+
+    No power is taken once 1 + omega_n is 1, since every later level is 1 too.
+    """
     mod = p**M
+    one = _poly_rem([1], F, mod)
 
     def mul(a: list[int], b: list[int]) -> list[int]:
         out = [0] * (len(a) + len(b) - 1)
@@ -322,7 +326,7 @@ def _omega_tower(p: int, F: tuple[int, ...], n_max: int, M: int) -> Iterator[lis
     g = _poly_rem([1, 1], F, mod)
     for n in range(n_max + 1):
         yield [(g[0] - 1) % mod] + g[1:]
-        if n < n_max:
+        if n < n_max and g != one:
             h = g  # square-and-multiply over the bits of p
             for bit in bin(p)[3:]:
                 h = mul(h, h)
@@ -359,7 +363,9 @@ def coinvariant_rank(
         raise ValueError("precision M must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    *_, om = _omega_tower(p, F, n, M)
+    for om in _omega_tower(p, F, n, M):
+        if not any(om):  # omega is zero from here on
+            break
     return _coinvariant(p, F, om, M, guard, strict)[0]
 
 

@@ -19,11 +19,15 @@ integer sums and reduce each output row exactly once, with one
 ``vcanon``.  ``SkewSeries._trusted`` wraps rows that are already
 canonical without a second pass; the public constructors canonicalize.
 
+The raw sums are taken on rows packed into ints (see
+:mod:`skewseries.skew`): the twist is one sum of packed columns per row,
+and f*g one big-int product per pair of rows, unpacked once per row.
+
 Multiplication follows the commutation rule directly: f*g accumulates
 r_i * (Y**i g) over a table of the powers Y**i g, each one Y-step from
 the one before.  ``f * g`` advances the table as it reads it; a caller
-that multiplies many series by one fixed g builds the table once and
-passes it to ``_mul_rows``.  Because canonical representatives have
+that multiplies many series by one fixed g builds the packed table once
+and passes it to ``_mul_rows``.  Because canonical representatives have
 fewer than K rows, the infinite inner sums of the distributed product
 truncate on their own.
 
@@ -74,17 +78,17 @@ def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(out)
 
 
-def _y_step(sd: SkewData, rows: Rows, pows: Sequence[Vec]) -> Rows:
+def _y_step(sd: SkewData, rows: Rows, cols: Sequence[int]) -> Rows:
     """Rows of Y * f: row j becomes t(f_(j-1)) + (t - id)(f_j).
 
-    t is given by the powers ``pows`` of t(X): ``sd._sig_pows`` gives left
-    rows, ``sd._isig_pows`` the right rows of f * Y, by s Y = Y sigma^-1(s)
-    + (sigma^-1 - id)(s).  The twists are raw sums from ``SkewData._apply``
-    and each output row is reduced exactly once.
+    t is given by the packed powers ``cols`` of t(X): ``sd._sig_cols``
+    gives left rows, ``sd._isig_cols`` the right rows of f * Y, by
+    s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).  The twists are raw sums
+    from ``SkewData._apply`` and each output row is reduced exactly once.
     """
     ctx = sd.ctx
     K = ctx.K
-    sig = [sd._apply(pows, r, K - j) if any(r) else r for j, r in enumerate(rows)]
+    sig = [sd._apply(cols, r, K - j) if any(r) else r for j, r in enumerate(rows)]
     out = []
     for j in range(K):
         acc = [0] * K
@@ -98,8 +102,8 @@ def _y_step(sd: SkewData, rows: Rows, pows: Sequence[Vec]) -> Rows:
     return tuple(out)
 
 
-def _horner(sd: SkewData, coeffs: Sequence[Vec], pows: Sequence[Vec]) -> Rows:
-    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) under the Y-step of ``pows``."""
+def _horner(sd: SkewData, coeffs: Sequence[Vec], cols: Sequence[int]) -> Rows:
+    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) under the Y-step of ``cols``."""
     ctx = sd.ctx
     K = ctx.K
     coeffs = list(coeffs[:K])  # Y**j c_j lies in G_K for j >= K
@@ -107,7 +111,7 @@ def _horner(sd: SkewData, coeffs: Sequence[Vec], pows: Sequence[Vec]) -> Rows:
         coeffs.pop()
     rows = _canon_rows(sd, coeffs[-1:])
     for c in reversed(coeffs[:-1]):
-        rows = _y_step(sd, rows, pows)
+        rows = _y_step(sd, rows, cols)
         rows = (vadd(ctx, rows[0], c, K),) + rows[1:]
     return rows
 
@@ -122,38 +126,37 @@ def _y_powers(sd: SkewData, gr: Rows) -> Iterator[Rows]:
     """Rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand."""
     while True:
         yield gr
-        gr = _y_step(sd, gr, sd._sig_pows)
+        gr = _y_step(sd, gr, sd._sig_cols)
 
 
-def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[Rows], lo: int = 0) -> Rows:
-    """Rows of f*g from the rows of f and the powers Y**i g in ``gpows``.
+def _packed(sd: SkewData, table: Iterable[Rows]) -> Iterator[tuple[int, ...]]:
+    """The rows of each power in ``table``, packed for ``_mul_rows``."""
+    return (tuple(map(sd.pack, rows)) for rows in table)
+
+
+def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[tuple[int, ...]], lo: int = 0) -> Rows:
+    """Rows of f*g from the rows of f and the packed powers Y**i g in ``gpows``.
 
     Only rows >= ``lo`` are computed; the rows below it are left zero.
-    Each Cauchy product f_i[a] * (Y**i g)_j[b] is added raw into slot
-    a + b of row j, for a + b < K - j, and each finished row is reduced
-    exactly once.
+    Row j sums the packed products f_i * (Y**i g)_j; its slots below
+    K - j are the raw Cauchy sums, each at most K products for each of
+    at most K rows i, so no slot carries when the rows are canonical.
+    Each finished row is unpacked and reduced exactly once.
     """
     ctx = sd.ctx
     K = ctx.K
     top = max((j for j in range(K) if any(fr[j])), default=-1)
-    acc = [[0] * (K - j) for j in range(K)]
+    acc = [0] * K
     # zip reads fr first, so no Y-step is taken past Y**top g
     for fi, cur in zip(fr[: top + 1], gpows):
-        digits = [(a, x) for a, x in enumerate(fi) if x]
-        if digits:
+        if any(fi):
+            x = sd.pack(fi)
             for j in range(lo, K):
-                cj = cur[j]
-                if any(cj):
-                    row = acc[j]
-                    q = K - j
-                    for a, x in digits:
-                        if a >= q:
-                            break
-                        for b in range(q - a):
-                            y = cj[b]
-                            if y:
-                                row[a + b] += x * y
-    return (vzero(ctx),) * lo + tuple(vcanon(ctx, acc[j], K - j) for j in range(lo, K))
+                y = cur[j]
+                if y:
+                    acc[j] += x * y
+    rows = (vcanon(ctx, sd.unpack(acc[j], K - j), K - j) for j in range(lo, K))
+    return (vzero(ctx),) * lo + tuple(rows)
 
 
 class SkewSeries:
@@ -268,7 +271,8 @@ class SkewSeries:
             return NotImplemented
         other = self._same(other)
         sd = self.sd
-        return SkewSeries._trusted(sd, _mul_rows(sd, self.rows, _y_powers(sd, other.rows)))
+        table = _packed(sd, _y_powers(sd, other.rows))
+        return SkewSeries._trusted(sd, _mul_rows(sd, self.rows, table))
 
     def __rmul__(self, other) -> "SkewSeries":
         # left action of the coefficient ring (rowwise product)
@@ -386,7 +390,7 @@ class SkewSeries:
     def right_coefficients(self) -> list[CoeffSeries]:
         """Coefficients b_j with f = sum_j Y**j b_j (see the module notes)."""
         sd = self.sd
-        return [CoeffSeries(sd.ctx, r) for r in _horner(sd, self.rows, sd._isig_pows)]
+        return [CoeffSeries(sd.ctx, r) for r in _horner(sd, self.rows, sd._isig_cols)]
 
     @classmethod
     def from_right_coefficients(
@@ -397,7 +401,7 @@ class SkewSeries:
         for b in bcoeffs:
             sd.ctx.check_same(b.ctx)
             coeffs.append(b.coeffs)
-        return cls(sd, _horner(sd, coeffs, sd._sig_pows))
+        return cls(sd, _horner(sd, coeffs, sd._sig_cols))
 
 
 def change_precision(f: SkewSeries, sd: SkewData) -> SkewSeries:

@@ -11,18 +11,29 @@ triangular precision bookkeeping work.
 
 ``SkewData`` holds the exponent and the precomputed powers of sigma(X)
 and sigma^-1(X); applying sigma is a Z_p-linear combination of those
-powers, one column per canonical X-digit.  ``twist_table`` lists the
-rows (Y**n r)_i of the skew commutation rule and memoizes them per
-coefficient value, least recently used first out; the series layer
-itself steps one Y at a time (see :mod:`skewseries.series`) and does
-not use the tables.
+powers, one column per canonical X-digit, packed once here.
+
+Rows are packed (Kronecker substitution): ``SkewData.pack`` writes the
+digits into one int, one slot of w bytes each, so a sum of products of
+rows is big-int arithmetic done in C, and ``unpack`` reads the low slots
+back.  w is the least multiple of 8 holding K**2 * m**2, where m is p**K
+(p in char-p mode).  Canonical digits are nonnegative and below m, and a
+kernel slot sums at most K**2 products of two digits, so no slot carries
+into the next: the slots hold exactly what a digit loop would add up.
+
+``twist_table`` lists the rows (Y**n r)_i of the skew commutation rule
+and memoizes them per coefficient value, least recently used first out;
+the series layer itself steps one Y at a time (see
+:mod:`skewseries.series`) and does not use the tables.
 """
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import mul
 from random import Random
+from struct import Struct
 from typing import Sequence
 
 from .coeff import (
@@ -59,6 +70,11 @@ class SkewData:
         "_eps_raw",
         "_sig_pows",
         "_isig_pows",
+        "_w",
+        "_masks",
+        "_words",
+        "_sig_cols",
+        "_isig_cols",
         "_twist",
         "_lock",
         "_derived",
@@ -89,6 +105,12 @@ class SkewData:
             ipows.append(vmul(ctx, ipows[-1], isig, K))
         self._sig_pows = tuple(pows)
         self._isig_pows = tuple(ipows)
+        top = ctx.slot_moduli(K)[0]  # every canonical digit is below it
+        self._w = w = 8 * -(-(K * K * top * top).bit_length() // 64)
+        self._masks = tuple((1 << (8 * w * q)) - 1 for q in range(K + 1))
+        self._words = tuple(Struct(f"<{q}Q") for q in range(K + 1))  # little-endian on every host
+        self._sig_cols = tuple(map(self.pack, pows))
+        self._isig_cols = tuple(map(self.pack, ipows))
         self._twist: OrderedDict[Vec, list[list[Vec]]] = OrderedDict()
         self._lock = threading.Lock()
         self._derived: dict[int, "SkewData"] = {}
@@ -149,29 +171,38 @@ class SkewData:
                 self._derived[K] = cached
             return cached
 
-    # -- applying the twist --------------------------------------------
-    def _apply(self, pows: Sequence[Vec], u: Vec, q: int) -> list[int]:
-        """Raw, unreduced digits of sum_a u_a * pows[a] in the slots below q.
+    # -- packed rows -----------------------------------------------------
+    def pack(self, row: Sequence[int]) -> int:
+        """``row``, whose digits must be canonical, as one int: digit a in slot a."""
+        w = self._w
+        if w == 8:
+            return int.from_bytes(self._words[len(row)].pack(*row), "little")
+        return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in row), "little")
 
-        The caller reduces the finished row once, at precision q or coarser.
+    def unpack(self, n: int, q: int) -> Sequence[int]:
+        """The q low slots of a nonnegative packed sum, as integers."""
+        w = self._w
+        b = (n & self._masks[q]).to_bytes(q * w, "little")
+        if w == 8:
+            return self._words[q].unpack(b)
+        return [int.from_bytes(b[i : i + w], "little") for i in range(0, q * w, w)]
+
+    # -- applying the twist --------------------------------------------
+    def _apply(self, cols: Sequence[int], u: Vec, q: int) -> Sequence[int]:
+        """Raw, unreduced digits of sum_a u_a * cols[a] in the slots below q.
+
+        ``cols`` are packed powers of the twisted X and u is canonical, so
+        a slot sums at most K products of digits.  The caller reduces the
+        finished row once, at precision q or coarser.
         """
-        lim = min(self.ctx.K, q)
-        acc = [0] * lim
-        for a in range(lim):
-            c = u[a]
-            if c:
-                pa = pows[a]
-                for b in range(a, lim):
-                    x = pa[b]
-                    if x:
-                        acc[b] += c * x
-        return acc
+        q = min(self.ctx.K, q)
+        return self.unpack(sum(map(mul, u[:q], cols)), q)
 
     def sig_vec(self, u: Vec, q: int) -> Vec:
-        return vcanon(self.ctx, self._apply(self._sig_pows, u, q), q)
+        return vcanon(self.ctx, self._apply(self._sig_cols, u, q), q)
 
     def isig_vec(self, u: Vec, q: int) -> Vec:
-        return vcanon(self.ctx, self._apply(self._isig_pows, u, q), q)
+        return vcanon(self.ctx, self._apply(self._isig_cols, u, q), q)
 
     def apply_sigma(self, r: CoeffSeries) -> CoeffSeries:
         self.ctx.check_same(r.ctx)

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .linalg import solve_mod_prime_power
 from .precision import AtLeast, INTEGRAL
-from .series import SkewSeries, _mul_rows, _y_powers, change_precision
+from .series import SkewSeries, _mul_rows, _packed, _y_powers, change_precision
 from .skew import SkewData
 
 
@@ -98,7 +98,7 @@ def _divide_core(
 ) -> tuple[SkewSeries, SkewSeries]:
     """Division at the current working precision; s >= 1 assumed."""
     K = sd.ctx.K
-    fpows = list(islice(_y_powers(sd, f.rows), K))
+    fpows = list(_packed(sd, islice(_y_powers(sd, f.rows), K)))
     g0 = _shift_down(sd, f, s)
     G = g0.inverse()
     h = sd.y(s) - SkewSeries._trusted(sd, _mul_rows(sd, G.rows, fpows))
@@ -109,7 +109,7 @@ def _divide_core(
                 "the reduced order of the divisor is inconsistent"
             )
     # every shifted-down q has degree < K - s, so it reads Y**i h for i < K - s
-    hpows = list(islice(_y_powers(sd, h.rows), K - s))
+    hpows = list(_packed(sd, islice(_y_powers(sd, h.rows), K - s)))
     q = _shift_down(sd, g, s)
     total = q
     for _ in range(1, K):
@@ -236,6 +236,6 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
 
     qb = SkewSeries.from_rows(big, [list(islice(x, Kb - j)) for j in range(Kb)])
     # qb is x reduced mod G_K', a two-sided ideal, so qb*f = x*f mod G_K'
-    rem = gb - SkewSeries._trusted(big, _mul_rows(big, qb.rows, yjf))
+    rem = gb - SkewSeries._trusted(big, _mul_rows(big, qb.rows, _packed(big, yjf)))
     remb = SkewSeries.from_rows(big, rem.rows[:s])
     return change_precision(qb, sd), change_precision(remb, sd)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from skewseries import CoeffSeries, NotAUnit, SkewSeries
 from skewseries.coeff import vadd, vinv, vsub
-from skewseries.series import _left_coeff_mul, _mul_rows, _y_powers
+from skewseries.series import _left_coeff_mul, _mul_rows, _packed, _y_powers
 
 
 def geometric_inverse(f: SkewSeries) -> SkewSeries:
@@ -26,7 +26,7 @@ def geometric_inverse(f: SkewSeries) -> SkewSeries:
     h = tuple(vsub(ctx, a, b, K - j) for j, (a, b) in enumerate(zip(one, h)))
     acc = one
     for _ in range(K - 1):
-        acc = _mul_rows(sd, h, _y_powers(sd, acc))
+        acc = _mul_rows(sd, h, _packed(sd, _y_powers(sd, acc)))
         acc = tuple(vadd(ctx, a, b, K - j) for j, (a, b) in enumerate(zip(acc, one)))
-    cpows = _y_powers(sd, sd.embed(CoeffSeries(ctx, c)).rows)
+    cpows = _packed(sd, _y_powers(sd, sd.embed(CoeffSeries(ctx, c)).rows))
     return SkewSeries(sd, _mul_rows(sd, acc, cpows))

@@ -2,13 +2,15 @@
 product: the slow twins of the package's reduce-once kernels, kept as a
 differential oracle.
 
-Here each twist is reduced by ``sig_vec``/``isig_vec`` before the Y-step
-reduces the row again, and each Cauchy product ``vmul`` is reduced before
-the row sum is reduced again.  The package builds raw integer sums and
-reduces each output row once; since G_K is a two-sided ideal and slot
-reduction commutes with + and *, the rows must not change.  The twist is
-passed as a map ``(u, q) -> canonical vector``: ``sd.sig_vec`` for left
-rows, ``sd.isig_vec`` for the right rows of f * Y.
+Here each twist is reduced before the Y-step reduces the row again, and
+each Cauchy product ``vmul`` is reduced before the row sum is reduced
+again.  The package builds raw sums of packed rows and reduces each
+output row once; since G_K is a two-sided ideal and slot reduction
+commutes with + and *, the rows must not change.  The twist is passed
+as a map ``(u, q) -> canonical vector``: ``sigma(sd)`` for left rows,
+``sigma_inv(sd)`` for the right rows of f * Y.  Both apply the twist
+digit by digit over the unpacked powers ``sd._sig_pows`` and
+``sd._isig_pows``, so they share no code with the package's packed twist.
 """
 
 from __future__ import annotations
@@ -23,10 +25,33 @@ Rows = tuple[Vec, ...]
 Twist = Callable[[Vec, int], Vec]
 
 
+def _apply(sd: SkewData, pows: Sequence[Vec], u: Vec, q: int) -> list[int]:
+    """Raw digits of sum_a u_a * pows[a] in the slots below q, schoolbook."""
+    lim = min(sd.ctx.K, q)
+    acc = [0] * lim
+    for a in range(lim):
+        c = u[a]
+        if c:
+            pa = pows[a]
+            for b in range(a, lim):
+                x = pa[b]
+                if x:
+                    acc[b] += c * x
+    return acc
+
+
+def sigma(sd: SkewData) -> Twist:
+    return lambda u, q: vcanon(sd.ctx, _apply(sd, sd._sig_pows, u, q), q)
+
+
+def sigma_inv(sd: SkewData) -> Twist:
+    return lambda u, q: vcanon(sd.ctx, _apply(sd, sd._isig_pows, u, q), q)
+
+
 def _y_step(sd: SkewData, rows: Rows, twist: Twist) -> Rows:
     """Rows of Y * f: row j becomes t(f_(j-1)) + (t - id)(f_j), t = ``twist``.
 
-    With t = sd.sig_vec these are left rows; with t = sd.isig_vec they
+    With t = sigma(sd) these are left rows; with t = sigma_inv(sd) they
     are the right rows of f * Y, by s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).
     """
     ctx = sd.ctx
@@ -61,9 +86,10 @@ def _horner(sd: SkewData, coeffs: Sequence[Vec], twist: Twist) -> Rows:
 
 def _y_powers(sd: SkewData, gr: Rows) -> Iterator[Rows]:
     """Rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand."""
+    twist = sigma(sd)
     while True:
         yield gr
-        gr = _y_step(sd, gr, sd.sig_vec)
+        gr = _y_step(sd, gr, twist)
 
 
 def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[Rows], lo: int = 0) -> Rows:

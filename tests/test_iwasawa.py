@@ -28,6 +28,7 @@ from skewseries import (
     xi,
 )
 import skewseries.coeff
+import skewseries.iwasawa
 from skewseries.iwasawa import _coinvariant, _omega_tower
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 
@@ -304,6 +305,24 @@ def test_coinvariant_strict_flag():
         coinvariant_rank(2, (2, 1), 0, 2, guard=2)
     # same computation with a comfortable window is fine
     assert coinvariant_rank(2, (2, 1), 0, 8, guard=2) == 0
+
+
+def test_coinvariant_rank_stops_at_the_stable_level(monkeypatch):
+    # 1 + omega_n mod (F, p**M) reaches 1 and stays there, so a huge n
+    # costs no more remainders than the first levels do
+    want = coinvariant_rank(3, (3, 0, 1), 40, 6)
+    rem = skewseries.iwasawa._poly_rem
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > 10_000:
+            raise AssertionError("the tower walked past its stable level")
+        return rem(*args)
+
+    monkeypatch.setattr(skewseries.iwasawa, "_poly_rem", counted)
+    assert coinvariant_rank(3, (3, 0, 1), 10**9, 6) == want
+    assert list(_omega_tower(3, (3, 0, 1), 40, 6))[-1] == [0, 0]
 
 
 def test_coinvariant_rejects_negative_level():

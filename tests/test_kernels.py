@@ -1,5 +1,6 @@
-"""The reduce-once row kernels against their reduce-every-product twins,
-and the rows that skip canonicalization against `_canon_rows`."""
+"""The packed reduce-once row kernels against their digit-loop,
+reduce-every-product twins, and the rows that skip canonicalization
+against `_canon_rows`."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import pytest
 
 from skewseries import SkewSeries, build_skew, divide, prepare
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
-from skewseries.series import _canon_rows, _horner, _mul_rows, _y_powers
+from skewseries.coeff import vzero
+from skewseries.series import _canon_rows, _horner, _mul_rows, _packed, _y_powers
 
 import kernel_oracle as ko
 from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
@@ -32,12 +34,43 @@ def test_row_kernels_match_reduce_every_product_oracle(p, eps, mode):
             f, g = rand_series(sd, rng), rand_series(sd, rng)
             table = list(islice(_y_powers(sd, g.rows), K))
             assert table == list(islice(ko._y_powers(sd, g.rows), K))
+            packed = list(_packed(sd, table))
             for lo in range(K + 1):
-                assert _mul_rows(sd, f.rows, table, lo) == ko._mul_rows(sd, f.rows, table, lo)
+                assert _mul_rows(sd, f.rows, packed, lo) == ko._mul_rows(sd, f.rows, table, lo)
             bs = [rand_coeff(sd.ctx, rng).coeffs for _ in range(K)]
             for coeffs in (f.rows, bs):
-                assert _horner(sd, coeffs, sd._sig_pows) == ko._horner(sd, coeffs, sd.sig_vec)
-                assert _horner(sd, coeffs, sd._isig_pows) == ko._horner(sd, coeffs, sd.isig_vec)
+                assert _horner(sd, coeffs, sd._sig_cols) == ko._horner(sd, coeffs, ko.sigma(sd))
+                assert _horner(sd, coeffs, sd._isig_cols) == ko._horner(
+                    sd, coeffs, ko.sigma_inv(sd)
+                )
+
+
+def _max_rows(sd):
+    """Every digit at its slot modulus - 1: the largest canonical rows."""
+    K = sd.ctx.K
+    return tuple(tuple(m - 1 for m in sd.ctx.slot_moduli(K - j)) for j in range(K))
+
+
+def test_row_kernels_at_the_slot_width_edge():
+    widths = {}
+    for p in (2, 3, 5):
+        for mode in (INTEGRAL, CHARP):
+            for K in (1, 16, 17, 32):
+                sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+                widths[p, K, mode] = sd._w
+                top = _max_rows(sd)
+                powers = list(islice(_y_powers(sd, top), K))
+                assert powers == list(islice(ko._y_powers(sd, top), K))
+                # a table of maximal rows fills every slot of every product
+                for table in ([top] * K, powers):
+                    full = ko._mul_rows(sd, top, table)
+                    packed = list(_packed(sd, table))
+                    for lo in range(K + 1):
+                        want = (vzero(sd.ctx),) * lo + full[lo:]
+                        assert _mul_rows(sd, top, packed, lo) == want
+                assert _horner(sd, top, sd._sig_cols) == ko._horner(sd, top, ko.sigma(sd))
+                assert _horner(sd, top, sd._isig_cols) == ko._horner(sd, top, ko.sigma_inv(sd))
+    assert widths[3, 17, INTEGRAL] == 8 and widths[5, 17, INTEGRAL] > 8
 
 
 @pytest.mark.parametrize("p, eps, mode", GRID)

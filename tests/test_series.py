@@ -17,7 +17,7 @@ from skewseries import (
     change_precision,
 )
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
-from skewseries.series import _mul_rows, _y_powers
+from skewseries.series import _mul_rows, _packed, _y_powers
 
 import commutative_oracle as co
 from inverse_oracle import geometric_inverse
@@ -115,7 +115,7 @@ def test_mul_rows_computes_only_the_rows_from_lo():
         for _ in range(5):
             f, g = rand_series(sd, rng), rand_series(sd, rng)
             full = (f * g).rows
-            table = list(islice(_y_powers(sd, g.rows), K))
+            table = list(_packed(sd, islice(_y_powers(sd, g.rows), K)))
             for lo in range(K + 1):
                 part = _mul_rows(sd, f.rows, table, lo)
                 assert len(part) == K

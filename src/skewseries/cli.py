@@ -20,13 +20,11 @@ from pathlib import Path
 
 from .errors import (
     ContextMismatch,
-    InvalidAction,
     MathematicalError,
     PrecisionError,
     SchemaError,
 )
 from .iwasawa import descend_ideal, omega, rank_growth, xi
-from .precision import PrecisionContext
 from .selfcheck import run_selfcheck
 from .serialize import (
     JSON_TO_MODE,
@@ -35,11 +33,12 @@ from .serialize import (
     dump_distinguished,
     dump_series,
     load_object,
+    make_context,
     read_json,
     write_json_atomic,
     write_text_atomic,
 )
-from .skew import build_skew, validate_axioms
+from .skew import validate_axioms
 from .weierstrass import divide, prepare
 
 __all__ = ["main", "build_parser"]
@@ -72,21 +71,6 @@ def _add_context_flags(sp, epsilon: bool) -> None:
         )
 
 
-def _ctx_from_flags(args) -> PrecisionContext:
-    try:
-        return PrecisionContext(args.p, args.K, JSON_TO_MODE[args.mode])
-    except ValueError as exc:
-        raise SchemaError(f"invalid context: {exc}") from exc
-
-
-def _skew_from_flags(args):
-    ctx = _ctx_from_flags(args)
-    try:
-        return build_skew(ctx, args.epsilon)
-    except (ValueError, InvalidAction) as exc:
-        raise SchemaError(f"invalid twist configuration: {exc}") from exc
-
-
 def _load_kind(args, kind: str):
     obj = read_json(args.infile)
     if obj.get("kind") != kind:
@@ -95,6 +79,10 @@ def _load_kind(args, kind: str):
             f"got kind {obj.get('kind')!r}"
         )
     return load_object(obj, normalize=args.normalize)
+
+
+def _result(args, **fields) -> dict:
+    return {"kind": "result", "subcommand": args.subcommand, "seed": args.seed, **fields}
 
 
 def _emit(args, obj) -> None:
@@ -117,80 +105,45 @@ def cmd_selfcheck(args) -> int:
 def cmd_prepare(args) -> int:
     f = _load_kind(args, "skew_series")
     eps, F = prepare(f)
-    _emit(
-        args,
-        {
-            "kind": "result",
-            "subcommand": "prepare",
-            "seed": args.seed,
-            "eps": dump_series(eps),
-            "F": dump_distinguished(F),
-        },
-    )
+    _emit(args, _result(args, eps=dump_series(eps), F=dump_distinguished(F)))
     return 0
 
 
 def cmd_divide(args) -> int:
     g, f = _load_kind(args, "division_problem")
     q, rem = divide(g, f)
-    _emit(
-        args,
-        {
-            "kind": "result",
-            "subcommand": "divide",
-            "seed": args.seed,
-            "q": dump_series(q),
-            "rem": dump_series(rem),
-        },
-    )
+    _emit(args, _result(args, q=dump_series(q), rem=dump_series(rem)))
     return 0
 
 
 def cmd_invert(args) -> int:
     f = _load_kind(args, "skew_series")
-    inv = f.inverse()
-    out = dump_series(inv)
-    out["seed"] = args.seed
-    out["subcommand"] = "invert"
-    _emit(args, out)
+    _emit(args, {**dump_series(f.inverse()), "seed": args.seed, "subcommand": args.subcommand})
     return 0
 
 
-def _cmd_cyclotomic(args, fn, name: str) -> int:
-    ctx = _ctx_from_flags(args)
+def _cmd_cyclotomic(args, fn) -> int:
+    ctx = make_context("invalid context", args.p, args.K, args.mode)
     try:
         c = fn(ctx, args.n)
     except ValueError as exc:
         raise SchemaError(f"invalid index: {exc}") from exc
-    out = dump_coeff(c)
-    out["seed"] = args.seed
-    out["subcommand"] = name
-    out["n"] = args.n
-    _emit(args, out)
+    _emit(args, {**dump_coeff(c), "seed": args.seed, "subcommand": args.subcommand, "n": args.n})
     return 0
 
 
 def cmd_omega(args) -> int:
-    return _cmd_cyclotomic(args, omega, "omega")
+    return _cmd_cyclotomic(args, omega)
 
 
 def cmd_xi(args) -> int:
-    return _cmd_cyclotomic(args, xi, "xi")
+    return _cmd_cyclotomic(args, xi)
 
 
 def cmd_descend(args) -> int:
     sd, coeffs = _load_kind(args, "z_poly")
     r, steps = descend_ideal(sd, coeffs)
-    _emit(
-        args,
-        {
-            "kind": "result",
-            "subcommand": "descend",
-            "seed": args.seed,
-            "r": dump_coeff(r, epsilon=sd.epsilon_raw),
-            "steps": steps,
-        },
-    )
+    _emit(args, _result(args, r=dump_coeff(r, epsilon=sd.epsilon_raw), steps=steps))
     return 0
 
 
@@ -202,8 +155,7 @@ def cmd_rankgrowth(args) -> int:
         growth = rank_growth(spec, args.n_max, args.K, guard=args.guard)
     except ValueError as exc:
         raise SchemaError(f"invalid rank-growth parameters: {exc}") from exc
-    summary = {"kind": "result", "subcommand": "rankgrowth", "seed": args.seed}
-    summary.update(growth.to_dict())
+    summary = _result(args, **growth.to_dict())
     csv_text = "n,lambda_n,flag\n" + "".join(
         f"{n},{lam},{int(flag)}\n" for n, lam, flag in growth.table
     )
@@ -213,21 +165,13 @@ def cmd_rankgrowth(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    sd = _skew_from_flags(args)
+    sd = make_context("invalid context", args.p, args.K, args.mode, args.epsilon)
     report = validate_axioms(sd, samples=100, seed=args.seed)
     for check in report.checks:
         status = "ok" if not check.failures else f"FAILED ({check.failures}x)"
         print(f"{check.name}: {status}")
     if args.out:
-        write_json_atomic(
-            args.out,
-            {
-                "kind": "result",
-                "subcommand": "axioms",
-                "seed": args.seed,
-                "report": report.to_dict(),
-            },
-        )
+        write_json_atomic(args.out, _result(args, report=report.to_dict()))
     return 0 if report.passed else 1
 
 

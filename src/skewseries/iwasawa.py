@@ -28,6 +28,11 @@ from .precision import AtLeast, PadicInt, PrecisionContext, _is_prime
 from .series import SkewSeries
 from .skew import SkewData
 
+# Largest n_max that rank_growth accepts.  Its table holds d*p**n for
+# every level, so time and memory grow faster than n_max: 10**4 levels
+# take a fraction of a second, 6*10**4 over ten seconds.
+MAX_TOWER_LEVEL = 10_000
+
 
 # -- cyclotomic tower ----------------------------------------------------
 
@@ -399,10 +404,13 @@ def rank_growth(
     `stabilized` demands that constancy is witnessed by at least two
     points (NotStabilized is reported in the result, never raised).
     With `strict` a guard-band pivot raises PrecisionInsufficient as in
-    coinvariant_rank; otherwise it is recorded per row.
+    coinvariant_rank; otherwise it is recorded per row.  n_max may not
+    exceed MAX_TOWER_LEVEL.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    if n_max > MAX_TOWER_LEVEL:
+        raise ValueError(f"n_max must be <= {MAX_TOWER_LEVEL}")
     if M < 1 or guard < 1:
         raise ValueError("precision M and guard must be >= 1")
     p = spec.p

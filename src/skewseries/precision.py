@@ -83,10 +83,6 @@ class PrecisionContext:
     def with_K(self, K: int) -> "PrecisionContext":
         return PrecisionContext(self.p, K, self.mode)
 
-    def scalar_precision(self) -> int:
-        """Precision exponent of a full-precision scalar in this mode."""
-        return 1 if self.mode == CHARP else self.K
-
     def slot_moduli(self, q: int) -> tuple[int, ...]:
         """Per-X-degree moduli of a coefficient vector at m-precision q."""
         return _slot_moduli(self.p, self.K, self.mode, q)
@@ -171,17 +167,10 @@ class PadicInt:
         return self.prec > 0 and self.residue % self.p != 0
 
     def inverse(self) -> "PadicInt":
-        """Invert by Newton-Hensel lifting from the inverse mod p."""
+        """The inverse mod p**prec; NotAUnit when p divides the residue."""
         if not self.is_unit():
             raise NotAUnit(f"{self!r} has no visible inverse")
-        p, a, n = self.p, self.residue, self.prec
-        x = pow(a % p, -1, p)
-        mod, e = p, 1
-        while e < n:
-            e = min(2 * e, n)
-            mod = p**e
-            x = x * (2 - a * x) % mod
-        return PadicInt(p, x, n)
+        return PadicInt(self.p, pow(self.residue, -1, self.p**self.prec), self.prec)
 
     def valuation(self) -> int | AtLeast:
         """p-adic valuation; AtLeast(prec) when the residue vanishes."""

@@ -11,7 +11,8 @@ file.
 
 Metadata keys ("seed", "subcommand", "n", "params") may ride along on
 any object and are ignored by loaders; everything else unexpected is
-rejected.
+rejected.  The ring context (p, K, mode, epsilon), whether read from an
+object or from CLI flags, is built by `make_context` alone.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import tempfile
 from typing import Sequence
 
 from .coeff import CoeffSeries
-from .errors import SchemaError
+from .errors import InvalidAction, SchemaError
 from .precision import CHARP, INTEGRAL, PrecisionContext
 from .series import SkewSeries
 from .skew import SkewData, build_skew
@@ -134,43 +135,38 @@ def _kind(obj: dict, expected: str, where: str) -> None:
 _CTX_FIELDS = {"kind", "p", "K", "mode", "epsilon"}
 
 
-def context_fields(sd: SkewData) -> dict:
-    return {
-        "p": sd.ctx.p,
-        "K": sd.ctx.K,
-        "mode": MODE_TO_JSON[sd.ctx.mode],
-        "epsilon": str(sd.epsilon_raw),
-    }
-
-
-def load_context(obj: dict, where: str) -> SkewData:
-    p = _int_field(obj, "p", where)
-    K = _int_field(obj, "K", where)
-    mode = _str_field(obj, "mode", where)
-    if mode not in JSON_TO_MODE:
-        raise SchemaError(f"{where}: mode must be one of {sorted(JSON_TO_MODE)}")
-    eps = _parse_int_string(_need(obj, "epsilon", where), where + ".epsilon")
-    try:
-        ctx = PrecisionContext(p, K, JSON_TO_MODE[mode])
-        return build_skew(ctx, eps)
-    except Exception as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-# -- coefficient series --------------------------------------------------
-
-
-def dump_coeff(c: CoeffSeries, epsilon: int | None = None) -> dict:
-    obj = {
-        "kind": "coeff_series",
-        "p": c.ctx.p,
-        "K": c.ctx.K,
-        "mode": MODE_TO_JSON[c.ctx.mode],
-        "coeffs": [str(v) for v in c.coeffs],
-    }
+def context_fields(ctx: PrecisionContext, epsilon: int | None = None) -> dict:
+    obj = {"p": ctx.p, "K": ctx.K, "mode": MODE_TO_JSON[ctx.mode]}
     if epsilon is not None:
         obj["epsilon"] = str(epsilon)
     return obj
+
+
+def make_context(where: str, p: int, K: int, mode: str, epsilon: int | None = None):
+    """The ring fixed by (p, K, mode), twisted by epsilon unless it is None.
+
+    Returns a PrecisionContext, or the SkewData over it when epsilon is
+    given.  Every JSON object and every set of CLI context flags comes
+    through here; a bad value raises SchemaError prefixed by ``where``.
+    """
+    if mode not in JSON_TO_MODE:
+        raise SchemaError(f"{where}: mode must be one of {sorted(JSON_TO_MODE)}")
+    try:
+        ctx = PrecisionContext(p, K, JSON_TO_MODE[mode])
+        return ctx if epsilon is None else build_skew(ctx, epsilon)
+    except (ValueError, InvalidAction) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def load_context(obj: dict, where: str, twisted: bool = True):
+    """make_context on the fields of obj; epsilon is read when twisted."""
+    p = _int_field(obj, "p", where)
+    K = _int_field(obj, "K", where)
+    mode = _str_field(obj, "mode", where)
+    eps = None
+    if twisted:
+        eps = _parse_int_string(_need(obj, "epsilon", where), where + ".epsilon")
+    return make_context(where, p, K, mode, eps)
 
 
 def _load_coeff_vector(
@@ -187,23 +183,28 @@ def _load_coeff_vector(
     ]
 
 
+def _load_coeff(raw, ctx: PrecisionContext, normalize: bool, where: str) -> CoeffSeries:
+    """A full-precision coefficient vector as a coefficient series."""
+    return CoeffSeries(ctx, _load_coeff_vector(raw, ctx, ctx.K, normalize, where))
+
+
+# -- coefficient series --------------------------------------------------
+
+
+def dump_coeff(c: CoeffSeries, epsilon: int | None = None) -> dict:
+    obj = {"kind": "coeff_series", **context_fields(c.ctx, epsilon)}
+    obj["coeffs"] = [str(v) for v in c.coeffs]
+    return obj
+
+
 def load_coeff(obj: dict, normalize: bool = False) -> CoeffSeries:
     where = "coeff_series"
     _kind(obj, "coeff_series", where)
     _check_keys(obj, _CTX_FIELDS | {"coeffs"}, where)
-    p = _int_field(obj, "p", where)
-    K = _int_field(obj, "K", where)
-    mode = _str_field(obj, "mode", where)
-    if mode not in JSON_TO_MODE:
-        raise SchemaError(f"{where}: mode must be one of {sorted(JSON_TO_MODE)}")
-    try:
-        ctx = PrecisionContext(p, K, JSON_TO_MODE[mode])
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-    vals = _load_coeff_vector(
-        _need(obj, "coeffs", where), ctx, K, normalize, where + ".coeffs"
-    )
-    return CoeffSeries(ctx, vals)
+    twisted = "epsilon" in obj
+    ring = load_context(obj, where, twisted)
+    ctx = ring.ctx if twisted else ring
+    return _load_coeff(_need(obj, "coeffs", where), ctx, normalize, where + ".coeffs")
 
 
 # -- skew series ---------------------------------------------------------
@@ -211,7 +212,7 @@ def load_coeff(obj: dict, normalize: bool = False) -> CoeffSeries:
 
 def dump_series(f: SkewSeries) -> dict:
     K = f.sd.ctx.K
-    obj = {"kind": "skew_series", **context_fields(f.sd)}
+    obj = {"kind": "skew_series", **context_fields(f.sd.ctx, f.sd.epsilon_raw)}
     obj["rows"] = [[str(v) for v in row[: K - j]] for j, row in enumerate(f.rows)]
     return obj
 
@@ -242,23 +243,17 @@ def load_series(
 
 
 def dump_distinguished(F: DistinguishedPoly) -> dict:
-    obj = {"kind": "distinguished", **context_fields(F.sd)}
+    obj = {"kind": "distinguished", **context_fields(F.sd.ctx, F.sd.epsilon_raw)}
     obj["s"] = F.degree
     obj["lower"] = [[str(v) for v in a.coeffs] for a in F.lower]
     return obj
 
 
-def load_distinguished(
-    obj: dict, normalize: bool = False, sd: SkewData | None = None
-) -> DistinguishedPoly:
+def load_distinguished(obj: dict, normalize: bool = False) -> DistinguishedPoly:
     where = "distinguished"
     _kind(obj, "distinguished", where)
     _check_keys(obj, _CTX_FIELDS | {"s", "lower"}, where)
-    loaded = load_context(obj, where)
-    if sd is not None:
-        sd.check_same(loaded)
-    else:
-        sd = loaded
+    sd = load_context(obj, where)
     s = _int_field(obj, "s", where)
     if s < 0:
         raise SchemaError(f"{where}: degree s must be >= 0")
@@ -266,11 +261,7 @@ def load_distinguished(
     if not isinstance(raw, list) or len(raw) != s:
         raise SchemaError(f"{where}.lower: expected {s} coefficient vectors")
     lower = [
-        CoeffSeries(
-            sd.ctx,
-            _load_coeff_vector(r, sd.ctx, sd.ctx.K, normalize, f"{where}.lower[{i}]"),
-        )
-        for i, r in enumerate(raw)
+        _load_coeff(r, sd.ctx, normalize, f"{where}.lower[{i}]") for i, r in enumerate(raw)
     ]
     try:
         return DistinguishedPoly(sd, s, tuple(lower))
@@ -311,7 +302,7 @@ def load_division_problem(
 def dump_z_poly(sd: SkewData, coeffs: Sequence[CoeffSeries]) -> dict:
     for c in coeffs:
         sd.ctx.check_same(c.ctx)
-    obj = {"kind": "z_poly", **context_fields(sd)}
+    obj = {"kind": "z_poly", **context_fields(sd.ctx, sd.epsilon_raw)}
     obj["coeffs"] = [[str(v) for v in c.coeffs] for c in coeffs]
     return obj
 
@@ -326,14 +317,9 @@ def load_z_poly(
     raw = _need(obj, "coeffs", where)
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{where}.coeffs: expected a nonempty list")
-    coeffs = [
-        CoeffSeries(
-            sd.ctx,
-            _load_coeff_vector(r, sd.ctx, sd.ctx.K, normalize, f"{where}.coeffs[{i}]"),
-        )
-        for i, r in enumerate(raw)
+    return sd, [
+        _load_coeff(r, sd.ctx, normalize, f"{where}.coeffs[{i}]") for i, r in enumerate(raw)
     ]
-    return sd, coeffs
 
 
 # -- module specifications (rank growth input) ---------------------------
@@ -379,11 +365,11 @@ def load_module_spec(obj: dict) -> ModuleSpec:
 # -- kind dispatch -------------------------------------------------------
 
 _LOADERS = {
-    "coeff_series": lambda obj, normalize: load_coeff(obj, normalize),
-    "skew_series": lambda obj, normalize: load_series(obj, normalize),
-    "distinguished": lambda obj, normalize: load_distinguished(obj, normalize),
-    "division_problem": lambda obj, normalize: load_division_problem(obj, normalize),
-    "z_poly": lambda obj, normalize: load_z_poly(obj, normalize),
+    "coeff_series": load_coeff,
+    "skew_series": load_series,
+    "distinguished": load_distinguished,
+    "division_problem": load_division_problem,
+    "z_poly": load_z_poly,
     "module_spec": lambda obj, normalize: load_module_spec(obj),
 }
 

@@ -54,7 +54,9 @@ from .coeff import (
 from .errors import ContextMismatch, InvalidAction
 from .precision import AtLeast, PadicInt, PrecisionContext
 
-DEFAULT_GUARD = 5
+# Digits of epsilon past K that identify a twist: equality, hashing and
+# ``SkewData.epsilon`` read the exponent mod p**(K + EPSILON_GUARD).
+EPSILON_GUARD = 5
 
 # Twist tables kept per SkewData by ``twist_table``, so memory stays
 # flat in long-running use.
@@ -66,7 +68,6 @@ class SkewData:
 
     __slots__ = (
         "ctx",
-        "guard",
         "_eps_raw",
         "_sig_pows",
         "_isig_pows",
@@ -80,7 +81,7 @@ class SkewData:
         "_derived",
     )
 
-    def __init__(self, ctx: PrecisionContext, epsilon_residue: int, guard: int = DEFAULT_GUARD):
+    def __init__(self, ctx: PrecisionContext, epsilon_residue: int):
         if epsilon_residue < 0:
             raise InvalidAction("epsilon must be a nonnegative residue")
         if epsilon_residue % ctx.p != 1 % ctx.p:
@@ -88,7 +89,6 @@ class SkewData:
                 f"epsilon = {epsilon_residue} is not congruent to 1 mod p = {ctx.p}"
             )
         self.ctx = ctx
-        self.guard = guard
         self._eps_raw = epsilon_residue
         K = ctx.K
         e = epsilon_residue % ctx.p**K
@@ -124,7 +124,7 @@ class SkewData:
     # -- identity ------------------------------------------------------
     @property
     def epsilon(self) -> PadicInt:
-        return PadicInt(self.ctx.p, self._eps_raw, self.ctx.K + self.guard)
+        return PadicInt(self.ctx.p, self._eps_raw, self.ctx.K + EPSILON_GUARD)
 
     @property
     def epsilon_raw(self) -> int:
@@ -134,23 +134,20 @@ class SkewData:
     def sigma_of_X(self) -> CoeffSeries:
         return CoeffSeries(self.ctx, self._sig_pows[1] if self.ctx.K > 1 else vzero(self.ctx))
 
-    @property
-    def sigma_inv_of_X(self) -> CoeffSeries:
-        return CoeffSeries(self.ctx, self._isig_pows[1] if self.ctx.K > 1 else vzero(self.ctx))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SkewData)
             and self.ctx == other.ctx
-            and self._eps_raw % self.ctx.p ** (self.ctx.K + self.guard)
-            == other._eps_raw % self.ctx.p ** (self.ctx.K + self.guard)
+            and self._eps_raw % self.ctx.p ** (self.ctx.K + EPSILON_GUARD)
+            == other._eps_raw % self.ctx.p ** (self.ctx.K + EPSILON_GUARD)
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self._eps_raw % self.ctx.p ** (self.ctx.K + self.guard)))
+        return hash((self.ctx, self._eps_raw % self.ctx.p ** (self.ctx.K + EPSILON_GUARD)))
 
     def __repr__(self) -> str:
-        return f"SkewData(p={self.ctx.p}, K={self.ctx.K}, mode={self.ctx.mode}, eps={self._eps_raw})"
+        c = self.ctx
+        return f"SkewData(p={c.p}, K={c.K}, mode={c.mode}, eps={self._eps_raw})"
 
     def check_same(self, other: "SkewData") -> None:
         if self != other:
@@ -167,7 +164,7 @@ class SkewData:
         with self._lock:
             cached = self._derived.get(K)
             if cached is None:
-                cached = SkewData(self.ctx.with_K(K), self._eps_raw, self.guard)
+                cached = SkewData(self.ctx.with_K(K), self._eps_raw)
                 self._derived[K] = cached
             return cached
 
@@ -258,7 +255,9 @@ class SkewData:
             extend(rows)
             return [row[:] for row in rows[: n + 1]]
 
-    def twist_table(self, r: CoeffSeries, n: int, use_cache: bool = True) -> list[list[CoeffSeries]]:
+    def twist_table(
+        self, r: CoeffSeries, n: int, use_cache: bool = True
+    ) -> list[list[CoeffSeries]]:
         """Rows 0..n of (Y**m r)_i as full-precision coefficient series."""
         self.ctx.check_same(r.ctx)
         if n < 0:
@@ -294,9 +293,9 @@ class SkewData:
         return SkewSeries(self, (r.coeffs,))
 
 
-def build_skew(ctx: PrecisionContext, epsilon_residue: int, guard: int = DEFAULT_GUARD) -> SkewData:
+def build_skew(ctx: PrecisionContext, epsilon_residue: int) -> SkewData:
     """Construct the twist data, validating eps = 1 mod p."""
-    return SkewData(ctx, epsilon_residue, guard)
+    return SkewData(ctx, epsilon_residue)
 
 
 # ---------------------------------------------------------------------------

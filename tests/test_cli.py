@@ -145,7 +145,9 @@ def test_rankgrowth_rejects_precision_or_guard_below_one(tmp_path, capsys):
     )
     out = tmp_path / "growth.json"
     base = ("rankgrowth", "--in", str(src), "--n-max", "3", "--out", str(out))
-    for flags in (("--K", "0"), ("--K", "-1"), ("--K", "8", "--guard", "0")):
+    # the last --n-max on a command line wins: 10**9 overrides base's 3
+    for flags in (("--K", "0"), ("--K", "-1"), ("--K", "8", "--guard", "0"),
+                  ("--K", "8", "--n-max", "1000000000")):
         assert run(*base, *flags) == 3
         assert "invalid rank-growth parameters" in capsys.readouterr().err
         assert not out.exists()
@@ -213,6 +215,23 @@ def test_bad_epsilon_exit_3(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "epsilon" in err or "twist" in err
+
+
+def test_non_prime_p_exit_3(tmp_path, capsys):
+    # flags and JSON fields reach the same context check
+    assert run("omega", "--p", "4", "--K", "4", "--n", "1") == 3
+    assert capsys.readouterr().err == (
+        "skewseries: schema error: invalid context: p = 4 is not prime\n"
+    )
+    src = tmp_path / "f.json"
+    src.write_text(
+        '{"kind":"skew_series","p":4,"K":2,"mode":"zp","epsilon":"1",'
+        '"rows":[["1","0"],["0"]]}\n'
+    )
+    assert run("invert", "--in", str(src)) == 3
+    assert capsys.readouterr().err == (
+        "skewseries: schema error: skew_series: p = 4 is not prime\n"
+    )
 
 
 def test_invalid_index_exit_3(capsys):

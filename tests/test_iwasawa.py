@@ -29,7 +29,7 @@ from skewseries import (
 )
 import skewseries.coeff
 import skewseries.iwasawa
-from skewseries.iwasawa import _coinvariant, _omega_tower
+from skewseries.iwasawa import MAX_TOWER_LEVEL, _coinvariant, _omega_tower
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 
 import rank_oracle
@@ -418,3 +418,8 @@ def test_module_spec_validation():
         ModuleSpec(2, d=0, torsion_polys=((1, 1),))       # lower not in (p)
     with pytest.raises(ValueError):
         rank_growth(ModuleSpec(2, d=1), 1, 8)             # n_max < 2
+    spec = ModuleSpec(3, d=1, torsion_polys=((3, 0, 1),))
+    for n_max in (MAX_TOWER_LEVEL + 1, 10**9):           # refused before any work
+        with pytest.raises(ValueError):
+            rank_growth(spec, n_max, 6, strict=False)
+    assert len(rank_growth(spec, MAX_TOWER_LEVEL, 6, strict=False).table) == MAX_TOWER_LEVEL + 1

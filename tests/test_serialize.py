@@ -128,6 +128,35 @@ def good_series_obj():
     return dump_series(sd.one())
 
 
+def context_holders():
+    """(name, object, dict holding its context) for each kind with a context."""
+    sd = build_skew(PrecisionContext(2, 3, INTEGRAL), 3)
+    one = CoeffSeries.one(sd.ctx)
+    objs = [
+        ("coeff_series", dump_coeff(one, epsilon=3)),
+        ("skew_series", dump_series(sd.one())),
+        ("distinguished", dump_distinguished(prepare(sd.y())[1])),
+        ("z_poly", dump_z_poly(sd, [one])),
+    ]
+    out = [(name, obj, obj) for name, obj in objs]
+    for half in ("dividend", "divisor"):
+        obj = dump_division_problem(sd.one(), sd.y())
+        out.append((f"division_problem.{half}", obj, obj[half]))
+    return out
+
+
+# Bad values of the context fields, set on every kind in context_holders.
+CONTEXT_MUTATIONS = [
+    pytest.param((f, v), id=f"{f}={v!r}")
+    for f, v in [
+        ("p", 0), ("p", -3), ("p", 4), ("p", True),
+        ("K", 0), ("K", -1), ("K", 2.0),
+        ("mode", "padic"),
+        ("epsilon", "-2"), ("epsilon", "0"), ("epsilon", "2"), ("epsilon", "banana"),
+    ]
+]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -144,13 +173,24 @@ def good_series_obj():
         lambda o: o.update(extra=1),                                     # unknown key
         lambda o: o.pop("epsilon"),                                      # missing field
         lambda o: o.pop("rows"),                                         # missing rows
-    ],
+    ]
+    + CONTEXT_MUTATIONS,
 )
 def test_strict_rejection(mutate):
-    obj = good_series_obj()
-    mutate(obj)
-    with pytest.raises(SchemaError):
-        load_object(obj)
+    if callable(mutate):
+        obj = good_series_obj()
+        mutate(obj)
+        with pytest.raises(SchemaError):
+            load_object(obj)
+        return
+    field, value = mutate
+    for name, obj, holder in context_holders():
+        holder[field] = value
+        try:
+            load_object(obj)
+        except SchemaError:
+            continue
+        pytest.fail(f"{name} accepted the context {holder}")
 
 
 def test_normalize_opt_in():

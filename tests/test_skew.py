@@ -16,7 +16,7 @@ from skewseries import (
     validate_axioms,
 )
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
-from skewseries.skew import TWIST_CACHE_SIZE
+from skewseries.skew import EPSILON_GUARD, TWIST_CACHE_SIZE
 
 from util import rand_coeff, rand_unit
 
@@ -41,10 +41,10 @@ def test_epsilon_validation():
 
 
 def test_exponent_insensitivity_beyond_guard():
-    # The action only sees epsilon mod p**(K+guard).
+    # The action only sees epsilon mod p**(K + EPSILON_GUARD).
     ctx = PrecisionContext(3, 4, INTEGRAL)
     sd1 = build_skew(ctx, 4)
-    sd2 = build_skew(ctx, 4 + 3 ** (4 + sd1.guard) * 5)
+    sd2 = build_skew(ctx, 4 + 3 ** (4 + EPSILON_GUARD) * 5)
     assert sd1 == sd2
     rng = Random(301)
     for _ in range(50):

@@ -35,7 +35,7 @@ def _sum_table_rows(sd: SkewData, coeffs: Sequence[CoeffSeries]) -> list[list[in
 def inverse_twist(sd: SkewData) -> SkewData:
     """The twist with sigma^-1 as its automorphism, over the same context."""
     ctx = sd.ctx
-    return build_skew(ctx, pow(sd.epsilon_raw, -1, ctx.p**ctx.K), sd.guard)
+    return build_skew(ctx, pow(sd.epsilon_raw, -1, ctx.p**ctx.K))
 
 
 def table_right_coefficients(f: SkewSeries) -> list[CoeffSeries]:

@@ -1,24 +1,20 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators for the test suite.
+
+``rand_coeff`` and ``rand_series`` are selfcheck's own generators, so the
+two draw the same values from the same stream.  ``rand_unit`` differs
+from selfcheck's: it lifts a non-unit constant by 1 + randrange(p - 1),
+not by 1, and the tests' data depend on that draw.
+"""
 
 from __future__ import annotations
 
 from random import Random
 
 from skewseries import CoeffSeries, SkewData, SkewSeries
-from skewseries.precision import PrecisionContext
+from skewseries.selfcheck import _rand_coeff as rand_coeff
+from skewseries.selfcheck import _rand_series as rand_series
 
-
-def rand_coeff(ctx: PrecisionContext, rng: Random, in_m: bool = False) -> CoeffSeries:
-    vals = [rng.randrange(ctx.p ** (ctx.K - a)) for a in range(ctx.K)]
-    if in_m:
-        vals[0] -= vals[0] % ctx.p
-    return CoeffSeries(ctx, vals)
-
-
-def rand_series(sd: SkewData, rng: Random) -> SkewSeries:
-    K = sd.ctx.K
-    rows = [[rng.randrange(m) for m in sd.ctx.slot_moduli(K - j)] for j in range(K)]
-    return SkewSeries.from_rows(sd, rows)
+__all__ = ["rand_coeff", "rand_series", "rand_unit", "rand_reduced_order"]
 
 
 def rand_unit(sd: SkewData, rng: Random) -> SkewSeries:

@@ -98,7 +98,7 @@ def _emit(args, obj) -> None:
 def cmd_selfcheck(args) -> int:
     result = run_selfcheck(args.seed, emit=print)
     if args.out:
-        write_json_atomic(args.out, result)
+        write_json_atomic(args.out, _result(args, **result))
     return 0 if result["passed"] else 1
 
 

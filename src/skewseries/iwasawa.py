@@ -12,7 +12,7 @@ which reads one tower mod (F, p**M) per torsion polynomial F.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Iterator, Sequence
 
@@ -55,17 +55,22 @@ def omega(ctx: PrecisionContext, n: int) -> CoeffSeries:
 
 
 def xi(ctx: PrecisionContext, n: int) -> CoeffSeries:
-    """xi_0 = X; xi_n = sum_{i<p} (1+X)**(i * p**(n-1)) for n >= 1."""
+    """xi_0 = X; xi_n = sum_{i<p} (1+X)**(i * p**(n-1)) for n >= 1.
+
+    With w = omega_(n-1), the hockey-stick identity turns the sum of the
+    (1 + w)**i into sum_k C(p, k+1) * w**k.  As w lies in m**n, only
+    k < K/n is visible: at most K terms, whatever p is.
+    """
     if n < 0:
         raise ValueError("xi is defined for n >= 0")
     if n == 0:
         return CoeffSeries.x(ctx)
-    t = _tower(ctx, n - 1)
-    acc = CoeffSeries.one(ctx)
+    w = _tower(ctx, n - 1) - 1
+    acc = CoeffSeries.zero(ctx)
     term = CoeffSeries.one(ctx)
-    for _ in range(ctx.p - 1):
-        term = term * t
-        acc = acc + term
+    for k in range(min(ctx.p, -(-ctx.K // n))):
+        acc = acc + comb(ctx.p, k + 1) * term
+        term = term * w
     return acc
 
 
@@ -95,23 +100,7 @@ class TowerReport:
         return all(e.ok for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "K": self.K,
-            "n_max": self.n_max,
-            "passed": self.passed,
-            "entries": [
-                {
-                    "n": e.n,
-                    "product_ok": e.product_ok,
-                    "xi_constant_ok": e.xi_constant_ok,
-                    "omega_constant_zero": e.omega_constant_zero,
-                    "vacuous": e.vacuous,
-                }
-                for e in self.entries
-            ],
-            "warnings": list(self.warnings),
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def omega_tower_check(ctx: PrecisionContext, n_max: int) -> TowerReport:

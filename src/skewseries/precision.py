@@ -16,8 +16,7 @@ p**(q-a) in integral mode and mod p (for a < q) in char-p mode.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .errors import ContextMismatch, NotAUnit
 
@@ -71,6 +70,9 @@ class PrecisionContext:
     p: int
     K: int
     mode: str = INTEGRAL
+    # p**K, ..., p (K copies of p in char-p mode), then K ones: the slot
+    # moduli at precision q are the K entries from index K - q on.
+    _ladder: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -79,31 +81,22 @@ class PrecisionContext:
             raise ValueError("K must be >= 1")
         if self.mode not in (INTEGRAL, CHARP):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == CHARP:
+            top = (self.p,) * self.K
+        else:
+            top = tuple(self.p**e for e in range(self.K, 0, -1))
+        object.__setattr__(self, "_ladder", top + (1,) * self.K)
 
     def with_K(self, K: int) -> "PrecisionContext":
         return PrecisionContext(self.p, K, self.mode)
 
     def slot_moduli(self, q: int) -> tuple[int, ...]:
-        """Per-X-degree moduli of a coefficient vector at m-precision q."""
-        return _slot_moduli(self.p, self.K, self.mode, q)
+        """Per-X-degree moduli of a coefficient vector at m-precision q <= K."""
+        return self._ladder[self.K - q : 2 * self.K - q]
 
     def check_same(self, other: "PrecisionContext") -> None:
         if self != other:
             raise ContextMismatch(f"contexts differ: {self} vs {other}")
-
-
-# Slot-moduli tuples kept across contexts.  One (p, K, mode) needs K + 1
-# of them, and a division at K = 8, s = 3 touches fewer than 100, so the
-# bound leaves room for many contexts while keeping memory flat in
-# long-running use.
-SLOT_MODULI_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=SLOT_MODULI_CACHE_SIZE)
-def _slot_moduli(p: int, K: int, mode: str, q: int) -> tuple[int, ...]:
-    if mode == CHARP:
-        return tuple(p if a < q else 1 for a in range(K))
-    return tuple(p ** (q - a) if a < q else 1 for a in range(K))
 
 
 class PadicInt:

@@ -59,23 +59,6 @@ class SuiteResult:
             if len(self.failures) < 5:
                 self.failures.append(message)
 
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "failed": self.failed,
-            "failures": list(self.failures),
-        }
-
-
-def _suite_rng(seed: int, name: str) -> Random:
-    # String seeding is deterministic across runs and platforms.
-    return Random(f"{seed}:{name}")
-
 
 def _rand_coeff(ctx: PrecisionContext, rng: Random, in_m: bool = False) -> CoeffSeries:
     vals = [rng.randrange(ctx.p ** (ctx.K - a)) for a in range(ctx.K)]
@@ -103,11 +86,11 @@ def _rand_unit(sd: SkewData, rng: Random) -> SkewSeries:
 
 
 # -- suites -------------------------------------------------------------
+# Each suite records its checks in the tally it is given and draws only
+# from the generator it is given; ``run_selfcheck`` creates both.
 
 
-def suite_scalars(seed: int) -> SuiteResult:
-    res = SuiteResult("scalars")
-    rng = _suite_rng(seed, "scalars")
+def suite_scalars(res: SuiteResult, rng: Random) -> None:
     for _ in range(200):
         p = rng.choice((2, 3, 5))
         prec = rng.randrange(1, 7)
@@ -134,12 +117,9 @@ def suite_scalars(seed: int) -> SuiteResult:
                 inv.residue == pow(a.residue, -1, mod),
                 f"inverse mismatch p={p} prec={prec}",
             )
-    return res
 
 
-def suite_coeff_ring(seed: int) -> SuiteResult:
-    res = SuiteResult("coeff-ring")
-    rng = _suite_rng(seed, "coeff-ring")
+def suite_coeff_ring(res: SuiteResult, rng: Random) -> None:
     for _ in range(120):
         p = rng.choice((2, 3, 5))
         K = rng.randrange(2, 7)
@@ -163,12 +143,9 @@ def suite_coeff_ring(seed: int) -> SuiteResult:
             a.compose(t).compose(u) == a.compose(t.compose(u)),
             "composition associativity",
         )
-    return res
 
 
-def suite_twist(seed: int) -> SuiteResult:
-    res = SuiteResult("twist-axioms")
-    rng = _suite_rng(seed, "twist-axioms")
+def suite_twist(res: SuiteResult, rng: Random) -> None:
     configs = [
         (2, 4, INTEGRAL, 3),
         (2, 5, CHARP, 1),
@@ -184,12 +161,9 @@ def suite_twist(seed: int) -> SuiteResult:
             f"axioms failed for p={p} K={K} mode={mode} eps={eps}: "
             + ", ".join(c.name for c in report.checks if c.failures),
         )
-    return res
 
 
-def suite_skew_ring(seed: int) -> SuiteResult:
-    res = SuiteResult("skew-ring")
-    rng = _suite_rng(seed, "skew-ring")
+def suite_skew_ring(res: SuiteResult, rng: Random) -> None:
     configs = [
         build_skew(PrecisionContext(2, 5, INTEGRAL), 3),
         build_skew(PrecisionContext(3, 4, CHARP), 4),
@@ -221,12 +195,9 @@ def suite_skew_ring(seed: int) -> SuiteResult:
             u = _rand_unit(sd, rng)
             inv = u.inverse()
             res.check(u * inv == one and inv * u == one, "two-sided inverse")
-    return res
 
 
-def suite_weierstrass(seed: int) -> SuiteResult:
-    res = SuiteResult("weierstrass")
-    rng = _suite_rng(seed, "weierstrass")
+def suite_weierstrass(res: SuiteResult, rng: Random) -> None:
     for p, K in ((2, 4), (3, 4), (5, 3)):
         sd = build_skew(PrecisionContext(p, K, INTEGRAL), 1 + p)
         for _ in range(8):
@@ -287,12 +258,9 @@ def suite_weierstrass(seed: int) -> SuiteResult:
             and change_precision(R, sd).is_zero(),
             "quotient uniqueness",
         )
-    return res
 
 
-def suite_cyclotomic(seed: int) -> SuiteResult:
-    res = SuiteResult("cyclotomic")
-    rng = _suite_rng(seed, "cyclotomic")
+def suite_cyclotomic(res: SuiteResult, rng: Random) -> None:
     for p, K in ((2, 8), (3, 9)):
         ctx = PrecisionContext(p, K, INTEGRAL)
         report = omega_tower_check(ctx, 2)
@@ -340,12 +308,9 @@ def suite_cyclotomic(seed: int) -> SuiteResult:
             all(a > b for a, b in zip(trace, trace[1:])),
             "descent degree strictly decreases",
         )
-    return res
 
 
-def suite_rank_growth(seed: int) -> SuiteResult:
-    res = SuiteResult("rank-growth")
-    rng = _suite_rng(seed, "rank-growth")
+def suite_rank_growth(res: SuiteResult, rng: Random) -> None:
     specs = [
         (ModuleSpec(2, d=1), 1, 0, 0),
         (ModuleSpec(2, d=0, torsion_polys=((0, 1),)), 0, 1, 0),
@@ -390,12 +355,9 @@ def suite_rank_growth(seed: int) -> SuiteResult:
             not snf.precision_flag and snf.rank_at_precision == size - rank,
             f"corank vs rational rank p={p} size={size}",
         )
-    return res
 
 
-def suite_serialization(seed: int) -> SuiteResult:
-    res = SuiteResult("serialization")
-    rng = _suite_rng(seed, "serialization")
+def suite_serialization(res: SuiteResult, rng: Random) -> None:
     for _ in range(15):
         p = rng.choice((2, 3))
         K = rng.randrange(2, 6)
@@ -452,7 +414,6 @@ def suite_serialization(seed: int) -> SuiteResult:
             res.check(False, f"accepted malformed object {sorted(bad)}")
         except SchemaError:
             res.check(True)
-    return res
 
 
 ALL_SUITES = [
@@ -468,17 +429,19 @@ ALL_SUITES = [
 
 
 def run_selfcheck(seed: int = 42, emit=None) -> dict:
-    """Run every suite; returns a summary dict with per-suite tallies."""
+    """Run every suite; returns ``{"passed", "suites"}`` with per-suite tallies.
+
+    Suite ``name`` draws from ``Random(f"{seed}:{name}")``: string seeding
+    is deterministic across runs and platforms.
+    """
     suites = []
-    ok = True
     for name, fn in ALL_SUITES:
-        result = fn(seed)
-        suites.append(result.to_dict())
-        ok = ok and result.ok
+        result = SuiteResult(name)
+        fn(result, Random(f"{seed}:{name}"))
+        suites.append(vars(result))
         if emit is not None:
-            line = f"{result.name}: {result.passed} passed, {result.failed} failed"
+            line = f"{name}: {result.passed} passed, {result.failed} failed"
             for msg in result.failures:
                 line += f"\n  - {msg}"
             emit(line)
-    return {"kind": "result", "subcommand": "selfcheck", "seed": seed,
-            "passed": ok, "suites": suites}
+    return {"passed": all(s["failed"] == 0 for s in suites), "suites": suites}

@@ -158,15 +158,20 @@ def make_context(where: str, p: int, K: int, mode: str, epsilon: int | None = No
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def load_context(obj: dict, where: str, twisted: bool = True):
-    """make_context on the fields of obj; epsilon is read when twisted."""
+def _context_args(obj: dict, where: str, twisted: bool = True) -> tuple:
+    """The checked raw (p, K, mode, epsilon) of obj; epsilon is read when twisted."""
     p = _int_field(obj, "p", where)
     K = _int_field(obj, "K", where)
     mode = _str_field(obj, "mode", where)
     eps = None
     if twisted:
         eps = _parse_int_string(_need(obj, "epsilon", where), where + ".epsilon")
-    return make_context(where, p, K, mode, eps)
+    return p, K, mode, eps
+
+
+def load_context(obj: dict, where: str, twisted: bool = True):
+    """make_context on the fields of obj; epsilon is read when twisted."""
+    return make_context(where, *_context_args(obj, where, twisted))
 
 
 def _load_coeff_vector(
@@ -223,11 +228,12 @@ def load_series(
     where = "skew_series"
     _kind(obj, "skew_series", where)
     _check_keys(obj, _CTX_FIELDS | {"rows"}, where)
-    loaded = load_context(obj, where)
-    if sd is not None:
-        sd.check_same(loaded)
-    else:
-        sd = loaded
+    args = _context_args(obj, where)
+    if sd is None:
+        sd = make_context(where, *args)
+    elif args != (sd.ctx.p, sd.ctx.K, MODE_TO_JSON[sd.ctx.mode], sd.epsilon_raw):
+        # Equal fields reuse sd's twist data; others are built and compared.
+        sd.check_same(make_context(where, *args))
     K = sd.ctx.K
     raw = _need(obj, "rows", where)
     if not isinstance(raw, list) or len(raw) != K:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import mul
 from random import Random
 from struct import Struct
@@ -42,7 +42,6 @@ from .coeff import (
     vadd,
     vcanon,
     vcompose,
-    vis_unit,
     vmul,
     vone,
     vorder,
@@ -52,10 +51,10 @@ from .coeff import (
     vzero,
 )
 from .errors import ContextMismatch, InvalidAction
-from .precision import AtLeast, PadicInt, PrecisionContext
+from .precision import PrecisionContext
 
-# Digits of epsilon past K that identify a twist: equality, hashing and
-# ``SkewData.epsilon`` read the exponent mod p**(K + EPSILON_GUARD).
+# Digits of epsilon past K that identify a twist: equality and hashing
+# read the exponent mod p**(K + EPSILON_GUARD).
 EPSILON_GUARD = 5
 
 # Twist tables kept per SkewData by ``twist_table``, so memory stays
@@ -122,10 +121,6 @@ class SkewData:
             raise InvalidAction("sigma and sigma^-1 do not invert each other")
 
     # -- identity ------------------------------------------------------
-    @property
-    def epsilon(self) -> PadicInt:
-        return PadicInt(self.ctx.p, self._eps_raw, self.ctx.K + EPSILON_GUARD)
-
     @property
     def epsilon_raw(self) -> int:
         return self._eps_raw
@@ -329,20 +324,7 @@ class AxiomReport:
         return all(c.failures == 0 for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passes": c.passes,
-                    "failures": c.failures,
-                    "counterexample": c.counterexample,
-                }
-                for c in self.checks
-            ],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _random_vec(ctx: PrecisionContext, rng: Random, in_m: bool = False) -> Vec:

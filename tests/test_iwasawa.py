@@ -50,7 +50,7 @@ def test_omega_against_binomial_oracle():
 
 
 def test_xi_against_binomial_sum_oracle():
-    for p, K in ((2, 8), (3, 9)):
+    for p, K in ((2, 8), (3, 9), (5, 7), (7, 5)):
         ctx = PrecisionContext(p, K, INTEGRAL)
         moduli = ctx.slot_moduli(K)
         for n in range(1, 4):
@@ -96,6 +96,13 @@ def test_omega_and_xi_large_n_do_not_hang(monkeypatch):
         assert omega(ctx, 10**5) == omega(ctx, 3)
         assert xi(ctx, 10**5) == xi(ctx, 5)
     assert xi(PrecisionContext(3, 4, INTEGRAL), 10**5).coeffs[0] == 3
+    # xi at a large p makes at most K products, not p - 1
+    big = 1000000007
+    for mode in (INTEGRAL, CHARP):
+        for n in (1, 2):
+            c = xi(PrecisionContext(big, 4, mode), n).coeffs
+            assert c[0] == (big if mode == INTEGRAL else 0)
+    assert xi(PrecisionContext(big, 4, INTEGRAL), 1).coeffs[1] == comb(big, 2) % big**3
 
 
 def test_omega_m_order():

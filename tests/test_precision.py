@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from skewseries import AtLeast, ContextMismatch, PadicInt, PrecisionContext
-from skewseries.precision import CHARP, INTEGRAL, SLOT_MODULI_CACHE_SIZE, _slot_moduli
+from skewseries.precision import CHARP, INTEGRAL
 
 
 def test_known_inverses():
@@ -98,20 +98,13 @@ def test_slot_moduli_shapes():
     assert ctx.slot_moduli(1) == (5, 1, 1, 1)
     fp = PrecisionContext(5, 4, CHARP)
     assert fp.slot_moduli(3) == (5, 5, 5, 1)
-
-
-def test_slot_moduli_cache_is_bounded():
-    # the sweep asks for far more distinct moduli tuples than the bound
-    Ks = range(1, 80)
-    assert sum(K + 1 for K in Ks) > 3 * SLOT_MODULI_CACHE_SIZE
-    for K in Ks:
-        for mode in (INTEGRAL, CHARP):
-            ctx = PrecisionContext(2, K, mode)
-            for q in range(K + 1):
-                assert len(ctx.slot_moduli(q)) == K
-                info = _slot_moduli.cache_info()
-                assert info.currsize <= SLOT_MODULI_CACHE_SIZE
-    assert info.maxsize == SLOT_MODULI_CACHE_SIZE
+    for p in (2, 3, 7):
+        for K in (1, 2, 5, 17):
+            for mode in (INTEGRAL, CHARP):
+                ctx = PrecisionContext(p, K, mode)
+                for q in range(K + 1):
+                    top = [p if mode == CHARP else p ** (q - a) for a in range(q)]
+                    assert ctx.slot_moduli(q) == tuple(top + [1] * (K - q))
 
 
 def test_padic_immutable_and_hashable():

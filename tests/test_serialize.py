@@ -222,6 +222,26 @@ def test_division_problem_context_mismatch_rejected():
         load_object(obj)
 
 
+def test_division_problem_builds_twist_data_once(monkeypatch):
+    import skewseries.serialize as serialize
+
+    calls = []
+    build = serialize.build_skew
+    monkeypatch.setattr(serialize, "build_skew", lambda *a: calls.append(a) or build(*a))
+    rng = Random(707)
+    sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
+    g, f = rand_series(sd, rng), rand_series(sd, rng)
+    obj = dump_division_problem(g, f)
+    g2, f2 = load_object(obj)
+    assert g2 == g and f2 == f and f2.sd is g2.sd
+    assert len(calls) == 1
+    # an epsilon equal to the dividend's only mod p**(K + guard) is built and compared
+    obj["divisor"]["epsilon"] = str(4 + 3**20)
+    g2, f2 = load_object(obj)
+    assert g2 == g and f2 == f
+    assert len(calls) == 3
+
+
 def test_dump_is_parse_stable():
     rng = Random(706)
     for sd in skews():

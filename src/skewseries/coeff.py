@@ -59,10 +59,6 @@ def vsub(ctx: PrecisionContext, u: Vec, v: Vec, q: int) -> Vec:
     return vcanon(ctx, [x - y for x, y in zip(u, v)], q)
 
 
-def vneg(ctx: PrecisionContext, u: Vec, q: int) -> Vec:
-    return vcanon(ctx, [-x for x in u], q)
-
-
 def vmul(ctx: PrecisionContext, u: Vec, v: Vec, q: int) -> Vec:
     # Slots at index >= q have modulus 1, so the Cauchy sum is cut there.
     lim = min(ctx.K, q)
@@ -75,12 +71,6 @@ def vmul(ctx: PrecisionContext, u: Vec, v: Vec, q: int) -> Vec:
                 if vb:
                     acc[a + b] += ua * vb
     return vcanon(ctx, acc, q)
-
-
-def vscale(ctx: PrecisionContext, u: Vec, c: int, q: int) -> Vec:
-    if c == 0:
-        return vzero(ctx)
-    return vcanon(ctx, [c * x for x in u], q)
 
 
 def vorder(ctx: PrecisionContext, u: Vec, q: int) -> int:
@@ -120,7 +110,7 @@ def vinv(ctx: PrecisionContext, u: Vec, q: int) -> Vec:
     for _ in range(q - 1):
         acc = vmul(ctx, h, acc, q)
         acc = vadd(ctx, acc, one, q)
-    return vscale(ctx, acc, c, q)
+    return vcanon(ctx, [c * x for x in acc], q)
 
 
 def vcompose(ctx: PrecisionContext, u: Vec, t: Vec, q: int) -> Vec:
@@ -213,14 +203,10 @@ class CoeffSeries:
         return (-self) + other
 
     def __neg__(self):
-        return CoeffSeries(self.ctx, vneg(self.ctx, self.coeffs, self.ctx.K))
+        return CoeffSeries(self.ctx, vsub(self.ctx, vzero(self.ctx), self.coeffs, self.ctx.K))
 
     def __mul__(self, other):
-        from .series import SkewSeries  # noqa: cyclic at import time only
-
-        if isinstance(other, SkewSeries):
-            # R acts on the left of skew series.
-            return other.__rmul__(self)
+        # a SkewSeries gets NotImplemented, and its __rmul__ acts on the left
         v = self._other(other)
         if v is NotImplemented:
             return NotImplemented

@@ -37,7 +37,7 @@ from .serialize import (
 )
 from .series import SkewSeries, change_precision
 from .skew import SkewData, build_skew, validate_axioms
-from .weierstrass import _divide_core, divide, divide_oracle, prepare
+from .weierstrass import _divide_core, _gauge_free_precision, divide, divide_oracle, prepare
 
 __all__ = ["SuiteResult", "run_selfcheck", "ALL_SUITES"]
 
@@ -249,7 +249,7 @@ def suite_weierstrass(res: SuiteResult, rng: Random) -> None:
         res.check(divide(g, f) == divide_oracle(g, f), "oracle agreement")
         # Uniqueness: a product formed at gauge-free working precision
         # divides back to its factor on every digit visible at base K.
-        sd2 = sd.at_precision(s * sd.ctx.K + 1)
+        sd2 = sd.at_precision(_gauge_free_precision(s, sd.ctx.K))
         qh = _rand_series(sd2, rng)
         fh = change_precision(f, sd2)
         Q, R = _divide_core(sd2, qh * fh, fh, s)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from typing import Sequence
 
 from .coeff import CoeffSeries
@@ -48,7 +47,14 @@ def canonical_json(obj) -> str:
 
 def write_text_atomic(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    while True:
+        tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}.part")
+        try:
+            # mode 0o666 under the umask, as a plain open() would give
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -134,6 +140,12 @@ def _kind(obj: dict, expected: str, where: str) -> None:
 
 _CTX_FIELDS = {"kind", "p", "K", "mode", "epsilon"}
 
+# Largest K a context may ask for.  build_skew at K = 128 takes 0.2 s at
+# p = 3, 5.2 s at p = 1000003 and 10.6 s at p = 2**31 - 1 (integral mode,
+# one run each, 2-vCPU VM, Python 3.11); at p = 3 it takes 2.0 s at
+# K = 256.  Larger K is refused before any ring is built.
+MAX_PRECISION = 128
+
 
 def context_fields(ctx: PrecisionContext, epsilon: int | None = None) -> dict:
     obj = {"p": ctx.p, "K": ctx.K, "mode": MODE_TO_JSON[ctx.mode]}
@@ -151,6 +163,8 @@ def make_context(where: str, p: int, K: int, mode: str, epsilon: int | None = No
     """
     if mode not in JSON_TO_MODE:
         raise SchemaError(f"{where}: mode must be one of {sorted(JSON_TO_MODE)}")
+    if K > MAX_PRECISION:
+        raise SchemaError(f"{where}: K must be <= {MAX_PRECISION}")
     try:
         ctx = PrecisionContext(p, K, JSON_TO_MODE[mode])
         return ctx if epsilon is None else build_skew(ctx, epsilon)

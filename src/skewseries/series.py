@@ -122,6 +122,22 @@ def _left_coeff_mul(sd: SkewData, c: Vec, rows: Rows) -> Rows:
     return tuple(vmul(ctx, c, rows[j], K - j) for j in range(K))
 
 
+def _pascal(K: int, vecs: Sequence[Vec], n: int, sign: int) -> list[list[int]]:
+    """Raw K-digit vectors i < n of sum_j sign**(j-i) C(j, i) vecs[j].
+
+    sign = 1 takes Z-coefficients to Y-coefficients (Z = Y + 1), and
+    sign = -1 is the inverse transform.
+    """
+    out = []
+    for i in range(n):
+        acc = [0] * K
+        for j in range(i, len(vecs)):
+            coef = comb(j, i) * sign ** (j - i)
+            acc = [x + coef * y for x, y in zip(acc, vecs[j])]
+        out.append(acc)
+    return out
+
+
 def _y_powers(sd: SkewData, gr: Rows) -> Iterator[Rows]:
     """Rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand."""
     while True:
@@ -276,13 +292,10 @@ class SkewSeries:
 
     def __rmul__(self, other) -> "SkewSeries":
         # left action of the coefficient ring (rowwise product)
-        if isinstance(other, CoeffSeries):
-            self.sd.ctx.check_same(other.ctx)
-            return SkewSeries(self.sd, _left_coeff_mul(self.sd, other.coeffs, self.rows))
-        if isinstance(other, int):
-            c = vcanon(self.sd.ctx, (other,), self.sd.ctx.K)
-            return SkewSeries(self.sd, _left_coeff_mul(self.sd, c, self.rows))
-        return NotImplemented
+        if not isinstance(other, (CoeffSeries, int)):
+            return NotImplemented
+        c = self._same(other).rows[0]
+        return SkewSeries._trusted(self.sd, _left_coeff_mul(self.sd, c, self.rows))
 
     # -- structure ------------------------------------------------------
     def reduced_order(self) -> int | AtLeast:
@@ -353,38 +366,15 @@ class SkewSeries:
                 f"visible Y-degree {self.y_degree()} exceeds max_deg = {max_deg}"
             )
         ctx = self.sd.ctx
-        K = ctx.K
-        deg = min(max_deg, K - 1)
-        out = []
-        for i in range(deg + 1):
-            acc = [0] * K
-            for j in range(i, deg + 1):
-                coef = comb(j, i) if (j - i) % 2 == 0 else -comb(j, i)
-                rj = self.rows[j]
-                for a in range(K):
-                    if rj[a]:
-                        acc[a] += coef * rj[a]
-            out.append(CoeffSeries(ctx, acc))
-        return out
+        deg = min(max_deg, ctx.K - 1)
+        return [CoeffSeries(ctx, c) for c in _pascal(ctx.K, self.rows[: deg + 1], deg + 1, -1)]
 
     @classmethod
     def from_z_form(cls, sd: SkewData, zcoeffs: Sequence[CoeffSeries]) -> "SkewSeries":
         """Inverse Pascal transform: a_j = sum_i C(i, j) c_i."""
-        ctx = sd.ctx
-        K = ctx.K
         for c in zcoeffs:
-            ctx.check_same(c.ctx)
-        rows = []
-        for j in range(K):
-            acc = [0] * K
-            for i in range(j, len(zcoeffs)):
-                coef = comb(i, j)
-                ci = zcoeffs[i].coeffs
-                for a in range(K):
-                    if ci[a]:
-                        acc[a] += coef * ci[a]
-            rows.append(acc)
-        return cls(sd, rows)
+            sd.ctx.check_same(c.ctx)
+        return cls(sd, _pascal(sd.ctx.K, [c.coeffs for c in zcoeffs], sd.ctx.K, 1))
 
     # -- right-coefficient form ------------------------------------------
     def right_coefficients(self) -> list[CoeffSeries]:

@@ -9,9 +9,14 @@ and the derivation delta = sigma - id.  The congruence eps = 1 mod p
 forces delta(m) into m**2, which is what makes the skew series layer's
 triangular precision bookkeeping work.
 
-``SkewData`` holds the exponent and the precomputed powers of sigma(X)
-and sigma^-1(X); applying sigma is a Z_p-linear combination of those
-powers, one column per canonical X-digit, packed once here.
+``SkewData`` holds the exponent and the powers of sigma(X) and
+sigma^-1(X).  Both come in closed form: with gamma = 1 + X,
+
+    sigma(X) = gamma**eps - 1 = sum_(a >= 1) C(eps, a) X**a,
+
+and sigma^-1(X) the same with eps**-1 mod p**K.  Applying sigma is a
+Z_p-linear combination of the powers of sigma(X), one per canonical
+X-digit; each power is kept once, packed as the column the kernels read.
 
 Rows are packed (Kronecker substitution): ``SkewData.pack`` writes the
 digits into one int, one slot of w bytes each, so a sum of products of
@@ -31,6 +36,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
+from math import comb
 from operator import mul
 from random import Random
 from struct import Struct
@@ -45,7 +51,6 @@ from .coeff import (
     vmul,
     vone,
     vorder,
-    vpow,
     vsub,
     vx,
     vzero,
@@ -68,8 +73,6 @@ class SkewData:
     __slots__ = (
         "ctx",
         "_eps_raw",
-        "_sig_pows",
-        "_isig_pows",
         "_w",
         "_masks",
         "_words",
@@ -90,26 +93,18 @@ class SkewData:
         self.ctx = ctx
         self._eps_raw = epsilon_residue
         K = ctx.K
-        e = epsilon_residue % ctx.p**K
-        e_inv = pow(epsilon_residue, -1, ctx.p**K)
-        gamma = vadd(ctx, vone(ctx), vx(ctx), K)
-        sig = vsub(ctx, vpow(ctx, gamma, e, K), vone(ctx), K)
-        isig = vsub(ctx, vpow(ctx, gamma, e_inv, K), vone(ctx), K)
-        # sigma fixes scalars and maps (X) to (X): powers of sigma(X)
-        # have zero digits below their X-order.
-        pows = [vone(ctx)]
-        ipows = [vone(ctx)]
-        for _ in range(K - 1):
-            pows.append(vmul(ctx, pows[-1], sig, K))
-            ipows.append(vmul(ctx, ipows[-1], isig, K))
-        self._sig_pows = tuple(pows)
-        self._isig_pows = tuple(ipows)
         top = ctx.slot_moduli(K)[0]  # every canonical digit is below it
         self._w = w = 8 * -(-(K * K * top * top).bit_length() // 64)
         self._masks = tuple((1 << (8 * w * q)) - 1 for q in range(K + 1))
         self._words = tuple(Struct(f"<{q}Q") for q in range(K + 1))  # little-endian on every host
-        self._sig_cols = tuple(map(self.pack, pows))
-        self._isig_cols = tuple(map(self.pack, ipows))
+        # (1 + X)**(p**K) = 1 mod m**(K+1): only eps mod p**K is visible
+        q = ctx.p**K
+        sig, isig = (
+            vcanon(ctx, [0] + [comb(e, a) for a in range(1, K)], K)
+            for e in (epsilon_residue % q, pow(epsilon_residue, -1, q))
+        )
+        self._sig_cols = self._powers(sig)
+        self._isig_cols = self._powers(isig)
         self._twist: OrderedDict[Vec, list[list[Vec]]] = OrderedDict()
         self._lock = threading.Lock()
         self._derived: dict[int, "SkewData"] = {}
@@ -120,6 +115,13 @@ class SkewData:
         if vcompose(ctx, isig, sig, K) != vx(ctx):
             raise InvalidAction("sigma and sigma^-1 do not invert each other")
 
+    def _powers(self, t: Vec) -> tuple[int, ...]:
+        """t**0, ..., t**(K-1), packed: the columns that ``_apply`` reads."""
+        pows = [vone(self.ctx)]
+        for _ in range(self.ctx.K - 1):
+            pows.append(vmul(self.ctx, pows[-1], t, self.ctx.K))
+        return tuple(map(self.pack, pows))
+
     # -- identity ------------------------------------------------------
     @property
     def epsilon_raw(self) -> int:
@@ -127,7 +129,8 @@ class SkewData:
 
     @property
     def sigma_of_X(self) -> CoeffSeries:
-        return CoeffSeries(self.ctx, self._sig_pows[1] if self.ctx.K > 1 else vzero(self.ctx))
+        K = self.ctx.K
+        return CoeffSeries(self.ctx, self.unpack(self._sig_cols[1], K) if K > 1 else ())
 
     def __eq__(self, other) -> bool:
         return (
@@ -211,34 +214,15 @@ class SkewData:
         )
 
     # -- twist tables --------------------------------------------------
-    def _twist_rows(self, u: Vec, n: int, use_cache: bool = True) -> list[list[Vec]]:
+    def _twist_rows(self, u: Vec, n: int) -> list[list[Vec]]:
         """Rows 0..n of the commutation table of u.
 
         Row m lists (Y**m u)_0 .. (Y**m u)_m with the recursion
-        (Y**(m+1) u)_j = sigma((Y**m u)_(j-1)) + delta((Y**m u)_j).
+        (Y**(m+1) u)_j = sigma((Y**m u)_(j-1)) + delta((Y**m u)_j), summed
+        raw from ``_apply`` and reduced once per entry.
         """
-        K = self.ctx.K
-
-        def extend(rows: list[list[Vec]]) -> None:
-            while len(rows) <= n:
-                prev = rows[-1]
-                m = len(rows) - 1
-                sig_prev = [self.sig_vec(e, K) for e in prev]
-                nxt = []
-                for j in range(m + 2):
-                    parts = [0] * K
-                    if j >= 1:
-                        parts = list(sig_prev[j - 1])
-                    if j <= m:
-                        d = vsub(self.ctx, sig_prev[j], prev[j], K)
-                        parts = [x + y for x, y in zip(parts, d)]
-                    nxt.append(vcanon(self.ctx, parts, K))
-                rows.append(nxt)
-
-        if not use_cache:
-            rows = [[u]]
-            extend(rows)
-            return rows
+        ctx = self.ctx
+        K = ctx.K
         with self._lock:
             rows = self._twist.get(u)
             if rows is None:
@@ -247,17 +231,22 @@ class SkewData:
                     self._twist.popitem(last=False)
             else:
                 self._twist.move_to_end(u)
-            extend(rows)
+            zero = (0,) * K
+            while len(rows) <= n:
+                prev = rows[-1]
+                sig = [self._apply(self._sig_cols, e, K) for e in prev]
+                rows.append([
+                    vcanon(ctx, [x + y - z for x, y, z in zip(a, b, r)], K)
+                    for a, b, r in zip([zero] + sig, sig + [zero], prev + [zero])
+                ])
             return [row[:] for row in rows[: n + 1]]
 
-    def twist_table(
-        self, r: CoeffSeries, n: int, use_cache: bool = True
-    ) -> list[list[CoeffSeries]]:
+    def twist_table(self, r: CoeffSeries, n: int) -> list[list[CoeffSeries]]:
         """Rows 0..n of (Y**m r)_i as full-precision coefficient series."""
         self.ctx.check_same(r.ctx)
         if n < 0:
             raise ValueError("n must be >= 0")
-        rows = self._twist_rows(r.coeffs, n, use_cache=use_cache)
+        rows = self._twist_rows(r.coeffs, n)
         return [[CoeffSeries(self.ctx, e) for e in row] for row in rows]
 
     # -- series constructors (lazy import to avoid a cycle) ------------

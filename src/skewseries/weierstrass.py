@@ -178,17 +178,13 @@ def prepare(f: SkewSeries) -> tuple[SkewSeries, DistinguishedPoly]:
     if not v.is_unit():
         raise InternalPrecisionLoss("quotient of Y**s by f is not a unit")
     eps = v.inverse()
-    lower = []
-    for j in range(s):
-        a = -rem.row(j)
-        o = a.m_order()
-        if not isinstance(o, AtLeast) and o < 1:
-            raise InternalPrecisionLoss(
-                "lower coefficient of the distinguished factor escapes the "
-                "maximal ideal; K is too small for this input"
-            )
-        lower.append(a)
-    return eps, DistinguishedPoly(sd, s, tuple(lower))
+    try:
+        return eps, DistinguishedPoly(sd, s, tuple(-rem.row(j) for j in range(s)))
+    except ValueError:
+        raise InternalPrecisionLoss(
+            "lower coefficient of the distinguished factor escapes the "
+            "maximal ideal; K is too small for this input"
+        ) from None
 
 
 def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:

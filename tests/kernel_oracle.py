@@ -9,16 +9,18 @@ output row once; since G_K is a two-sided ideal and slot reduction
 commutes with + and *, the rows must not change.  The twist is passed
 as a map ``(u, q) -> canonical vector``: ``sigma(sd)`` for left rows,
 ``sigma_inv(sd)`` for the right rows of f * Y.  Both apply the twist
-digit by digit over the unpacked powers ``sd._sig_pows`` and
-``sd._isig_pows``, so they share no code with the package's packed twist.
+digit by digit over powers of sigma^(+-1)(X) built here: (1 + X)**e - 1
+by repeated squaring (``vpow``), then its powers by digit-loop ``vmul``.
+They share no code with the package's closed form or packed columns.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from skewseries import SkewData
-from skewseries.coeff import Vec, vadd, vcanon, vmul, vzero
+from skewseries.coeff import Vec, vadd, vcanon, vmul, vone, vpow, vsub, vx, vzero
 from skewseries.series import _canon_rows
 
 Rows = tuple[Vec, ...]
@@ -40,12 +42,33 @@ def _apply(sd: SkewData, pows: Sequence[Vec], u: Vec, q: int) -> list[int]:
     return acc
 
 
+def twisted_x(sd: SkewData, inverse: bool = False) -> Vec:
+    """sigma(X) = (1 + X)**eps - 1, or sigma^-1(X) with eps**-1, by ``vpow``."""
+    ctx = sd.ctx
+    K = ctx.K
+    q = ctx.p**K
+    e = pow(sd.epsilon_raw, -1, q) if inverse else sd.epsilon_raw % q
+    gamma = vadd(ctx, vone(ctx), vx(ctx), K)
+    return vsub(ctx, vpow(ctx, gamma, e, K), vone(ctx), K)
+
+
+@lru_cache(maxsize=None)
+def powers(sd: SkewData, inverse: bool) -> tuple[Vec, ...]:
+    """The powers 0 .. K-1 of ``twisted_x(sd, inverse)``, cached per twist."""
+    ctx = sd.ctx
+    t = twisted_x(sd, inverse)
+    pows = [vone(ctx)]
+    for _ in range(ctx.K - 1):
+        pows.append(vmul(ctx, pows[-1], t, ctx.K))
+    return tuple(pows)
+
+
 def sigma(sd: SkewData) -> Twist:
-    return lambda u, q: vcanon(sd.ctx, _apply(sd, sd._sig_pows, u, q), q)
+    return lambda u, q: vcanon(sd.ctx, _apply(sd, powers(sd, False), u, q), q)
 
 
 def sigma_inv(sd: SkewData) -> Twist:
-    return lambda u, q: vcanon(sd.ctx, _apply(sd, sd._isig_pows, u, q), q)
+    return lambda u, q: vcanon(sd.ctx, _apply(sd, powers(sd, True), u, q), q)
 
 
 def _y_step(sd: SkewData, rows: Rows, twist: Twist) -> Rows:

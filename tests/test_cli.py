@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 from skewseries import (
     CoeffSeries,
@@ -17,6 +19,7 @@ from skewseries import (
 )
 from skewseries.cli import main
 from skewseries.precision import INTEGRAL, PrecisionContext
+from skewseries.serialize import MAX_PRECISION
 from skewseries.serialize import dump_coeff  # noqa: F401  (symmetry with dumps used below)
 
 
@@ -128,6 +131,42 @@ def test_rankgrowth_artifacts(tmp_path, capsys):
     assert run(*args) == 0
     capsys.readouterr()
     assert (out.read_bytes(), (tmp_path / "growth.csv").read_bytes()) == before
+
+
+def test_out_files_follow_the_umask(tmp_path, capsys):
+    src = tmp_path / "spec.json"
+    write_json_atomic(str(src), dump_module_spec(ModuleSpec(2, d=1, torsion_polys=((2, 1),))))
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077, 0o002):
+            os.umask(umask)
+            om, growth = tmp_path / f"omega-{umask:o}.json", tmp_path / f"growth-{umask:o}.json"
+            assert run("omega", "--p", "3", "--K", "4", "--n", "1", "--out", str(om)) == 0
+            assert run("rankgrowth", "--in", str(src), "--n-max", "3", "--K", "8",
+                       "--out", str(growth)) == 0
+            for path in (om, growth, growth.with_suffix(".csv")):
+                assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
+
+
+def test_precision_above_the_limit_is_refused(tmp_path, capsys):
+    K = MAX_PRECISION + 1
+    assert run("omega", "--p", "3", "--K", str(K), "--n", "1") == 3
+    assert capsys.readouterr().err == (
+        f"skewseries: schema error: invalid context: K must be <= {MAX_PRECISION}\n"
+    )
+    src = tmp_path / "one.json"
+    rows = [["1" if j == a == 0 else "0" for a in range(K - j)] for j in range(K)]
+    src.write_text(json.dumps(
+        {"kind": "skew_series", "p": 3, "K": K, "mode": "zp", "epsilon": "4", "rows": rows}
+    ))
+    assert run("invert", "--in", str(src)) == 3
+    assert capsys.readouterr().err == (
+        f"skewseries: schema error: skew_series: K must be <= {MAX_PRECISION}\n"
+    )
 
 
 def test_rankgrowth_requires_out(tmp_path, capsys):

@@ -18,6 +18,7 @@ from skewseries import (
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 from skewseries.skew import EPSILON_GUARD, TWIST_CACHE_SIZE
 
+import kernel_oracle as ko
 from util import rand_coeff, rand_unit
 
 
@@ -28,6 +29,22 @@ def test_sigma_of_x_known_value():
     assert sd.sigma_of_X.coeffs == (0, 4, 6, 1)
     x = CoeffSeries.x(sd.ctx)
     assert sd.apply_delta(x).coeffs == (0, 3, 6, 1)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5, 1000003))
+def test_closed_form_twist_matches_vpow_route(p, mode):
+    # sigma^(+-1)(X) from binomial coefficients against (1 + X)**e - 1 by
+    # repeated squaring, and the packed powers against digit-loop products
+    for K in (1, 2, 5, 17, 32):
+        ctx = PrecisionContext(p, K, mode)
+        x = CoeffSeries.x(ctx)
+        for eps in (1, 1 + p, 1 + p * (p**K - 1)):
+            sd = build_skew(ctx, eps)
+            assert sd.sigma_of_X.coeffs == ko.twisted_x(sd)
+            assert sd.apply_sigma_inv(x).coeffs == ko.twisted_x(sd, inverse=True)
+            for cols, inverse in ((sd._sig_cols, False), (sd._isig_cols, True)):
+                assert tuple(tuple(sd.unpack(c, K)) for c in cols) == ko.powers(sd, inverse)
 
 
 def test_epsilon_validation():
@@ -101,12 +118,13 @@ def test_commutative_degeneration_of_twist():
 
 
 def test_twist_table_cache_consistency():
+    # A fresh SkewData has an empty cache, so its table is computed anew.
     rng = Random(306)
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     for _ in range(20):
         r = rand_coeff(sd.ctx, rng)
         n = rng.randrange(0, 5)
-        assert sd.twist_table(r, n, use_cache=True) == sd.twist_table(r, n, use_cache=False)
+        assert sd.twist_table(r, n) == build_skew(sd.ctx, 4).twist_table(r, n)
     # More distinct rows than the cache holds: the oldest are evicted,
     # and recomputing an evicted table gives the same rows.
     fresh = [CoeffSeries(sd.ctx, (i % 81, i // 81)) for i in range(TWIST_CACHE_SIZE + 100)]
@@ -114,7 +132,7 @@ def test_twist_table_cache_consistency():
         sd.twist_table(r, 2)
     assert len(sd._twist) <= TWIST_CACHE_SIZE
     for r in fresh[:5] + fresh[-5:]:
-        assert sd.twist_table(r, 3, use_cache=True) == sd.twist_table(r, 3, use_cache=False)
+        assert sd.twist_table(r, 3) == build_skew(sd.ctx, 4).twist_table(r, 3)
     assert len(sd._twist) <= TWIST_CACHE_SIZE
 
 

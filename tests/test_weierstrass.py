@@ -8,6 +8,7 @@ import pytest
 
 from skewseries import (
     CoeffSeries,
+    InternalPrecisionLoss,
     NotDivisible,
     NotPreparable,
     SkewSeries,
@@ -18,6 +19,7 @@ from skewseries import (
     prepare,
 )
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
+import skewseries.weierstrass as weierstrass
 from skewseries.weierstrass import _divide_core
 
 from contraction_oracle import _divide_core as oracle_divide_core
@@ -113,6 +115,16 @@ def test_prepare_idempotent_on_distinguished():
             eps2, F2 = prepare(F.as_series())
             assert eps2 == sd.one()
             assert F2.as_series() == F.as_series()
+
+
+def test_prepare_reports_a_unit_lower_coefficient_as_precision_loss(monkeypatch):
+    # DistinguishedPoly's ValueError for a lower coefficient outside m
+    # reaches the caller as InternalPrecisionLoss
+    sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
+    f = SkewSeries.from_rows(sd, [3, 1])
+    monkeypatch.setattr(weierstrass, "_divide_core", lambda sd, g, f, s: (sd.one(), sd.one()))
+    with pytest.raises(InternalPrecisionLoss, match="escapes the maximal ideal"):
+        prepare(f)
 
 
 def test_prepare_known_example():

@@ -27,7 +27,7 @@ def _sum_table_rows(sd: SkewData, coeffs: Sequence[CoeffSeries]) -> list[list[in
     for j, c in enumerate(coeffs[:K]):
         if c.is_zero():
             continue
-        for i, e in enumerate(sd.twist_table(c, j, use_cache=False)[j]):
+        for i, e in enumerate(sd.twist_table(c, j)[j]):
             out[i] = [x + y for x, y in zip(out[i], e.coeffs)]
     return out
 

@@ -10,117 +10,57 @@ On top of the ring arithmetic the package provides Weierstrass division
 and preparation, cyclotomic tower elements with normality witnesses,
 ideal descent, coinvariant rank growth accounting, strict JSON
 serialization, and a command-line interface (``skewseries``).
+
+Imports are lazy (PEP 562): each public name loads its module on first
+access, so a process loads only the modules it uses.
 """
 
 from __future__ import annotations
 
-from .coeff import CoeffSeries
-from .errors import (
-    ContextMismatch,
-    DegenerateAction,
-    InternalPrecisionLoss,
-    InvalidAction,
-    MathematicalError,
-    NotAUnit,
-    NotDivisible,
-    NotPolynomial,
-    NotPreparable,
-    PrecisionError,
-    PrecisionInsufficient,
-    SchemaError,
-    SkewSeriesError,
-    SubstitutionDiverges,
-    SystemSingularAtPrecision,
-    VanishedAtPrecision,
-)
-from .iwasawa import (
-    GrowthResult,
-    ModuleSpec,
-    SNFResult,
-    TowerReport,
-    coinvariant_rank,
-    descend_ideal,
-    normal_witness,
-    omega,
-    omega_tower_check,
-    rank_growth,
-    snf_rank,
-    xi,
-)
-from .precision import CHARP, INTEGRAL, AtLeast, PadicInt, PrecisionContext
-from .selfcheck import run_selfcheck
-from .serialize import (
-    canonical_json,
-    dump_coeff,
-    dump_distinguished,
-    dump_division_problem,
-    dump_module_spec,
-    dump_series,
-    dump_z_poly,
-    load_object,
-    read_json,
-    write_json_atomic,
-)
-from .series import SkewSeries, change_precision
-from .skew import AxiomReport, SkewData, build_skew, validate_axioms
-from .weierstrass import DistinguishedPoly, divide, divide_oracle, prepare
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtLeast",
-    "AxiomReport",
-    "CHARP",
-    "CoeffSeries",
-    "ContextMismatch",
-    "DegenerateAction",
-    "DistinguishedPoly",
-    "GrowthResult",
-    "INTEGRAL",
-    "InternalPrecisionLoss",
-    "InvalidAction",
-    "MathematicalError",
-    "ModuleSpec",
-    "NotAUnit",
-    "NotDivisible",
-    "NotPolynomial",
-    "NotPreparable",
-    "PadicInt",
-    "PrecisionContext",
-    "PrecisionError",
-    "PrecisionInsufficient",
-    "SNFResult",
-    "SchemaError",
-    "SkewData",
-    "SkewSeries",
-    "SkewSeriesError",
-    "SubstitutionDiverges",
-    "SystemSingularAtPrecision",
-    "TowerReport",
-    "VanishedAtPrecision",
-    "build_skew",
-    "canonical_json",
-    "change_precision",
-    "coinvariant_rank",
-    "descend_ideal",
-    "divide",
-    "divide_oracle",
-    "dump_coeff",
-    "dump_distinguished",
-    "dump_division_problem",
-    "dump_module_spec",
-    "dump_series",
-    "dump_z_poly",
-    "load_object",
-    "normal_witness",
-    "omega",
-    "omega_tower_check",
-    "prepare",
-    "rank_growth",
-    "read_json",
-    "run_selfcheck",
-    "snf_rank",
-    "validate_axioms",
-    "write_json_atomic",
-    "xi",
-]
+# module -> the public names it exports
+_EXPORTS = {
+    "coeff": ("CoeffSeries",),
+    "errors": (
+        "ContextMismatch", "DegenerateAction", "InternalPrecisionLoss",
+        "InvalidAction", "MathematicalError", "NotAUnit", "NotDivisible",
+        "NotPolynomial", "NotPreparable", "PrecisionError",
+        "PrecisionInsufficient", "SchemaError", "SkewSeriesError",
+        "SubstitutionDiverges", "SystemSingularAtPrecision", "VanishedAtPrecision",
+    ),
+    "iwasawa": (
+        "GrowthResult", "ModuleSpec", "SNFResult", "TowerReport",
+        "coinvariant_rank", "descend_ideal", "normal_witness", "omega",
+        "omega_tower_check", "rank_growth", "snf_rank", "xi",
+    ),
+    "precision": ("CHARP", "INTEGRAL", "AtLeast", "PadicInt", "PrecisionContext"),
+    "selfcheck": ("run_selfcheck",),
+    "serialize": (
+        "canonical_json", "dump_coeff", "dump_distinguished",
+        "dump_division_problem", "dump_module_spec", "dump_series",
+        "dump_z_poly", "load_object", "read_json", "write_json_atomic",
+    ),
+    "series": ("SkewSeries", "change_precision"),
+    "skew": ("AxiomReport", "SkewData", "build_skew", "validate_axioms"),
+    "weierstrass": ("DistinguishedPoly", "divide", "divide_oracle", "prepare"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

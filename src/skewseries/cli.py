@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import (
     ContextMismatch,
@@ -24,8 +23,6 @@ from .errors import (
     PrecisionError,
     SchemaError,
 )
-from .iwasawa import descend_ideal, omega, rank_growth, xi
-from .selfcheck import run_selfcheck
 from .serialize import (
     JSON_TO_MODE,
     canonical_json,
@@ -38,8 +35,6 @@ from .serialize import (
     write_json_atomic,
     write_text_atomic,
 )
-from .skew import validate_axioms
-from .weierstrass import divide, prepare
 
 __all__ = ["main", "build_parser"]
 
@@ -93,9 +88,12 @@ def _emit(args, obj) -> None:
 
 
 # -- subcommand handlers -------------------------------------------------
+# Each handler imports its own algorithm: a process loads only what it runs.
 
 
 def cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck
+
     result = run_selfcheck(args.seed, emit=print)
     if args.out:
         write_json_atomic(args.out, _result(args, **result))
@@ -103,6 +101,8 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_prepare(args) -> int:
+    from .weierstrass import prepare
+
     f = _load_kind(args, "skew_series")
     eps, F = prepare(f)
     _emit(args, _result(args, eps=dump_series(eps), F=dump_distinguished(F)))
@@ -110,8 +110,13 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_divide(args) -> int:
+    from .weierstrass import divide
+
     g, f = _load_kind(args, "division_problem")
-    q, rem = divide(g, f)
+    try:
+        q, rem = divide(g, f)
+    except ValueError as exc:
+        raise SchemaError(f"division refused: {exc}") from exc
     _emit(args, _result(args, q=dump_series(q), rem=dump_series(rem)))
     return 0
 
@@ -122,25 +127,22 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _cmd_cyclotomic(args, fn) -> int:
+def cmd_cyclotomic(args) -> int:
+    from . import iwasawa
+
     ctx = make_context("invalid context", args.p, args.K, args.mode)
     try:
-        c = fn(ctx, args.n)
+        # the subcommand (omega or xi) names its function in iwasawa
+        c = getattr(iwasawa, args.subcommand)(ctx, args.n)
     except ValueError as exc:
         raise SchemaError(f"invalid index: {exc}") from exc
     _emit(args, {**dump_coeff(c), "seed": args.seed, "subcommand": args.subcommand, "n": args.n})
     return 0
 
 
-def cmd_omega(args) -> int:
-    return _cmd_cyclotomic(args, omega)
-
-
-def cmd_xi(args) -> int:
-    return _cmd_cyclotomic(args, xi)
-
-
 def cmd_descend(args) -> int:
+    from .iwasawa import descend_ideal
+
     sd, coeffs = _load_kind(args, "z_poly")
     r, steps = descend_ideal(sd, coeffs)
     _emit(args, _result(args, r=dump_coeff(r, epsilon=sd.epsilon_raw), steps=steps))
@@ -148,6 +150,10 @@ def cmd_descend(args) -> int:
 
 
 def cmd_rankgrowth(args) -> int:
+    from pathlib import Path
+
+    from .iwasawa import rank_growth
+
     if not args.out:
         raise SchemaError("rankgrowth requires --out (the CSV is written alongside)")
     spec = _load_kind(args, "module_spec")
@@ -165,6 +171,8 @@ def cmd_rankgrowth(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from .skew import validate_axioms
+
     sd = make_context("invalid context", args.p, args.K, args.mode, args.epsilon)
     report = validate_axioms(sd, samples=100, seed=args.seed)
     for check in report.checks:
@@ -210,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     file_job("divide", cmd_divide, "divide with remainder by a unit-order series")
     file_job("invert", cmd_invert, "two-sided inverse of a unit")
 
-    for name, handler, help_text in (
-        ("omega", cmd_omega, "cyclotomic element (1+X)^(p^n) - 1"),
-        ("xi", cmd_xi, "cyclotomic layer quotient omega_n / omega_(n-1)"),
+    for name, help_text in (
+        ("omega", "cyclotomic element (1+X)^(p^n) - 1"),
+        ("xi", "cyclotomic layer quotient omega_n / omega_(n-1)"),
     ):
-        sp = job(name, handler, help_text)
+        sp = job(name, cmd_cyclotomic, help_text)
         _add_context_flags(sp, epsilon=False)
         sp.add_argument("--n", type=int, required=True, help="tower level")
 

@@ -23,11 +23,9 @@ from typing import Sequence
 
 from .coeff import CoeffSeries
 from .errors import InvalidAction, SchemaError
-from .precision import CHARP, INTEGRAL, PrecisionContext
+from .precision import CHARP, INTEGRAL, MAX_PRECISION, PrecisionContext
 from .series import SkewSeries
 from .skew import SkewData, build_skew
-from .weierstrass import DistinguishedPoly
-from .iwasawa import ModuleSpec
 
 MODE_TO_JSON = {INTEGRAL: "zp", CHARP: "fp"}
 JSON_TO_MODE = {"zp": INTEGRAL, "fp": CHARP}
@@ -139,12 +137,6 @@ def _kind(obj: dict, expected: str, where: str) -> None:
 # -- precision context / twist data --------------------------------------
 
 _CTX_FIELDS = {"kind", "p", "K", "mode", "epsilon"}
-
-# Largest K a context may ask for.  build_skew at K = 128 takes 0.2 s at
-# p = 3, 5.2 s at p = 1000003 and 10.6 s at p = 2**31 - 1 (integral mode,
-# one run each, 2-vCPU VM, Python 3.11); at p = 3 it takes 2.0 s at
-# K = 256.  Larger K is refused before any ring is built.
-MAX_PRECISION = 128
 
 
 def context_fields(ctx: PrecisionContext, epsilon: int | None = None) -> dict:
@@ -270,6 +262,8 @@ def dump_distinguished(F: DistinguishedPoly) -> dict:
 
 
 def load_distinguished(obj: dict, normalize: bool = False) -> DistinguishedPoly:
+    from .weierstrass import DistinguishedPoly
+
     where = "distinguished"
     _kind(obj, "distinguished", where)
     _check_keys(obj, _CTX_FIELDS | {"s", "lower"}, where)
@@ -356,6 +350,8 @@ def dump_module_spec(ms: ModuleSpec) -> dict:
 
 
 def load_module_spec(obj: dict) -> ModuleSpec:
+    from .iwasawa import ModuleSpec
+
     where = "module_spec"
     _kind(obj, "module_spec", where)
     _check_keys(obj, {"kind", "p", "d", "torsion_polys", "p_power_ranks"}, where)

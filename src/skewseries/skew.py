@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
 from math import comb
 from operator import mul
 from random import Random
@@ -56,7 +55,7 @@ from .coeff import (
     vzero,
 )
 from .errors import ContextMismatch, InvalidAction
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _Record
 
 # Digits of epsilon past K that identify a twist: equality and hashing
 # read the exponent mod p**(K + EPSILON_GUARD).
@@ -286,12 +285,15 @@ def build_skew(ctx: PrecisionContext, epsilon_residue: int) -> SkewData:
 # axiom validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AxiomCheck:
-    name: str
-    passes: int = 0
-    failures: int = 0
-    counterexample: str | None = None
+class AxiomCheck(_Record):
+    __slots__ = __match_args__ = ("name", "passes", "failures", "counterexample")
+
+    def __init__(self, name: str, passes: int = 0, failures: int = 0,
+                 counterexample: str | None = None):
+        self.name = name
+        self.passes = passes
+        self.failures = failures
+        self.counterexample = counterexample
 
     def record(self, ok: bool, witness: str) -> None:
         if ok:
@@ -302,18 +304,21 @@ class AxiomCheck:
                 self.counterexample = witness
 
 
-@dataclass
-class AxiomReport:
-    samples: int
-    seed: int
-    checks: list[AxiomCheck] = field(default_factory=list)
+class AxiomReport(_Record):
+    __slots__ = __match_args__ = ("samples", "seed", "checks")
+
+    def __init__(self, samples: int, seed: int, checks: list[AxiomCheck] | None = None):
+        self.samples = samples
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
         return all(c.failures == 0 for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        checks = [dict(zip(c.__slots__, c._fields())) for c in self.checks]
+        return {"samples": self.samples, "seed": self.seed, "checks": checks, "passed": self.passed}
 
 
 def _random_vec(ctx: PrecisionContext, rng: Random, in_m: bool = False) -> Vec:

@@ -37,7 +37,6 @@ wanted, come from the same construct-natively-elevated pattern.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .coeff import CoeffSeries, vzero
@@ -48,24 +47,24 @@ from .errors import (
     SystemSingularAtPrecision,
 )
 from .linalg import solve_mod_prime_power
-from .precision import AtLeast, INTEGRAL
+from .precision import INTEGRAL, MAX_PRECISION, AtLeast, _Frozen
 from .series import SkewSeries, _mul_rows, _packed, _y_powers, change_precision
 from .skew import SkewData
 
 
-@dataclass(frozen=True)
-class DistinguishedPoly:
+class DistinguishedPoly(_Frozen):
     """Monic Y-polynomial Y**s + a_{s-1}Y**(s-1) + ... + a_0, all a_i in m."""
 
-    sd: SkewData
-    degree: int
-    lower: tuple[CoeffSeries, ...]
+    __slots__ = __match_args__ = ("sd", "degree", "lower")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0 or len(self.lower) != self.degree:
+    def __init__(self, sd: SkewData, degree: int, lower: tuple[CoeffSeries, ...]):
+        object.__setattr__(self, "sd", sd)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "lower", lower)
+        if degree < 0 or len(lower) != degree:
             raise ValueError("need exactly `degree` lower coefficients")
-        for a in self.lower:
-            self.sd.ctx.check_same(a.ctx)
+        for a in lower:
+            sd.ctx.check_same(a.ctx)
             o = a.m_order()
             if not isinstance(o, AtLeast) and o < 1:
                 raise ValueError("lower coefficients must lie in the maximal ideal")
@@ -129,8 +128,20 @@ def _divide_core(
 
 
 def _gauge_free_precision(s: int, K: int) -> int:
-    # at working precision s*K + 1 the division pair is unique mod G_K
-    return s * K + 1 if s >= 1 else K
+    """At working precision s*K + 1 the division pair is unique mod G_K.
+
+    ValueError when that lift exceeds MAX_PRECISION: the twist data alone
+    grows like K'**3, so such a division is refused before any work.
+    """
+    if s < 1:
+        return K
+    lifted = s * K + 1
+    if lifted > MAX_PRECISION:
+        raise ValueError(
+            f"division by a divisor of reduced order s = {s} at K = {K} lifts to "
+            f"K' = s*K + 1 = {lifted}, above the limit {MAX_PRECISION}"
+        )
+    return lifted
 
 
 def divide(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:
@@ -138,6 +149,7 @@ def divide(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:
 
     Returns the image of the exact division of the canonical lifts of g
     and f, so the output is independent of the route used to compute it.
+    ValueError when the lift s*K + 1 exceeds MAX_PRECISION.
     """
     sd = f.sd
     sd.check_same(g.sd)
@@ -196,7 +208,8 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     p**(n+b) into a uniform modulus p**K'; in char-p mode everything
     already lives mod p.  Solved with valuation-pivoting elimination;
     then rem = g - q*f from the same table of Y**j * f.  Meant for small
-    K (matrix side grows like K'**2 with K' = s*K + 1).
+    K (matrix side grows like K'**2 with K' = s*K + 1); ValueError when
+    K' exceeds MAX_PRECISION, as in `divide`.
     """
     sd = f.sd
     sd.check_same(g.sd)

@@ -84,6 +84,19 @@ def test_divide(tmp_path, capsys):
     assert load_object(obj["rem"]) == sd.embed(9)
 
 
+def test_divide_refuses_a_lift_above_the_limit(tmp_path, capsys):
+    # reduced order s = 11 at K = 12 lifts to K' = 133 > MAX_PRECISION
+    sd = build_skew(PrecisionContext(3, 12, INTEGRAL), 4)
+    src, out = tmp_path / "prob.json", tmp_path / "out.json"
+    write_json_atomic(str(src), dump_division_problem(sd.y(2), sd.y(11) + 3))
+    assert run("divide", "--in", str(src), "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "skewseries: schema error: division refused: division by a divisor of reduced "
+        f"order s = 11 at K = 12 lifts to K' = s*K + 1 = 133, above the limit {MAX_PRECISION}\n"
+    )
+    assert not out.exists()
+
+
 def test_invert_unit_and_nonunit(tmp_path, capsys):
     sd = build_skew(PrecisionContext(2, 4, INTEGRAL), 3)
     u = sd.one() - sd.y()

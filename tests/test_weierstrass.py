@@ -11,6 +11,7 @@ from skewseries import (
     InternalPrecisionLoss,
     NotDivisible,
     NotPreparable,
+    SkewData,
     SkewSeries,
     build_skew,
     change_precision,
@@ -76,6 +77,21 @@ def test_not_divisible_when_no_unit_row():
         divide(sd.y(2), f)
     with pytest.raises(NotPreparable):
         prepare(f)
+
+
+def test_division_refuses_a_lift_above_max_precision(monkeypatch):
+    # reduced order s = 11 at K = 12 lifts to K' = 133 > MAX_PRECISION = 128
+    sd = build_skew(PrecisionContext(3, 12, INTEGRAL), 4)
+    f = sd.y(11) + 3
+
+    def no_lift(self, K):
+        raise AssertionError(f"lifted to K' = {K}")
+
+    monkeypatch.setattr(SkewData, "at_precision", no_lift)
+    for route in (divide, divide_oracle):
+        with pytest.raises(ValueError, match=r"s = 11 at K = 12 lifts to K' = s\*K \+ 1 = 133, "
+                           r"above the limit 128"):
+            route(sd.y(2), f)
 
 
 def test_prepare_identity_properties():

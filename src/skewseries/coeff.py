@@ -14,10 +14,10 @@ the skew series layer (whose row j lives at m-precision K - j); the
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import NotAUnit, SubstitutionDiverges
-from .precision import CHARP, AtLeast, PrecisionContext
+from .precision import CHARP, AtLeast, PrecisionContext, _Frozen
 
 Vec = tuple[int, ...]
 
@@ -143,21 +143,18 @@ def vpow(ctx: PrecisionContext, u: Vec, e: int, q: int) -> Vec:
 # public wrapper at full precision
 # ---------------------------------------------------------------------------
 
-class CoeffSeries:
+class CoeffSeries(_Frozen):
     """An element of R/m**K in canonical form.
 
     Tuple equality of ``coeffs`` is equality mod m**K; the coefficient
     of X**a is visible to scalar precision K - a (1 in char-p mode).
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = __match_args__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: PrecisionContext, coeffs: Sequence[int]):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", vcanon(ctx, tuple(coeffs), ctx.K))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("CoeffSeries is immutable")
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -216,16 +213,6 @@ class CoeffSeries:
 
     def __pow__(self, e: int) -> "CoeffSeries":
         return CoeffSeries(self.ctx, vpow(self.ctx, self.coeffs, e, self.ctx.K))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoeffSeries)
-            and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.coeffs))
 
     def __repr__(self) -> str:
         return f"CoeffSeries(p={self.ctx.p}, K={self.ctx.K}, {list(self.coeffs)})"

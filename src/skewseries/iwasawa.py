@@ -12,9 +12,9 @@ which reads one tower mod (F, p**M) per torsion polynomial F.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from math import comb
-from typing import Iterator, Sequence
 
 from .coeff import CoeffSeries
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     VanishedAtPrecision,
 )
 from .linalg import smith_valuations
-from .precision import AtLeast, PadicInt, PrecisionContext, _is_prime
+from .precision import MAX_PRECISION, AtLeast, PadicInt, PrecisionContext, _is_prime
 from .series import SkewSeries
 from .skew import SkewData
 
@@ -350,11 +350,12 @@ def coinvariant_rank(
 
     The corank of the multiplication-by-omega_n matrix on the basis
     1, X, ..., X**(deg F - 1).  With `strict` a guard-band pivot raises
-    PrecisionInsufficient instead of silently flagging.
+    PrecisionInsufficient instead of silently flagging.  M may not
+    exceed MAX_PRECISION.
     """
     F = _check_poly(p, poly)
-    if M < 1:
-        raise ValueError("precision M must be >= 1")
+    if not 1 <= M <= MAX_PRECISION:
+        raise ValueError(f"need precision 1 <= M <= {MAX_PRECISION}")
     if n < 0:
         raise ValueError("n must be >= 0")
     for om in _omega_tower(p, F, n, M):
@@ -394,14 +395,14 @@ def rank_growth(
     points (NotStabilized is reported in the result, never raised).
     With `strict` a guard-band pivot raises PrecisionInsufficient as in
     coinvariant_rank; otherwise it is recorded per row.  n_max may not
-    exceed MAX_TOWER_LEVEL.
+    exceed MAX_TOWER_LEVEL, nor M MAX_PRECISION.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if n_max > MAX_TOWER_LEVEL:
         raise ValueError(f"n_max must be <= {MAX_TOWER_LEVEL}")
-    if M < 1 or guard < 1:
-        raise ValueError("precision M and guard must be >= 1")
+    if not (1 <= M <= MAX_PRECISION and guard >= 1):
+        raise ValueError(f"need precision 1 <= M <= {MAX_PRECISION} and guard >= 1")
     p = spec.p
     cs = [0] * (n_max + 1)  # c_n = lambda_n - d*p**n: the torsion ranks
     flags = [False] * (n_max + 1)

@@ -138,14 +138,14 @@ class PrecisionContext(_Frozen):
             raise ContextMismatch(f"contexts differ: {self} vs {other}")
 
 
-class PadicInt:
+class PadicInt(_Frozen):
     """A residue mod p**prec.  Immutable.
 
     >>> PadicInt(5, 2, 3).inverse().residue
     63
     """
 
-    __slots__ = ("p", "residue", "prec")
+    __slots__ = __match_args__ = ("p", "residue", "prec")
 
     def __init__(self, p: int, residue: int, prec: int):
         if prec < 0:
@@ -153,9 +153,6 @@ class PadicInt:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "residue", residue % p**prec)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("PadicInt is immutable")
 
     # -- helpers -------------------------------------------------------
     def _join(self, other: "PadicInt") -> int:
@@ -180,17 +177,6 @@ class PadicInt:
 
     def __neg__(self) -> "PadicInt":
         return PadicInt(self.p, -self.residue, self.prec)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PadicInt)
-            and self.p == other.p
-            and self.prec == other.prec
-            and self.residue == other.residue
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.residue, self.prec))
 
     def __repr__(self) -> str:
         return f"PadicInt({self.residue} mod {self.p}^{self.prec})"

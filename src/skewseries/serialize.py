@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 from .coeff import CoeffSeries
 from .errors import InvalidAction, SchemaError

@@ -10,8 +10,9 @@ Elements are known modulo the two-sided filtration ideal G_K whose
 Y**j-row is m**(K-j); concretely row j is a coefficient vector at
 m-precision K - j, so the X**a Y**j slot carries K - j - a scalar
 digits.  All operations happen on canonical representatives of A/G_K,
-which makes row-tuple equality *the* congruence mod G_K: ``__eq__`` is
-the dedicated mod-G_K comparator and never compares invisible tails.
+which makes row-tuple equality *the* congruence mod G_K: the ``__eq__``
+inherited from ``_Frozen`` compares (sd, rows) and so is the mod-G_K
+comparator; it never compares invisible tails.
 
 G_K is a two-sided ideal and reduction by a slot modulus commutes with
 + and *, so the row kernels (``_mul_rows``, ``_y_step``) build raw
@@ -45,8 +46,8 @@ step is exact because G_K is a two-sided ideal.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from math import comb
-from typing import Iterable, Iterator, Sequence
 
 from .coeff import (
     CoeffSeries,
@@ -60,7 +61,7 @@ from .coeff import (
     vzero,
 )
 from .errors import NotAUnit, NotPolynomial
-from .precision import AtLeast
+from .precision import AtLeast, _Frozen
 from .skew import SkewData
 
 Rows = tuple[Vec, ...]
@@ -175,17 +176,18 @@ def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[tuple[int, ...]], lo: int 
     return (vzero(ctx),) * lo + tuple(rows)
 
 
-class SkewSeries:
-    """An element of A/G_K in canonical row form."""
+class SkewSeries(_Frozen):
+    """An element of A/G_K in canonical row form.
 
-    __slots__ = ("sd", "rows")
+    Equality is congruence mod G_K: the rows are canonical, so the
+    ``==`` and hash inherited from ``_Frozen`` compare (sd, rows).
+    """
+
+    __slots__ = __match_args__ = ("sd", "rows")
 
     def __init__(self, sd: SkewData, rows: Sequence[Sequence[int]]):
         object.__setattr__(self, "sd", sd)
         object.__setattr__(self, "rows", _canon_rows(sd, rows))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SkewSeries is immutable")
 
     @classmethod
     def _trusted(cls, sd: SkewData, rows: Rows) -> "SkewSeries":
@@ -228,17 +230,6 @@ class SkewSeries:
                 terms.append(f"({list(r)})*Y^{j}")
         body = " + ".join(terms) if terms else "0"
         return f"SkewSeries({body} | p={self.sd.ctx.p}, K={self.sd.ctx.K})"
-
-    # -- equality is congruence mod G_K --------------------------------
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SkewSeries)
-            and self.sd == other.sd
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.sd, self.rows))
 
     def is_zero(self) -> bool:
         """True when every row vanishes, i.e. the element lies in G_K.

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from math import comb
 from operator import mul
 from random import Random
 from struct import Struct
-from typing import Sequence
 
 from .coeff import (
     CoeffSeries,
@@ -145,6 +145,9 @@ class SkewData:
     def __repr__(self) -> str:
         c = self.ctx
         return f"SkewData(p={c.p}, K={c.K}, mode={c.mode}, eps={self._eps_raw})"
+
+    def __reduce__(self):  # pickle and copy rebuild the twist, not the caches
+        return SkewData, (self.ctx, self._eps_raw)
 
     def check_same(self, other: "SkewData") -> None:
         if self != other:

@@ -208,6 +208,16 @@ def test_rankgrowth_rejects_precision_or_guard_below_one(tmp_path, capsys):
     assert json.loads(out.read_text())["c"] == 3
 
 
+def test_rankgrowth_rejects_precision_above_max(tmp_path, capsys):
+    src = tmp_path / "spec.json"
+    write_json_atomic(str(src), dump_module_spec(ModuleSpec(3, d=1, torsion_polys=((3, 1),))))
+    out = tmp_path / "growth.json"
+    argv = ("rankgrowth", "--in", str(src), "--n-max", "3", "--out", str(out))
+    assert run(*argv, "--K", str(MAX_PRECISION + 1)) == 3
+    assert "invalid rank-growth parameters" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
 def test_axioms(capsys, tmp_path):
     out = tmp_path / "ax.json"
     code = run("axioms", "--p", "3", "--K", "4", "--epsilon", "4",

@@ -91,3 +91,22 @@ def test_subcommand_loads_only_its_modules(subcommand, tmp_path):
     assert ("skewseries.selfcheck" in loaded) == (subcommand == "selfcheck")
     if subcommand in ("prepare", "divide", "invert", "axioms"):
         assert not loaded & {"skewseries.iwasawa", "dataclasses", "inspect"}
+
+
+def test_bare_interpreter_loads_no_typing(tmp_path):
+    # site preloads typing on some hosts, so only a `python -S` child can
+    # show that the modules these subcommands run never import it
+    bare = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; print('typing' in sys.modules)"],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert bare.stdout.strip() == "False"
+    for subcommand in ("prepare", "divide", "invert", "axioms"):
+        listing = tmp_path / f"{subcommand}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", LOADED_MODULES, str(listing),
+             *_argv(CASES[subcommand], tmp_path / "out.json")],
+            capture_output=True, text=True, env=_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "typing" not in listing.read_text().split(), subcommand

@@ -30,7 +30,7 @@ from skewseries import (
 import skewseries.coeff
 import skewseries.iwasawa
 from skewseries.iwasawa import MAX_TOWER_LEVEL, _coinvariant, _omega_tower
-from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
+from skewseries.precision import CHARP, INTEGRAL, MAX_PRECISION, PrecisionContext
 
 import rank_oracle
 from util import rand_coeff
@@ -259,6 +259,18 @@ def test_rank_growth_rejects_precision_or_guard_below_one(M, guard):
         coinvariant_rank(3, (3, 1), 1, M, guard=guard)
     with pytest.raises(ValueError):
         coinvariant_rank(3, (3, 1), 1, M, guard=guard, strict=False)
+
+
+def test_rank_growth_rejects_precision_above_max():
+    # the cost grows about like M**1.8, so an unbounded M could hang
+    M = MAX_PRECISION + 1
+    spec = ModuleSpec(3, d=1, torsion_polys=((0, 1), (3, 3, 1), (3, 1)))
+    for strict in (True, False):
+        with pytest.raises(ValueError):
+            rank_growth(spec, 3, M, strict=strict)
+        with pytest.raises(ValueError):
+            coinvariant_rank(3, (3, 1), 1, M, strict=strict)
+    assert rank_growth(spec, 3, MAX_PRECISION).c == 3
 
 
 def test_snf_corank_matches_rational_nullity():

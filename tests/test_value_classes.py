@@ -2,6 +2,10 @@
 
 Each twin below is the former ``@dataclass`` definition.  Real and twin
 must agree on repr, ==, hash and on whether assignment is allowed.
+
+The ring values (``PadicInt``, ``CoeffSeries``, ``SkewSeries``) and the
+twist data under them are values too: they copy and pickle to an equal
+value with an equal hash, and the frozen ones refuse assignment and del.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from itertools import product
 
 import pytest
 
-from skewseries import CoeffSeries, build_skew, validate_axioms
+from skewseries import CoeffSeries, SkewSeries, build_skew, validate_axioms
 from skewseries import precision, skew, weierstrass
-from skewseries.precision import CHARP, INTEGRAL
+from skewseries.precision import CHARP, INTEGRAL, PadicInt
+from skewseries.skew import EPSILON_GUARD
 
 
 @dataclass(frozen=True)
@@ -139,3 +144,68 @@ def test_axiom_report_to_dict_matches_asdict():
     twin = AxiomReport(real.samples, real.seed, [AxiomCheck(*c._fields()) for c in real.checks])
     assert real.to_dict() == {**asdict(twin), "passed": False}
     assert list(real.to_dict()) == ["samples", "seed", "checks", "passed"]
+
+
+def assert_value_semantics(values, parent_hash, frozen=True):
+    """Copies and pickles are equal with equal hashes; fields are frozen."""
+    for x in values:
+        assert hash(x) == parent_hash(x)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+            assert repr(y) == repr(x)
+        assert (x == 0, x == (), x != 0) == (False, False, True)
+        if frozen:
+            for name in x.__match_args__:
+                before = getattr(x, name)
+                with pytest.raises(AttributeError):
+                    setattr(x, name, before)
+                with pytest.raises(AttributeError):
+                    delattr(x, name)
+                assert getattr(x, name) is before
+    for a, b in product(values, repeat=2):
+        if type(a) is not type(b):
+            assert (a == b, a != b) == (False, True)
+
+
+def _ring_values(mode):
+    sd = build_skew(precision.PrecisionContext(3, 4, mode), 4)
+    a = CoeffSeries(sd.ctx, (3, 1, 0, 2))
+    f = sd.y(1) * sd.embed(CoeffSeries.x(sd.ctx)) + 5
+    return sd, a, f
+
+
+@pytest.mark.parametrize("mode", [INTEGRAL, CHARP])
+def test_ring_values_copy_pickle_and_freeze(mode):
+    sd, a, f = _ring_values(mode)
+    b = a * a + CoeffSeries.x(sd.ctx)
+    assert_value_semantics(
+        [PadicInt(5, 2, 3), PadicInt(3, 7, 2), PadicInt(3, 0, 0)],
+        lambda x: hash((x.p, x.residue, x.prec)),
+    )
+    assert_value_semantics([a, b, sd.embed(a).row(0)], lambda x: hash((x.ctx, x.coeffs)))
+    assert_value_semantics([f, f * f, sd.embed(a), sd.one()], lambda x: hash((x.sd, x.rows)))
+    assert_value_semantics([PadicInt(3, 1, 1), a, sd.embed(a), f, sd], hash, frozen=False)
+    # a pickled series works over its rebuilt twist data
+    g = pickle.loads(pickle.dumps(f))
+    assert g.sd is not sd and g * g == f * f and g.inverse() == f.inverse()
+
+
+@pytest.mark.parametrize("mode", [INTEGRAL, CHARP])
+def test_skew_data_rebuilds_without_its_caches(mode):
+    sd, a, _ = _ring_values(mode)
+    sd.at_precision(6)
+    p, K = sd.ctx.p, sd.ctx.K
+    assert_value_semantics(
+        [sd, build_skew(sd.ctx, 4 + p**K), build_skew(sd.ctx, 7)],
+        lambda x: hash((x.ctx, x.epsilon_raw % p ** (K + EPSILON_GUARD))),
+        frozen=False,
+    )
+    for y in (copy.copy(sd), copy.deepcopy(sd), pickle.loads(pickle.dumps(sd))):
+        assert y is not sd and y.epsilon_raw == sd.epsilon_raw
+        assert y._derived == {} and y._lock is not sd._lock
+        assert y._sig_cols == sd._sig_cols and y._isig_cols == sd._isig_cols
+    dp = weierstrass.DistinguishedPoly(sd, 1, (a,))
+    assert_value_semantics(
+        [dp, pickle.loads(pickle.dumps(dp))], lambda x: hash((x.sd, x.degree, x.lower))
+    )
+    assert isinstance(pickle.loads(pickle.dumps(dp)).as_series(), SkewSeries)

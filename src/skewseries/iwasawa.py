@@ -19,7 +19,6 @@ from math import comb
 from .coeff import CoeffSeries
 from .errors import (
     DegenerateAction,
-    InvalidAction,
     PrecisionInsufficient,
     VanishedAtPrecision,
 )
@@ -152,8 +151,6 @@ def normal_witness(sd: SkewData, n: int) -> tuple[CoeffSeries, SkewSeries]:
         raise ValueError("n must be >= 0")
     ctx = sd.ctx
     e = sd.epsilon_raw % ctx.p**ctx.K
-    if e % ctx.p != 1 % ctx.p:
-        raise InvalidAction("twist exponent must be 1 mod p")
     om = omega(ctx, n)
     u = CoeffSeries.zero(ctx)
     pw = CoeffSeries.one(ctx)
@@ -197,6 +194,9 @@ def descend_ideal(
     coeffs = list(zcoeffs)
     if all(c.is_zero() for c in coeffs):
         raise VanishedAtPrecision("input polynomial is zero at this precision")
+    sig_gamma = [gamma]  # sigma**i(gamma) up to the top degree, which only falls
+    for _ in range(max(i for i, c in enumerate(coeffs) if not c.is_zero())):
+        sig_gamma.append(sd.apply_sigma(sig_gamma[-1]))
     steps = 0
     while True:
         nz = [i for i, c in enumerate(coeffs) if not c.is_zero()]
@@ -210,9 +210,6 @@ def descend_ideal(
         if len(nz) == 1:
             return coeffs[nz[0]], steps
         s = nz[-1]
-        sig_gamma = [gamma]
-        for _ in range(s):
-            sig_gamma.append(sd.apply_sigma(sig_gamma[-1]))
         coeffs = [coeffs[i] * (sig_gamma[s] - sig_gamma[i]) for i in range(s)]
         steps += 1
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from collections.abc import Sequence
 
 from .coeff import CoeffSeries
@@ -71,11 +72,11 @@ def write_json_atomic(path: str, obj) -> None:
 
 def read_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, encoding, depth or int length
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
@@ -108,13 +109,20 @@ def _str_field(obj: dict, field: str, where: str) -> str:
     return v
 
 
+def _int(s: str, where: str) -> int:
+    try:
+        return int(s)
+    except ValueError as exc:  # past the interpreter's int-string digit limit
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def _parse_residue(s, modulus: int, normalize: bool, where: str) -> int:
     if not isinstance(s, str):
         raise SchemaError(f"{where}: residues must be decimal strings, got {s!r}")
     pat = _SIGNED if normalize else _UNSIGNED
     if not pat.match(s):
         raise SchemaError(f"{where}: {s!r} is not a canonical decimal residue")
-    v = int(s)
+    v = _int(s, where)
     if not normalize and v >= modulus:
         raise SchemaError(
             f"{where}: residue {s} is not reduced (slot modulus {modulus})"
@@ -125,7 +133,7 @@ def _parse_residue(s, modulus: int, normalize: bool, where: str) -> int:
 def _parse_int_string(s, where: str) -> int:
     if not isinstance(s, str) or not _SIGNED.match(s):
         raise SchemaError(f"{where}: {s!r} is not a canonical decimal integer")
-    return int(s)
+    return _int(s, where)
 
 
 def _kind(obj: dict, expected: str, where: str) -> None:
@@ -159,6 +167,9 @@ def make_context(where: str, p: int, K: int, mode: str, epsilon: int | None = No
         raise SchemaError(f"{where}: K must be <= {MAX_PRECISION}")
     try:
         ctx = PrecisionContext(p, K, JSON_TO_MODE[mode])
+        digits = getattr(sys, "get_int_max_str_digits", int)()  # 0 or absent: no limit
+        if digits and p**K >= 10**digits:
+            raise SchemaError(f"{where}: p**K must have at most {digits} decimal digits")
         return ctx if epsilon is None else build_skew(ctx, epsilon)
     except (ValueError, InvalidAction) as exc:
         raise SchemaError(f"{where}: {exc}") from exc

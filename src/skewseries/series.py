@@ -55,7 +55,6 @@ from .coeff import (
     vadd,
     vcanon,
     vis_unit,
-    vmul,
     vorder,
     vsub,
     vzero,
@@ -115,12 +114,6 @@ def _horner(sd: SkewData, coeffs: Sequence[Vec], cols: Sequence[int]) -> Rows:
         rows = _y_step(sd, rows, cols)
         rows = (vadd(ctx, rows[0], c, K),) + rows[1:]
     return rows
-
-
-def _left_coeff_mul(sd: SkewData, c: Vec, rows: Rows) -> Rows:
-    ctx = sd.ctx
-    K = ctx.K
-    return tuple(vmul(ctx, c, rows[j], K - j) for j in range(K))
 
 
 def _pascal(K: int, vecs: Sequence[Vec], n: int, sign: int) -> list[list[int]]:
@@ -241,11 +234,8 @@ class SkewSeries(_Frozen):
 
     # -- additive structure --------------------------------------------
     def _same(self, other) -> "SkewSeries":
-        if isinstance(other, int):
-            return SkewSeries.from_rows(self.sd, [other])
-        if isinstance(other, CoeffSeries):
-            self.sd.ctx.check_same(other.ctx)
-            return SkewSeries.from_rows(self.sd, [other])
+        if isinstance(other, (int, CoeffSeries)):
+            return self.sd.embed(other)
         if not isinstance(other, SkewSeries):
             raise TypeError(f"expected SkewSeries, got {type(other).__name__}")
         self.sd.check_same(other.sd)
@@ -282,11 +272,10 @@ class SkewSeries(_Frozen):
         return SkewSeries._trusted(sd, _mul_rows(sd, self.rows, table))
 
     def __rmul__(self, other) -> "SkewSeries":
-        # left action of the coefficient ring (rowwise product)
+        # left action of the coefficient ring: c * f is embed(c) * f
         if not isinstance(other, (CoeffSeries, int)):
             return NotImplemented
-        c = self._same(other).rows[0]
-        return SkewSeries._trusted(self.sd, _left_coeff_mul(self.sd, c, self.rows))
+        return self._same(other) * self
 
     # -- structure ------------------------------------------------------
     def reduced_order(self) -> int | AtLeast:
@@ -329,7 +318,7 @@ class SkewSeries(_Frozen):
         ladder = [sd.ctx.K]
         while ladder[-1] > 1:
             ladder.append((ladder[-1] + 1) // 2)
-        x = SkewSeries(sd.at_precision(1), [(pow(self.rows[0][0], -1, sd.ctx.p),)])
+        x = sd.at_precision(1).embed(pow(self.rows[0][0], -1, sd.ctx.p))
         for m in reversed(ladder[:-1]):
             sm = sd.at_precision(m)
             f = change_precision(self, sm)

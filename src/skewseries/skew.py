@@ -9,8 +9,9 @@ and the derivation delta = sigma - id.  The congruence eps = 1 mod p
 forces delta(m) into m**2, which is what makes the skew series layer's
 triangular precision bookkeeping work.
 
-``SkewData`` holds the exponent and the powers of sigma(X) and
-sigma^-1(X).  Both come in closed form: with gamma = 1 + X,
+``SkewData`` is a frozen value: == and hash read ctx and the exponent
+mod p**(K + EPSILON_GUARD), and only its caches fill in place.  It holds
+the powers of sigma(X) and sigma^-1(X), in closed form: with gamma = 1 + X,
 
     sigma(X) = gamma**eps - 1 = sum_(a >= 1) C(eps, a) X**a,
 
@@ -55,7 +56,7 @@ from .coeff import (
     vzero,
 )
 from .errors import ContextMismatch, InvalidAction
-from .precision import PrecisionContext, _Record
+from .precision import PrecisionContext, _Frozen, _Record
 
 # Digits of epsilon past K that identify a twist: equality and hashing
 # read the exponent mod p**(K + EPSILON_GUARD).
@@ -66,12 +67,13 @@ EPSILON_GUARD = 5
 TWIST_CACHE_SIZE = 512
 
 
-class SkewData:
-    """Precomputed data for one twist exponent at one precision."""
+class SkewData(_Frozen):
+    """Precomputed data for one twist exponent ``epsilon_raw`` at one precision."""
 
     __slots__ = (
         "ctx",
-        "_eps_raw",
+        "epsilon_raw",
+        "_eps_key",
         "_w",
         "_masks",
         "_words",
@@ -81,6 +83,7 @@ class SkewData:
         "_lock",
         "_derived",
     )
+    __match_args__ = ("ctx", "_eps_key")
 
     def __init__(self, ctx: PrecisionContext, epsilon_residue: int):
         if epsilon_residue < 0:
@@ -89,24 +92,27 @@ class SkewData:
             raise InvalidAction(
                 f"epsilon = {epsilon_residue} is not congruent to 1 mod p = {ctx.p}"
             )
-        self.ctx = ctx
-        self._eps_raw = epsilon_residue
         K = ctx.K
         top = ctx.slot_moduli(K)[0]  # every canonical digit is below it
-        self._w = w = 8 * -(-(K * K * top * top).bit_length() // 64)
-        self._masks = tuple((1 << (8 * w * q)) - 1 for q in range(K + 1))
-        self._words = tuple(Struct(f"<{q}Q") for q in range(K + 1))  # little-endian on every host
+        w = 8 * -(-(K * K * top * top).bit_length() // 64)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "epsilon_raw", epsilon_residue)
+        object.__setattr__(self, "_eps_key", epsilon_residue % ctx.p ** (K + EPSILON_GUARD))
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_masks", tuple((1 << (8 * w * q)) - 1 for q in range(K + 1)))
+        # little-endian on every host
+        object.__setattr__(self, "_words", tuple(Struct(f"<{q}Q") for q in range(K + 1)))
+        object.__setattr__(self, "_twist", OrderedDict())
+        object.__setattr__(self, "_lock", threading.Lock())
+        object.__setattr__(self, "_derived", {})
         # (1 + X)**(p**K) = 1 mod m**(K+1): only eps mod p**K is visible
         q = ctx.p**K
         sig, isig = (
             vcanon(ctx, [0] + [comb(e, a) for a in range(1, K)], K)
             for e in (epsilon_residue % q, pow(epsilon_residue, -1, q))
         )
-        self._sig_cols = self._powers(sig)
-        self._isig_cols = self._powers(isig)
-        self._twist: OrderedDict[Vec, list[list[Vec]]] = OrderedDict()
-        self._lock = threading.Lock()
-        self._derived: dict[int, "SkewData"] = {}
+        object.__setattr__(self, "_sig_cols", self._powers(sig))
+        object.__setattr__(self, "_isig_cols", self._powers(isig))
         if vorder(ctx, sig, K) != 1:
             raise InvalidAction("sigma(X) must have m-order exactly 1")
         if vorder(ctx, vsub(ctx, sig, vx(ctx), K), K) < min(2, K):
@@ -123,31 +129,16 @@ class SkewData:
 
     # -- identity ------------------------------------------------------
     @property
-    def epsilon_raw(self) -> int:
-        return self._eps_raw
-
-    @property
     def sigma_of_X(self) -> CoeffSeries:
         K = self.ctx.K
         return CoeffSeries(self.ctx, self.unpack(self._sig_cols[1], K) if K > 1 else ())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SkewData)
-            and self.ctx == other.ctx
-            and self._eps_raw % self.ctx.p ** (self.ctx.K + EPSILON_GUARD)
-            == other._eps_raw % self.ctx.p ** (self.ctx.K + EPSILON_GUARD)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self._eps_raw % self.ctx.p ** (self.ctx.K + EPSILON_GUARD)))
-
     def __repr__(self) -> str:
         c = self.ctx
-        return f"SkewData(p={c.p}, K={c.K}, mode={c.mode}, eps={self._eps_raw})"
+        return f"SkewData(p={c.p}, K={c.K}, mode={c.mode}, eps={self.epsilon_raw})"
 
     def __reduce__(self):  # pickle and copy rebuild the twist, not the caches
-        return SkewData, (self.ctx, self._eps_raw)
+        return SkewData, (self.ctx, self.epsilon_raw)
 
     def check_same(self, other: "SkewData") -> None:
         if self != other:
@@ -164,7 +155,7 @@ class SkewData:
         with self._lock:
             cached = self._derived.get(K)
             if cached is None:
-                cached = SkewData(self.ctx.with_K(K), self._eps_raw)
+                cached = SkewData(self.ctx.with_K(K), self.epsilon_raw)
                 self._derived[K] = cached
             return cached
 
@@ -251,32 +242,28 @@ class SkewData:
         rows = self._twist_rows(r.coeffs, n)
         return [[CoeffSeries(self.ctx, e) for e in row] for row in rows]
 
-    # -- series constructors (lazy import to avoid a cycle) ------------
-    def zero(self):
-        from .series import SkewSeries
+    # -- series constructors -------------------------------------------
+    def _series(self, rows):
+        from .series import SkewSeries  # lazy: series imports this module
 
-        return SkewSeries(self, ())
-
-    def one(self):
-        from .series import SkewSeries
-
-        return SkewSeries(self, (vone(self.ctx),))
-
-    def y(self, power: int = 1):
-        from .series import SkewSeries
-
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        rows = [vzero(self.ctx)] * power + [vone(self.ctx)]
         return SkewSeries(self, rows)
 
-    def embed(self, r: CoeffSeries | int):
-        from .series import SkewSeries
+    def zero(self):
+        return self._series(())
 
+    def one(self):
+        return self._series((vone(self.ctx),))
+
+    def y(self, power: int = 1):
+        if power < 0:
+            raise ValueError("power must be >= 0")
+        return self._series([vzero(self.ctx)] * power + [vone(self.ctx)])
+
+    def embed(self, r: CoeffSeries | int):
         if isinstance(r, int):
             r = CoeffSeries(self.ctx, (r,))
         self.ctx.check_same(r.ctx)
-        return SkewSeries(self, (r.coeffs,))
+        return self._series((r.coeffs,))
 
 
 def build_skew(ctx: PrecisionContext, epsilon_residue: int) -> SkewData:

@@ -10,8 +10,8 @@ for the Newton iteration in the package.
 from __future__ import annotations
 
 from skewseries import CoeffSeries, NotAUnit, SkewSeries
-from skewseries.coeff import vadd, vinv, vsub
-from skewseries.series import _left_coeff_mul, _mul_rows, _packed, _y_powers
+from skewseries.coeff import vadd, vinv, vmul, vsub
+from skewseries.series import _mul_rows, _packed, _y_powers
 
 
 def geometric_inverse(f: SkewSeries) -> SkewSeries:
@@ -21,7 +21,7 @@ def geometric_inverse(f: SkewSeries) -> SkewSeries:
     if not f.is_unit():
         raise NotAUnit("row 0 is not a unit of the coefficient ring")
     c = vinv(ctx, f.rows[0], K)
-    h = _left_coeff_mul(sd, c, f.rows)
+    h = tuple(vmul(ctx, c, r, K - j) for j, r in enumerate(f.rows))  # c * f, row by row
     one = sd.one().rows
     h = tuple(vsub(ctx, a, b, K - j) for j, (a, b) in enumerate(zip(one, h)))
     acc = one

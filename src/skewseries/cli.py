@@ -26,6 +26,7 @@ from .errors import (
 from .serialize import (
     JSON_TO_MODE,
     canonical_json,
+    check_printable,
     dump_coeff,
     dump_distinguished,
     dump_series,
@@ -152,11 +153,15 @@ def cmd_descend(args) -> int:
 def cmd_rankgrowth(args) -> int:
     from pathlib import Path
 
-    from .iwasawa import rank_growth
+    from .iwasawa import MAX_TOWER_LEVEL, rank_growth
 
     if not args.out:
         raise SchemaError("rankgrowth requires --out (the CSV is written alongside)")
     spec = _load_kind(args, "module_spec")
+    if 2 <= args.n_max <= MAX_TOWER_LEVEL:  # rank_growth refuses other n_max
+        # the CSV's largest lambda_n is d*p**n_max + c, and c <= sum of deg F
+        top = spec.d * spec.p**args.n_max + sum(len(F) - 1 for F in spec.torsion_polys)
+        check_printable(top, "invalid rank-growth parameters", f"lambda_n for n <= {args.n_max}")
     try:
         growth = rank_growth(spec, args.n_max, args.K, guard=args.guard)
     except ValueError as exc:

@@ -45,12 +45,6 @@ def vone(ctx: PrecisionContext) -> Vec:
     return (1,) + (0,) * (ctx.K - 1)
 
 
-def vx(ctx: PrecisionContext) -> Vec:
-    if ctx.K == 1:
-        return (0,)
-    return (0, 1) + (0,) * (ctx.K - 2)
-
-
 def vadd(ctx: PrecisionContext, u: Vec, v: Vec, q: int) -> Vec:
     return vcanon(ctx, [x + y for x, y in zip(u, v)], q)
 

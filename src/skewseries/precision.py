@@ -22,9 +22,9 @@ INTEGRAL = "integral"
 CHARP = "charp"
 
 # Largest K a context may ask for, and the largest working precision an
-# algorithm may lift to.  build_skew at K = 128 takes 0.2 s at p = 3,
-# 5.2 s at p = 1000003 and 10.6 s at p = 2**31 - 1 (integral mode, one
-# run each, 2-vCPU VM, Python 3.11); at p = 3 it takes 2.0 s at K = 256.
+# algorithm may lift to.  build_skew at K = 128 takes 54 ms at p = 3,
+# 1.4 s at p = 1000003 and 2.8 s at p = 2**31 - 1 (integral mode, min of
+# 3 runs, 2-vCPU VM, Python 3.11); at p = 3 it takes 0.64 s at K = 256.
 MAX_PRECISION = 128
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -154,6 +154,13 @@ def context_fields(ctx: PrecisionContext, epsilon: int | None = None) -> dict:
     return obj
 
 
+def check_printable(n: int, where: str, what: str) -> None:
+    """Refuse n if it has more decimal digits than str() may write (0: no limit)."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # absent: no limit
+    if digits and n >= 10**digits:
+        raise SchemaError(f"{where}: {what} must have at most {digits} decimal digits")
+
+
 def make_context(where: str, p: int, K: int, mode: str, epsilon: int | None = None):
     """The ring fixed by (p, K, mode), twisted by epsilon unless it is None.
 
@@ -167,9 +174,7 @@ def make_context(where: str, p: int, K: int, mode: str, epsilon: int | None = No
         raise SchemaError(f"{where}: K must be <= {MAX_PRECISION}")
     try:
         ctx = PrecisionContext(p, K, JSON_TO_MODE[mode])
-        digits = getattr(sys, "get_int_max_str_digits", int)()  # 0 or absent: no limit
-        if digits and p**K >= 10**digits:
-            raise SchemaError(f"{where}: p**K must have at most {digits} decimal digits")
+        check_printable(p**K, where, "p**K")
         return ctx if epsilon is None else build_skew(ctx, epsilon)
     except (ValueError, InvalidAction) as exc:
         raise SchemaError(f"{where}: {exc}") from exc

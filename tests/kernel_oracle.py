@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from skewseries import SkewData
-from skewseries.coeff import Vec, vadd, vcanon, vmul, vone, vpow, vsub, vx, vzero
+from skewseries.coeff import CoeffSeries, Vec, vadd, vcanon, vmul, vone, vpow, vsub, vzero
 from skewseries.series import _canon_rows
 
 Rows = tuple[Vec, ...]
@@ -48,7 +48,7 @@ def twisted_x(sd: SkewData, inverse: bool = False) -> Vec:
     K = ctx.K
     q = ctx.p**K
     e = pow(sd.epsilon_raw, -1, q) if inverse else sd.epsilon_raw % q
-    gamma = vadd(ctx, vone(ctx), vx(ctx), K)
+    gamma = vadd(ctx, vone(ctx), CoeffSeries.x(ctx).coeffs, K)
     return vsub(ctx, vpow(ctx, gamma, e, K), vone(ctx), K)
 
 

@@ -93,3 +93,22 @@ def test_digit_limit_follows_the_interpreter_setting():
     assert make_context("ctx", P, 21, "zp") == PrecisionContext(P, 21)
     sys.set_int_max_str_digits(0)  # no limit
     assert make_context("ctx", P, 46, "zp") == PrecisionContext(P, 46)
+
+
+def test_rank_growth_whose_lambda_cannot_be_printed_is_refused(tmp_path, capsys):
+    # lambda_n = d*p**n + c: 3**9012 + 1 has 4,300 digits, 3**9013 has 4,301
+    specs = {
+        3: {"kind": "module_spec", "p": 3, "d": 1, "torsion_polys": [["0", "1"]]},
+        1000003: {"kind": "module_spec", "p": 1000003, "d": 1},
+    }
+    for p, spec in specs.items():
+        (tmp_path / f"spec{p}.json").write_text(json.dumps(spec))
+    for p, n_max in ((3, 9013), (3, 9500), (1000003, 800)):
+        err = _refused(tmp_path, capsys, "rankgrowth", "--n-max", str(n_max), "--K", "8",
+                       "--in", str(tmp_path / f"spec{p}.json"))
+        assert f"lambda_n for n <= {n_max} must have at most 4300 decimal digits" in err
+    out = tmp_path / "ok.json"
+    argv = ["rankgrowth", "--n-max", "9012", "--K", "8", "--in", str(tmp_path / "spec3.json")]
+    assert main([*argv, "--out", str(out)]) == 0
+    last = out.with_suffix(".csv").read_text().splitlines()[-1]
+    assert last == f"9012,{3**9012 + 1},0"

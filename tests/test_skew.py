@@ -15,6 +15,7 @@ from skewseries import (
     build_skew,
     validate_axioms,
 )
+from skewseries.coeff import vorder
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 from skewseries.skew import EPSILON_GUARD, TWIST_CACHE_SIZE
 
@@ -41,8 +42,14 @@ def test_closed_form_twist_matches_vpow_route(p, mode):
         x = CoeffSeries.x(ctx)
         for eps in (1, 1 + p, 1 + p * (p**K - 1)):
             sd = build_skew(ctx, eps)
-            assert sd.sigma_of_X.coeffs == ko.twisted_x(sd)
-            assert sd.apply_sigma_inv(x).coeffs == ko.twisted_x(sd, inverse=True)
+            sig, isig = sd.sigma_of_X, sd.apply_sigma_inv(x)
+            assert sig.coeffs == ko.twisted_x(sd)
+            assert isig.coeffs == ko.twisted_x(sd, inverse=True)
+            # what the constructor relies on without checking: sigma(X)
+            # has m-order 1, delta(X) lies in m**2, sigma^-1(sigma(X)) = X
+            assert vorder(ctx, sig.coeffs, K) == 1
+            assert vorder(ctx, sd.apply_delta(x).coeffs, K) >= min(2, K)
+            assert isig.compose(sig) == x
             for cols, inverse in ((sd._sig_cols, False), (sd._isig_cols, True)):
                 assert tuple(tuple(sd.unpack(c, K)) for c in cols) == ko.powers(sd, inverse)
 

@@ -15,6 +15,7 @@ the skew series layer (whose row j lives at m-precision K - j); the
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import mod
 
 from .errors import NotAUnit, SubstitutionDiverges
 from .precision import CHARP, AtLeast, PrecisionContext, _Frozen
@@ -26,15 +27,10 @@ Vec = tuple[int, ...]
 # kernels on canonical digit tuples
 # ---------------------------------------------------------------------------
 
-def vcanon(ctx: PrecisionContext, vals: Sequence[int], q: int) -> Vec:
-    mods = ctx.slot_moduli(q)
-    K = ctx.K
-    out = [0] * K
-    for a in range(min(K, len(vals))):
-        m = mods[a]
-        if m > 1:
-            out[a] = vals[a] % m
-    return tuple(out)
+def vcanon(ctx: PrecisionContext, vals: Iterable[int], q: int) -> Vec:
+    # % gives the nonnegative residue, and a collapsed slot has modulus 1
+    out = tuple(map(mod, vals, ctx.slot_moduli(q)))
+    return out + (0,) * (ctx.K - len(out))
 
 
 def vzero(ctx: PrecisionContext) -> Vec:
@@ -99,8 +95,7 @@ def vinv(ctx: PrecisionContext, u: Vec, q: int) -> Vec:
     mods = ctx.slot_moduli(q)
     c = pow(u[0], -1, mods[0])
     h = vcanon(ctx, [(1 if a == 0 else 0) - c * x for a, x in enumerate(u)], q)
-    acc = vone(ctx)
-    one = vone(ctx)
+    acc = one = vone(ctx)
     for _ in range(q - 1):
         acc = vmul(ctx, h, acc, q)
         acc = vadd(ctx, acc, one, q)
@@ -148,7 +143,7 @@ class CoeffSeries(_Frozen):
 
     def __init__(self, ctx: PrecisionContext, coeffs: Sequence[int]):
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", vcanon(ctx, tuple(coeffs), ctx.K))
+        object.__setattr__(self, "coeffs", vcanon(ctx, coeffs, ctx.K))
 
     # -- constructors --------------------------------------------------
     @classmethod

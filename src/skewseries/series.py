@@ -21,7 +21,7 @@ integer sums and reduce each output row exactly once, with one
 canonical without a second pass; the public constructors canonicalize.
 
 The raw sums are taken on rows packed into ints (see
-:mod:`skewseries.skew`): the twist is one sum of packed columns per row,
+:mod:`skewseries.skew`): a Y-step is one sum of packed columns per row,
 and f*g one big-int product per pair of rows, unpacked once per row.
 
 Multiplication follows the commutation rule directly: f*g accumulates
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from math import comb
+from operator import mul, sub
 
 from .coeff import (
     CoeffSeries,
@@ -59,9 +60,9 @@ from .coeff import (
     vsub,
     vzero,
 )
-from .errors import NotAUnit, NotPolynomial
+from .errors import ContextMismatch, NotAUnit, NotPolynomial
 from .precision import AtLeast, _Frozen
-from .skew import SkewData
+from .skew import EPSILON_GUARD, SkewData
 
 Rows = tuple[Vec, ...]
 
@@ -69,13 +70,8 @@ Rows = tuple[Vec, ...]
 def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
     # Rows at index >= K lie in G_K (their slot moduli collapse), so any
     # surplus input rows are invisible and dropped.
-    ctx = sd.ctx
-    K = ctx.K
-    out = []
-    for j in range(K):
-        row = rows[j] if j < len(rows) else ()
-        out.append(vcanon(ctx, tuple(row), K - j))
-    return tuple(out)
+    K = sd.ctx.K
+    return tuple(vcanon(sd.ctx, rows[j] if j < len(rows) else (), K - j) for j in range(K))
 
 
 def _y_step(sd: SkewData, rows: Rows, cols: Sequence[int]) -> Rows:
@@ -83,22 +79,27 @@ def _y_step(sd: SkewData, rows: Rows, cols: Sequence[int]) -> Rows:
 
     t is given by the packed powers ``cols`` of t(X): ``sd._sig_cols``
     gives left rows, ``sd._isig_cols`` the right rows of f * Y, by
-    s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).  The twists are raw sums
-    from ``SkewData._apply`` and each output row is reduced exactly once.
+    s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).  t is additive, so
+    t(f_(j-1)) + t(f_j) is one packed sum: with q = K - j, a slot adds
+    q + 1 products of two digits below m from row j - 1 (none if j = 0)
+    and q from row j, 2q + 1 <= 2K - 1 <= K**2 in all, which the slot
+    width of :mod:`skewseries.skew` holds.  f_j is subtracted from the
+    unpacked digits, so nothing borrows across slots, and the row is
+    reduced once.
     """
     ctx = sd.ctx
     K = ctx.K
-    sig = [sd._apply(cols, r, K - j) if any(r) else r for j, r in enumerate(rows)]
+    zero = vzero(ctx)
     out = []
-    for j in range(K):
-        acc = [0] * K
-        if j >= 1 and any(sig[j - 1]):
-            acc = sig[j - 1]
-        if any(rows[j]):
-            d = sig[j]
-            r = rows[j]
-            acc = [x + y - z for x, y, z in zip(acc, d, r)]
-        out.append(vcanon(ctx, acc, K - j))
+    prev = 0
+    for j, r in enumerate(rows):
+        q = K - j
+        cur = sum(map(mul, r[:q], cols)) if any(r) else 0
+        if prev or cur:
+            out.append(vcanon(ctx, map(sub, sd.unpack(prev + cur, q), r), q))
+        else:
+            out.append(zero)
+        prev = cur
     return tuple(out)
 
 
@@ -380,10 +381,13 @@ def change_precision(f: SkewSeries, sd: SkewData) -> SkewSeries:
     Raising K is an exact lift of the representative: canonical digits
     stay canonical at the finer slot precisions, so the rows are only
     padded with zeros.  Lowering K is truncation mod the larger G_K.
+    The twist must agree on the digits both windows identify it by.
     """
     if sd.ctx.p != f.sd.ctx.p or sd.ctx.mode != f.sd.ctx.mode:
         raise ValueError("change_precision only adjusts K")
     K, old = sd.ctx.K, f.sd.ctx.K
+    if (sd._eps_key - f.sd._eps_key) % sd.ctx.p ** (min(K, old) + EPSILON_GUARD):
+        raise ContextMismatch(f"twist data differ: {f.sd!r} vs {sd!r}")
     if K > old:
         pad = (0,) * (K - old)
         rows = tuple(r + pad for r in f.rows) + (vzero(sd.ctx),) * (K - old)

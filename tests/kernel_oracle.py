@@ -3,15 +3,20 @@ product: the slow twins of the package's reduce-once kernels, kept as a
 differential oracle.
 
 Here each twist is reduced before the Y-step reduces the row again, and
-each Cauchy product ``vmul`` is reduced before the row sum is reduced
+each Cauchy product is reduced before the row sum is reduced
 again.  The package builds raw sums of packed rows and reduces each
 output row once; since G_K is a two-sided ideal and slot reduction
 commutes with + and *, the rows must not change.  The twist is passed
 as a map ``(u, q) -> canonical vector``: ``sigma(sd)`` for left rows,
 ``sigma_inv(sd)`` for the right rows of f * Y.  Both apply the twist
 digit by digit over powers of sigma^(+-1)(X) built here: (1 + X)**e - 1
-by repeated squaring (``vpow``), then its powers by digit-loop ``vmul``.
-They share no code with the package's closed form or packed columns.
+by repeated squaring, then its powers by a digit-loop product.  They
+share no code with the package's closed form or packed columns.
+
+The oracle reduces with ``_canon``, a loop over the digits that calls
+``%`` only where the slot modulus exceeds 1, and builds its own sums and
+products on it; the package's ``vcanon`` maps ``%`` over every slot and
+is the code under test.
 """
 
 from __future__ import annotations
@@ -20,11 +25,37 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from skewseries import SkewData
-from skewseries.coeff import CoeffSeries, Vec, vadd, vcanon, vmul, vone, vpow, vsub, vzero
-from skewseries.series import _canon_rows
+from skewseries.coeff import Vec, vone, vzero
+from skewseries.precision import PrecisionContext
 
 Rows = tuple[Vec, ...]
 Twist = Callable[[Vec, int], Vec]
+
+
+def _canon(ctx: PrecisionContext, vals: Sequence[int], q: int) -> Vec:
+    """The first K digits of ``vals`` reduced by the slot moduli at precision q."""
+    mods = ctx.slot_moduli(q)
+    K = ctx.K
+    out = [0] * K
+    for a in range(min(K, len(vals))):
+        m = mods[a]
+        if m > 1:
+            out[a] = vals[a] % m
+    return tuple(out)
+
+
+def _add(ctx: PrecisionContext, u: Vec, v: Vec, q: int) -> Vec:
+    return _canon(ctx, [x + y for x, y in zip(u, v)], q)
+
+
+def _mul(ctx: PrecisionContext, u: Vec, v: Vec, q: int) -> Vec:
+    """The Cauchy product of u and v below slot q, digit by digit."""
+    lim = min(ctx.K, q)
+    acc = [0] * lim
+    for a in range(lim):
+        for b in range(lim - a):
+            acc[a + b] += u[a] * v[b]
+    return _canon(ctx, acc, q)
 
 
 def _apply(sd: SkewData, pows: Sequence[Vec], u: Vec, q: int) -> list[int]:
@@ -43,13 +74,18 @@ def _apply(sd: SkewData, pows: Sequence[Vec], u: Vec, q: int) -> list[int]:
 
 
 def twisted_x(sd: SkewData, inverse: bool = False) -> Vec:
-    """sigma(X) = (1 + X)**eps - 1, or sigma^-1(X) with eps**-1, by ``vpow``."""
+    """sigma(X) = (1 + X)**eps - 1, or sigma^-1(X) with eps**-1, by squaring."""
     ctx = sd.ctx
     K = ctx.K
     q = ctx.p**K
     e = pow(sd.epsilon_raw, -1, q) if inverse else sd.epsilon_raw % q
-    gamma = vadd(ctx, vone(ctx), CoeffSeries.x(ctx).coeffs, K)
-    return vsub(ctx, vpow(ctx, gamma, e, K), vone(ctx), K)
+    res, base = vone(ctx), _canon(ctx, (1, 1), K)
+    while e:
+        if e & 1:
+            res = _mul(ctx, res, base, K)
+        base = _mul(ctx, base, base, K)
+        e >>= 1
+    return _canon(ctx, (res[0] - 1,) + res[1:], K)
 
 
 @lru_cache(maxsize=None)
@@ -59,16 +95,16 @@ def powers(sd: SkewData, inverse: bool) -> tuple[Vec, ...]:
     t = twisted_x(sd, inverse)
     pows = [vone(ctx)]
     for _ in range(ctx.K - 1):
-        pows.append(vmul(ctx, pows[-1], t, ctx.K))
+        pows.append(_mul(ctx, pows[-1], t, ctx.K))
     return tuple(pows)
 
 
 def sigma(sd: SkewData) -> Twist:
-    return lambda u, q: vcanon(sd.ctx, _apply(sd, powers(sd, False), u, q), q)
+    return lambda u, q: _canon(sd.ctx, _apply(sd, powers(sd, False), u, q), q)
 
 
 def sigma_inv(sd: SkewData) -> Twist:
-    return lambda u, q: vcanon(sd.ctx, _apply(sd, powers(sd, True), u, q), q)
+    return lambda u, q: _canon(sd.ctx, _apply(sd, powers(sd, True), u, q), q)
 
 
 def _y_step(sd: SkewData, rows: Rows, twist: Twist) -> Rows:
@@ -89,7 +125,7 @@ def _y_step(sd: SkewData, rows: Rows, twist: Twist) -> Rows:
             d = sig[j]
             r = rows[j]
             acc = [x + y - z for x, y, z in zip(acc, d, r)]
-        out.append(vcanon(ctx, acc, K - j))
+        out.append(_canon(ctx, acc, K - j))
     return tuple(out)
 
 
@@ -100,10 +136,10 @@ def _horner(sd: SkewData, coeffs: Sequence[Vec], twist: Twist) -> Rows:
     coeffs = list(coeffs[:K])  # Y**j c_j lies in G_K for j >= K
     while coeffs and not any(coeffs[-1]):
         coeffs.pop()
-    rows = _canon_rows(sd, coeffs[-1:])
+    rows = (_canon(ctx, coeffs[-1] if coeffs else (), K),) + (vzero(ctx),) * (K - 1)
     for c in reversed(coeffs[:-1]):
         rows = _y_step(sd, rows, twist)
-        rows = (vadd(ctx, rows[0], c, K),) + rows[1:]
+        rows = (_add(ctx, rows[0], c, K),) + rows[1:]
     return rows
 
 
@@ -134,8 +170,8 @@ def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[Rows], lo: int = 0) -> Row
             for j in range(lo, K):
                 cj = cur[j]
                 if any(cj):
-                    prod = vmul(ctx, fi, cj, K - j)
+                    prod = _mul(ctx, fi, cj, K - j)
                     row = acc[j]
                     for a in range(K):
                         row[a] += prod[a]
-    return (vzero(ctx),) * lo + tuple(vcanon(ctx, acc[j], K - j) for j in range(lo, K))
+    return (vzero(ctx),) * lo + tuple(_canon(ctx, acc[j], K - j) for j in range(lo, K))

@@ -11,7 +11,7 @@ import pytest
 
 from skewseries import SkewSeries, build_skew, divide, prepare
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
-from skewseries.coeff import vzero
+from skewseries.coeff import vcanon, vzero
 from skewseries.series import _canon_rows, _horner, _mul_rows, _packed, _y_powers
 
 import kernel_oracle as ko
@@ -45,6 +45,23 @@ def test_row_kernels_match_reduce_every_product_oracle(p, eps, mode):
                 )
 
 
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_vcanon_matches_digit_loop(p, mode):
+    rng = Random(f"vcanon:{p}:{mode}")
+    for K in (1, 2, 5):
+        ctx = PrecisionContext(p, K, mode)
+        big = p ** (K + 2)
+        for n in (0, K - 1, K, K + 3):  # shorter than, equal to and longer than K
+            for _ in range(4):
+                vals = [rng.randrange(-big, big) for _ in range(n)]
+                for q in range(K + 1):
+                    want = ko._canon(ctx, vals, q)
+                    assert vcanon(ctx, vals, q) == want
+                    assert vcanon(ctx, tuple(vals), q) == want
+                    assert vcanon(ctx, iter(vals), q) == want
+
+
 def _max_rows(sd):
     """Every digit at its slot modulus - 1: the largest canonical rows."""
     K = sd.ctx.K
@@ -52,25 +69,34 @@ def _max_rows(sd):
 
 
 def test_row_kernels_at_the_slot_width_edge():
+    # (2, 27) and (3, 37) in integral mode leave no slack: K**2 * m**2
+    # has exactly 8 * w bits, 64 and 128
+    cells = [
+        (p, K, mode)
+        for p in (2, 3, 5)
+        for mode in (INTEGRAL, CHARP)
+        for K in (1, 2, 3, 16, 17, 32)
+    ] + [(2, 27, INTEGRAL), (3, 37, INTEGRAL)]
     widths = {}
-    for p in (2, 3, 5):
-        for mode in (INTEGRAL, CHARP):
-            for K in (1, 16, 17, 32):
-                sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
-                widths[p, K, mode] = sd._w
-                top = _max_rows(sd)
-                powers = list(islice(_y_powers(sd, top), K))
-                assert powers == list(islice(ko._y_powers(sd, top), K))
-                # a table of maximal rows fills every slot of every product
-                for table in ([top] * K, powers):
-                    full = ko._mul_rows(sd, top, table)
-                    packed = list(_packed(sd, table))
-                    for lo in range(K + 1):
-                        want = (vzero(sd.ctx),) * lo + full[lo:]
-                        assert _mul_rows(sd, top, packed, lo) == want
-                assert _horner(sd, top, sd._sig_cols) == ko._horner(sd, top, ko.sigma(sd))
-                assert _horner(sd, top, sd._isig_cols) == ko._horner(sd, top, ko.sigma_inv(sd))
+    for p, K, mode in cells:
+        sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+        widths[p, K, mode] = sd._w
+        top = _max_rows(sd)
+        powers = list(islice(_y_powers(sd, top), K))
+        assert powers == list(islice(ko._y_powers(sd, top), K))
+        # a table of maximal rows fills every slot of every product
+        for table in ([top] * K, powers):
+            full = ko._mul_rows(sd, top, table)
+            packed = list(_packed(sd, table))
+            for lo in range(K + 1):
+                want = (vzero(sd.ctx),) * lo + full[lo:]
+                assert _mul_rows(sd, top, packed, lo) == want
+        assert _horner(sd, top, sd._sig_cols) == ko._horner(sd, top, ko.sigma(sd))
+        assert _horner(sd, top, sd._isig_cols) == ko._horner(sd, top, ko.sigma_inv(sd))
     assert widths[3, 17, INTEGRAL] == 8 and widths[5, 17, INTEGRAL] > 8
+    for p, K, w in ((2, 27, 8), (3, 37, 16)):
+        assert widths[p, K, INTEGRAL] == w
+        assert (K * K * p ** (2 * K)).bit_length() == 8 * w
 
 
 @pytest.mark.parametrize("p, eps, mode", GRID)

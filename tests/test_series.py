@@ -246,6 +246,35 @@ def test_change_precision_round_trip():
             assert not any(lifted.row(j).coeffs[4 - j:])
 
 
+def test_change_precision_keeps_the_twist(monkeypatch):
+    rng = Random(409)
+    p = 3
+    sd4 = build_skew(PrecisionContext(p, 4, INTEGRAL), 4)
+    sd8 = build_skew(PrecisionContext(p, 8, INTEGRAL), 4)
+    other4 = build_skew(PrecisionContext(p, 4, INTEGRAL), 7)
+    other8 = build_skew(PrecisionContext(p, 8, INTEGRAL), 7)
+    # eps differs only past p**(4 + EPSILON_GUARD): the same twist at K = 4
+    close8 = build_skew(PrecisionContext(p, 8, INTEGRAL), 4 + p**9)
+    f, g = rand_series(sd4, rng), rand_series(sd8, rng)
+    built = []
+    init = type(sd4).__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(type(sd4), "__init__", counted)
+    for h, target in ((f, other8), (g, other4), (f, other4)):
+        with pytest.raises(ContextMismatch):
+            change_precision(h, target)
+    assert change_precision(f, close8).sd is close8
+    assert change_precision(change_precision(f, close8), sd4) == f
+    assert change_precision(g, sd4).sd is sd4
+    assert not built  # the check compares keys and builds no twist data
+    with pytest.raises(ValueError):
+        change_precision(f, build_skew(PrecisionContext(p, 8, CHARP), 4))
+
+
 def test_y_degree_and_rows():
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     f = sd.y(2) + sd.embed(7)

@@ -108,7 +108,7 @@ class AtLeast(_Frozen):
 
 
 class PrecisionContext(_Frozen):
-    __slots__ = ("p", "K", "mode", "_ladder")
+    __slots__ = ("p", "K", "mode", "_ladder", "_windows")
     __match_args__ = ("p", "K", "mode")
 
     def __init__(self, p: int, K: int, mode: str = INTEGRAL):
@@ -124,14 +124,19 @@ class PrecisionContext(_Frozen):
         # p**K, ..., p (K copies of p in char-p mode), then K ones: the slot
         # moduli at precision q are the K entries from index K - q on.
         top = (p,) * K if mode == CHARP else tuple(p**e for e in range(K, 0, -1))
-        object.__setattr__(self, "_ladder", top + (1,) * K)
+        lad = top + (1,) * K
+        object.__setattr__(self, "_ladder", lad)
+        object.__setattr__(self, "_windows", {q: lad[K - q : 2 * K - q] for q in range(K + 1)})
 
     def with_K(self, K: int) -> "PrecisionContext":
         return PrecisionContext(self.p, K, self.mode)
 
     def slot_moduli(self, q: int) -> tuple[int, ...]:
-        """Per-X-degree moduli of a coefficient vector at m-precision q <= K."""
-        return self._ladder[self.K - q : 2 * self.K - q]
+        """Per-X-degree moduli of a coefficient vector at m-precision q in 0..K."""
+        try:
+            return self._windows[q]
+        except KeyError:
+            raise ValueError(f"m-precision {q!r} outside 0..{self.K}") from None
 
     def check_same(self, other: "PrecisionContext") -> None:
         if self != other:

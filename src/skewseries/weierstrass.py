@@ -4,10 +4,14 @@ For f of reduced order s (least index whose Y-coefficient is a unit of
 R), every g splits as g = q*f + rem with deg_Y rem < s.  The quotient is
 found by the contraction q ~ shift_down(g + q*h) where h = Y**s - G*f
 has all coefficients in m; each iterate gains one level of m-depth, so K
-iterations settle everything visible.  The right operands h and f never
-change during a division, so the tables of Y**i h and Y**i f are built
-once and every product reads them; the rows below s of each q*h, which
-the shift-down drops, are never computed.
+iterations settle everything visible.  With total the sum of the
+iterates, quot = total*G, and as quot*f = total*(Y**s - h) exactly,
+rem = g - total*Y**s + total*h.  So one table of Y**i h, built once,
+serves the contraction and the remainder, Y**i f is read only to form
+h, and the rows below s of each q*h, which the shift-down drops, are
+never computed.  G need only invert g0 = shift_down(f, s) mod G_(K-s):
+then (1 - G*g0)*Y**s lies in G_K, so h = -G*(f - g0*Y**s) still has
+its coefficients in m and G*f = Y**s - h holds exactly.
 
 Precision is the delicate part.  Right-multiplication by f is not
 injective on representatives: e.g. (p**2 + Y**2)*(Y**2 - p) vanishes mod
@@ -92,15 +96,26 @@ def _shift_down(sd: SkewData, f: SkewSeries, s: int) -> SkewSeries:
     return SkewSeries._trusted(sd, f.rows[s:] + (vzero(sd.ctx),) * s)
 
 
+def _at(sd: SkewData, f: SkewSeries) -> SkewSeries:
+    """f over the window of ``sd``, or f itself when it is already there."""
+    return f if f.sd is sd else change_precision(f, sd)
+
+
 def _divide_core(
-    sd: SkewData, g: SkewSeries, f: SkewSeries, s: int
+    sd: SkewData, g: SkewSeries, f: SkewSeries, s: int, out: SkewData | None = None
 ) -> tuple[SkewSeries, SkewSeries]:
-    """Division at the current working precision; s >= 1 assumed."""
+    """Division at the working precision K of ``sd``, returned at ``out``'s.
+
+    ``out`` defaults to ``sd``, with K_out <= K; s >= 1 assumed.  G inverts
+    g0 mod G_L, L = max(K_out, K - s), which keeps `prepare`'s gauge.  The
+    quotient trunc(total) * trunc(G) is total*G mod the two-sided G_(K_out).
+    """
+    out = sd if out is None else out
     K = sd.ctx.K
-    fpows = list(_packed(sd, islice(_y_powers(sd, f.rows), K)))
     g0 = _shift_down(sd, f, s)
-    G = g0.inverse()
-    h = sd.y(s) - SkewSeries._trusted(sd, _mul_rows(sd, G.rows, fpows))
+    G = _at(sd.at_precision(max(out.ctx.K, K - s)), g0).inverse()
+    Gf = _mul_rows(sd, _at(sd, G).rows, _packed(sd, _y_powers(sd, f.rows)))
+    h = sd.y(s) - SkewSeries._trusted(sd, Gf)
     for j in range(K):
         if h.rows[j][0] % sd.ctx.p != 0:
             raise InternalPrecisionLoss(
@@ -116,15 +131,16 @@ def _divide_core(
         if q.is_zero():
             break
         total = total + q
-    quot = total * G
-    rem = g - SkewSeries._trusted(sd, _mul_rows(sd, quot.rows, fpows))
+    # quot*f = total*G*f = total*(Y**s - h): total*Y**s moves each row up s
+    th = SkewSeries._trusted(sd, _mul_rows(sd, total.rows, hpows))
+    rem = g - SkewSeries(sd, ((),) * s + total.rows[: K - s]) + th
     for j in range(s, K):
         if any(rem.rows[j]):
             raise InternalPrecisionLoss(
                 "remainder extends to degree >= reduced order; "
                 "working precision too small for this divisor"
             )
-    return quot, SkewSeries.from_rows(sd, [list(r) for r in rem.rows[:s]])
+    return _at(out, total) * _at(out, G), SkewSeries(out, rem.rows[:s])
 
 
 def _gauge_free_precision(s: int, K: int) -> int:
@@ -162,8 +178,7 @@ def divide(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:
     if s == 0:
         return g * f.inverse(), sd.zero()
     big = sd.at_precision(_gauge_free_precision(s, sd.ctx.K))
-    q, rem = _divide_core(big, change_precision(g, big), change_precision(f, big), s)
-    return change_precision(q, sd), change_precision(rem, sd)
+    return _divide_core(big, change_precision(g, big), change_precision(f, big), s, sd)
 
 
 def prepare(f: SkewSeries) -> tuple[SkewSeries, DistinguishedPoly]:

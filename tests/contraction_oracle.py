@@ -1,11 +1,16 @@
 """The contraction of `weierstrass._divide_core` with every product taken
-in full: the slow twin of the package's table-based contraction, kept as
-a differential oracle.
+in full: the slow twin of the package's table-based contraction and of
+both of its finishes, kept as a differential oracle.
 
 Each right multiplication by h or f rebuilds the powers Y**i h or Y**i f
 of its fixed right operand, and each product computes the rows below s
-that the shift-down then drops.  The package builds both tables once per
-division and skips those rows; the rows of (quot, rem) must not change.
+that the shift-down then drops.  G is the exact inverse of g0 at the
+working precision K, quot = total*G is a full product at K and rem =
+g - quot*f a second one.  The package builds both tables once per
+division and skips those rows; it inverts g0 only to max(K_out, K - s),
+forms quot at the output precision K_out and rem = g - total*Y**s +
+total*h from the h-table.  At K_out = K the rows of (quot, rem) must not
+change; at K = s*K_out + 1 their truncations to K_out must not.
 """
 
 from __future__ import annotations

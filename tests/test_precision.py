@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from skewseries import AtLeast, ContextMismatch, PadicInt, PrecisionContext
+from skewseries.coeff import vcanon
 from skewseries.precision import CHARP, INTEGRAL
 
 
@@ -105,6 +106,17 @@ def test_slot_moduli_shapes():
                 for q in range(K + 1):
                     top = [p if mode == CHARP else p ** (q - a) for a in range(q)]
                     assert ctx.slot_moduli(q) == tuple(top + [1] * (K - q))
+
+
+def test_slot_moduli_refuse_a_precision_outside_the_window():
+    # a slice of the ladder outside 0..K gives a short window or one of
+    # ones, and vcanon would then zero the row instead of failing
+    ctx = PrecisionContext(3, 4, INTEGRAL)
+    for q in (-1, 5, 6):
+        with pytest.raises(ValueError, match=f"m-precision {q} outside 0..4"):
+            ctx.slot_moduli(q)
+    with pytest.raises(ValueError):
+        vcanon(ctx, [5] * 4, 5)
 
 
 def test_padic_immutable_and_hashable():

@@ -202,6 +202,41 @@ def test_divide_core_matches_contraction_oracle(p, mode):
                     assert (got[0].rows, got[1].rows) == (want[0].rows, want[1].rows)
 
 
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_divide_matches_linear_solve_oracle(p, mode):
+    # s = 1 makes K' - s = K, so g0 is inverted at the output precision
+    for eps in (1, 1 + p):
+        for K in (2, 3, 4):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"solve:{p}:{mode}:{eps}:{K}")
+            for s in range(1, min(4, K)):
+                f = rand_reduced_order(sd, rng, s)
+                for g in (rand_series(sd, rng), sd.y(s)):
+                    assert divide(g, f) == divide_oracle(g, f)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_divide_matches_full_contraction_at_the_lift(p, mode):
+    # the full-product contraction with an exact inverse at K' = s*K + 1,
+    # truncated to K, against divide's finish at K
+    for eps in (1, 1 + p):
+        for K in (2, 5, 8):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"lift:{p}:{mode}:{eps}:{K}")
+            for s in (1, 2, 3):
+                if s >= K:
+                    continue
+                big = sd.at_precision(s * K + 1)
+                f = rand_reduced_order(sd, rng, s)
+                g = rand_series(sd, rng)
+                want = oracle_divide_core(
+                    big, change_precision(g, big), change_precision(f, big), s
+                )
+                assert divide(g, f) == tuple(change_precision(x, sd) for x in want)
+
+
 def test_quotient_uniqueness_at_working_precision():
     # For q, f built natively at K' = s*K + 1, dividing the product back
     # by f recovers q and a zero remainder on every digit visible at K.

@@ -15,6 +15,7 @@ the skew series layer (whose row j lives at m-precision K - j); the
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from math import comb
 from operator import mod
 
 from .errors import NotAUnit, SubstitutionDiverges
@@ -114,18 +115,14 @@ def vcompose(ctx: PrecisionContext, u: Vec, t: Vec, q: int) -> Vec:
     return res
 
 
-def vpow(ctx: PrecisionContext, u: Vec, e: int, q: int) -> Vec:
-    if e < 0:
-        raise ValueError("negative exponent")
-    res = vone(ctx)
-    base = u
-    while e:
-        if e & 1:
-            res = vmul(ctx, res, base, q)
-        e >>= 1
-        if e:
-            base = vmul(ctx, base, base, q)
-    return res
+def vbinom(ctx: PrecisionContext, e: int) -> Vec:
+    """(1 + X)**e - 1 = sum_(a >= 1) C(e, a) X**a, canonical mod m**K.
+
+    (1 + X)**(p**K) = 1 mod m**(K+1), so only e mod p**K is visible; the
+    reduced exponent also makes e of any sign or size cost K binomials.
+    """
+    e %= ctx.p**ctx.K
+    return vcanon(ctx, [0] + [comb(e, a) for a in range(1, ctx.K)], ctx.K)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +196,6 @@ class CoeffSeries(_Frozen):
         return CoeffSeries(self.ctx, vmul(self.ctx, self.coeffs, v, self.ctx.K))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "CoeffSeries":
-        return CoeffSeries(self.ctx, vpow(self.ctx, self.coeffs, e, self.ctx.K))
 
     def __repr__(self) -> str:
         return f"CoeffSeries(p={self.ctx.p}, K={self.ctx.K}, {list(self.coeffs)})"

@@ -1,10 +1,12 @@
 """Cyclotomic elements, normality witnesses, ideal descent, rank growth.
 
-The coefficient ring carries the tower omega_n = (1+X)**p**n - 1 and its
-ratios xi_n, built by the recursion 1 + omega_n = (1 + omega_(n-1))**p,
-never by power-series division (dividing by a non-unit is ill-conditioned
-at triangular precision).  As omega_n lies in m**(n+1), the powers reach
-1 within K - 1 steps and stay there.  On top of these sit three
+The coefficient ring carries the tower omega_n = (1+X)**p**n - 1, whose
+digits are binomial coefficients (``coeff.vbinom``), and its ratios
+xi_n, summed as ((1 + w)**p - 1)/w with w = omega_(n-1) by
+``_quotient``, never by power-series division (dividing by a non-unit is
+ill-conditioned at triangular precision).  The recursion 1 + omega_n =
+(1 + omega_(n-1))**p is kept only for the tower in (Z/p**M)[X]/F, where a
+closed form would have degree p**n.  On top of these sit three
 experiment drivers: an explicit witness that omega_n generates the same
 left and right ideal, a two-sided-ideal descent producing a scalar
 element, and the coinvariant rank-growth law lambda_n = d*p**n + c,
@@ -16,7 +18,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from math import comb
 
-from .coeff import CoeffSeries
+from .coeff import CoeffSeries, vbinom
 from .errors import (
     DegenerateAction,
     PrecisionInsufficient,
@@ -36,41 +38,41 @@ MAX_TOWER_LEVEL = 10_000
 # -- cyclotomic tower ----------------------------------------------------
 
 
-def _tower(ctx: PrecisionContext, n: int) -> CoeffSeries:
-    """(1+X)**(p**n) by n p-th powers, stopping once the power is 1."""
-    g = CoeffSeries.from_ints(ctx, (1, 1))
-    while n > 0 and not (g - 1).is_zero():
-        g, n = g**ctx.p, n - 1
-    return g
-
-
 def omega(ctx: PrecisionContext, n: int) -> CoeffSeries:
     """omega_n = (1+X)**(p**n) - 1; omega_-1 = 1, omega_0 = X."""
     if n < -1:
         raise ValueError("omega is defined for n >= -1")
     if n == -1:
         return CoeffSeries.one(ctx)
-    return _tower(ctx, n) - 1
+    return CoeffSeries(ctx, vbinom(ctx, pow(ctx.p, n, ctx.p**ctx.K)))
+
+
+def _quotient(ctx: PrecisionContext, e: int, w: CoeffSeries, d: int) -> CoeffSeries:
+    """((1 + w)**e - 1)/w = sum_(k < e) C(e, k+1) * w**k, for w in m**d.
+
+    No division: w**k lies in m**(k*d), so only k < K/d is visible, at
+    most K terms whatever e is.  Summed forward, as the powers of w thin
+    out with k, where Horner's rule would keep a dense accumulator.
+    """
+    acc = CoeffSeries.zero(ctx)
+    term = CoeffSeries.one(ctx)
+    for k in range(min(e, -(-ctx.K // d))):
+        acc = acc + comb(e, k + 1) * term
+        term = term * w
+    return acc
 
 
 def xi(ctx: PrecisionContext, n: int) -> CoeffSeries:
-    """xi_0 = X; xi_n = sum_{i<p} (1+X)**(i * p**(n-1)) for n >= 1.
+    """xi_0 = X; xi_n = omega_n / omega_(n-1) for n >= 1.
 
-    With w = omega_(n-1), the hockey-stick identity turns the sum of the
-    (1 + w)**i into sum_k C(p, k+1) * w**k.  As w lies in m**n, only
-    k < K/n is visible: at most K terms, whatever p is.
+    With w = omega_(n-1), which lies in m**n, 1 + omega_n = (1 + w)**p,
+    so xi_n is ``_quotient`` at e = p, d = n.
     """
     if n < 0:
         raise ValueError("xi is defined for n >= 0")
     if n == 0:
         return CoeffSeries.x(ctx)
-    w = _tower(ctx, n - 1) - 1
-    acc = CoeffSeries.zero(ctx)
-    term = CoeffSeries.one(ctx)
-    for k in range(min(ctx.p, -(-ctx.K // n))):
-        acc = acc + comb(ctx.p, k + 1) * term
-        term = term * w
-    return acc
+    return _quotient(ctx, ctx.p, omega(ctx, n - 1), n)
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def omega_tower_check(ctx: PrecisionContext, n_max: int) -> TowerReport:
             TowerEntry(
                 n=n,
                 product_ok=(x * om_prev == om),
-                xi_constant_ok=(x.coeffs[0] == _canon_scalar(ctx, ctx.p)),
+                xi_constant_ok=(x.coeffs[0] == ctx.p % ctx.slot_moduli(ctx.K)[0]),
                 omega_constant_zero=(om.coeffs[0] == 0),
                 vacuous=vac,
             )
@@ -131,10 +133,6 @@ def omega_tower_check(ctx: PrecisionContext, n_max: int) -> TowerReport:
     return TowerReport(ctx.p, ctx.K, n_max, entries, warnings)
 
 
-def _canon_scalar(ctx: PrecisionContext, v: int) -> int:
-    return v % ctx.slot_moduli(ctx.K)[0]
-
-
 # -- normal elements -----------------------------------------------------
 
 
@@ -143,25 +141,14 @@ def normal_witness(sd: SkewData, n: int) -> tuple[CoeffSeries, SkewSeries]:
 
     The witness identity Y * omega_n = omega_n * w (mod G_K) exhibits
     Y*omega_n inside omega_n*A, the computational content of omega_n
-    being a normal element.  u is the finite sum of C(e, i) *
-    omega_n**(i-1) over i >= 1, with e the raw twist exponent: the tail
-    terms lie in m**((i-1)(n+1)) and drop out beyond the precision.
+    being a normal element.  As sigma(omega_n) = (1 + omega_n)**eps - 1
+    and omega_n lies in m**(n+1), u is ``_quotient`` at e = eps mod p**K
+    (all the twist shows mod m**K), d = n + 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     ctx = sd.ctx
-    e = sd.epsilon_raw % ctx.p**ctx.K
-    om = omega(ctx, n)
-    u = CoeffSeries.zero(ctx)
-    pw = CoeffSeries.one(ctx)
-    i = 1
-    while (i - 1) * (n + 1) < ctx.K:
-        c = comb(e, i)
-        if c:
-            u = u + c * pw
-        i += 1
-        if (i - 1) * (n + 1) < ctx.K:
-            pw = pw * om
+    u = _quotient(ctx, sd.epsilon_raw % ctx.p**ctx.K, omega(ctx, n), n + 1)
     w = SkewSeries.from_rows(sd, [u - 1, u])
     return u, w
 

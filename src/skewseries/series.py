@@ -382,7 +382,10 @@ def change_precision(f: SkewSeries, sd: SkewData) -> SkewSeries:
     stay canonical at the finer slot precisions, so the rows are only
     padded with zeros.  Lowering K is truncation mod the larger G_K.
     The twist must agree on the digits both windows identify it by.
+    f itself comes back when ``sd`` is already its twist data.
     """
+    if sd is f.sd:
+        return f
     if sd.ctx.p != f.sd.ctx.p or sd.ctx.mode != f.sd.ctx.mode:
         raise ValueError("change_precision only adjusts K")
     K, old = sd.ctx.K, f.sd.ctx.K

@@ -10,7 +10,8 @@ what makes the skew series layer's triangular precision bookkeeping work.
 
 ``SkewData`` is a frozen value: == and hash read ctx and the exponent
 mod p**(K + EPSILON_GUARD), and only its caches fill in place.  It holds
-the powers of sigma(X) and sigma^-1(X), in closed form: with gamma = 1 + X,
+the powers of sigma(X) and sigma^-1(X), in the closed form of
+``coeff.vbinom``: with gamma = 1 + X,
 
     sigma(X) = gamma**eps - 1 = sum_(a >= 1) C(eps, a) X**a,
 
@@ -42,7 +43,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
-from math import comb
 from operator import mul
 from random import Random
 from struct import Struct
@@ -51,6 +51,7 @@ from .coeff import (
     CoeffSeries,
     Vec,
     vadd,
+    vbinom,
     vcanon,
     vmul,
     vone,
@@ -108,14 +109,9 @@ class SkewData(_Frozen):
         object.__setattr__(self, "_twist", OrderedDict())
         object.__setattr__(self, "_lock", threading.Lock())
         object.__setattr__(self, "_derived", {})
-        # (1 + X)**(p**K) = 1 mod m**(K+1): only eps mod p**K is visible
-        q = ctx.p**K
-        sig, isig = (
-            vcanon(ctx, [0] + [comb(e, a) for a in range(1, K)], K)
-            for e in (epsilon_residue % q, pow(epsilon_residue, -1, q))
-        )
-        object.__setattr__(self, "_sig_cols", self._powers(sig))
-        object.__setattr__(self, "_isig_cols", self._powers(isig))
+        inverse = pow(epsilon_residue, -1, ctx.p**K)
+        object.__setattr__(self, "_sig_cols", self._powers(vbinom(ctx, epsilon_residue)))
+        object.__setattr__(self, "_isig_cols", self._powers(vbinom(ctx, inverse)))
 
     def _powers(self, t: Vec) -> tuple[int, ...]:
         """t**0, ..., t**(K-1), packed: the columns that ``_apply`` reads."""

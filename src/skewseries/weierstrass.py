@@ -96,11 +96,6 @@ def _shift_down(sd: SkewData, f: SkewSeries, s: int) -> SkewSeries:
     return SkewSeries._trusted(sd, f.rows[s:] + (vzero(sd.ctx),) * s)
 
 
-def _at(sd: SkewData, f: SkewSeries) -> SkewSeries:
-    """f over the window of ``sd``, or f itself when it is already there."""
-    return f if f.sd is sd else change_precision(f, sd)
-
-
 def _divide_core(
     sd: SkewData, g: SkewSeries, f: SkewSeries, s: int, out: SkewData | None = None
 ) -> tuple[SkewSeries, SkewSeries]:
@@ -113,8 +108,8 @@ def _divide_core(
     out = sd if out is None else out
     K = sd.ctx.K
     g0 = _shift_down(sd, f, s)
-    G = _at(sd.at_precision(max(out.ctx.K, K - s)), g0).inverse()
-    Gf = _mul_rows(sd, _at(sd, G).rows, _packed(sd, _y_powers(sd, f.rows)))
+    G = change_precision(g0, sd.at_precision(max(out.ctx.K, K - s))).inverse()
+    Gf = _mul_rows(sd, change_precision(G, sd).rows, _packed(sd, _y_powers(sd, f.rows)))
     h = sd.y(s) - SkewSeries._trusted(sd, Gf)
     for j in range(K):
         if h.rows[j][0] % sd.ctx.p != 0:
@@ -140,7 +135,7 @@ def _divide_core(
                 "remainder extends to degree >= reduced order; "
                 "working precision too small for this divisor"
             )
-    return _at(out, total) * _at(out, G), SkewSeries(out, rem.rows[:s])
+    return change_precision(total, out) * change_precision(G, out), SkewSeries(out, rem.rows[:s])
 
 
 def _gauge_free_precision(s: int, K: int) -> int:

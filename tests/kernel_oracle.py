@@ -10,8 +10,11 @@ commutes with + and *, the rows must not change.  The twist is passed
 as a map ``(u, q) -> canonical vector``: ``sigma(sd)`` for left rows,
 ``sigma_inv(sd)`` for the right rows of f * Y.  Both apply the twist
 digit by digit over powers of sigma^(+-1)(X) built here: (1 + X)**e - 1
-by repeated squaring, then its powers by a digit-loop product.  They
-share no code with the package's closed form or packed columns.
+by repeated squaring (``one_plus_x_pow``), then its powers by a
+digit-loop product.  They share no code with the package's closed form
+or packed columns.  ``power_sum`` sums the powers of one series by
+doubling, the slow twin of the package's binomial sums for xi_n and the
+normality unit.
 
 The oracle reduces with ``_canon``, a loop over the digits that calls
 ``%`` only where the slot modulus exceeds 1, and builds its own sums and
@@ -73,19 +76,37 @@ def _apply(sd: SkewData, pows: Sequence[Vec], u: Vec, q: int) -> list[int]:
     return acc
 
 
-def twisted_x(sd: SkewData, inverse: bool = False) -> Vec:
-    """sigma(X) = (1 + X)**eps - 1, or sigma^-1(X) with eps**-1, by squaring."""
-    ctx = sd.ctx
+def one_plus_x_pow(ctx: PrecisionContext, e: int) -> Vec:
+    """(1 + X)**e mod m**K for e >= 0, by repeated squaring of the exponent as given."""
     K = ctx.K
-    q = ctx.p**K
-    e = pow(sd.epsilon_raw, -1, q) if inverse else sd.epsilon_raw % q
     res, base = vone(ctx), _canon(ctx, (1, 1), K)
     while e:
         if e & 1:
             res = _mul(ctx, res, base, K)
         base = _mul(ctx, base, base, K)
         e >>= 1
-    return _canon(ctx, (res[0] - 1,) + res[1:], K)
+    return res
+
+
+def power_sum(ctx: PrecisionContext, y: Vec, count: int) -> Vec:
+    """sum_(i < count) y**i mod m**K, by doubling: S(2c) = S(c) * (1 + y**c)."""
+    K = ctx.K
+    acc, pw = vzero(ctx), vone(ctx)  # S(c) and y**c, from c = 0
+    for bit in bin(count)[2:]:
+        acc = _add(ctx, acc, _mul(ctx, acc, pw, K), K)
+        pw = _mul(ctx, pw, pw, K)
+        if bit == "1":  # S(c + 1) = S(c) + y**c
+            acc = _add(ctx, acc, pw, K)
+            pw = _mul(ctx, pw, y, K)
+    return acc
+
+
+def twisted_x(sd: SkewData, inverse: bool = False) -> Vec:
+    """sigma(X) = (1 + X)**eps - 1, or sigma^-1(X) with eps**-1, by squaring."""
+    ctx = sd.ctx
+    q = ctx.p**ctx.K
+    res = one_plus_x_pow(ctx, pow(sd.epsilon_raw, -1, q) if inverse else sd.epsilon_raw % q)
+    return _canon(ctx, (res[0] - 1,) + res[1:], ctx.K)
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,10 @@ from random import Random
 import pytest
 
 from skewseries import AtLeast, CoeffSeries, NotAUnit, PrecisionContext
+from skewseries.coeff import vbinom, vone
 from skewseries.precision import CHARP, INTEGRAL
 
+import kernel_oracle as ko
 from util import rand_coeff
 
 
@@ -152,3 +154,15 @@ def test_reduce_mod_p_is_ring_map():
         b = rand_coeff(ctx, rng)
         assert (a * b).reduce_mod_p() == (a.reduce_mod_p() * b.reduce_mod_p()).reduce_mod_p()
         assert (a + b).reduce_mod_p() == (a.reduce_mod_p() + b.reduce_mod_p()).reduce_mod_p()
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5, 1000003))
+def test_vbinom_against_repeated_squaring(p, mode):
+    # the oracle squares the exponent as given; vbinom reduces it mod p**K
+    rng = Random(f"vbinom-{p}-{mode}")
+    for K in (1, 2, 5, 17):
+        ctx = PrecisionContext(p, K, mode)
+        big = rng.randrange(p ** (K + 5), p ** (K + 6))
+        for e in (0, 1, p, 1 + p, p**2, p**3, p**K, p**K + 1, big):
+            assert ko._add(ctx, vbinom(ctx, e), vone(ctx), K) == ko.one_plus_x_pow(ctx, e)

@@ -94,6 +94,10 @@ def _inputs() -> dict[str, tuple[list[str], dict | str | None]]:
     cases["axioms-0"] = (["axioms", "--p", "3", "--K", "6", "--epsilon", "4", "--seed", "5"], None)
     cases["xi-0"] = (["xi", "--p", "3", "--K", "8", "--n", "2"], None)
     cases["omega-0"] = (["omega", "--p", "2", "--K", "7", "--mode", "fp", "--n", "3"], None)
+    cases["omega-1"] = (["omega", "--p", "3", "--K", "9", "--n", "2"], None)
+    cases["omega-2"] = (["omega", "--p", "1000003", "--K", "6", "--n", "1"], None)
+    cases["xi-1"] = (["xi", "--p", "5", "--K", "8", "--mode", "fp", "--n", "1"], None)
+    cases["xi-2"] = (["xi", "--p", "1000003", "--K", "6", "--n", "2"], None)
 
     invert = cases["invert-0"][1]
     cases["error-malformed-json"] = (["invert", "--seed", "7"], canonical_json(invert)[:40])

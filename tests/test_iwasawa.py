@@ -30,8 +30,10 @@ from skewseries import (
 import skewseries.coeff
 import skewseries.iwasawa
 from skewseries.iwasawa import MAX_TOWER_LEVEL, _coinvariant, _omega_tower
+from skewseries.coeff import vone
 from skewseries.precision import CHARP, INTEGRAL, MAX_PRECISION, PrecisionContext
 
+import kernel_oracle as ko
 import rank_oracle
 from util import rand_coeff
 
@@ -60,6 +62,39 @@ def test_xi_against_binomial_sum_oracle():
                 for a, m in enumerate(moduli)
             )
             assert xi(ctx, n).coeffs == expect
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5, 1000003))
+def test_tower_and_witness_against_squaring_oracle(p, mode):
+    # 1 + omega_n = (1+X)**(p**n), xi_n = sum_(i<p) (1 + omega_(n-1))**i and
+    # u = sum_(i<eps) (1 + omega_n)**i, each by squaring and doubling.  As
+    # omega_n lies in m**(n+1), (1+X)**(p**n) = 1 mod m**K once n >= K.
+    for K in (1, 2, 5, 17):
+        ctx = PrecisionContext(p, K, mode)
+        gamma = [ko.one_plus_x_pow(ctx, p ** min(n, K)) for n in range(K + 1)]
+        sds = [build_skew(ctx, eps) for eps in (1 + p, 1 + p * (p**K - 1))]
+        assert xi(ctx, 0) == CoeffSeries.x(ctx)
+        for n in sorted({0, 1, 2, K - 1, K, 10**5}):
+            y = gamma[min(n, K)]
+            assert ko._add(ctx, omega(ctx, n).coeffs, vone(ctx), K) == y
+            if n >= 1:
+                assert xi(ctx, n).coeffs == ko.power_sum(ctx, gamma[min(n - 1, K)], p)
+            for sd in sds:
+                u, _ = normal_witness(sd, n)
+                assert u.coeffs == ko.power_sum(ctx, y, sd.epsilon_raw)
+
+
+def test_omega_takes_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("omega multiplied series")
+
+    monkeypatch.setattr(skewseries.coeff, "vmul", refuse)
+    for p in (3, 1000003):
+        for mode in (INTEGRAL, CHARP):
+            ctx = PrecisionContext(p, 8, mode)
+            for n in (0, 1, 5, 10**9):
+                omega(ctx, n)
 
 
 def test_xi_known_values():

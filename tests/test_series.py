@@ -16,6 +16,7 @@ from skewseries import (
     build_skew,
     change_precision,
 )
+import skewseries.series
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 from skewseries.series import _mul_rows, _packed, _y_powers
 
@@ -157,6 +158,24 @@ def test_newton_inverse_matches_oracles(p, eps, mode):
                 assert v.rows == co.inv(p, K, co_mode, u.rows)
 
 
+def test_inverse_does_not_recanonicalize_at_its_own_precision(monkeypatch):
+    # one _canon_rows pass per operand on each rung below K; at K itself
+    # change_precision hands f back instead of truncating it to itself
+    sd = build_skew(PrecisionContext(3, 17, INTEGRAL), 4)
+    f = rand_unit(sd, Random(413))
+    canon = skewseries.series._canon_rows
+    passes = []
+
+    def spy(sd, rows):
+        passes.append(sd.ctx.K)
+        return canon(sd, rows)
+
+    monkeypatch.setattr(skewseries.series, "_canon_rows", spy)
+    g = f.inverse()
+    assert passes == [1, 2, 2, 3, 3, 5, 5, 9, 9, 17]
+    assert f * g == sd.one()
+
+
 def test_not_a_unit_iff_row0_constant_divisible():
     rng = Random(405)
     for sd in skews():
@@ -270,6 +289,7 @@ def test_change_precision_keeps_the_twist(monkeypatch):
     assert change_precision(f, close8).sd is close8
     assert change_precision(change_precision(f, close8), sd4) == f
     assert change_precision(g, sd4).sd is sd4
+    assert change_precision(f, sd4) is f
     assert not built  # the check compares keys and builds no twist data
     with pytest.raises(ValueError):
         change_precision(f, build_skew(PrecisionContext(p, 8, CHARP), 4))

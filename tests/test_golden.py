@@ -35,7 +35,7 @@ from random import Random
 
 import pytest
 
-from skewseries import ModuleSpec, SkewSeries, build_skew, write_json_atomic
+from skewseries import CoeffSeries, ModuleSpec, SkewSeries, build_skew, write_json_atomic
 from skewseries.cli import main
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 from skewseries.serialize import (
@@ -83,6 +83,22 @@ def _inputs() -> dict[str, tuple[list[str], dict | str | None]]:
     rng = Random("golden-descend-0")
     zpoly = [rand_coeff(sd.ctx, rng) for _ in range(3)]
     cases["descend-0"] = (["descend", "--seed", "7"], dump_z_poly(sd, zpoly))
+    sd = build_skew(PrecisionContext(3, 10, CHARP), 4)
+    rng = Random("golden-descend-1")
+    zpoly = [rand_coeff(sd.ctx, rng) for _ in range(3)]
+    cases["descend-1"] = (["descend", "--seed", "7"], dump_z_poly(sd, zpoly))
+    # the middle coefficients lie in m**4, so they vanish after one step
+    # and the descent records fewer steps than the degree
+    sd = build_skew(PrecisionContext(3, 8, INTEGRAL), 4)
+    rng = Random("golden-descend-2")
+    zpoly = [rand_coeff(sd.ctx, rng) for _ in range(5)]
+    zpoly = [zpoly[0], *(3**4 * c for c in zpoly[1:]), CoeffSeries.one(sd.ctx)]
+    cases["descend-2"] = (["descend", "--seed", "7"], dump_z_poly(sd, zpoly))
+    spec2 = ModuleSpec(2, d=1, torsion_polys=((2, 0, 1), (0, 4, 6, 4, 1)), p_power_ranks=(3,))
+    cases["rankgrowth-1"] = (
+        ["rankgrowth", "--seed", "7", "--n-max", "4", "--K", "10"],
+        dump_module_spec(spec2),
+    )
     spec = ModuleSpec(
         3, d=1, torsion_polys=((0, 1), (3, 3, 1), (3, 1)), p_power_ranks=(2,)
     )

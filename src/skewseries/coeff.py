@@ -190,6 +190,8 @@ class CoeffSeries(_Frozen):
 
     def __mul__(self, other):
         # a SkewSeries gets NotImplemented, and its __rmul__ acts on the left
+        if isinstance(other, int):  # an integer scales every digit
+            return CoeffSeries(self.ctx, [other * x for x in self.coeffs])
         v = self._other(other)
         if v is NotImplemented:
             return NotImplemented

@@ -18,7 +18,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from math import comb
 
-from .coeff import CoeffSeries, vbinom
+from .coeff import CoeffSeries, vbinom, vorder
 from .errors import (
     DegenerateAction,
     PrecisionInsufficient,
@@ -170,8 +170,20 @@ def descend_ideal(
     strictly drops the degree until a single term r*Z**i remains; since
     Z is a unit, r itself lies in every two-sided ideal containing b.
     When given, `trace` collects the visible Z-degree at each iteration.
+
+    Which coefficients survive a step is read off m-adic orders, with no
+    product taken.  R is a regular local ring, so gr_m R is a polynomial
+    ring (over F_p in the classes of p and X, or of X alone in char-p
+    mode), a domain: ord(a*b) = ord(a) + ord(b), and a coefficient
+    vanishes mod m**K exactly when its order reaches K.  As sigma is an
+    automorphism preserving every m**k, ord(sigma**s(gamma) -
+    sigma**i(gamma)) = ord(sigma**i(sigma**(s-i)(gamma) - gamma)) depends
+    on s - i alone, so d orders serve a degree-d descent.  Only the
+    survivor c_i is multiplied out, by sigma**s(gamma) - sigma**i(gamma)
+    for each top degree s removed: at most d products.
     """
     ctx = sd.ctx
+    K = ctx.K
     gamma = CoeffSeries.from_ints(ctx, (1, 1))
     if sd.apply_sigma(gamma) == gamma:
         raise DegenerateAction(
@@ -179,14 +191,19 @@ def descend_ideal(
             "identically (twist exponent is 1 at precision)"
         )
     coeffs = list(zcoeffs)
-    if all(c.is_zero() for c in coeffs):
+    ords = [vorder(ctx, c.coeffs, K) for c in coeffs]
+    if all(o >= K for o in ords):
         raise VanishedAtPrecision("input polynomial is zero at this precision")
+    for c in coeffs:  # no product is taken with a coefficient that dies
+        c.ctx.check_same(ctx)
     sig_gamma = [gamma]  # sigma**i(gamma) up to the top degree, which only falls
-    for _ in range(max(i for i, c in enumerate(coeffs) if not c.is_zero())):
+    for _ in range(max(i for i, o in enumerate(ords) if o < K)):
         sig_gamma.append(sd.apply_sigma(sig_gamma[-1]))
-    steps = 0
+    # gap[k] = ord(sigma**k(gamma) - gamma); gap[0] is never read
+    gap = [vorder(ctx, (g - gamma).coeffs, K) for g in sig_gamma]
+    path: list[int] = []
     while True:
-        nz = [i for i, c in enumerate(coeffs) if not c.is_zero()]
+        nz = [i for i, o in enumerate(ords) if o < K]
         if not nz:
             raise VanishedAtPrecision(
                 "descent killed every visible coefficient; "
@@ -195,10 +212,14 @@ def descend_ideal(
         if trace is not None:
             trace.append(nz[-1])
         if len(nz) == 1:
-            return coeffs[nz[0]], steps
+            i = nz[0]
+            r = coeffs[i]
+            for s in path:
+                r = r * (sig_gamma[s] - sig_gamma[i])
+            return r, len(path)
         s = nz[-1]
-        coeffs = [coeffs[i] * (sig_gamma[s] - sig_gamma[i]) for i in range(s)]
-        steps += 1
+        ords = [ords[i] + gap[s - i] for i in range(s)]
+        path.append(s)
 
 
 # -- coinvariant rank growth ---------------------------------------------
@@ -316,9 +337,22 @@ def _omega_tower(p: int, F: tuple[int, ...], n_max: int, M: int) -> Iterator[lis
 def _coinvariant(
     p: int, F: tuple[int, ...], om: list[int], M: int, guard: int, strict: bool
 ) -> tuple[int, bool]:
-    """Corank and guard-band flag of om acting on (Z/p**M)[X]/F by multiplication."""
-    cols = [_poly_rem([0] * a + om, F, p**M) for a in range(len(F) - 1)]
-    _, rank, flag = _smith_rank([list(r) for r in zip(*cols)], p, M, guard)
+    """Corank and guard-band flag of om acting on (Z/p**M)[X]/F by multiplication.
+
+    Column a is X**a * om mod F, so column a + 1 is X times column a
+    mod F: a shift, less top * F when the shifted-out coefficient top is
+    nonzero.
+    """
+    mod, D = p**M, len(F) - 1
+    col = _poly_rem(om, F, mod)
+    cols = [col]
+    for _ in range(D - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [(x - top * f) % mod for x, f in zip(col, F)]
+        cols.append(col)
+    _, rank, flag = _smith_rank(list(zip(*cols)), p, M, guard)
     if strict and flag:
         raise PrecisionInsufficient(
             f"a pivot valuation falls within {guard} digits of the working "

@@ -68,11 +68,13 @@ def _eliminate(
         j = next(j for j, x in enumerate(row) if x % (pk * p))
         u = _take(row, j) // pk
         uinv = pow(u, -1, mod)
+        nzk = [(k, y) for k, y in enumerate(row) if y]
         for i, r in enumerate(A):
             if e := _take(r, j):
                 f = (e // pk) * uinv % mod
-                A[i] = [(x - f * y) % mod for x, y in zip(r, row)]
-                gs[i] = gcd(*A[i])
+                for k, y in nzk:
+                    r[k] = (r[k] - f * y) % mod
+                gs[i] = gcd(*r)
                 if b is not None:
                     b[i] = (b[i] - f * c) % mod
         piv.append((v, u, j, row, c))

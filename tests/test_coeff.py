@@ -166,3 +166,20 @@ def test_vbinom_against_repeated_squaring(p, mode):
         big = rng.randrange(p ** (K + 5), p ** (K + 6))
         for e in (0, 1, p, 1 + p, p**2, p**3, p**K, p**K + 1, big):
             assert ko._add(ctx, vbinom(ctx, e), vone(ctx), K) == ko.one_plus_x_pow(ctx, e)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_int_factor_scales_the_digits(p, mode, monkeypatch):
+    rng = Random(f"int-times-coeff-{p}-{mode}")
+    cases = []
+    for K in (1, 2, 17):
+        ctx = PrecisionContext(p, K, mode)
+        for c in (0, 1, -1, p, -(p**K), rng.getrandbits(200)):
+            f = rand_coeff(ctx, rng)
+            cases.append((c, f, CoeffSeries(ctx, (c,)) * f))
+    vmuls = []
+    monkeypatch.setattr("skewseries.coeff.vmul", lambda *a: vmuls.append(a))
+    for c, f, want in cases:
+        assert c * f == f * c == want
+    assert vmuls == []

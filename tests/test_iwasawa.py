@@ -29,7 +29,7 @@ from skewseries import (
 )
 import skewseries.coeff
 import skewseries.iwasawa
-from skewseries.iwasawa import MAX_TOWER_LEVEL, _coinvariant, _omega_tower
+from skewseries.iwasawa import MAX_TOWER_LEVEL, _coinvariant, _omega_tower, _poly_rem
 from skewseries.coeff import vone
 from skewseries.precision import CHARP, INTEGRAL, MAX_PRECISION, PrecisionContext
 
@@ -377,6 +377,34 @@ def test_coinvariant_rank_stops_at_the_stable_level(monkeypatch):
     monkeypatch.setattr(skewseries.iwasawa, "_poly_rem", counted)
     assert coinvariant_rank(3, (3, 0, 1), 10**9, 6) == want
     assert list(_omega_tower(3, (3, 0, 1), 40, 6))[-1] == [0, 0]
+
+
+@pytest.mark.parametrize("M", [1, 24])
+@pytest.mark.parametrize("p", [2, 3])
+def test_coinvariant_columns_are_x_power_remainders(p, M, monkeypatch):
+    # column a + 1 is built as X * (column a) mod F; each must be the
+    # remainder of X**a * om by F, not just give the same rank
+    rng = Random(f"coinvariant-columns:{p}:{M}")
+    mod = p**M
+    omega_3 = (0, *(comb(p**3, a) for a in range(1, p**3 + 1)))
+    rand_F = tuple(p * rng.randrange(-3, 4) for _ in range(rng.randrange(2, 10))) + (1,)
+    smith_rank = skewseries.iwasawa._smith_rank
+    mats = []
+
+    def spy(mat, *args):
+        mats.append(mat)
+        return smith_rank(mat, *args)
+
+    monkeypatch.setattr(skewseries.iwasawa, "_smith_rank", spy)
+    for F in ((p, 1), (0, 1), omega_3, rand_F):
+        D = len(F) - 1
+        oms = list(_omega_tower(p, F, 4, M))
+        oms.append([rng.randrange(-mod, 2 * mod) for _ in range(D)])  # unreduced
+        for om in oms:
+            del mats[:]
+            _coinvariant(p, F, om, M, 1, False)
+            want = [_poly_rem([0] * a + om, F, mod) for a in range(D)]
+            assert [list(col) for col in zip(*mats[0])] == want
 
 
 def test_coinvariant_rejects_negative_level():

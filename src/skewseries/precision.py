@@ -108,7 +108,7 @@ class AtLeast(_Frozen):
 
 
 class PrecisionContext(_Frozen):
-    __slots__ = ("p", "K", "mode", "_ladder", "_windows")
+    __slots__ = ("p", "K", "mode", "_windows")
     __match_args__ = ("p", "K", "mode")
 
     def __init__(self, p: int, K: int, mode: str = INTEGRAL):
@@ -125,7 +125,6 @@ class PrecisionContext(_Frozen):
         # moduli at precision q are the K entries from index K - q on.
         top = (p,) * K if mode == CHARP else tuple(p**e for e in range(K, 0, -1))
         lad = top + (1,) * K
-        object.__setattr__(self, "_ladder", lad)
         object.__setattr__(self, "_windows", {q: lad[K - q : 2 * K - q] for q in range(K + 1)})
 
     def with_K(self, K: int) -> "PrecisionContext":

@@ -13,6 +13,11 @@ Metadata keys ("seed", "subcommand", "n", "params") may ride along on
 any object and are ignored by loaders; everything else unexpected is
 rejected.  The ring context (p, K, mode, epsilon), whether read from an
 object or from CLI flags, is built by `make_context` alone.
+
+The envelope every kind shares is read by `_open` (the kind tag, then
+the keys) and `_ring` (p, K, mode, then epsilon) and written by `_head`,
+so an object with several faults reports the first in the order kind,
+keys, p, K, mode, epsilon, then its own fields.
 """
 from __future__ import annotations
 
@@ -33,8 +38,9 @@ JSON_TO_MODE = {"zp": INTEGRAL, "fp": CHARP}
 
 META_KEYS = frozenset({"seed", "subcommand", "n", "params"})
 
-_UNSIGNED = re.compile(r"^(0|[1-9][0-9]*)$")
-_SIGNED = re.compile(r"^-?(0|[1-9][0-9]*)$")
+# used with fullmatch: "$" would also match before a final newline
+_UNSIGNED = re.compile(r"0|[1-9][0-9]*")
+_SIGNED = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
 # -- low-level helpers ---------------------------------------------------
@@ -89,23 +95,10 @@ def _need(obj: dict, field: str, where: str):
     return obj[field]
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    extra = set(obj) - allowed - META_KEYS
-    if extra:
-        raise SchemaError(f"{where}: unexpected fields {sorted(extra)}")
-
-
 def _int_field(obj: dict, field: str, where: str) -> int:
     v = _need(obj, field, where)
     if not isinstance(v, int) or isinstance(v, bool):
         raise SchemaError(f"{where}: field {field!r} must be a JSON integer")
-    return v
-
-
-def _str_field(obj: dict, field: str, where: str) -> str:
-    v = _need(obj, field, where)
-    if not isinstance(v, str):
-        raise SchemaError(f"{where}: field {field!r} must be a string")
     return v
 
 
@@ -120,7 +113,7 @@ def _parse_residue(s, modulus: int, normalize: bool, where: str) -> int:
     if not isinstance(s, str):
         raise SchemaError(f"{where}: residues must be decimal strings, got {s!r}")
     pat = _SIGNED if normalize else _UNSIGNED
-    if not pat.match(s):
+    if not pat.fullmatch(s):
         raise SchemaError(f"{where}: {s!r} is not a canonical decimal residue")
     v = _int(s, where)
     if not normalize and v >= modulus:
@@ -131,24 +124,29 @@ def _parse_residue(s, modulus: int, normalize: bool, where: str) -> int:
 
 
 def _parse_int_string(s, where: str) -> int:
-    if not isinstance(s, str) or not _SIGNED.match(s):
+    if not isinstance(s, str) or not _SIGNED.fullmatch(s):
         raise SchemaError(f"{where}: {s!r} is not a canonical decimal integer")
     return _int(s, where)
 
 
-def _kind(obj: dict, expected: str, where: str) -> None:
-    k = _need(obj, "kind", where)
-    if k != expected:
-        raise SchemaError(f"{where}: expected kind {expected!r}, got {k!r}")
+def _open(obj: dict, kind: str, fields: set[str]) -> None:
+    """Check obj's kind tag, then that its keys lie in fields, "kind" and META_KEYS."""
+    k = _need(obj, "kind", kind)
+    if k != kind:
+        raise SchemaError(f"{kind}: expected kind {kind!r}, got {k!r}")
+    extra = set(obj) - fields - {"kind"} - META_KEYS
+    if extra:
+        raise SchemaError(f"{kind}: unexpected fields {sorted(extra)}")
 
 
 # -- precision context / twist data --------------------------------------
 
-_CTX_FIELDS = {"kind", "p", "K", "mode", "epsilon"}
+_CTX_FIELDS = {"p", "K", "mode", "epsilon"}
 
 
-def context_fields(ctx: PrecisionContext, epsilon: int | None = None) -> dict:
-    obj = {"p": ctx.p, "K": ctx.K, "mode": MODE_TO_JSON[ctx.mode]}
+def _head(kind: str, ctx: PrecisionContext, epsilon: int | None = None) -> dict:
+    """The kind tag and the ring context of a dumped object."""
+    obj = {"kind": kind, "p": ctx.p, "K": ctx.K, "mode": MODE_TO_JSON[ctx.mode]}
     if epsilon is not None:
         obj["epsilon"] = str(epsilon)
     return obj
@@ -180,20 +178,25 @@ def make_context(where: str, p: int, K: int, mode: str, epsilon: int | None = No
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _context_args(obj: dict, where: str, twisted: bool = True) -> tuple:
-    """The checked raw (p, K, mode, epsilon) of obj; epsilon is read when twisted."""
+def _ring(obj: dict, where: str, twisted: bool = True, sd: SkewData | None = None):
+    """make_context on obj's p, K, mode and, when twisted, epsilon.
+
+    Given sd, returns sd: fields unequal to sd's are built and must pass
+    ``sd.check_same``, equal ones reuse its twist data.
+    """
     p = _int_field(obj, "p", where)
     K = _int_field(obj, "K", where)
-    mode = _str_field(obj, "mode", where)
+    mode = _need(obj, "mode", where)
+    if not isinstance(mode, str):
+        raise SchemaError(f"{where}: field 'mode' must be a string")
     eps = None
     if twisted:
         eps = _parse_int_string(_need(obj, "epsilon", where), where + ".epsilon")
-    return p, K, mode, eps
-
-
-def load_context(obj: dict, where: str, twisted: bool = True):
-    """make_context on the fields of obj; epsilon is read when twisted."""
-    return make_context(where, *_context_args(obj, where, twisted))
+    if sd is None:
+        return make_context(where, p, K, mode, eps)
+    if (p, K, mode, eps) != (sd.ctx.p, sd.ctx.K, MODE_TO_JSON[sd.ctx.mode], sd.epsilon_raw):
+        sd.check_same(make_context(where, p, K, mode, eps))
+    return sd
 
 
 def _load_coeff_vector(
@@ -219,17 +222,14 @@ def _load_coeff(raw, ctx: PrecisionContext, normalize: bool, where: str) -> Coef
 
 
 def dump_coeff(c: CoeffSeries, epsilon: int | None = None) -> dict:
-    obj = {"kind": "coeff_series", **context_fields(c.ctx, epsilon)}
-    obj["coeffs"] = [str(v) for v in c.coeffs]
-    return obj
+    return {**_head("coeff_series", c.ctx, epsilon), "coeffs": [str(v) for v in c.coeffs]}
 
 
 def load_coeff(obj: dict, normalize: bool = False) -> CoeffSeries:
     where = "coeff_series"
-    _kind(obj, "coeff_series", where)
-    _check_keys(obj, _CTX_FIELDS | {"coeffs"}, where)
+    _open(obj, where, _CTX_FIELDS | {"coeffs"})
     twisted = "epsilon" in obj
-    ring = load_context(obj, where, twisted)
+    ring = _ring(obj, where, twisted)
     ctx = ring.ctx if twisted else ring
     return _load_coeff(_need(obj, "coeffs", where), ctx, normalize, where + ".coeffs")
 
@@ -238,9 +238,8 @@ def load_coeff(obj: dict, normalize: bool = False) -> CoeffSeries:
 
 
 def dump_series(f: SkewSeries) -> dict:
-    K = f.sd.ctx.K
-    obj = {"kind": "skew_series", **context_fields(f.sd.ctx, f.sd.epsilon_raw)}
-    obj["rows"] = [[str(v) for v in row[: K - j]] for j, row in enumerate(f.rows)]
+    obj = _head("skew_series", f.sd.ctx, f.sd.epsilon_raw)
+    obj["rows"] = [[str(v) for v in row[: f.sd.ctx.K - j]] for j, row in enumerate(f.rows)]
     return obj
 
 
@@ -248,14 +247,8 @@ def load_series(
     obj: dict, normalize: bool = False, sd: SkewData | None = None
 ) -> SkewSeries:
     where = "skew_series"
-    _kind(obj, "skew_series", where)
-    _check_keys(obj, _CTX_FIELDS | {"rows"}, where)
-    args = _context_args(obj, where)
-    if sd is None:
-        sd = make_context(where, *args)
-    elif args != (sd.ctx.p, sd.ctx.K, MODE_TO_JSON[sd.ctx.mode], sd.epsilon_raw):
-        # Equal fields reuse sd's twist data; others are built and compared.
-        sd.check_same(make_context(where, *args))
+    _open(obj, where, _CTX_FIELDS | {"rows"})
+    sd = _ring(obj, where, sd=sd)
     K = sd.ctx.K
     raw = _need(obj, "rows", where)
     if not isinstance(raw, list) or len(raw) != K:
@@ -271,7 +264,7 @@ def load_series(
 
 
 def dump_distinguished(F: DistinguishedPoly) -> dict:
-    obj = {"kind": "distinguished", **context_fields(F.sd.ctx, F.sd.epsilon_raw)}
+    obj = _head("distinguished", F.sd.ctx, F.sd.epsilon_raw)
     obj["s"] = F.degree
     obj["lower"] = [[str(v) for v in a.coeffs] for a in F.lower]
     return obj
@@ -281,9 +274,8 @@ def load_distinguished(obj: dict, normalize: bool = False) -> DistinguishedPoly:
     from .weierstrass import DistinguishedPoly
 
     where = "distinguished"
-    _kind(obj, "distinguished", where)
-    _check_keys(obj, _CTX_FIELDS | {"s", "lower"}, where)
-    sd = load_context(obj, where)
+    _open(obj, where, _CTX_FIELDS | {"s", "lower"})
+    sd = _ring(obj, where)
     s = _int_field(obj, "s", where)
     if s < 0:
         raise SchemaError(f"{where}: degree s must be >= 0")
@@ -315,8 +307,7 @@ def load_division_problem(
     obj: dict, normalize: bool = False
 ) -> tuple[SkewSeries, SkewSeries]:
     where = "division_problem"
-    _kind(obj, "division_problem", where)
-    _check_keys(obj, {"kind", "dividend", "divisor"}, where)
+    _open(obj, where, {"dividend", "divisor"})
     graw = _need(obj, "dividend", where)
     fraw = _need(obj, "divisor", where)
     if not isinstance(graw, dict) or not isinstance(fraw, dict):
@@ -332,7 +323,7 @@ def load_division_problem(
 def dump_z_poly(sd: SkewData, coeffs: Sequence[CoeffSeries]) -> dict:
     for c in coeffs:
         sd.ctx.check_same(c.ctx)
-    obj = {"kind": "z_poly", **context_fields(sd.ctx, sd.epsilon_raw)}
+    obj = _head("z_poly", sd.ctx, sd.epsilon_raw)
     obj["coeffs"] = [[str(v) for v in c.coeffs] for c in coeffs]
     return obj
 
@@ -341,9 +332,8 @@ def load_z_poly(
     obj: dict, normalize: bool = False
 ) -> tuple[SkewData, list[CoeffSeries]]:
     where = "z_poly"
-    _kind(obj, "z_poly", where)
-    _check_keys(obj, _CTX_FIELDS | {"coeffs"}, where)
-    sd = load_context(obj, where)
+    _open(obj, where, _CTX_FIELDS | {"coeffs"})
+    sd = _ring(obj, where)
     raw = _need(obj, "coeffs", where)
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{where}.coeffs: expected a nonempty list")
@@ -369,8 +359,7 @@ def load_module_spec(obj: dict) -> ModuleSpec:
     from .iwasawa import ModuleSpec
 
     where = "module_spec"
-    _kind(obj, "module_spec", where)
-    _check_keys(obj, {"kind", "p", "d", "torsion_polys", "p_power_ranks"}, where)
+    _open(obj, where, {"p", "d", "torsion_polys", "p_power_ranks"})
     p = _int_field(obj, "p", where)
     d = _int_field(obj, "d", where)
     rawt = obj.get("torsion_polys", [])
@@ -408,6 +397,6 @@ _LOADERS = {
 
 def load_object(obj: dict, normalize: bool = False):
     kind = _need(obj, "kind", "input")
-    if kind not in _LOADERS:
+    if not isinstance(kind, str) or kind not in _LOADERS:  # an unhashable kind too
         raise SchemaError(f"unknown kind {kind!r}; expected one of {sorted(_LOADERS)}")
     return _LOADERS[kind](obj, normalize)

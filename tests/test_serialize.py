@@ -153,6 +153,7 @@ CONTEXT_MUTATIONS = [
         ("K", 0), ("K", -1), ("K", 2.0),
         ("mode", "padic"),
         ("epsilon", "-2"), ("epsilon", "0"), ("epsilon", "2"), ("epsilon", "banana"),
+        ("epsilon", "3\n"),
     ]
 ]
 
@@ -173,6 +174,7 @@ CONTEXT_MUTATIONS = [
         lambda o: o.update(extra=1),                                     # unknown key
         lambda o: o.pop("epsilon"),                                      # missing field
         lambda o: o.pop("rows"),                                         # missing rows
+        lambda o: o.update(rows=[["1\n", "0", "0"], ["0", "0"], ["0"]]), # trailing newline
     ]
     + CONTEXT_MUTATIONS,
 )
@@ -200,6 +202,23 @@ def test_normalize_opt_in():
         load_series(obj)
     f = load_series(obj, normalize=True)
     assert f.row(0).coeffs == (1, 0, 0)   # 9 % 8, 4 % 4, 2 % 2
+    obj["rows"][0][0] = "1\n"              # reduction never forgives the digit string
+    with pytest.raises(SchemaError):
+        load_series(obj, normalize=True)
+
+
+@pytest.mark.parametrize("coeff", ["0\n", " 0", "+3", "\u0663"])
+def test_torsion_coefficients_are_canonical_strings(coeff):
+    obj = dump_module_spec(ModuleSpec(3, d=1, torsion_polys=((0, 1),)))
+    obj["torsion_polys"][0][0] = coeff
+    with pytest.raises(SchemaError, match=r"torsion_polys\[0\]\[0\]"):
+        load_object(obj)
+
+
+@pytest.mark.parametrize("kind", [[], {}])
+def test_unknown_kind_is_a_schema_error(kind):
+    with pytest.raises(SchemaError, match="unknown kind"):
+        load_object({"kind": kind})
 
 
 def test_meta_keys_tolerated():

@@ -16,6 +16,8 @@ p**(q-a) in integral mode and mod p (for a < q) in char-p mode.
 """
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import ContextMismatch, NotAUnit
 
 INTEGRAL = "integral"
@@ -31,27 +33,79 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
+    """Baillie-PSW: trial division, a strong base-2 test, then a strong Lucas test.
+
+    No composite is known to pass it.  Miller-Rabin with the bases in
+    ``_SMALL_PRIMES`` alone is fooled, for one, by 318665857834031151167461.
+    """
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    # Deterministic Miller-Rabin for the range we will ever meet.
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
+    x = pow(2, d, n)
+    if x not in (1, n - 1):
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
-    return True
+    if isqrt(n) ** 2 == n:  # a square has no D with (D/n) = -1
+        return False
+    # Selfridge's parameters: the first D of 5, -7, 9, -11, ... with
+    # Jacobi symbol (D/n) = -1, then P = 1 and Q = (1 - D)/4.
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    return _strong_lucas(n, D, (1 - D) // 4 % n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int, D: int, Q: int) -> bool:
+    """The strong Lucas test with P = 1: with n + 1 = d * 2**s and d odd,
+    U_d = 0 or V_(d * 2**r) = 0 mod n for some r < s."""
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:  # x / 2 mod the odd n
+        return (x + n if x % 2 else x) // 2 % n
+
+    U, V, Qk = 1, 1, Q  # U_1, V_1, Q**1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
+        if bit == "1":  # 2k -> 2k + 1
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class _Record:

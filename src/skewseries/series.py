@@ -39,10 +39,11 @@ run on a ladder of precisions, each at most twice the one before, through
 full precision.
 
 Right coefficients, f = sum_j Y**j b_j, come by Horner's rule: one
-Y-step per coefficient for b_0 + Y(b_1 + Y(b_2 + ...)), and for
-(...(a_2 Y + a_1) Y) + a_0 the same step with sigma^-1 for sigma, since
-s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).  Canonicalizing after each
-step is exact because G_K is a two-sided ideal.
+Y-step per coefficient for b_0 + Y(b_1 + Y(b_2 + ...)).  As s Y =
+Y sigma^-1(s) + (sigma^-1 - id)(s), right coefficients are left ones in
+the opposite ring (Ore, 1933), so (...(a_2 Y + a_1) Y) + a_0 is the same
+pass over ``SkewData.opposite()``.  Canonicalizing after each step is
+exact because G_K is a two-sided ideal.
 """
 from __future__ import annotations
 
@@ -74,20 +75,18 @@ def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(vcanon(sd.ctx, rows[j] if j < len(rows) else (), K - j) for j in range(K))
 
 
-def _y_step(sd: SkewData, rows: Rows, cols: Sequence[int]) -> Rows:
-    """Rows of Y * f: row j becomes t(f_(j-1)) + (t - id)(f_j).
+def _y_step(sd: SkewData, rows: Rows) -> Rows:
+    """Rows of Y * f: row j becomes sigma(f_(j-1)) + delta(f_j).
 
-    t is given by the packed powers ``cols`` of t(X): ``sd._sig_cols``
-    gives left rows, ``sd._isig_cols`` the right rows of f * Y, by
-    s Y = Y sigma^-1(s) + (sigma^-1 - id)(s).  t is additive, so
-    t(f_(j-1)) + t(f_j) is one packed sum: with q = K - j, a slot adds
+    sigma is additive, so sigma(f_(j-1)) + sigma(f_j) is one sum of
+    the packed columns ``sd._sig_cols``: with q = K - j, a slot adds
     q + 1 products of two digits below m from row j - 1 (none if j = 0)
     and q from row j, 2q + 1 <= 2K - 1 <= K**2 in all, which the slot
     width of :mod:`skewseries.skew` holds.  f_j is subtracted from the
     unpacked digits, so nothing borrows across slots, and the row is
     reduced once.
     """
-    ctx = sd.ctx
+    ctx, cols = sd.ctx, sd._sig_cols
     K = ctx.K
     zero = vzero(ctx)
     out = []
@@ -103,8 +102,8 @@ def _y_step(sd: SkewData, rows: Rows, cols: Sequence[int]) -> Rows:
     return tuple(out)
 
 
-def _horner(sd: SkewData, coeffs: Sequence[Vec], cols: Sequence[int]) -> Rows:
-    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) under the Y-step of ``cols``."""
+def _horner(sd: SkewData, coeffs: Sequence[Vec]) -> Rows:
+    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) over ``sd``."""
     ctx = sd.ctx
     K = ctx.K
     coeffs = list(coeffs[:K])  # Y**j c_j lies in G_K for j >= K
@@ -112,7 +111,7 @@ def _horner(sd: SkewData, coeffs: Sequence[Vec], cols: Sequence[int]) -> Rows:
         coeffs.pop()
     rows = _canon_rows(sd, coeffs[-1:])
     for c in reversed(coeffs[:-1]):
-        rows = _y_step(sd, rows, cols)
+        rows = _y_step(sd, rows)
         rows = (vadd(ctx, rows[0], c, K),) + rows[1:]
     return rows
 
@@ -137,7 +136,7 @@ def _y_powers(sd: SkewData, gr: Rows) -> Iterator[Rows]:
     """Rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand."""
     while True:
         yield gr
-        gr = _y_step(sd, gr, sd._sig_cols)
+        gr = _y_step(sd, gr)
 
 
 def _packed(sd: SkewData, table: Iterable[Rows]) -> Iterator[tuple[int, ...]]:
@@ -361,7 +360,7 @@ class SkewSeries(_Frozen):
     def right_coefficients(self) -> list[CoeffSeries]:
         """Coefficients b_j with f = sum_j Y**j b_j (see the module notes)."""
         sd = self.sd
-        return [CoeffSeries(sd.ctx, r) for r in _horner(sd, self.rows, sd._isig_cols)]
+        return [CoeffSeries(sd.ctx, r) for r in _horner(sd.opposite(), self.rows)]
 
     @classmethod
     def from_right_coefficients(
@@ -372,7 +371,7 @@ class SkewSeries(_Frozen):
         for b in bcoeffs:
             sd.ctx.check_same(b.ctx)
             coeffs.append(b.coeffs)
-        return cls(sd, _horner(sd, coeffs, sd._sig_cols))
+        return cls(sd, _horner(sd, coeffs))
 
 
 def change_precision(f: SkewSeries, sd: SkewData) -> SkewSeries:

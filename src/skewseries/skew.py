@@ -9,19 +9,18 @@ and the derivation delta = sigma - id, which maps m into m**2: this is
 what makes the skew series layer's triangular precision bookkeeping work.
 
 ``SkewData`` is a frozen value: == and hash read ctx and the exponent
-mod p**(K + EPSILON_GUARD), and only its caches fill in place.  It holds
-the powers of sigma(X) and sigma^-1(X), in the closed form of
-``coeff.vbinom``: with gamma = 1 + X,
-
-    sigma(X) = gamma**eps - 1 = sum_(a >= 1) C(eps, a) X**a,
-
-and sigma^-1(X) the same with eps**-1 mod p**K.  The constructor checks
-eps only, as the closed form needs nothing more: with e = eps mod p**K,
-sigma(X) has the unit X-coefficient e, p | e - 1 puts delta(X) in m**2,
-and e * e**-1 = 1 mod p**K with (1 + X)**(p**K) - 1 in m**(K+1) gives
-sigma^-1(sigma(X)) = X mod m**K.  Applying sigma is a
-Z_p-linear combination of the powers of sigma(X), one per canonical
-X-digit; each power is kept once, packed as the column the kernels read.
+mod p**(K + EPSILON_GUARD), and only its caches fill in place.  Applying
+sigma is a Z_p-linear combination of the powers of sigma(X) =
+(1 + X)**eps - 1 = sum_(a >= 1) C(eps, a) X**a, the closed form of
+``coeff.vbinom``; each power is kept once, packed as the column the
+kernels read.  The constructor checks eps only: with e = eps mod p**K,
+sigma(X) has the unit X-coefficient e, and p | e - 1 puts delta(X) in
+m**2.  sigma^-1 is the sigma of ``opposite()``, the twist by eps**-1 mod
+p**(K + EPSILON_GUARD) over the same context, built on first use: as
+e * e**-1 = 1 mod p**K and (1 + X)**(p**K) - 1 lies in m**(K+1),
+sigma^-1(sigma(X)) = X mod m**K.  Lift first, then take the opposite:
+``sd.opposite().at_precision(K')`` is that twist only for K' <= K +
+EPSILON_GUARD.
 
 Rows are packed (Kronecker substitution): ``SkewData.pack`` writes the
 digits into one int, one slot of w bytes each, so a sum of products of
@@ -82,7 +81,6 @@ class SkewData(_Frozen):
         "_masks",
         "_words",
         "_sig_cols",
-        "_isig_cols",
         "_twist",
         "_lock",
         "_derived",
@@ -109,16 +107,11 @@ class SkewData(_Frozen):
         object.__setattr__(self, "_twist", OrderedDict())
         object.__setattr__(self, "_lock", threading.Lock())
         object.__setattr__(self, "_derived", {})
-        inverse = pow(epsilon_residue, -1, ctx.p**K)
-        object.__setattr__(self, "_sig_cols", self._powers(vbinom(ctx, epsilon_residue)))
-        object.__setattr__(self, "_isig_cols", self._powers(vbinom(ctx, inverse)))
-
-    def _powers(self, t: Vec) -> tuple[int, ...]:
-        """t**0, ..., t**(K-1), packed: the columns that ``_apply`` reads."""
-        pows = [vone(self.ctx)]
-        for _ in range(self.ctx.K - 1):
-            pows.append(vmul(self.ctx, pows[-1], t, self.ctx.K))
-        return tuple(map(self.pack, pows))
+        # sigma(X)**0, ..., sigma(X)**(K-1), packed: the columns ``_apply`` reads
+        t, pows = vbinom(ctx, epsilon_residue), [vone(ctx)]
+        for _ in range(K - 1):
+            pows.append(vmul(ctx, pows[-1], t, K))
+        object.__setattr__(self, "_sig_cols", tuple(map(self.pack, pows)))
 
     # -- identity ------------------------------------------------------
     @property
@@ -143,13 +136,22 @@ class SkewData(_Frozen):
         Reuses the raw exponent, so elevated working precisions stay
         consistent with this one on every visible digit.
         """
-        if K == self.ctx.K:
+        return self._derive(K, self.epsilon_raw)
+
+    def opposite(self) -> "SkewData":
+        """The twist by eps**-1 over this context: its sigma is sigma^-1."""
+        c = self.ctx
+        return self._derive(c.K, pow(self.epsilon_raw, -1, c.p ** (c.K + EPSILON_GUARD)))
+
+    def _derive(self, K: int, eps: int) -> "SkewData":
+        """The twist by eps at level K over this p and mode, built once and kept."""
+        if K == self.ctx.K and eps == self.epsilon_raw:
             return self
         with self._lock:
-            cached = self._derived.get(K)
+            cached = self._derived.get((K, eps))
             if cached is None:
-                cached = SkewData(self.ctx.with_K(K), self.epsilon_raw)
-                self._derived[K] = cached
+                ctx = self.ctx if K == self.ctx.K else self.ctx.with_K(K)
+                cached = self._derived[K, eps] = SkewData(ctx, eps)
             return cached
 
     # -- packed rows -----------------------------------------------------
@@ -169,29 +171,25 @@ class SkewData(_Frozen):
         return [int.from_bytes(b[i : i + w], "little") for i in range(0, q * w, w)]
 
     # -- applying the twist --------------------------------------------
-    def _apply(self, cols: Sequence[int], u: Vec, q: int) -> Sequence[int]:
-        """Raw, unreduced digits of sum_a u_a * cols[a] in the slots below q.
+    def _apply(self, u: Vec, q: int) -> Sequence[int]:
+        """Raw, unreduced digits of sigma(u) in the slots below q.
 
-        ``cols`` are packed powers of the twisted X and u is canonical, so
-        a slot sums at most K products of digits.  The caller reduces the
-        finished row once, at precision q or coarser.
+        It sums u_a times the packed a-th power of sigma(X); u is
+        canonical, so a slot sums at most K products of digits.  The
+        caller reduces the finished row once, at precision q or coarser.
         """
         q = min(self.ctx.K, q)
-        return self.unpack(sum(map(mul, u[:q], cols)), q)
+        return self.unpack(sum(map(mul, u[:q], self._sig_cols)), q)
 
     def sig_vec(self, u: Vec, q: int) -> Vec:
-        return vcanon(self.ctx, self._apply(self._sig_cols, u, q), q)
-
-    def isig_vec(self, u: Vec, q: int) -> Vec:
-        return vcanon(self.ctx, self._apply(self._isig_cols, u, q), q)
+        return vcanon(self.ctx, self._apply(u, q), q)
 
     def apply_sigma(self, r: CoeffSeries) -> CoeffSeries:
         self.ctx.check_same(r.ctx)
         return CoeffSeries(self.ctx, self.sig_vec(r.coeffs, self.ctx.K))
 
     def apply_sigma_inv(self, r: CoeffSeries) -> CoeffSeries:
-        self.ctx.check_same(r.ctx)
-        return CoeffSeries(self.ctx, self.isig_vec(r.coeffs, self.ctx.K))
+        return self.opposite().apply_sigma(r)
 
     def apply_delta(self, r: CoeffSeries) -> CoeffSeries:
         self.ctx.check_same(r.ctx)
@@ -220,7 +218,7 @@ class SkewData(_Frozen):
             zero = (0,) * K
             while len(rows) <= n:
                 prev = rows[-1]
-                sig = [self._apply(self._sig_cols, e, K) for e in prev]
+                sig = [self._apply(e, K) for e in prev]
                 rows.append([
                     vcanon(ctx, [x + y - z for x, y, z in zip(a, b, r)], K)
                     for a, b, r in zip([zero] + sig, sig + [zero], prev + [zero])
@@ -328,6 +326,7 @@ def validate_axioms(sd: SkewData, samples: int = 100, seed: int = 0) -> AxiomRep
     ordp = AxiomCheck("sigma_preserves_m_order")
     inv = AxiomCheck("sigma_inverse_roundtrip")
     report.checks = [ring, leib, dm, dm2, ordp, inv]
+    op = sd.opposite()
     for _ in range(samples):
         r = _random_vec(ctx, rng)
         s = _random_vec(ctx, rng)
@@ -349,6 +348,6 @@ def validate_axioms(sd: SkewData, samples: int = 100, seed: int = 0) -> AxiomRep
         dm2.record(vorder(ctx, d_rm, K) >= min(2, K), f"r={list(rm)}")
         o = vorder(ctx, r, K)
         ordp.record(vorder(ctx, sig_r, K) == o, f"r={list(r)}")
-        back = sd.isig_vec(sig_r, K) == r and sd.sig_vec(sd.isig_vec(r, K), K) == r
+        back = op.sig_vec(sig_r, K) == r and sd.sig_vec(op.sig_vec(r, K), K) == r
         inv.record(back, f"r={list(r)}")
     return report

@@ -39,8 +39,8 @@ def test_row_kernels_match_reduce_every_product_oracle(p, eps, mode):
                 assert _mul_rows(sd, f.rows, packed, lo) == ko._mul_rows(sd, f.rows, table, lo)
             bs = [rand_coeff(sd.ctx, rng).coeffs for _ in range(K)]
             for coeffs in (f.rows, bs):
-                assert _horner(sd, coeffs, sd._sig_cols) == ko._horner(sd, coeffs, ko.sigma(sd))
-                assert _horner(sd, coeffs, sd._isig_cols) == ko._horner(
+                assert _horner(sd, coeffs) == ko._horner(sd, coeffs, ko.sigma(sd))
+                assert _horner(sd.opposite(), coeffs) == ko._horner(
                     sd, coeffs, ko.sigma_inv(sd)
                 )
 
@@ -91,8 +91,8 @@ def test_row_kernels_at_the_slot_width_edge():
             for lo in range(K + 1):
                 want = (vzero(sd.ctx),) * lo + full[lo:]
                 assert _mul_rows(sd, top, packed, lo) == want
-        assert _horner(sd, top, sd._sig_cols) == ko._horner(sd, top, ko.sigma(sd))
-        assert _horner(sd, top, sd._isig_cols) == ko._horner(sd, top, ko.sigma_inv(sd))
+        assert _horner(sd, top) == ko._horner(sd, top, ko.sigma(sd))
+        assert _horner(sd.opposite(), top) == ko._horner(sd, top, ko.sigma_inv(sd))
     assert widths[3, 17, INTEGRAL] == 8 and widths[5, 17, INTEGRAL] > 8
     for p, K, w in ((2, 27, 8), (3, 37, 16)):
         assert widths[p, K, INTEGRAL] == w

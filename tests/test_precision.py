@@ -6,9 +6,14 @@ from random import Random
 
 import pytest
 
-from skewseries import AtLeast, ContextMismatch, PadicInt, PrecisionContext
+from skewseries import AtLeast, ContextMismatch, ModuleSpec, PadicInt, PrecisionContext
+from skewseries.cli import main
 from skewseries.coeff import vcanon
-from skewseries.precision import CHARP, INTEGRAL
+from skewseries.precision import CHARP, INTEGRAL, _is_prime
+
+# Strong pseudoprimes to all twelve prime bases 2..37 (the first is the
+# least such number, 399165290221 * 798330580441).
+STRONG_PSEUDOPRIMES = (318665857834031151167461, 3317044064679887385961981)
 
 
 def test_known_inverses():
@@ -90,6 +95,29 @@ def test_context_validation():
         PrecisionContext(3, 0, INTEGRAL)
     with pytest.raises(ValueError):
         PrecisionContext(3, 2, "other")
+
+
+def test_primality_agrees_with_a_sieve():
+    n = 10**5
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    assert [k for k in range(-3, n) if _is_prime(k)] == [k for k in range(n) if sieve[k]]
+    for p in (2**127 - 1, 2**521 - 1, 1000003):
+        assert _is_prime(p)
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_strong_pseudoprimes_are_refused(n, capsys):
+    assert not _is_prime(n)
+    with pytest.raises(ValueError):
+        PrecisionContext(n, 2, INTEGRAL)
+    with pytest.raises(ValueError):
+        ModuleSpec(p=n, d=1)
+    assert main(["omega", "--p", str(n), "--K", "2", "--n", "1"]) == 3
+    assert "is not prime" in capsys.readouterr().err
 
 
 def test_slot_moduli_shapes():

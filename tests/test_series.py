@@ -238,6 +238,26 @@ def test_horner_basis_changes_match_twist_tables(p, eps, mode):
                 assert g.rows == SkewSeries.from_rows(sd, bs).rows
 
 
+def _opposite(f: SkewSeries) -> SkewSeries:
+    """f over the opposite twist: its right coefficients read as left rows."""
+    return SkewSeries(f.sd.opposite(), [b.coeffs for b in f.right_coefficients()])
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_opposite_ring_reverses_products(p, mode):
+    # f -> f° is an anti-isomorphism onto the ring of sigma^-1 (Ore, 1933)
+    for eps in (1, 1 + p, 1 + 2 * p):
+        for K in (1, 2, 5, 9):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"opposite:{p}:{mode}:{eps}:{K}")
+            f, g, u = rand_series(sd, rng), rand_series(sd, rng), rand_unit(sd, rng)
+            assert sd.opposite().opposite() == sd
+            assert _opposite(f * g) == _opposite(g) * _opposite(f)
+            assert _opposite(u.inverse()) == _opposite(u).inverse()
+            assert _opposite(_opposite(f)) == f
+
+
 def test_from_right_coefficients_drops_terms_in_g_k():
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     rng = Random(409)

@@ -50,7 +50,7 @@ def test_closed_form_twist_matches_vpow_route(p, mode):
             assert vorder(ctx, sig.coeffs, K) == 1
             assert vorder(ctx, sd.apply_delta(x).coeffs, K) >= min(2, K)
             assert isig.compose(sig) == x
-            for cols, inverse in ((sd._sig_cols, False), (sd._isig_cols, True)):
+            for cols, inverse in ((sd._sig_cols, False), (sd.opposite()._sig_cols, True)):
                 assert tuple(tuple(sd.unpack(c, K)) for c in cols) == ko.powers(sd, inverse)
 
 

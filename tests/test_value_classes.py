@@ -200,7 +200,8 @@ def test_skew_data_rebuilds_without_its_caches(mode):
     for y in (copy.copy(sd), copy.deepcopy(sd), pickle.loads(pickle.dumps(sd))):
         assert y is not sd and y.epsilon_raw == sd.epsilon_raw
         assert y._derived == {} and y._lock is not sd._lock
-        assert y._sig_cols == sd._sig_cols and y._isig_cols == sd._isig_cols
+        assert y._sig_cols == sd._sig_cols
+        assert y.opposite()._sig_cols == sd.opposite()._sig_cols
     dp = weierstrass.DistinguishedPoly(sd, 1, (a,))
     assert_value_semantics(
         [dp, pickle.loads(pickle.dumps(dp))], lambda x: hash((x.sd, x.degree, x.lower))

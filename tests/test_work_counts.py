@@ -10,20 +10,37 @@ the counts do not depend on the host or its load.
 A change that raises one of these counts must say so in CHANGES.md,
 with the old and the new figure, and update the pin here; a change that
 lowers one updates the pin too.
+
+The opposite twist (``SkewData.opposite``, whose sigma is sigma^-1) is
+twist data too: only the right-coefficient direction builds it, once.
 """
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
 from collections import Counter
 from random import Random
 
 import pytest
 
-from skewseries import SkewData, build_skew, divide, dump_division_problem, load_object, prepare
+from skewseries import (
+    CoeffSeries,
+    SkewData,
+    SkewSeries,
+    build_skew,
+    descend_ideal,
+    divide,
+    dump_division_problem,
+    load_object,
+    normal_witness,
+    prepare,
+)
 from skewseries import series, weierstrass
 from skewseries.precision import PrecisionContext
 
-from util import rand_reduced_order, rand_series, rand_unit
+from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
 
 
 @pytest.fixture
@@ -90,3 +107,77 @@ def test_load_division_problem_counts(work):
     work()
     load_object(obj)
     assert work() == (0, 0, 2, 1)  # the divisor reuses the dividend's twist data
+
+
+def test_iwasawa_side_builds_no_twist_data(work):
+    sd = build_skew(PrecisionContext(3, 8), 4)
+    rng = Random(3)
+    zc = [rand_coeff(sd.ctx, rng) for _ in range(3)] + [CoeffSeries.one(sd.ctx)]
+    work()
+    descend_ideal(sd, zc)
+    normal_witness(sd, 2)
+    assert work()[3] == 0
+
+
+def test_right_coefficients_build_the_opposite_once(work):
+    sd = build_skew(PrecisionContext(3, 8), 4)
+    f = rand_series(sd, Random(4))
+    work()
+    g = SkewSeries.from_right_coefficients(sd, f.coefficients())
+    assert work()[3] == 0  # the left direction steps with sigma
+    bs = f.right_coefficients()
+    assert work()[3] == 1  # cold: sd.opposite()
+    assert g.right_coefficients() == list(f.coefficients())
+    assert f.right_coefficients() == bs
+    assert work()[3] == 0  # warm
+
+
+def test_algorithms_never_take_the_opposite(monkeypatch):
+    def refused(self):
+        raise AssertionError("opposite twist taken")
+
+    f, g = _division_inputs()
+    rng = Random(5)
+    zc = [rand_coeff(f.sd.ctx, rng) for _ in range(3)] + [CoeffSeries.one(f.sd.ctx)]
+    monkeypatch.setattr(SkewData, "opposite", refused)
+    divide(g, f)
+    prepare(f)
+    rand_unit(f.sd, rng).inverse()
+    descend_ideal(f.sd, zc)
+    normal_witness(f.sd, 2)
+
+
+def test_opposite_is_built_once_under_threads(work):
+    sd = build_skew(PrecisionContext(3, 9), 4)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    got: list[object] = [None] * n_threads
+
+    def take(i: int) -> None:
+        barrier.wait()
+        got[i] = sd.opposite()
+
+    work()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=take, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(x is got[0] for x in got) and got[0] is sd.opposite()
+    assert work()[3] == 1
+
+
+def test_pickled_twist_builds_its_own_opposite(work):
+    sd = build_skew(PrecisionContext(3, 8), 4)
+    op = sd.opposite()
+    copy = pickle.loads(pickle.dumps(sd))
+    assert copy._derived == {}
+    work()
+    assert copy.opposite() == op and copy.opposite() is not op
+    assert work()[3] == 1

@@ -31,8 +31,9 @@ _EXPORTS = {
         "PrecisionInsufficient", "SchemaError", "SkewSeriesError",
         "SubstitutionDiverges", "SystemSingularAtPrecision", "VanishedAtPrecision",
     ),
+    "growth": ("GrowthResult",),
     "iwasawa": (
-        "GrowthResult", "ModuleSpec", "SNFResult", "TowerReport",
+        "ModuleSpec", "SNFResult", "TowerReport",
         "coinvariant_rank", "descend_ideal", "normal_witness", "omega",
         "omega_tower_check", "rank_growth", "snf_rank", "xi",
     ),

@@ -1,0 +1,38 @@
+"""The result record of ``iwasawa.rank_growth``.
+
+It sits in a module of its own because it is the one record of the
+package still built by ``dataclasses``, whose import pulls in
+``inspect``, ``ast``, ``dis`` and ``tokenize``: ``rank_growth`` imports
+this module when it runs, so loading ``iwasawa`` for ``omega``, ``xi`` or
+``descend`` loads none of them.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass
+class GrowthResult:
+    """lambda_n = d*p**n + c from n = stable_from on, and the table it was read from.
+
+    Still a dataclass, unlike the package's other records: callers rebuild
+    altered copies with ``dataclasses.replace`` (the benchmark's checks
+    corrupt a result that way), which a slot class would not support.
+    """
+
+    d: int
+    c: int
+    stable_from: int
+    stabilized: bool
+    table: tuple[tuple[int, int, bool], ...]  # (n, lambda_n, precision_flag)
+
+    def to_dict(self) -> dict:
+        out = {
+            "d": self.d,
+            "c": self.c,
+            "stable_from": self.stable_from,
+            "stabilized": self.stabilized,
+        }
+        if not self.stabilized:
+            out["note"] = "NotStabilized: no constant tail of length >= 2 by n_max"
+        return out

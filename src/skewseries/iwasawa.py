@@ -15,7 +15,6 @@ which reads one tower mod (F, p**M) per torsion polynomial F.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass
 from math import comb
 
 from .coeff import CoeffSeries, vbinom, vorder
@@ -25,7 +24,15 @@ from .errors import (
     VanishedAtPrecision,
 )
 from .linalg import smith_valuations
-from .precision import MAX_PRECISION, AtLeast, PadicInt, PrecisionContext, _is_prime
+from .precision import (
+    MAX_PRECISION,
+    AtLeast,
+    PadicInt,
+    PrecisionContext,
+    _Frozen,
+    _is_prime,
+    _Record,
+)
 from .series import SkewSeries
 from .skew import SkewData
 
@@ -75,33 +82,48 @@ def xi(ctx: PrecisionContext, n: int) -> CoeffSeries:
     return _quotient(ctx, ctx.p, omega(ctx, n - 1), n)
 
 
-@dataclass(frozen=True)
-class TowerEntry:
-    n: int
-    product_ok: bool
-    xi_constant_ok: bool
-    omega_constant_zero: bool
-    vacuous: bool
+class TowerEntry(_Frozen):
+    __slots__ = __match_args__ = (
+        "n", "product_ok", "xi_constant_ok", "omega_constant_zero", "vacuous",
+    )
+
+    def __init__(
+        self, n: int, product_ok: bool, xi_constant_ok: bool,
+        omega_constant_zero: bool, vacuous: bool,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "product_ok", product_ok)
+        object.__setattr__(self, "xi_constant_ok", xi_constant_ok)
+        object.__setattr__(self, "omega_constant_zero", omega_constant_zero)
+        object.__setattr__(self, "vacuous", vacuous)
 
     @property
     def ok(self) -> bool:
         return self.product_ok and self.xi_constant_ok and self.omega_constant_zero
 
 
-@dataclass
-class TowerReport:
-    p: int
-    K: int
-    n_max: int
-    entries: list[TowerEntry]
-    warnings: list[str]
+class TowerReport(_Record):
+    __slots__ = __match_args__ = ("p", "K", "n_max", "entries", "warnings")
+
+    def __init__(
+        self, p: int, K: int, n_max: int, entries: list[TowerEntry], warnings: list[str]
+    ):
+        self.p = p
+        self.K = K
+        self.n_max = n_max
+        self.entries = entries
+        self.warnings = warnings
 
     @property
     def passed(self) -> bool:
         return all(e.ok for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        entries = [dict(zip(e.__slots__, e._fields())) for e in self.entries]
+        return {
+            "p": self.p, "K": self.K, "n_max": self.n_max, "entries": entries,
+            "warnings": list(self.warnings), "passed": self.passed,
+        }
 
 
 def omega_tower_check(ctx: PrecisionContext, n_max: int) -> TowerReport:
@@ -234,37 +256,46 @@ def _check_poly(p: int, poly: Sequence[int]) -> tuple[int, ...]:
     return F
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(_Frozen):
     """Synthetic module: free rank d plus torsion sides of the normal form."""
 
-    p: int
-    d: int
-    torsion_polys: tuple[tuple[int, ...], ...] = ()
-    p_power_ranks: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("p", "d", "torsion_polys", "p_power_ranks")
 
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.d < 0:
+    def __init__(
+        self,
+        p: int,
+        d: int,
+        torsion_polys: Sequence[Sequence[int]] = (),
+        p_power_ranks: Sequence[int] = (),
+    ):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if d < 0:
             raise ValueError("free rank must be >= 0")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
         object.__setattr__(
-            self,
-            "torsion_polys",
-            tuple(_check_poly(self.p, F) for F in self.torsion_polys),
+            self, "torsion_polys", tuple(_check_poly(p, F) for F in torsion_polys)
         )
-        object.__setattr__(
-            self, "p_power_ranks", tuple(int(n) for n in self.p_power_ranks)
-        )
+        object.__setattr__(self, "p_power_ranks", tuple(int(n) for n in p_power_ranks))
         if any(n < 1 for n in self.p_power_ranks):
             raise ValueError("p-power exponents must be >= 1")
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    elementary_divisor_valuations: tuple[int | AtLeast, ...]
-    rank_at_precision: int
-    precision_flag: bool
+class SNFResult(_Frozen):
+    __slots__ = __match_args__ = (
+        "elementary_divisor_valuations", "rank_at_precision", "precision_flag",
+    )
+
+    def __init__(
+        self,
+        elementary_divisor_valuations: tuple[int | AtLeast, ...],
+        rank_at_precision: int,
+        precision_flag: bool,
+    ):
+        object.__setattr__(self, "elementary_divisor_valuations", elementary_divisor_valuations)
+        object.__setattr__(self, "rank_at_precision", rank_at_precision)
+        object.__setattr__(self, "precision_flag", precision_flag)
 
 
 def _smith_rank(
@@ -376,30 +407,12 @@ def coinvariant_rank(
         raise ValueError(f"need precision 1 <= M <= {MAX_PRECISION}")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if guard < 1:
+        raise ValueError("guard must be >= 1")
     for om in _omega_tower(p, F, n, M):
-        if not any(om):  # omega is zero from here on
-            break
+        if not any(om):  # omega is zero from here on: the zero matrix, corank deg F
+            return len(F) - 1
     return _coinvariant(p, F, om, M, guard, strict)[0]
-
-
-@dataclass
-class GrowthResult:
-    d: int
-    c: int
-    stable_from: int
-    stabilized: bool
-    table: tuple[tuple[int, int, bool], ...]  # (n, lambda_n, precision_flag)
-
-    def to_dict(self) -> dict:
-        out = {
-            "d": self.d,
-            "c": self.c,
-            "stable_from": self.stable_from,
-            "stabilized": self.stabilized,
-        }
-        if not self.stabilized:
-            out["note"] = "NotStabilized: no constant tail of length >= 2 by n_max"
-        return out
 
 
 def rank_growth(
@@ -415,6 +428,8 @@ def rank_growth(
     coinvariant_rank; otherwise it is recorded per row.  n_max may not
     exceed MAX_TOWER_LEVEL, nor M MAX_PRECISION.
     """
+    from .growth import GrowthResult
+
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if n_max > MAX_TOWER_LEVEL:
@@ -426,6 +441,9 @@ def rank_growth(
     flags = [False] * (n_max + 1)
     for F in spec.torsion_polys:
         for n, om in enumerate(_omega_tower(p, F, n_max, M)):
+            if not any(om):  # the zero matrix: corank deg F, no flag
+                cs[n] += len(F) - 1
+                continue
             r, fl = _coinvariant(p, F, om, M, guard, strict)
             cs[n] += r
             flags[n] |= fl

@@ -10,8 +10,8 @@ order, of least valuation in the remaining block.  It is found with one
 `math.gcd` per row, not one `pval` per entry: v_p of a row's gcd is the
 least valuation in that row, so the pivot row is the first row whose gcd
 has the least valuation, and the pivot column is the first entry of that
-row not divisible by p**(v+1).  A row that a step leaves alone loses only
-a zero (its pivot-column entry), so its gcd is kept, not recomputed.
+row not divisible by p**(v+1).  A row that a step leaves alone already
+has a zero in the pivot column, so its gcd is kept, not recomputed.
 """
 from __future__ import annotations
 
@@ -41,44 +41,51 @@ def _take(xs: list, i: int):
 
 def _eliminate(
     A: list[list[int]], p: int, N: int, b: list[int] | None = None
-) -> list[tuple[int, int, int, list[int], int | None]]:
+) -> tuple[list[tuple[int, int, int, list[tuple[int, int]], int | None]], list[int]]:
     """Take pivots out of the block A (entries in [0, p**N)) until it vanishes.
 
-    Each step swaps the pivot p**v * u to the front of the block (row 0
-    with its row, column 0 with its column j, `b` following the rows),
-    clears the column below it by row operations and drops the pivot row
-    and column.  The pivot divides the whole block, so every quotient is
-    exact.  A and b end as the rows no pivot reached.  Returns per pivot
-    (v, u, j, row, c): `row` is the rest of the pivot row, c its b entry.
+    Rows and columns keep their numbers.  The block is the row numbers in
+    `rows` and the column numbers in `cols`, in an order that moves as if
+    each step swapped the pivot p**v * u to the front (row 0 with its row,
+    column 0 with its column j) and dropped it, so the row-major scan
+    meets the pivots of that swap-and-drop elimination.  Each step clears
+    column j in the other rows by row operations (`b` following the
+    rows), leaving an exact zero there.  The pivot divides the whole
+    block, so every quotient is exact.  Returns the pivots (v, u, j, nz,
+    c), with nz the (column, entry) pairs of the rest of the pivot row
+    that are nonzero and c its b entry, and the rows no pivot reached.
     """
     mod = p**N
     gs = [gcd(*row) for row in A]
+    rows = list(range(len(A)))
+    cols = list(range(len(A[0]) if A else 0))
     piv = []
-    while A and A[0]:
+    while rows and cols:
         bi, pk = -1, mod
-        for i, g in enumerate(gs):
-            if g % pk:  # a row valuation below the least so far
-                bi, v = i, pval(g, p, N)
+        for at, i in enumerate(rows):
+            if gs[i] % pk:  # a row valuation below the least so far
+                bi, v = at, pval(gs[i], p, N)
                 pk = p**v
         if bi < 0:
             break  # the block vanishes mod p**N
-        row = _take(A, bi)
-        _take(gs, bi)
-        c = None if b is None else _take(b, bi)
-        j = next(j for j, x in enumerate(row) if x % (pk * p))
-        u = _take(row, j) // pk
+        i = _take(rows, bi)
+        row, c = A[i], None if b is None else b[i]
+        j = _take(cols, next(at for at, k in enumerate(cols) if row[k] % (pk * p)))
+        u = row[j] // pk
         uinv = pow(u, -1, mod)
-        nzk = [(k, y) for k, y in enumerate(row) if y]
-        for i, r in enumerate(A):
-            if e := _take(r, j):
+        nz = [(k, row[k]) for k in cols if row[k]]
+        for i in rows:
+            r = A[i]
+            if e := r[j]:
                 f = (e // pk) * uinv % mod
-                for k, y in nzk:
+                for k, y in nz:
                     r[k] = (r[k] - f * y) % mod
+                r[j] = 0
                 gs[i] = gcd(*r)
                 if b is not None:
                     b[i] = (b[i] - f * c) % mod
-        piv.append((v, u, j, row, c))
-    return piv
+        piv.append((v, u, j, nz, c))
+    return piv, rows
 
 
 def solve_mod_prime_power(
@@ -91,26 +98,24 @@ def solve_mod_prime_power(
     docstring): such a pivot divides the whole block, so clearing its
     row and column is exact.  The diagonal system D y = L b splits into
     independent congruences (solvable exactly when the original system
-    is).  M is the product, step by step, of a column swap and the column
-    operations that clear the pivot row; x = M y is evaluated from the
-    right, which is back-substitution over the pivot rows.
+    is).  M is the product, step by step, of the column operations that
+    clear the pivot row; x = M y is evaluated from the last pivot back,
+    which is back-substitution over the pivot rows.
     """
     mod = p**N
     A = [[x % mod for x in row] for row in rows]
     b = [x % mod for x in rhs]
     x = [0] * (len(A[0]) if A else 0)
-    piv = _eliminate(A, p, N, b)
-    if any(b[: len(A)]):
+    piv, rest = _eliminate(A, p, N, b)
+    if any(b[i] for i in rest):
         raise SystemSingularAtPrecision("inconsistent linear system")
-    for t in reversed(range(len(piv))):
-        v, u, j, row, c = piv[t]
+    for v, u, j, nz, c in reversed(piv):
         pk = p**v
         if c % pk != 0:
             raise SystemSingularAtPrecision("pivot does not divide the residual")
         y = (c // pk) * pow(u, -1, p ** (N - v)) % p ** (N - v)
-        s = sum((a // pk) * z for a, z in zip(row, x[t + 1 :]) if z)
-        x[t] = (y - s * pow(u, -1, mod)) % mod
-        x[t], x[t + j] = x[t + j], x[t]
+        s = sum((a // pk) * x[k] for k, a in nz if x[k])
+        x[j] = (y - s * pow(u, -1, mod)) % mod
     return x
 
 
@@ -126,5 +131,5 @@ def smith_valuations(mat: list[list[int]], p: int, N: int) -> list[int]:
     mod = p**N
     A = [[x % mod for x in row] for row in mat]
     size = min(len(A), len(A[0])) if A else 0
-    vals = [v for v, *_ in _eliminate(A, p, N)]
+    vals = [v for v, *_ in _eliminate(A, p, N)[0]]
     return sorted(vals + [N] * (size - len(vals)))

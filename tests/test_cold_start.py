@@ -110,3 +110,30 @@ def test_bare_interpreter_loads_no_typing(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert "typing" not in listing.read_text().split(), subcommand
+
+
+def _loaded_modules(subcommand: str, tmp_path: Path, *flags: str) -> set[str]:
+    listing = tmp_path / f"{subcommand}{''.join(flags)}.txt"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", LOADED_MODULES, str(listing),
+         *_argv(CASES[subcommand], tmp_path / "out.json")],
+        capture_output=True, text=True, env=_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(listing.read_text().split())
+
+
+@pytest.mark.parametrize("subcommand", ["descend", "omega", "xi"])
+def test_iwasawa_subcommands_load_no_dataclasses(subcommand, tmp_path):
+    # iwasawa's records are slot classes; only rank_growth's result, in
+    # skewseries.growth, is a dataclass
+    for flags in ((), ("-S",)):
+        loaded = _loaded_modules(subcommand, tmp_path, *flags)
+        assert "skewseries.iwasawa" in loaded
+        assert not loaded & {"skewseries.growth", "dataclasses", "inspect"}, flags
+        if flags:
+            assert "typing" not in loaded
+
+
+def test_rankgrowth_loads_growth_result_on_demand(tmp_path):
+    assert {"skewseries.growth", "dataclasses"} <= _loaded_modules("rankgrowth", tmp_path)

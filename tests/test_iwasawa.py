@@ -452,6 +452,39 @@ def test_rank_growth_against_from_scratch_oracle(p):
                     assert rank_growth(spec, n_max, M, guard).table == table
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_rank_growth_takes_no_smith_form_where_omega_vanishes(p, monkeypatch):
+    # omega_n = 0 mod (F, p**M) gives the zero matrix, of corank deg F
+    # with no guard-band flag, so no Smith form is taken at such a level
+    smith_rank = skewseries.iwasawa._smith_rank
+    mats = []
+
+    def spy(mat, *args):
+        mats.append(mat)
+        return smith_rank(mat, *args)
+
+    monkeypatch.setattr(skewseries.iwasawa, "_smith_rank", spy)
+    rng = Random(f"vanished-levels:{p}")
+    n_max, vanished = 6, 0
+    for F in _oracle_polys(p, rng):
+        for M in (1, 3, 6):
+            levels = range(n_max + 1)
+            oms = [rank_oracle._omega_mod(p, F, n, M) for n in levels]
+            expect = [rank_oracle._coinvariant(p, F, n, M, 2) for n in levels]
+            del mats[:]
+            g = rank_growth(ModuleSpec(p, d=1, torsion_polys=(F,)), n_max, M, strict=False)
+            assert g.table == tuple((n, p**n + r, fl) for n, (r, fl) in enumerate(expect))
+            assert len(mats) == sum(1 for om in oms if any(om))
+            assert all(any(map(any, mat)) for mat in mats)
+            vanished += sum(1 for om in oms if not any(om))
+            del mats[:]
+            assert coinvariant_rank(p, F, n_max, M, strict=False) == expect[-1][0]
+            assert len(mats) == (1 if any(oms[-1]) else 0)
+    assert vanished > 0
+    with pytest.raises(ValueError, match="guard must be >= 1"):  # omega_0 = 0 mod X
+        coinvariant_rank(p, (0, 1), 0, 8, guard=0)
+
+
 def test_rank_growth_reference_specs():
     g = rank_growth(ModuleSpec(2, d=1), 3, 8)
     assert (g.d, g.c, g.stable_from, g.stabilized) == (1, 0, 0, True)

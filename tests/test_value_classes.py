@@ -3,6 +3,10 @@
 Each twin below is the former ``@dataclass`` definition.  Real and twin
 must agree on repr, ==, hash and on whether assignment is allowed.
 
+The four iwasawa records (``TowerEntry``, ``TowerReport``, ``ModuleSpec``,
+``SNFResult``) are twinned the same way; ``GrowthResult`` is still a
+dataclass.
+
 The ring values (``PadicInt``, ``CoeffSeries``, ``SkewSeries``) and the
 twist data under them are values too: they copy and pickle to an equal
 value with an equal hash, and the frozen ones refuse assignment and del.
@@ -18,8 +22,9 @@ from itertools import product
 import pytest
 
 from skewseries import CoeffSeries, SkewSeries, build_skew, validate_axioms
-from skewseries import precision, skew, weierstrass
-from skewseries.precision import CHARP, INTEGRAL, PadicInt
+from skewseries import iwasawa, precision, skew, weierstrass
+from skewseries.iwasawa import _check_poly
+from skewseries.precision import CHARP, INTEGRAL, PadicInt, _is_prime
 from skewseries.skew import EPSILON_GUARD
 
 
@@ -61,6 +66,51 @@ class AxiomReport:
     samples: int
     seed: int
     checks: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class TowerEntry:
+    n: int
+    product_ok: bool
+    xi_constant_ok: bool
+    omega_constant_zero: bool
+    vacuous: bool
+
+
+@dataclass
+class TowerReport:
+    p: int
+    K: int
+    n_max: int
+    entries: list
+    warnings: list
+
+
+@dataclass(frozen=True)
+class ModuleSpec:
+    p: int
+    d: int
+    torsion_polys: tuple = ()
+    p_power_ranks: tuple = ()
+
+    def __post_init__(self) -> None:
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        if self.d < 0:
+            raise ValueError("free rank must be >= 0")
+        object.__setattr__(
+            self, "torsion_polys", tuple(_check_poly(self.p, F) for F in self.torsion_polys)
+        )
+        object.__setattr__(self, "p_power_ranks", tuple(int(n) for n in self.p_power_ranks))
+        if any(n < 1 for n in self.p_power_ranks):
+            raise ValueError("p-power exponents must be >= 1")
+
+
+@dataclass(frozen=True)
+class SNFResult:
+    elementary_divisor_valuations: tuple
+    rank_at_precision: int
+    precision_flag: bool
 
 
 def assert_twins(real_cls, twin_cls, args_list, frozen: bool):
@@ -141,6 +191,62 @@ def test_axiom_report_to_dict_matches_asdict():
     twin = AxiomReport(real.samples, real.seed, [AxiomCheck(*c._fields()) for c in real.checks])
     assert real.to_dict() == {**asdict(twin), "passed": False}
     assert list(real.to_dict()) == ["samples", "seed", "checks", "passed"]
+
+
+def _fields_hash(x):  # a frozen dataclass hashes the tuple of its fields
+    return hash(x._fields())
+
+
+def test_tower_entry():
+    args = [(1, True, True, True, False), (2, True, False, True, True),
+            (1, True, True, True, True), (1, True, True, True, False)]
+    assert_twins(iwasawa.TowerEntry, TowerEntry, args, frozen=True)
+    assert_value_semantics([iwasawa.TowerEntry(*a) for a in args], _fields_hash)
+    assert [iwasawa.TowerEntry(*a).ok for a in args] == [True, False, True, True]
+
+
+def test_tower_report_and_its_dict():
+    report = iwasawa.omega_tower_check(precision.PrecisionContext(3, 4), 3)
+    assert report.warnings and report.passed
+    entries = report.entries
+    args = [(3, 4, 3, entries, report.warnings), (3, 4, 3, [], []),
+            (3, 5, 3, entries, []), (3, 4, 3, list(entries), list(report.warnings))]
+    assert_twins(iwasawa.TowerReport, TowerReport, args, frozen=False)
+    for failed in (False, True):
+        if failed:
+            report.entries.append(iwasawa.TowerEntry(4, True, False, True, True))
+        twin = TowerReport(
+            report.p, report.K, report.n_max,
+            [TowerEntry(*e._fields()) for e in report.entries], list(report.warnings),
+        )
+        assert repr(report) == repr(twin)
+        assert report.to_dict() == {**asdict(twin), "passed": not failed}
+        assert list(report.to_dict()) == ["p", "K", "n_max", "entries", "warnings", "passed"]
+    assert report.to_dict()["warnings"] is not report.warnings  # a copy, as asdict makes
+
+
+def test_module_spec_defaults_and_errors():
+    args = [(2, 1), (2, 0, ((0, 1),)), (3, 2, ([3, 0, 1], (-3, 1)), (1, "2")),
+            (2, 1, ((2, 1),), (True,)), (2, 1)]
+    assert_twins(iwasawa.ModuleSpec, ModuleSpec, args, frozen=True)
+    assert_value_semantics([iwasawa.ModuleSpec(*a) for a in args], _fields_hash)
+    kw = dict(d=1, torsion_polys=([2, 1],), p_power_ranks=[3])
+    assert repr(iwasawa.ModuleSpec(2, **kw)) == repr(ModuleSpec(2, **kw))
+    assert iwasawa.ModuleSpec(p=5, d=0).torsion_polys == iwasawa.ModuleSpec(5, 0).p_power_ranks == ()
+    for bad in [(4, 1), (2, -1), (1, 0), (2, 0, ((1, 2),)), (2, 0, ((1, 1),)),
+                (2, 0, ((1,),)), (3, 0, ((3, 1),), (0,)), (3, -1, ((1, 1),))]:
+        with pytest.raises(ValueError) as real:
+            iwasawa.ModuleSpec(*bad)
+        with pytest.raises(ValueError) as twin:
+            ModuleSpec(*bad)
+        assert str(real.value) == str(twin.value), bad
+
+
+def test_snf_result():
+    AL = precision.AtLeast
+    args = [((0, 1, AL(4)), 1, False), ((), 0, False), ((0, 3), 0, True), ((0, 1, AL(4)), 1, False)]
+    assert_twins(iwasawa.SNFResult, SNFResult, args, frozen=True)
+    assert_value_semantics([iwasawa.SNFResult(*a) for a in args], _fields_hash)
 
 
 def assert_value_semantics(values, parent_hash, frozen=True):

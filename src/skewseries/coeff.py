@@ -15,7 +15,6 @@ the skew series layer (whose row j lives at m-precision K - j); the
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from math import comb
 from operator import mod
 
 from .errors import NotAUnit, SubstitutionDiverges
@@ -120,9 +119,27 @@ def vbinom(ctx: PrecisionContext, e: int) -> Vec:
 
     (1 + X)**(p**K) = 1 mod m**(K+1), so only e mod p**K is visible; the
     reduced exponent also makes e of any sign or size cost K binomials.
+    C(e, a) is the falling factorial e(e-1)...(e-a+1) over a!.  It is
+    kept mod p**(K+v), v = v_p((K-1)!), so once a!'s p-part p**v_a is
+    divided out exactly it is still known mod p**K; the unit part of a!
+    is inverted mod p**K.  Every intermediate stays below p**(2K+v).
     """
-    e %= ctx.p**ctx.K
-    return vcanon(ctx, [0] + [comb(e, a) for a in range(1, ctx.K)], ctx.K)
+    p, K = ctx.p, ctx.K
+    v = sum((K - 1) // p**i for i in range(1, K.bit_length() + 1))  # Legendre
+    top, big = p**K, p ** (K + v)
+    e %= top
+    out, fall, unit, va = [0], 1, 1, 0
+    for a in range(1, K):
+        fall = fall * (e - a + 1) % big
+        if not fall:  # then so is every later falling factorial
+            break
+        x = a
+        while x % p == 0:
+            x //= p
+            va += 1
+        unit = unit * x % top
+        out.append(fall // p**va * pow(unit, -1, top))
+    return vcanon(ctx, out, K)
 
 
 # ---------------------------------------------------------------------------

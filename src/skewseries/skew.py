@@ -87,7 +87,10 @@ class SkewData(_Frozen):
     )
     __match_args__ = ("ctx", "_eps_key")
 
-    def __init__(self, ctx: PrecisionContext, epsilon_residue: int):
+    def __init__(
+        self, ctx: PrecisionContext, epsilon_residue: int, *, _sibling: "SkewData | None" = None
+    ):
+        # a _sibling over the same ctx lends its packing, which depends on ctx only
         if epsilon_residue < 0:
             raise InvalidAction("epsilon must be a nonnegative residue")
         if epsilon_residue % ctx.p != 1 % ctx.p:
@@ -95,15 +98,19 @@ class SkewData(_Frozen):
                 f"epsilon = {epsilon_residue} is not congruent to 1 mod p = {ctx.p}"
             )
         K = ctx.K
-        top = ctx.slot_moduli(K)[0]  # every canonical digit is below it
-        w = 8 * -(-(K * K * top * top).bit_length() // 64)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "epsilon_raw", epsilon_residue)
         object.__setattr__(self, "_eps_key", epsilon_residue % ctx.p ** (K + EPSILON_GUARD))
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_masks", tuple((1 << (8 * w * q)) - 1 for q in range(K + 1)))
-        # little-endian on every host
-        object.__setattr__(self, "_words", tuple(Struct(f"<{q}Q") for q in range(K + 1)))
+        if _sibling is not None and _sibling.ctx is ctx:
+            for name in ("_w", "_masks", "_words"):
+                object.__setattr__(self, name, getattr(_sibling, name))
+        else:
+            top = ctx.slot_moduli(K)[0]  # every canonical digit is below it
+            w = 8 * -(-(K * K * top * top).bit_length() // 64)
+            object.__setattr__(self, "_w", w)
+            object.__setattr__(self, "_masks", tuple((1 << (8 * w * q)) - 1 for q in range(K + 1)))
+            # little-endian on every host
+            object.__setattr__(self, "_words", tuple(Struct(f"<{q}Q") for q in range(K + 1)))
         object.__setattr__(self, "_twist", OrderedDict())
         object.__setattr__(self, "_lock", threading.Lock())
         object.__setattr__(self, "_derived", {})
@@ -144,14 +151,17 @@ class SkewData(_Frozen):
         return self._derive(c.K, pow(self.epsilon_raw, -1, c.p ** (c.K + EPSILON_GUARD)))
 
     def _derive(self, K: int, eps: int) -> "SkewData":
-        """The twist by eps at level K over this p and mode, built once and kept."""
+        """The twist by eps at level K over this p and mode, built once and kept.
+
+        A twist over this very context shares this one's packing tables.
+        """
         if K == self.ctx.K and eps == self.epsilon_raw:
             return self
         with self._lock:
             cached = self._derived.get((K, eps))
             if cached is None:
                 ctx = self.ctx if K == self.ctx.K else self.ctx.with_K(K)
-                cached = self._derived[K, eps] = SkewData(ctx, eps)
+                cached = self._derived[K, eps] = SkewData(ctx, eps, _sibling=self)
             return cached
 
     # -- packed rows -----------------------------------------------------

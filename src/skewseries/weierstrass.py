@@ -9,9 +9,13 @@ iterates, quot = total*G, and as quot*f = total*(Y**s - h) exactly,
 rem = g - total*Y**s + total*h.  So one table of Y**i h, built once,
 serves the contraction and the remainder, Y**i f is read only to form
 h, and the rows below s of each q*h, which the shift-down drops, are
-never computed.  G need only invert g0 = shift_down(f, s) mod G_(K-s):
-then (1 - G*g0)*Y**s lies in G_K, so h = -G*(f - g0*Y**s) still has
-its coefficients in m and G*f = Y**s - h holds exactly.
+never computed.  Both identities hold for any G, and the contraction
+needs only h in mA.  As sigma(r) = r and delta(r) = 0 mod m, A/mA is
+the commutative ring F_p[[Y]], so G need only invert the image of
+g0 = shift_down(f, s) there mod Y**(K-s): then h = -G*(f - g0*Y**s) +
+(1 - G*g0)*Y**s has its coefficients in m mod G_K.  `divide` takes that
+G, whose coefficients are integers below p; `prepare` inverts g0
+exactly, since its output carries the gauge of G.
 
 Precision is the delicate part.  Right-multiplication by f is not
 injective on representatives: e.g. (p**2 + Y**2)*(Y**2 - p) vanishes mod
@@ -42,8 +46,9 @@ wanted, come from the same construct-natively-elevated pattern.
 from __future__ import annotations
 
 from itertools import islice
+from operator import mul
 
-from .coeff import CoeffSeries, vzero
+from .coeff import CoeffSeries, vcanon, vzero
 from .errors import (
     InternalPrecisionLoss,
     NotDivisible,
@@ -96,23 +101,41 @@ def _shift_down(sd: SkewData, f: SkewSeries, s: int) -> SkewSeries:
     return SkewSeries._trusted(sd, f.rows[s:] + (vzero(sd.ctx),) * s)
 
 
+def _residue_inverse(sd: SkewData, g0: SkewSeries, n: int) -> SkewSeries:
+    """G = sum_(k < n) c_k Y**k with G*g0 = 1 mod (m, Y**n), each c_k in 0..p-1.
+
+    In F_p[[Y]] the c_k invert the digits 0 of g0's rows mod p: c_0 is
+    the inverse of g0's constant and c_k = -c_0 * sum_(i=1..k) g_i c_(k-i).
+    """
+    p, zero = sd.ctx.p, vzero(sd.ctx)
+    gbar = [r[0] % p for r in g0.rows[:n]]
+    c0 = pow(gbar[0], -1, p)
+    c = [c0]
+    for k in range(1, n):
+        c.append(-c0 * sum(map(mul, gbar[1 : k + 1], reversed(c))) % p)
+    return SkewSeries._trusted(sd, tuple((x,) + zero[1:] for x in c) + (zero,) * (sd.ctx.K - n))
+
+
 def _divide_core(
     sd: SkewData, g: SkewSeries, f: SkewSeries, s: int, out: SkewData | None = None
 ) -> tuple[SkewSeries, SkewSeries]:
     """Division at the working precision K of ``sd``, returned at ``out``'s.
 
-    ``out`` defaults to ``sd``, with K_out <= K; s >= 1 assumed.  G inverts
-    g0 mod G_L, L = max(K_out, K - s), which keeps `prepare`'s gauge.  The
-    quotient trunc(total) * trunc(G) is total*G mod the two-sided G_(K_out).
+    ``out`` defaults to ``sd``, with K_out <= K; s >= 1 assumed.  At the
+    gauge-free lift K >= s*K_out + 1, G inverts g0 in F_p[[Y]] mod
+    Y**(K-s); otherwise G is g0's exact inverse, which keeps `prepare`'s
+    gauge.  The quotient trunc(total) * trunc(G) is total*G mod the
+    two-sided G_(K_out).
     """
     out = sd if out is None else out
-    K = sd.ctx.K
+    ctx = sd.ctx
+    K = ctx.K
     g0 = _shift_down(sd, f, s)
-    G = change_precision(g0, sd.at_precision(max(out.ctx.K, K - s))).inverse()
-    Gf = _mul_rows(sd, change_precision(G, sd).rows, _packed(sd, _y_powers(sd, f.rows)))
+    G = _residue_inverse(sd, g0, K - s) if K > s * out.ctx.K else g0.inverse()
+    Gf = _mul_rows(sd, G.rows, _packed(sd, _y_powers(sd, f.rows)))
     h = sd.y(s) - SkewSeries._trusted(sd, Gf)
     for j in range(K):
-        if h.rows[j][0] % sd.ctx.p != 0:
+        if h.rows[j][0] % ctx.p != 0:
             raise InternalPrecisionLoss(
                 "correction series escaped the maximal ideal; "
                 "the reduced order of the divisor is inconsistent"
@@ -120,12 +143,17 @@ def _divide_core(
     # every shifted-down q has degree < K - s, so it reads Y**i h for i < K - s
     hpows = list(_packed(sd, islice(_y_powers(sd, h.rows), K - s)))
     q = _shift_down(sd, g, s)
-    total = q
+    qs = [q]
     for _ in range(1, K):
         q = _shift_down(sd, SkewSeries._trusted(sd, _mul_rows(sd, q.rows, hpows, s)), s)
         if q.is_zero():
             break
-        total = total + q
+        qs.append(q)
+    # the sum of the iterates, reduced once per row
+    rows = zip(*(q.rows for q in qs))
+    total = SkewSeries._trusted(
+        sd, tuple(vcanon(ctx, map(sum, zip(*r)), K - j) for j, r in enumerate(rows))
+    )
     # quot*f = total*G*f = total*(Y**s - h): total*Y**s moves each row up s
     th = SkewSeries._trusted(sd, _mul_rows(sd, total.rows, hpows))
     rem = g - SkewSeries(sd, ((),) * s + total.rows[: K - s]) + th

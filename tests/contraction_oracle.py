@@ -7,10 +7,11 @@ of its fixed right operand, and each product computes the rows below s
 that the shift-down then drops.  G is the exact inverse of g0 at the
 working precision K, quot = total*G is a full product at K and rem =
 g - quot*f a second one.  The package builds both tables once per
-division and skips those rows; it inverts g0 only to max(K_out, K - s),
-forms quot at the output precision K_out and rem = g - total*Y**s +
-total*h from the h-table.  At K_out = K the rows of (quot, rem) must not
-change; at K = s*K_out + 1 their truncations to K_out must not.
+division and skips those rows; at the lift K = s*K_out + 1 it inverts g0
+only in F_p[[Y]] mod Y**(K - s), forms quot at the output precision
+K_out and rem = g - total*Y**s + total*h from the h-table.  At K_out = K
+the rows of (quot, rem) must not change; at K = s*K_out + 1 their
+truncations to K_out must not.
 """
 
 from __future__ import annotations

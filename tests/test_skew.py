@@ -209,3 +209,16 @@ def test_axiom_report():
         "delta_twisted_leibniz",
         "delta_lands_in_m",
     }
+
+
+def test_twists_over_one_context_share_the_packing():
+    # the packing depends on the context only, so the opposite twist lends it
+    for p, K in ((3, 8), (1000003, 4)):
+        sd = build_skew(PrecisionContext(p, K, INTEGRAL), 1 + p)
+        op = sd.opposite()
+        assert op._w == sd._w and op._masks is sd._masks and op._words is sd._words
+        lifted = sd.at_precision(K + 1)
+        assert lifted.opposite()._masks is lifted._masks
+        assert lifted._masks is not sd._masks and len(lifted._masks) == K + 2
+        r = rand_coeff(sd.ctx, Random(p))
+        assert op.apply_sigma(sd.apply_sigma(r)) == r

@@ -264,3 +264,68 @@ def test_base_precision_division_is_congruence_solving():
     q2, rem2 = divide(q * f, f)
     assert q * f == q2 * f + rem2     # the identity holds exactly
     assert q2 != q                    # but the gauge representative moved
+
+
+def _lifted_g0(sd, f, s):
+    big = sd.at_precision(s * sd.ctx.K + 1)
+    return big, weierstrass._shift_down(big, change_precision(f, big), s)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 7, 1000003))
+def test_residue_inverse_inverts_g0_mod_m_and_y(p, mode):
+    # G*g0 = 1 mod (m, Y**(K' - s)): digit 0 of row j is 1 for j = 0 and
+    # 0 mod p below K' - s, and G is made of constants below p
+    for eps in (1, 1 + p):
+        for K in (2, 4, 6):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"residue:{p}:{mode}:{eps}:{K}")
+            for s in range(1, min(4, K)):
+                big, g0 = _lifted_g0(sd, rand_reduced_order(sd, rng, s), s)
+                n = big.ctx.K - s
+                G = weierstrass._residue_inverse(big, g0, n)
+                assert all(r[0] < p and not any(r[1:]) for r in G.rows)
+                assert not any(map(any, G.rows[n:]))
+                prod = G * g0
+                assert [r[0] % p for r in prod.rows[:n]] == [1] + [0] * (n - 1)
+
+
+def test_residue_inverse_one_term_short_trips_the_h_guard(monkeypatch):
+    # a G that stops one term early leaves a unit in row K' - 1 of h
+    real = weierstrass._residue_inverse
+    monkeypatch.setattr(
+        weierstrass, "_residue_inverse", lambda sd, g0, n: real(sd, g0, n - 1)
+    )
+    rng = Random(508)
+    tripped = 0
+    for p, K, mode in ((2, 4, INTEGRAL), (3, 5, CHARP), (7, 4, INTEGRAL), (1000003, 3, INTEGRAL)):
+        sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+        for s in range(1, K):
+            for f in (sd.y(s) + sd.y(s + 1) + p, rand_reduced_order(sd, rng, s)):
+                big, g0 = _lifted_g0(sd, f, s)
+                n = big.ctx.K - s
+                if real(big, g0, n).rows[n - 1][0] == 0:
+                    continue  # the dropped term is zero, so nothing is cut
+                with pytest.raises(InternalPrecisionLoss, match="escaped the maximal ideal"):
+                    divide(rand_series(sd, rng), f)
+                tripped += 1
+    assert tripped >= 10
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 1000003))
+def test_divide_matches_full_contraction_at_the_lift_wide(p, mode):
+    # divide's residue G against the oracle's exact inverse at K' = s*K + 1,
+    # for large p and for eps = 1 + 2p
+    for eps in (1 + 2 * p,) if p <= 5 else (1, 1 + p, 1 + 2 * p):
+        for K in (2, 3, 4):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"lift-wide:{p}:{mode}:{eps}:{K}")
+            for s in range(1, K):
+                big = sd.at_precision(s * K + 1)
+                f = rand_reduced_order(sd, rng, s)
+                for g in (rand_series(sd, rng), sd.y(s)):
+                    want = oracle_divide_core(
+                        big, change_precision(g, big), change_precision(f, big), s
+                    )
+                    assert divide(g, f) == tuple(change_precision(x, sd) for x in want)

@@ -83,9 +83,19 @@ def test_divide_counts_cold_then_warm(work):
     f, g = _division_inputs()
     work()
     divide(g, f)
-    assert work() == (25, 56, 14, 6)  # K' = 17, 15 and the rungs 1, 2, 4, 8 below 15
+    assert work() == (18, 34, 5, 1)  # the lift to K' = 17 only: G inverts g0 mod m, no Newton rungs
     divide(g, f)
-    assert work() == (25, 56, 14, 0)  # at_precision keeps the lifted rings
+    assert work() == (18, 34, 5, 0)  # at_precision keeps the lifted ring
+
+
+def test_divide_counts_at_large_p(work):
+    sd = build_skew(PrecisionContext(1000003, 4), 1000004)
+    rng = Random(6)
+    f = rand_reduced_order(sd, rng, 3)
+    g = rand_series(sd, rng)
+    work()
+    divide(g, f)
+    assert work() == (13, 9, 5, 1)  # the lift to K' = 13, then 10 contraction steps
 
 
 def test_prepare_counts(work):

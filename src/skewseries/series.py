@@ -144,29 +144,38 @@ def _packed(sd: SkewData, table: Iterable[Rows]) -> Iterator[tuple[int, ...]]:
     return (tuple(map(sd.pack, rows)) for rows in table)
 
 
-def _mul_rows(sd: SkewData, fr: Rows, gpows: Iterable[tuple[int, ...]], lo: int = 0) -> Rows:
+def _mul_rows(
+    sd: SkewData, fr: Rows, gpows: Iterable[tuple[int, ...]], lo: int = 0, hi: int | None = None
+) -> Rows:
     """Rows of f*g from the rows of f and the packed powers Y**i g in ``gpows``.
 
-    Only rows >= ``lo`` are computed; the rows below it are left zero.
-    Row j sums the packed products f_i * (Y**i g)_j; its slots below
-    K - j are the raw Cauchy sums, each at most K products for each of
-    at most K rows i, so no slot carries when the rows are canonical.
+    Only rows lo <= j < hi are computed (hi defaults to K), and row j is
+    reduced at precision hi - j: the product mod the coarser G_hi, with
+    the other rows left zero.  As Y**i lies in G_hi for i >= hi, rows of
+    f from hi up add nothing.  Row j sums the packed products
+    f_i * (Y**i g)_j; its slots below K - j are the raw Cauchy sums, each
+    at most K products for each of at most K rows i, so no slot carries
+    when the rows are canonical.  For hi < K each (Y**i g)_j is first
+    cut to its hi - j low slots, which leaves those slots of the product
+    exact; its digits are still below m, so the slot width holds as is.
     Each finished row is unpacked and reduced exactly once.
     """
     ctx = sd.ctx
     K = ctx.K
-    top = max((j for j in range(K) if any(fr[j])), default=-1)
-    acc = [0] * K
+    hi = K if hi is None else hi
+    top = max((j for j in range(hi) if any(fr[j])), default=-1)
+    acc = [0] * hi
     # zip reads fr first, so no Y-step is taken past Y**top g
+    masks = sd._masks if hi < K else None
     for fi, cur in zip(fr[: top + 1], gpows):
         if any(fi):
             x = sd.pack(fi)
-            for j in range(lo, K):
+            for j in range(lo, hi):
                 y = cur[j]
                 if y:
-                    acc[j] += x * y
-    rows = (vcanon(ctx, sd.unpack(acc[j], K - j), K - j) for j in range(lo, K))
-    return (vzero(ctx),) * lo + tuple(rows)
+                    acc[j] += x * (y & masks[hi - j] if masks else y)
+    rows = (vcanon(ctx, sd.unpack(acc[j], hi - j), hi - j) for j in range(lo, hi))
+    return (vzero(ctx),) * lo + tuple(rows) + (vzero(ctx),) * (K - hi)
 
 
 class SkewSeries(_Frozen):

@@ -3,8 +3,14 @@
 For f of reduced order s (least index whose Y-coefficient is a unit of
 R), every g splits as g = q*f + rem with deg_Y rem < s.  The quotient is
 found by the contraction q ~ shift_down(g + q*h) where h = Y**s - G*f
-has all coefficients in m; each iterate gains one level of m-depth, so K
-iterations settle everything visible.  With total the sum of the
+has all coefficients in m; each iterate gains one level of m-depth, so
+q_k lies in m**k A, inside G_k, and q_0 .. q_(K-1) settle everything
+visible at K.  Only the precision that reaches the output is kept
+(precision tracking, Caruso, Roe and Vaccon, LMS J. Comput. Math. 17,
+2014): q -> shift_down(q*h, s) maps A/G_N to A/G_(N-s+1), so for an
+output at K_out below the working K only q_k mod G_(N_k), with N_k =
+K_out + (s-1)(K_out-1-k), matters, and each q*h is formed mod
+G_(N_(k+1)+s) and total*h mod G_(K_out).  With total the sum of the
 iterates, quot = total*G, and as quot*f = total*(Y**s - h) exactly,
 rem = g - total*Y**s + total*h.  So one table of Y**i h, built once,
 serves the contraction and the remainder, Y**i f is read only to form
@@ -124,14 +130,16 @@ def _divide_core(
     ``out`` defaults to ``sd``, with K_out <= K; s >= 1 assumed.  At the
     gauge-free lift K >= s*K_out + 1, G inverts g0 in F_p[[Y]] mod
     Y**(K-s); otherwise G is g0's exact inverse, which keeps `prepare`'s
-    gauge.  The quotient trunc(total) * trunc(G) is total*G mod the
-    two-sided G_(K_out).
+    gauge.  Only the iterates q_0 .. q_(K_out-1) are taken, each to the
+    precision that reaches the output, so total, rem and the remainder
+    check live mod G_(K_out), and the quotient trunc(total) * trunc(G)
+    is total*G mod the two-sided G_(K_out).
     """
     out = sd if out is None else out
     ctx = sd.ctx
-    K = ctx.K
+    K, Ko = ctx.K, out.ctx.K
     g0 = _shift_down(sd, f, s)
-    G = _residue_inverse(sd, g0, K - s) if K > s * out.ctx.K else g0.inverse()
+    G = _residue_inverse(sd, g0, K - s) if K > s * Ko else g0.inverse()
     Gf = _mul_rows(sd, G.rows, _packed(sd, _y_powers(sd, f.rows)))
     h = sd.y(s) - SkewSeries._trusted(sd, Gf)
     for j in range(K):
@@ -142,22 +150,29 @@ def _divide_core(
             )
     # every shifted-down q has degree < K - s, so it reads Y**i h for i < K - s
     hpows = list(_packed(sd, islice(_y_powers(sd, h.rows), K - s)))
+    # q_0 .. q_(Ko-1) settle the output, and q_k matters mod G_(N_k) only,
+    # N_k = Ko + (s-1)(Ko-1-k) (module docstring); at Ko = K every bound is K
     q = _shift_down(sd, g, s)
     qs = [q]
-    for _ in range(1, K):
-        q = _shift_down(sd, SkewSeries._trusted(sd, _mul_rows(sd, q.rows, hpows, s)), s)
+    for k in range(1, Ko):
+        hi = min(K, Ko + (s - 1) * (Ko - 1 - k) + s)
+        q = _shift_down(sd, SkewSeries._trusted(sd, _mul_rows(sd, q.rows, hpows, s, hi)), s)
         if q.is_zero():
             break
         qs.append(q)
-    # the sum of the iterates, reduced once per row
-    rows = zip(*(q.rows for q in qs))
+    # the sum of the iterates mod G_Ko, reduced once per row
+    zero = vzero(ctx)
+    rows = zip(*(q.rows[:Ko] for q in qs))
     total = SkewSeries._trusted(
-        sd, tuple(vcanon(ctx, map(sum, zip(*r)), K - j) for j, r in enumerate(rows))
+        sd,
+        tuple(vcanon(ctx, map(sum, zip(*r)), Ko - j) for j, r in enumerate(rows))
+        + (zero,) * (K - Ko),
     )
     # quot*f = total*G*f = total*(Y**s - h): total*Y**s moves each row up s
-    th = SkewSeries._trusted(sd, _mul_rows(sd, total.rows, hpows))
-    rem = g - SkewSeries(sd, ((),) * s + total.rows[: K - s]) + th
-    for j in range(s, K):
+    th = _mul_rows(sd, total.rows, hpows, 0, Ko)
+    up = (zero,) * s + total.rows
+    rem = SkewSeries(out, [[a - b + c for a, b, c in zip(*r)] for r in zip(g.rows[:Ko], up, th)])
+    for j in range(s, Ko):
         if any(rem.rows[j]):
             raise InternalPrecisionLoss(
                 "remainder extends to degree >= reduced order; "

@@ -5,11 +5,14 @@ both of its finishes, kept as a differential oracle.
 Each right multiplication by h or f rebuilds the powers Y**i h or Y**i f
 of its fixed right operand, and each product computes the rows below s
 that the shift-down then drops.  G is the exact inverse of g0 at the
-working precision K, quot = total*G is a full product at K and rem =
-g - quot*f a second one.  The package builds both tables once per
-division and skips those rows; at the lift K = s*K_out + 1 it inverts g0
-only in F_p[[Y]] mod Y**(K - s), forms quot at the output precision
-K_out and rem = g - total*Y**s + total*h from the h-table.  At K_out = K
+working precision K, the iteration runs until q vanishes at K, every
+iterate is kept at full precision, quot = total*G is a full product at
+K and rem = g - quot*f a second one.  The package builds both tables
+once per division and skips those rows; at the lift K = s*K_out + 1 it
+inverts g0 only in F_p[[Y]] mod Y**(K - s), takes only the iterates
+q_0 .. q_(K_out-1), each mod the G_N whose digits reach the output,
+forms quot at the output precision K_out, and forms total*h and rem =
+g - total*Y**s + total*h from the h-table mod G_(K_out).  At K_out = K
 the rows of (quot, rem) must not change; at K = s*K_out + 1 their
 truncations to K_out must not.
 """

@@ -124,3 +124,27 @@ def test_trusted_rows_are_canonical(p, eps, mode, monkeypatch):
             divide(g, d)
             prepare(d)
     assert calls and max(calls) > 8  # the division ran at its lifted precision
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_mul_rows_with_a_row_bound_is_the_product_mod_g_hi(p, mode):
+    # rows lo <= j < hi of the full product, each reduced at hi - j, the
+    # rest zero; maximal rows at the zero-slack widths fill every slot
+    cells = [(K, False) for K in (1, 2, 5, 9)]
+    if mode == INTEGRAL and p < 5:
+        cells.append(({2: 27, 3: 37}[p], True))
+    for K, edge in cells:
+        sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+        rng = Random(f"row-bound:{p}:{mode}:{K}")
+        f, g = (_max_rows(sd),) * 2 if edge else (rand_series(sd, rng).rows for _ in range(2))
+        table = list(islice(_y_powers(sd, g), K))
+        packed = list(_packed(sd, table))
+        full = ko._mul_rows(sd, f, table)
+        zero = vzero(sd.ctx)
+        for hi in sorted({1, K // 2 + 1, K - 1, K} - {0}):
+            for lo in (0, 1, hi) if K > 1 else (0,):
+                want = tuple(
+                    vcanon(sd.ctx, full[j], hi - j) if lo <= j < hi else zero for j in range(K)
+                )
+                assert _mul_rows(sd, f, packed, lo, hi) == want

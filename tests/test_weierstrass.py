@@ -329,3 +329,55 @@ def test_divide_matches_full_contraction_at_the_lift_wide(p, mode):
                         big, change_precision(g, big), change_precision(f, big), s
                     )
                     assert divide(g, f) == tuple(change_precision(x, sd) for x in want)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_lift_recovers_a_known_quotient_and_remainder(p, mode):
+    # q, f and r with deg r < s built natively at K' = s*K + 1: the
+    # division of q*f + r there, finished at K, is q and r truncated to K
+    for K in (3, 4):
+        sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+        rng = Random(f"known:{p}:{mode}:{K}")
+        for s in sorted({1, 2, K - 1}):
+            big = sd.at_precision(s * K + 1)
+            q = rand_series(big, rng)
+            f = rand_reduced_order(big, rng, s)
+            r = SkewSeries.from_rows(big, rand_series(big, rng).rows[:s])
+            got = _divide_core(big, q * f + r, f, s, sd)
+            assert got == (change_precision(q, sd), change_precision(r, sd))
+
+
+def _lift_cases():
+    """(g, f, the oracle's truncated pair at K' = s*K + 1) on seeded inputs."""
+    for p, mode in ((2, INTEGRAL), (3, CHARP), (3, INTEGRAL), (5, CHARP), (1000003, INTEGRAL)):
+        for K in (3, 5):
+            sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+            rng = Random(f"cut:{p}:{mode}:{K}")
+            for s in range(1, K):
+                big = sd.at_precision(s * K + 1)
+                f = rand_reduced_order(sd, rng, s)
+                g = rand_series(sd, rng)
+                want = oracle_divide_core(
+                    big, change_precision(g, big), change_precision(f, big), s
+                )
+                yield g, f, tuple(change_precision(x, sd) for x in want)
+
+
+def test_products_one_row_short_are_caught_at_the_lift(monkeypatch):
+    # a _mul_rows that keeps one row fewer than asked must change what
+    # divide returns, or trip one of its guards
+    real = weierstrass._mul_rows
+
+    def short(sd, fr, gpows, lo=0, hi=None):
+        return real(sd, fr, gpows, lo, hi if hi is None else hi - 1)
+
+    monkeypatch.setattr(weierstrass, "_mul_rows", short)
+    cases = caught = 0
+    for g, f, want in _lift_cases():
+        cases += 1
+        try:
+            caught += divide(g, f) != want
+        except InternalPrecisionLoss:
+            caught += 1
+    assert cases == 30 and caught >= 20

@@ -83,9 +83,11 @@ def test_divide_counts_cold_then_warm(work):
     f, g = _division_inputs()
     work()
     divide(g, f)
-    assert work() == (18, 34, 5, 1)  # the lift to K' = 17 only: G inverts g0 mod m, no Newton rungs
+    # the lift to K' = 17 only: G inverts g0 mod m, no Newton rungs; G*f,
+    # K - 1 = 7 contraction steps, total*h and the quotient at K
+    assert work() == (10, 34, 5, 1)
     divide(g, f)
-    assert work() == (18, 34, 5, 0)  # at_precision keeps the lifted ring
+    assert work() == (10, 34, 5, 0)  # at_precision keeps the lifted ring
 
 
 def test_divide_counts_at_large_p(work):
@@ -95,7 +97,26 @@ def test_divide_counts_at_large_p(work):
     g = rand_series(sd, rng)
     work()
     divide(g, f)
-    assert work() == (13, 9, 5, 1)  # the lift to K' = 13, then 10 contraction steps
+    assert work() == (6, 9, 5, 1)  # the lift to K' = 13, then K - 1 = 3 contraction steps
+
+
+def test_divide_stops_after_k_iterates(monkeypatch):
+    # at K' = s*K + 1 = 31 the iterates q_0 .. q_(K-1) settle the output;
+    # perfbench counts a step as a _shift_down call past the first two
+    calls = []
+    real = weierstrass._shift_down
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    sd = build_skew(PrecisionContext(3, 6), 4)
+    rng = Random(7)
+    f = rand_reduced_order(sd, rng, 5)
+    g = rand_series(sd, rng)
+    monkeypatch.setattr(weierstrass, "_shift_down", counted)
+    divide(g, f)
+    assert len(calls) - 2 <= sd.ctx.K - 1
 
 
 def test_prepare_counts(work):

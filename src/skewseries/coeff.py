@@ -15,7 +15,7 @@ the skew series layer (whose row j lives at m-precision K - j); the
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from operator import mod
+from operator import mod, mul
 
 from .errors import NotAUnit, SubstitutionDiverges
 from .precision import CHARP, AtLeast, PrecisionContext, _Frozen
@@ -89,17 +89,24 @@ def vis_unit(ctx: PrecisionContext, u: Vec) -> bool:
 
 
 def vinv(ctx: PrecisionContext, u: Vec, q: int) -> Vec:
-    """Inverse mod m**q via the geometric series in h = 1 - u0^-1 u."""
+    """Inverse mod m**q, one X-degree at a time.
+
+    c_0 = u_0**-1 and c_k = -c_0 * sum_(i=1..k) u_i c_(k-i) solve u*c = 1
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 9.1).  Sums are
+    reduced mod the top slot modulus M (p**q, or p in char-p mode): every
+    slot modulus divides M and X**q lies in m**q, so the ring R/(M, X**q)
+    maps onto R/m**q, inverse to inverse, and one ``vcanon`` ends it.
+
+    >>> vinv(PrecisionContext(3, 3), (1, 1, 0), 3) == (1, 8, 1)
+    True
+    """
     if not vis_unit(ctx, u):
         raise NotAUnit("constant term is not a unit")
-    mods = ctx.slot_moduli(q)
-    c = pow(u[0], -1, mods[0])
-    h = vcanon(ctx, [(1 if a == 0 else 0) - c * x for a, x in enumerate(u)], q)
-    acc = one = vone(ctx)
-    for _ in range(q - 1):
-        acc = vmul(ctx, h, acc, q)
-        acc = vadd(ctx, acc, one, q)
-    return vcanon(ctx, [c * x for x in acc], q)
+    M = ctx.slot_moduli(q)[0]
+    c = [pow(u[0], -1, M)]
+    for k in range(1, q):
+        c.append(-c[0] * sum(map(mul, u[1 : k + 1], reversed(c))) % M)
+    return vcanon(ctx, c, q)
 
 
 def vcompose(ctx: PrecisionContext, u: Vec, t: Vec, q: int) -> Vec:

@@ -36,7 +36,7 @@ from .serialize import (
     load_object,
 )
 from .series import SkewSeries, change_precision
-from .skew import SkewData, build_skew, validate_axioms
+from .skew import SkewData, _random_vec, build_skew, validate_axioms
 from .weierstrass import _divide_core, _gauge_free_precision, divide, divide_oracle, prepare
 
 __all__ = ["SuiteResult", "run_selfcheck", "ALL_SUITES"]
@@ -61,10 +61,7 @@ class SuiteResult:
 
 
 def _rand_coeff(ctx: PrecisionContext, rng: Random, in_m: bool = False) -> CoeffSeries:
-    vals = [rng.randrange(ctx.p ** (ctx.K - a)) for a in range(ctx.K)]
-    if in_m:
-        vals[0] -= vals[0] % ctx.p
-    return CoeffSeries(ctx, vals)
+    return CoeffSeries(ctx, _random_vec(ctx, rng, in_m))
 
 
 def _rand_series(sd: SkewData, rng: Random) -> SkewSeries:
@@ -75,14 +72,20 @@ def _rand_series(sd: SkewData, rng: Random) -> SkewSeries:
     return SkewSeries.from_rows(sd, rows)
 
 
+def _rand_divisor(sd: SkewData, rng: Random, s: int, monic: bool) -> SkewSeries:
+    """A random series of reduced order s: rows below s lie in m, and row s
+    is 1 if ``monic``, else 1 + x(X + ... + X**(K-1)), x drawn last."""
+    K, p = sd.ctx.K, sd.ctx.p
+    rows = [list(r) for r in _rand_series(sd, rng).rows]
+    rows[s] = [1] if monic else [1] + [rng.randrange(p)] * (K - 1)
+    for j in range(s):
+        rows[j][0] -= rows[j][0] % p
+    return SkewSeries(sd, rows)
+
+
 def _rand_unit(sd: SkewData, rng: Random) -> SkewSeries:
     f = _rand_series(sd, rng)
-    rows = [f.row(j) for j in range(sd.ctx.K)]
-    r0 = list(rows[0].coeffs)
-    if r0[0] % sd.ctx.p == 0:
-        r0[0] += 1
-    rows[0] = CoeffSeries(sd.ctx, r0)
-    return SkewSeries.from_rows(sd, rows)
+    return f + 1 if f.rows[0][0] % sd.ctx.p == 0 else f
 
 
 # -- suites -------------------------------------------------------------
@@ -202,16 +205,7 @@ def suite_weierstrass(res: SuiteResult, rng: Random) -> None:
         sd = build_skew(PrecisionContext(p, K, INTEGRAL), 1 + p)
         for _ in range(8):
             s = rng.randrange(1, min(4, K))
-            f = _rand_series(sd, rng)
-            rows = [f.row(j) for j in range(K)]
-            rows[s] = CoeffSeries.one(sd.ctx) + CoeffSeries(
-                sd.ctx, [0] + [rng.randrange(p)] * (K - 1)
-            )
-            for j in range(s):
-                low = list(rows[j].coeffs)
-                low[0] -= low[0] % p
-                rows[j] = CoeffSeries(sd.ctx, low)
-            f = SkewSeries.from_rows(sd, rows)
+            f = _rand_divisor(sd, rng, s, monic=False)
             g = _rand_series(sd, rng)
             q, rem = divide(g, f)
             res.check(g == q * f + rem, "division identity")
@@ -237,14 +231,7 @@ def suite_weierstrass(res: SuiteResult, rng: Random) -> None:
     sd = build_skew(PrecisionContext(2, 3, INTEGRAL), 3)
     for _ in range(10):
         s = rng.randrange(1, 3)
-        f = _rand_series(sd, rng)
-        rows = [f.row(j) for j in range(3)]
-        rows[s] = CoeffSeries.one(sd.ctx)
-        for j in range(s):
-            low = list(rows[j].coeffs)
-            low[0] -= low[0] % 2
-            rows[j] = CoeffSeries(sd.ctx, low)
-        f = SkewSeries.from_rows(sd, rows)
+        f = _rand_divisor(sd, rng, s, monic=True)
         g = _rand_series(sd, rng)
         res.check(divide(g, f) == divide_oracle(g, f), "oracle agreement")
         # Uniqueness: a product formed at gauge-free working precision

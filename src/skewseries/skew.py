@@ -313,8 +313,9 @@ class AxiomReport(_Record):
 
 
 def _random_vec(ctx: PrecisionContext, rng: Random, in_m: bool = False) -> Vec:
-    mods = ctx.slot_moduli(ctx.K)
-    vals = [rng.randrange(m) if m > 1 else 0 for m in mods]
+    # digit a is drawn below p**(K - a) in either mode and then reduced:
+    # selfcheck draws its coefficients here too, so both share one stream
+    vals = [rng.randrange(ctx.p ** (ctx.K - a)) for a in range(ctx.K)]
     if in_m:
         vals[0] -= vals[0] % ctx.p
     return vcanon(ctx, vals, ctx.K)

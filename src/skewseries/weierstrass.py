@@ -52,9 +52,8 @@ wanted, come from the same construct-natively-elevated pattern.
 from __future__ import annotations
 
 from itertools import islice
-from operator import mul
 
-from .coeff import CoeffSeries, vcanon, vzero
+from .coeff import CoeffSeries, vcanon, vinv, vzero
 from .errors import (
     InternalPrecisionLoss,
     NotDivisible,
@@ -62,7 +61,7 @@ from .errors import (
     SystemSingularAtPrecision,
 )
 from .linalg import solve_mod_prime_power
-from .precision import INTEGRAL, MAX_PRECISION, AtLeast, _Frozen
+from .precision import CHARP, INTEGRAL, MAX_PRECISION, AtLeast, PrecisionContext, _Frozen
 from .series import SkewSeries, _mul_rows, _packed, _y_powers, change_precision
 from .skew import SkewData
 
@@ -110,15 +109,11 @@ def _shift_down(sd: SkewData, f: SkewSeries, s: int) -> SkewSeries:
 def _residue_inverse(sd: SkewData, g0: SkewSeries, n: int) -> SkewSeries:
     """G = sum_(k < n) c_k Y**k with G*g0 = 1 mod (m, Y**n), each c_k in 0..p-1.
 
-    In F_p[[Y]] the c_k invert the digits 0 of g0's rows mod p: c_0 is
-    the inverse of g0's constant and c_k = -c_0 * sum_(i=1..k) g_i c_(k-i).
+    A/mA is F_p[[Y]], the char-p coefficient ring with Y in place of X,
+    so the c_k are the inverse there, mod Y**n, of g0's row constants.
     """
-    p, zero = sd.ctx.p, vzero(sd.ctx)
-    gbar = [r[0] % p for r in g0.rows[:n]]
-    c0 = pow(gbar[0], -1, p)
-    c = [c0]
-    for k in range(1, n):
-        c.append(-c0 * sum(map(mul, gbar[1 : k + 1], reversed(c))) % p)
+    zero = vzero(sd.ctx)
+    c = vinv(PrecisionContext(sd.ctx.p, n, CHARP), tuple(r[0] for r in g0.rows[:n]), n)
     return SkewSeries._trusted(sd, tuple((x,) + zero[1:] for x in c) + (zero,) * (sd.ctx.K - n))
 
 
@@ -140,14 +135,12 @@ def _divide_core(
     K, Ko = ctx.K, out.ctx.K
     g0 = _shift_down(sd, f, s)
     G = _residue_inverse(sd, g0, K - s) if K > s * Ko else g0.inverse()
-    Gf = _mul_rows(sd, G.rows, _packed(sd, _y_powers(sd, f.rows)))
-    h = sd.y(s) - SkewSeries._trusted(sd, Gf)
-    for j in range(K):
-        if h.rows[j][0] % ctx.p != 0:
-            raise InternalPrecisionLoss(
-                "correction series escaped the maximal ideal; "
-                "the reduced order of the divisor is inconsistent"
-            )
+    h = sd.y(s) - G * f
+    if not isinstance(h.reduced_order(), AtLeast):  # a row of h is a unit
+        raise InternalPrecisionLoss(
+            "correction series escaped the maximal ideal; "
+            "the reduced order of the divisor is inconsistent"
+        )
     # every shifted-down q has degree < K - s, so it reads Y**i h for i < K - s
     hpows = list(_packed(sd, islice(_y_powers(sd, h.rows), K - s)))
     # q_0 .. q_(Ko-1) settle the output, and q_k matters mod G_(N_k) only,

@@ -211,6 +211,14 @@ def test_axiom_report():
     }
 
 
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_axiom_report_passes_every_sample_in_charp_mode(p):
+    # char-p draws go through selfcheck's law, digit a below p**(K - a)
+    sd = build_skew(PrecisionContext(p, 5, CHARP), 1 + p)
+    report = validate_axioms(sd, samples=40, seed=p)
+    assert [(c.passes, c.failures) for c in report.checks] == [(40, 0)] * 6
+
+
 def test_twists_over_one_context_share_the_packing():
     # the packing depends on the context only, so the opposite twist lends it
     for p, K in ((3, 8), (1000003, 4)):

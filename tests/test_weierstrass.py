@@ -205,7 +205,7 @@ def test_divide_core_matches_contraction_oracle(p, mode):
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_divide_matches_linear_solve_oracle(p, mode):
-    # s = 1 makes K' - s = K, so g0 is inverted at the output precision
+    # s = 1 makes K' - s = K, so at the lift K' = K + 1 G inverts g0 mod (m, Y**K)
     for eps in (1, 1 + p):
         for K in (2, 3, 4):
             sd = build_skew(PrecisionContext(p, K, mode), eps)

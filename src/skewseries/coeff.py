@@ -163,8 +163,7 @@ class CoeffSeries(_Frozen):
     __slots__ = __match_args__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: PrecisionContext, coeffs: Sequence[int]):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", vcanon(ctx, coeffs, ctx.K))
+        super().__init__(ctx, vcanon(ctx, coeffs, ctx.K))
 
     # -- constructors --------------------------------------------------
     @classmethod

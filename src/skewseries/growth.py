@@ -15,9 +15,9 @@ from dataclasses import dataclass
 class GrowthResult:
     """lambda_n = d*p**n + c from n = stable_from on, and the table it was read from.
 
-    Still a dataclass, unlike the package's other records: callers rebuild
-    altered copies with ``dataclasses.replace`` (the benchmark's checks
-    corrupt a result that way), which a slot class would not support.
+    Still a dataclass: callers rebuild altered copies with
+    ``dataclasses.replace`` (the benchmark's checks corrupt a result that
+    way), which refuses the ``_Record`` slot classes of the other records.
     """
 
     d: int

@@ -109,9 +109,30 @@ def _strong_lucas(n: int, D: int, Q: int) -> bool:
 
 
 class _Record:
-    """A record in slots: == and repr read the fields named in __match_args__."""
+    """A record in slots whose fields are named once, in __match_args__:
+    __init__ takes each by position or keyword, and == and repr read them.
+
+    >>> AtLeast(bound=3) == AtLeast(3)
+    True
+    """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            wrong = sorted(kwargs.keys() & given.keys() | kwargs.keys() - set(names))
+            if wrong or len(args) > len(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}: "
+                                f"got {len(args)} by position, doubled or unknown {wrong}")
+            given.update(kwargs)
+            missing = [name for name in names if name not in given]
+            if missing:
+                raise TypeError(f"{type(self).__name__}() missing fields {missing}")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)  # _Frozen refuses plain assignment
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, k) for k in self.__match_args__)
@@ -127,7 +148,7 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """An immutable, hashable record; __init__ sets it through object.__setattr__."""
+    """An immutable, hashable record: its slots are set only by object.__setattr__."""
 
     __slots__ = ()
 
@@ -154,9 +175,6 @@ class AtLeast(_Frozen):
 
     __slots__ = __match_args__ = ("bound",)
 
-    def __init__(self, bound: int):
-        object.__setattr__(self, "bound", bound)
-
     def __repr__(self) -> str:
         return f"AtLeast({self.bound})"
 
@@ -172,9 +190,7 @@ class PrecisionContext(_Frozen):
             raise ValueError("K must be >= 1")
         if mode not in (INTEGRAL, CHARP):
             raise ValueError(f"unknown mode {mode!r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(p, K, mode)
         # p**K, ..., p (K copies of p in char-p mode), then K ones: the slot
         # moduli at precision q are the K entries from index K - q on.
         top = (p,) * K if mode == CHARP else tuple(p**e for e in range(K, 0, -1))
@@ -208,9 +224,7 @@ class PadicInt(_Frozen):
     def __init__(self, p: int, residue: int, prec: int):
         if prec < 0:
             raise ValueError("prec must be >= 0")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "residue", residue % p**prec)
+        super().__init__(p, residue % p**prec, prec)
 
     # -- helpers -------------------------------------------------------
     def _join(self, other: "PadicInt") -> int:

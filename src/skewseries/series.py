@@ -188,8 +188,7 @@ class SkewSeries(_Frozen):
     __slots__ = __match_args__ = ("sd", "rows")
 
     def __init__(self, sd: SkewData, rows: Sequence[Sequence[int]]):
-        object.__setattr__(self, "sd", sd)
-        object.__setattr__(self, "rows", _canon_rows(sd, rows))
+        super().__init__(sd, _canon_rows(sd, rows))
 
     @classmethod
     def _trusted(cls, sd: SkewData, rows: Rows) -> "SkewSeries":

@@ -281,10 +281,7 @@ class AxiomCheck(_Record):
 
     def __init__(self, name: str, passes: int = 0, failures: int = 0,
                  counterexample: str | None = None):
-        self.name = name
-        self.passes = passes
-        self.failures = failures
-        self.counterexample = counterexample
+        super().__init__(name, passes, failures, counterexample)
 
     def record(self, ok: bool, witness: str) -> None:
         if ok:
@@ -299,9 +296,7 @@ class AxiomReport(_Record):
     __slots__ = __match_args__ = ("samples", "seed", "checks")
 
     def __init__(self, samples: int, seed: int, checks: list[AxiomCheck] | None = None):
-        self.samples = samples
-        self.seed = seed
-        self.checks = [] if checks is None else checks
+        super().__init__(samples, seed, [] if checks is None else checks)
 
     @property
     def passed(self) -> bool:

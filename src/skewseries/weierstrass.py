@@ -12,7 +12,7 @@ output at K_out below the working K only q_k mod G_(N_k), with N_k =
 K_out + (s-1)(K_out-1-k), matters, and each q*h is formed mod
 G_(N_(k+1)+s) and total*h mod G_(K_out).  With total the sum of the
 iterates, quot = total*G, and as quot*f = total*(Y**s - h) exactly,
-rem = g - total*Y**s + total*h.  So one table of Y**i h, built once,
+rem = g - total*Y**s + total*h.  So one table of Y**i h, grown on demand,
 serves the contraction and the remainder, Y**i f is read only to form
 h, and the rows below s of each q*h, which the shift-down drops, are
 never computed.  Both identities hold for any G, and the contraction
@@ -51,7 +51,7 @@ wanted, come from the same construct-natively-elevated pattern.
 """
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, tee
 
 from .coeff import CoeffSeries, vcanon, vinv, vzero
 from .errors import (
@@ -72,9 +72,7 @@ class DistinguishedPoly(_Frozen):
     __slots__ = __match_args__ = ("sd", "degree", "lower")
 
     def __init__(self, sd: SkewData, degree: int, lower: tuple[CoeffSeries, ...]):
-        object.__setattr__(self, "sd", sd)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "lower", lower)
+        super().__init__(sd, degree, lower)
         if degree < 0 or len(lower) != degree:
             raise ValueError("need exactly `degree` lower coefficients")
         for a in lower:
@@ -141,15 +139,17 @@ def _divide_core(
             "correction series escaped the maximal ideal; "
             "the reduced order of the divisor is inconsistent"
         )
-    # every shifted-down q has degree < K - s, so it reads Y**i h for i < K - s
-    hpows = list(_packed(sd, islice(_y_powers(sd, h.rows), K - s)))
+    # Y**i h is stepped to and packed when a product first reads it: each
+    # copy of the tee reads one shared table from h on
+    hpows = tee(_packed(sd, _y_powers(sd, h.rows)), 1)[0]
     # q_0 .. q_(Ko-1) settle the output, and q_k matters mod G_(N_k) only,
     # N_k = Ko + (s-1)(Ko-1-k) (module docstring); at Ko = K every bound is K
     q = _shift_down(sd, g, s)
     qs = [q]
     for k in range(1, Ko):
         hi = min(K, Ko + (s - 1) * (Ko - 1 - k) + s)
-        q = _shift_down(sd, SkewSeries._trusted(sd, _mul_rows(sd, q.rows, hpows, s, hi)), s)
+        qh = _mul_rows(sd, q.rows, hpows.__copy__(), s, hi)
+        q = _shift_down(sd, SkewSeries._trusted(sd, qh), s)
         if q.is_zero():
             break
         qs.append(q)
@@ -162,7 +162,7 @@ def _divide_core(
         + (zero,) * (K - Ko),
     )
     # quot*f = total*G*f = total*(Y**s - h): total*Y**s moves each row up s
-    th = _mul_rows(sd, total.rows, hpows, 0, Ko)
+    th = _mul_rows(sd, total.rows, hpows.__copy__(), 0, Ko)
     up = (zero,) * s + total.rows
     rem = SkewSeries(out, [[a - b + c for a, b, c in zip(*r)] for r in zip(g.rows[:Ko], up, th)])
     for j in range(s, Ko):

@@ -343,6 +343,14 @@ def test_coinvariant_reference_rows():
     assert [coinvariant_rank(3, (-3, 1), n, 8) for n in range(3)] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("p", [1, 4, 6, 9, -3, 0])
+def test_coinvariant_rank_refuses_a_non_prime_p(p):
+    # F = X is monic with its constant in pZ for every p, and p = 0 once
+    # divided by zero; ModuleSpec refuses these p with the same message
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        coinvariant_rank(p, (0, 1), 1, 4)
+
+
 def test_coinvariant_monotone_bounded():
     rng = Random(603)
     for _ in range(25):

@@ -173,6 +173,29 @@ def test_prepare_native_elevation_recovers_exact_unit():
     assert change_precision(F7.as_series(), sd) == sd.y() - 3
 
 
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5, 1000003))
+def test_preparation_is_unique(p, mode):
+    # the preparation theorem's uniqueness: for a unit u, u*f and f built
+    # natively at K' = s*K + 1 have one distinguished factor mod G_K, and
+    # units that differ by u
+    for eps in (1, 1 + p):
+        for K in (2, 3, 4):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"unique:{p}:{mode}:{eps}:{K}")
+            for s in range(1, min(3, K - 1) + 1):
+                big = sd.at_precision(s * K + 1)
+                for _ in range(3):
+                    f = rand_reduced_order(big, rng, s)
+                    u = rand_unit(big, rng)
+                    (e1, F1), (e2, F2) = prepare(u * f), prepare(f)
+                    assert F1.degree == F2.degree == s
+                    assert change_precision(F1.as_series(), sd) == change_precision(
+                        F2.as_series(), sd
+                    )
+                    assert change_precision(e1, sd) == change_precision(u * e2, sd)
+
+
 def test_oracle_agreement_random():
     rng = Random(506)
     for p, K in ((2, 3), (2, 4), (3, 3)):

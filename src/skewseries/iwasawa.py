@@ -111,6 +111,8 @@ def omega_tower_check(ctx: PrecisionContext, n_max: int) -> TowerReport:
     """Verify xi_n * omega_(n-1) = omega_n, xi_n(0) = p, omega_n(0) = 0."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max > MAX_TOWER_LEVEL:
+        raise ValueError(f"n_max must be <= {MAX_TOWER_LEVEL}")
     entries = []
     warnings: list[str] = []
     vacuous_from: int | None = None
@@ -271,8 +273,6 @@ def _smith_rank(
 ) -> tuple[list[int], int, bool]:
     """Smith valuations of mat mod p**M, the rank of the kernel (valuations
     that reach M) and the guard-band flag (a finite valuation > M - guard)."""
-    if guard < 1:
-        raise ValueError("guard must be >= 1")
     vals = smith_valuations(mat, p, M)
     return vals, sum(v >= M for v in vals), any(M - guard < v < M for v in vals)
 
@@ -289,6 +289,8 @@ def snf_rank(matrix: Sequence[Sequence[PadicInt]], guard: int = 2) -> SNFResult:
     p, M = (entries[0].p, entries[0].prec) if entries else (2, 1)  # no divisors
     if any(x.p != p or x.prec != M for x in entries):
         raise ValueError("matrix entries must share prime and precision")
+    if guard < 1:
+        raise ValueError("guard must be >= 1")
     vals, rank, flag = _smith_rank([[x.residue for x in r] for r in rows], p, M, guard)
     return SNFResult(tuple(AtLeast(M) if v >= M else v for v in vals), rank, flag)
 
@@ -366,9 +368,7 @@ def coinvariant_rank(
     PrecisionInsufficient instead of silently flagging.  p must be prime,
     and M may not exceed MAX_PRECISION.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    F = _check_poly(p, poly)
+    F = ModuleSpec(p, 0, (poly,)).torsion_polys[0]
     if not 1 <= M <= MAX_PRECISION:
         raise ValueError(f"need precision 1 <= M <= {MAX_PRECISION}")
     if n < 0:
@@ -414,10 +414,8 @@ def rank_growth(
             cs[n] += r
             flags[n] |= fl
     stable_from = n_max
-    for n0 in range(n_max + 1):
-        if all(c == cs[n_max] for c in cs[n0:]):
-            stable_from = n0
-            break
+    while stable_from and cs[stable_from - 1] == cs[n_max]:
+        stable_from -= 1
     return GrowthResult(
         d=spec.d,
         c=cs[n_max],

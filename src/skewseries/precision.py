@@ -23,10 +23,11 @@ from .errors import ContextMismatch, NotAUnit
 INTEGRAL = "integral"
 CHARP = "charp"
 
-# Largest K a context may ask for, and the largest working precision an
-# algorithm may lift to.  build_skew at K = 128 takes 54 ms at p = 3,
-# 1.4 s at p = 1000003 and 2.8 s at p = 2**31 - 1 (integral mode, min of
-# 3 runs, 2-vCPU VM, Python 3.11); at p = 3 it takes 0.64 s at K = 256.
+# Largest K a context may have, so the largest lift an algorithm may make:
+# PrecisionContext.__init__ refuses a larger K before any work.  build_skew
+# at K = 128 takes 54 ms at p = 3, 1.4 s at p = 1000003 and 2.8 s at
+# p = 2**31 - 1 (integral mode, min of 3 runs, 2-vCPU VM, Python 3.11); at
+# p = 3 it takes 0.64 s at K = 256.
 MAX_PRECISION = 128
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -184,6 +185,8 @@ class PrecisionContext(_Frozen):
     __match_args__ = ("p", "K", "mode")
 
     def __init__(self, p: int, K: int, mode: str = INTEGRAL):
+        if K > MAX_PRECISION:
+            raise ValueError(f"K must be <= {MAX_PRECISION}")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if K < 1:

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 
 from .coeff import CoeffSeries
 from .errors import InvalidAction, SchemaError
-from .precision import CHARP, INTEGRAL, MAX_PRECISION, PrecisionContext
+from .precision import CHARP, INTEGRAL, PrecisionContext
 from .series import SkewSeries
 from .skew import SkewData, build_skew
 
@@ -168,8 +168,6 @@ def make_context(where: str, p: int, K: int, mode: str, epsilon: int | None = No
     """
     if mode not in JSON_TO_MODE:
         raise SchemaError(f"{where}: mode must be one of {sorted(JSON_TO_MODE)}")
-    if K > MAX_PRECISION:
-        raise SchemaError(f"{where}: K must be <= {MAX_PRECISION}")
     try:
         ctx = PrecisionContext(p, K, JSON_TO_MODE[mode])
         check_printable(p**K, where, "p**K")

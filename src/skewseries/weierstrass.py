@@ -99,8 +99,6 @@ def _shift_down(sd: SkewData, f: SkewSeries, s: int) -> SkewSeries:
     hence at the finer K - j of row j, so the rows are wrapped as they
     are, with zero rows on top; nothing is recomputed and nothing is lost.
     """
-    if s == 0:
-        return f
     return SkewSeries._trusted(sd, f.rows[s:] + (vzero(sd.ctx),) * s)
 
 

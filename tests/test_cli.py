@@ -18,9 +18,7 @@ from skewseries import (
     write_json_atomic,
 )
 from skewseries.cli import main
-from skewseries.precision import INTEGRAL, PrecisionContext
-from skewseries.serialize import MAX_PRECISION
-from skewseries.serialize import dump_coeff  # noqa: F401  (symmetry with dumps used below)
+from skewseries.precision import INTEGRAL, MAX_PRECISION, PrecisionContext
 
 
 def run(*argv):

@@ -515,6 +515,24 @@ def test_rank_growth_not_stabilized_reports_note():
     assert "note" in g.to_dict()
 
 
+def test_stable_from_is_the_least_level_of_the_constant_tail():
+    rng = Random(7)
+    starts = set()
+    for _ in range(40):
+        p = rng.choice((2, 3))
+        polys = [
+            tuple(p * rng.randrange(-2, 3) for _ in range(rng.randrange(1, 4))) + (1,)
+            for _ in range(rng.randrange(1, 3))
+        ]
+        n_max = rng.randrange(2, 6)
+        g = rank_growth(ModuleSpec(p, d=1, torsion_polys=polys), n_max, 8, strict=False)
+        cs = [lam - p**n for n, lam, _ in g.table]
+        want = min(n0 for n0 in range(n_max + 1) if set(cs[n0:]) == {cs[n_max]})
+        assert (g.stable_from, g.stabilized) == (want, want < n_max)
+        starts.add(want)
+    assert len(starts) > 2  # the tail starts at several levels
+
+
 def test_rank_growth_strictness():
     spec = ModuleSpec(2, d=0, torsion_polys=((2, 1),))
     with pytest.raises(PrecisionInsufficient):

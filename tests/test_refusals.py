@@ -1,0 +1,107 @@
+"""Every refusal of a bad argument raises its own exception type and message,
+and the size bounds refuse before any work is done."""
+
+from __future__ import annotations
+
+import pytest
+
+from skewseries import iwasawa
+from skewseries.errors import NotPolynomial, SchemaError
+from skewseries.iwasawa import MAX_TOWER_LEVEL, normal_witness, omega_tower_check, snf_rank
+from skewseries.precision import INTEGRAL, MAX_PRECISION, PadicInt, PrecisionContext
+from skewseries.serialize import dump_distinguished, load_distinguished
+from skewseries.skew import build_skew
+from skewseries.weierstrass import DistinguishedPoly
+
+
+def _sd():
+    return build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
+
+
+def _distinguished(**fields) -> dict:
+    """A degree-2 distinguished polynomial's JSON with `fields` replaced."""
+    sd = _sd()
+    p = sd.ctx.p
+    F = DistinguishedPoly(sd, 2, (sd.embed(p).row(0), sd.embed(0).row(0)))
+    return {**dump_distinguished(F), **fields}
+
+
+CASES = {
+    "tower-n_max-below-1": (
+        lambda: omega_tower_check(PrecisionContext(3, 4), 0),
+        ValueError, "n_max must be >= 1",
+    ),
+    "tower-n_max-above-limit": (
+        lambda: omega_tower_check(PrecisionContext(3, 4), MAX_TOWER_LEVEL + 1),
+        ValueError, f"n_max must be <= {MAX_TOWER_LEVEL}",
+    ),
+    "normal-witness-negative-n": (
+        lambda: normal_witness(_sd(), -1), ValueError, "n must be >= 0",
+    ),
+    "snf-mixed-entries": (
+        lambda: snf_rank([[PadicInt(3, 1, 4), PadicInt(3, 1, 5)]]),
+        ValueError, "matrix entries must share prime and precision",
+    ),
+    "distinguished-negative-s": (
+        lambda: load_distinguished(_distinguished(s=-1)),
+        SchemaError, "distinguished: degree s must be >= 0",
+    ),
+    "distinguished-lower-count": (
+        lambda: load_distinguished(_distinguished(s=3)),
+        SchemaError, "distinguished.lower: expected 3 coefficient vectors",
+    ),
+    "distinguished-lower-outside-m": (
+        lambda: load_distinguished(_distinguished(lower=[["1", "0", "0", "0"]] * 2)),
+        SchemaError, "distinguished: lower coefficients must lie in the maximal ideal",
+    ),
+    "series-row-out-of-range": (lambda: _sd().one().row(4), IndexError, "4"),
+    "z-form-past-max-deg": (
+        lambda: _sd().y(2).to_z_form(1),
+        NotPolynomial, "visible Y-degree 2 exceeds max_deg = 1",
+    ),
+    "twist-table-negative-n": (
+        lambda: _sd().twist_table(_sd().embed(1).row(0), -1), ValueError, "n must be >= 0",
+    ),
+    "y-negative-power": (lambda: _sd().y(-1), ValueError, "power must be >= 0"),
+    "distinguished-poly-lower-count": (
+        lambda: DistinguishedPoly(_sd(), 2, ()),
+        ValueError, "need exactly `degree` lower coefficients",
+    ),
+    "context-K-above-limit": (
+        lambda: PrecisionContext(3, MAX_PRECISION + 1),
+        ValueError, f"K must be <= {MAX_PRECISION}",
+    ),
+    "lift-K-above-limit": (
+        lambda: _sd().at_precision(MAX_PRECISION + 1),
+        ValueError, f"K must be <= {MAX_PRECISION}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_refusal_type_and_message(case):
+    call, exc, message = CASES[case]
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_tower_bound_refuses_before_any_level(monkeypatch):
+    def no_level(*args):
+        raise AssertionError("a tower level was computed")
+
+    monkeypatch.setattr(iwasawa, "omega", no_level)
+    with pytest.raises(ValueError, match="n_max must be <="):
+        omega_tower_check(PrecisionContext(3, 4), MAX_TOWER_LEVEL + 1)
+
+
+def test_context_bound_refuses_before_the_primality_test(monkeypatch):
+    from skewseries import precision
+
+    def no_test(n):
+        raise AssertionError("the primality test ran")
+
+    monkeypatch.setattr(precision, "_is_prime", no_test)
+    with pytest.raises(ValueError, match="K must be <="):
+        PrecisionContext(3, MAX_PRECISION + 1)

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Sequence
 from operator import mod, mul
 
 from .errors import NotAUnit, SubstitutionDiverges
+from .linalg import pval
 from .precision import CHARP, AtLeast, PrecisionContext, _Frozen
 
 Vec = tuple[int, ...]
@@ -64,23 +65,16 @@ def vmul(ctx: PrecisionContext, u: Vec, v: Vec, q: int) -> Vec:
 
 
 def vorder(ctx: PrecisionContext, u: Vec, q: int) -> int:
-    """m-adic order of u, capped at q (== q means not visible)."""
+    """m-adic order of u, capped at q (== q means not visible); v_p is ``linalg.pval``."""
     best = q
-    p = ctx.p
     charp = ctx.mode == CHARP
     for a, x in enumerate(u):
         if a >= best:
             break
-        if x == 0:
-            continue
-        if charp:
-            return a
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        if v + a < best:
-            best = v + a
+        if x:
+            if charp:
+                return a
+            best = a + pval(x, ctx.p, best - a)  # capped at best - a, past which best cannot fall
     return best
 
 

@@ -15,6 +15,7 @@ which reads one tower mod (F, p**M) per torsion polynomial F.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import pairwise
 from math import comb
 
 from .coeff import CoeffSeries, vbinom, vorder
@@ -108,33 +109,32 @@ class TowerReport(_Record):
 
 
 def omega_tower_check(ctx: PrecisionContext, n_max: int) -> TowerReport:
-    """Verify xi_n * omega_(n-1) = omega_n, xi_n(0) = p, omega_n(0) = 0."""
+    """Verify xi_n * omega_(n-1) = omega_n, xi_n(0) = p, omega_n(0) = 0.
+
+    Each omega_n is computed once; xi_n is formed from omega_(n-1) as ``xi`` does.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_TOWER_LEVEL:
         raise ValueError(f"n_max must be <= {MAX_TOWER_LEVEL}")
     entries = []
-    warnings: list[str] = []
-    vacuous_from: int | None = None
-    for n in range(1, n_max + 1):
-        om, om_prev, x = omega(ctx, n), omega(ctx, n - 1), xi(ctx, n)
-        vac = om.is_zero()
+    levels = pairwise(omega(ctx, n) for n in range(n_max + 1))
+    for n, (om_prev, om) in enumerate(levels, 1):
+        x = _quotient(ctx, ctx.p, om_prev, n)
         entries.append(
             TowerEntry(
                 n=n,
                 product_ok=(x * om_prev == om),
                 xi_constant_ok=(x.coeffs[0] == ctx.p % ctx.slot_moduli(ctx.K)[0]),
                 omega_constant_zero=(om.coeffs[0] == 0),
-                vacuous=vac,
+                vacuous=om.is_zero(),
             )
         )
-        if vac and vacuous_from is None:
-            vacuous_from = n
-    if vacuous_from is not None:
-        warnings.append(
-            f"vacuous-tail: omega_n vanishes mod m**{ctx.K} from n = "
-            f"{vacuous_from}; increase K for a nonvacuous check"
-        )
+    vacuous = [e.n for e in entries if e.vacuous]
+    warnings = [
+        f"vacuous-tail: omega_n vanishes mod m**{ctx.K} from n = "
+        f"{vacuous[0]}; increase K for a nonvacuous check"
+    ] if vacuous else []
     return TowerReport(ctx.p, ctx.K, n_max, entries, warnings)
 
 
@@ -289,6 +289,8 @@ def snf_rank(matrix: Sequence[Sequence[PadicInt]], guard: int = 2) -> SNFResult:
     p, M = (entries[0].p, entries[0].prec) if entries else (2, 1)  # no divisors
     if any(x.p != p or x.prec != M for x in entries):
         raise ValueError("matrix entries must share prime and precision")
+    if not _is_prime(p):  # PadicInt leaves primality to its callers
+        raise ValueError(f"p = {p} is not prime")
     if guard < 1:
         raise ValueError("guard must be >= 1")
     vals, rank, flag = _smith_rank([[x.residue for x in r] for r in rows], p, M, guard)
@@ -344,6 +346,8 @@ def _coinvariant(
     only when the shifted-out coefficient is nonzero: for F = omega_3 at
     p = 3 and n <= 5 that is 13 of 156 columns, and reducing all is 3x slower.
     """
+    if not any(om):  # the zero matrix: corank deg F and no flag, with no Smith form
+        return len(F) - 1, False
     mod = p**M
     cols = [_poly_rem(om, F, mod)]
     for _ in range(len(F) - 2):
@@ -358,6 +362,13 @@ def _coinvariant(
     return rank, flag
 
 
+def _check_precision(M: int, guard: int) -> None:
+    if not 1 <= M <= MAX_PRECISION:
+        raise ValueError(f"need precision 1 <= M <= {MAX_PRECISION}")
+    if guard < 1:
+        raise ValueError("guard must be >= 1")
+
+
 def coinvariant_rank(
     p: int, poly: Sequence[int], n: int, M: int, guard: int = 2, strict: bool = True
 ) -> int:
@@ -369,15 +380,12 @@ def coinvariant_rank(
     and M may not exceed MAX_PRECISION.
     """
     F = ModuleSpec(p, 0, (poly,)).torsion_polys[0]
-    if not 1 <= M <= MAX_PRECISION:
-        raise ValueError(f"need precision 1 <= M <= {MAX_PRECISION}")
+    _check_precision(M, guard)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if guard < 1:
-        raise ValueError("guard must be >= 1")
     for om in _omega_tower(p, F, n, M):
-        if not any(om):  # omega is zero from here on: the zero matrix, corank deg F
-            return len(F) - 1
+        if not any(om):  # omega is zero from here on, up to level n
+            break
     return _coinvariant(p, F, om, M, guard, strict)[0]
 
 
@@ -400,16 +408,12 @@ def rank_growth(
         raise ValueError("n_max must be >= 2")
     if n_max > MAX_TOWER_LEVEL:
         raise ValueError(f"n_max must be <= {MAX_TOWER_LEVEL}")
-    if not (1 <= M <= MAX_PRECISION and guard >= 1):
-        raise ValueError(f"need precision 1 <= M <= {MAX_PRECISION} and guard >= 1")
+    _check_precision(M, guard)
     p = spec.p
     cs = [0] * (n_max + 1)  # c_n = lambda_n - d*p**n: the torsion ranks
     flags = [False] * (n_max + 1)
     for F in spec.torsion_polys:
         for n, om in enumerate(_omega_tower(p, F, n_max, M)):
-            if not any(om):  # the zero matrix: corank deg F, no flag
-                cs[n] += len(F) - 1
-                continue
             r, fl = _coinvariant(p, F, om, M, guard, strict)
             cs[n] += r
             flags[n] |= fl

@@ -19,6 +19,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import ContextMismatch, NotAUnit
+from .linalg import pval
 
 INTEGRAL = "integral"
 CHARP = "charp"
@@ -225,6 +226,8 @@ class PadicInt(_Frozen):
     __slots__ = __match_args__ = ("p", "residue", "prec")
 
     def __init__(self, p: int, residue: int, prec: int):
+        if p < 2:  # primality is left to the callers: ring operations rebuild through here
+            raise ValueError("p must be >= 2")
         if prec < 0:
             raise ValueError("prec must be >= 0")
         super().__init__(p, residue % p**prec, prec)
@@ -266,11 +269,7 @@ class PadicInt(_Frozen):
         return PadicInt(self.p, pow(self.residue, -1, self.p**self.prec), self.prec)
 
     def valuation(self) -> int | AtLeast:
-        """p-adic valuation; AtLeast(prec) when the residue vanishes."""
+        """p-adic valuation (``linalg.pval``); AtLeast(prec) when the residue vanishes."""
         if self.residue == 0:
             return AtLeast(self.prec)
-        v, r = 0, self.residue
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return v
+        return pval(self.residue, self.p, self.prec)

@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from skewseries import AtLeast, CoeffSeries, NotAUnit, PrecisionContext
-from skewseries.coeff import vbinom, vone
+from skewseries import AtLeast, CoeffSeries, NotAUnit, PadicInt, PrecisionContext
+from skewseries.coeff import vbinom, vcanon, vone, vorder
 from skewseries.precision import CHARP, INTEGRAL
 
 import kernel_oracle as ko
@@ -83,6 +83,42 @@ def test_m_order_values():
     assert CoeffSeries(ctx, (3, 1)).m_order() == 1             # p + X
     o = CoeffSeries.zero(ctx).m_order()
     assert isinstance(o, AtLeast) and o.bound == 4
+
+
+def _v_by_division(x: int, p: int) -> int:
+    """v_p(x) for x != 0, one division at a time."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("mode", [INTEGRAL, CHARP])
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
+def test_vorder_and_valuation_against_a_division_loop(p, mode):
+    # digits p**e * r with e up to q, so capped and uncapped valuations
+    # both occur, at every precision q < K
+    rng = Random(f"vorder-valuation:{p}:{mode}")
+    capped = 0
+    for _ in range(400):
+        K = rng.randrange(2, 9)
+        ctx = PrecisionContext(p, K, mode)
+        q = rng.randrange(K)
+        vals = [p ** rng.randrange(q + 1) * rng.randrange(p**K) * rng.randrange(2) for _ in range(K)]
+        u = vcanon(ctx, vals, q)
+        orders = [a + (0 if mode == CHARP else _v_by_division(x, p)) for a, x in enumerate(u) if x]
+        want = min(orders + [q])
+        assert vorder(ctx, u, q) == want
+        capped += want == q
+        prec = rng.randrange(1, K + 1)
+        a = PadicInt(p, p ** rng.randrange(prec + 1) * rng.randrange(1, p**prec), prec)
+        v = a.valuation()
+        if a.residue == 0:
+            assert v == AtLeast(prec)
+        else:
+            assert v == _v_by_division(a.residue, p) < prec
+    assert 0 < capped < 400
 
 
 def test_unit_iff_constant_unit():

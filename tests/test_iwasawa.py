@@ -166,6 +166,57 @@ def test_tower_vacuous_warning_at_tiny_precision():
     assert d["warnings"]
 
 
+def test_tower_computes_each_omega_once(monkeypatch):
+    # level n takes omega_(n-1) from level n - 1, so omega_0..omega_n_max
+    # are computed once each, and xi_n costs no omega of its own
+    calls = []
+
+    def spy(ctx, n):
+        calls.append(n)
+        return omega(ctx, n)
+
+    monkeypatch.setattr(skewseries.iwasawa, "omega", spy)
+    for n_max in (1, 2, 7):
+        del calls[:]
+        omega_tower_check(PrecisionContext(3, 8, INTEGRAL), n_max)
+        assert sorted(calls) == list(range(n_max + 1))
+
+
+def _tower_reference(ctx, n_max):
+    """omega_tower_check's dict, built level by level from xi and omega."""
+    entries = []
+    for n in range(1, n_max + 1):
+        om, x = omega(ctx, n), xi(ctx, n)
+        entries.append({
+            "n": n,
+            "product_ok": x * omega(ctx, n - 1) == om,
+            "xi_constant_ok": x.coeffs[0] == ctx.p % ctx.slot_moduli(ctx.K)[0],
+            "omega_constant_zero": om.coeffs[0] == 0,
+            "vacuous": om.is_zero(),
+        })
+    vacuous = [e["n"] for e in entries if e["vacuous"]]
+    warnings = [
+        f"vacuous-tail: omega_n vanishes mod m**{ctx.K} from n = {vacuous[0]}; "
+        "increase K for a nonvacuous check"
+    ] if vacuous else []
+    passed = all(e["product_ok"] and e["xi_constant_ok"] and e["omega_constant_zero"] for e in entries)
+    return {"p": ctx.p, "K": ctx.K, "n_max": n_max, "entries": entries,
+            "warnings": warnings, "passed": passed}
+
+
+@pytest.mark.parametrize("mode", [INTEGRAL, CHARP])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tower_report_matches_a_per_level_reference(p, mode):
+    # n_max = K + 2 reaches past the level where omega_n vanishes mod m**K
+    kinds = set()
+    for K in (1, 2, 8, 9):
+        ctx = PrecisionContext(p, K, mode)
+        want = _tower_reference(ctx, K + 2)
+        assert omega_tower_check(ctx, K + 2).to_dict() == want
+        kinds.update(e["vacuous"] for e in want["entries"])
+    assert kinds == {False, True}
+
+
 # -- normality witnesses -------------------------------------------------
 
 
@@ -391,7 +442,8 @@ def test_coinvariant_rank_stops_at_the_stable_level(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_coinvariant_columns_are_x_power_remainders(p, M, monkeypatch):
     # column a + 1 is built as X * (column a) mod F; each must be the
-    # remainder of X**a * om by F, not just give the same rank
+    # remainder of X**a * om by F, not just give the same rank.  A zero om
+    # is the zero matrix: corank deg F, no flag, and no Smith form taken
     rng = Random(f"coinvariant-columns:{p}:{M}")
     mod = p**M
     omega_3 = (0, *(comb(p**3, a) for a in range(1, p**3 + 1)))
@@ -410,7 +462,10 @@ def test_coinvariant_columns_are_x_power_remainders(p, M, monkeypatch):
         oms.append([rng.randrange(-mod, 2 * mod) for _ in range(D)])  # unreduced
         for om in oms:
             del mats[:]
-            _coinvariant(p, F, om, M, 1, False)
+            got = _coinvariant(p, F, om, M, 1, False)
+            if not any(om):
+                assert (got, mats) == ((D, False), [])
+                continue
             want = [_poly_rem([0] * a + om, F, mod) for a in range(D)]
             assert [list(col) for col in zip(*mats[0])] == want
 

@@ -7,7 +7,9 @@ import pytest
 
 from skewseries import iwasawa
 from skewseries.errors import NotPolynomial, SchemaError
-from skewseries.iwasawa import MAX_TOWER_LEVEL, normal_witness, omega_tower_check, snf_rank
+from skewseries.iwasawa import (
+    MAX_TOWER_LEVEL, ModuleSpec, normal_witness, omega_tower_check, rank_growth, snf_rank,
+)
 from skewseries.precision import INTEGRAL, MAX_PRECISION, PadicInt, PrecisionContext
 from skewseries.serialize import dump_distinguished, load_distinguished
 from skewseries.skew import build_skew
@@ -16,6 +18,10 @@ from skewseries.weierstrass import DistinguishedPoly
 
 def _sd():
     return build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
+
+
+def _growth(M: int, guard: int = 2):
+    return rank_growth(ModuleSpec(3, 1, ((3, 1),)), 3, M, guard)
 
 
 def _distinguished(**fields) -> dict:
@@ -75,6 +81,27 @@ CASES = {
         lambda: _sd().at_precision(MAX_PRECISION + 1),
         ValueError, f"K must be <= {MAX_PRECISION}",
     ),
+    # rank_growth and coinvariant_rank share one (M, guard) check and its texts
+    "growth-M-below-1": (
+        lambda: _growth(0), ValueError, f"need precision 1 <= M <= {MAX_PRECISION}",
+    ),
+    "growth-M-above-limit": (
+        lambda: _growth(MAX_PRECISION + 1),
+        ValueError, f"need precision 1 <= M <= {MAX_PRECISION}",
+    ),
+    "growth-guard-below-1": (lambda: _growth(8, 0), ValueError, "guard must be >= 1"),
+    # PadicInt refuses p < 2, where p**prec is no modulus; snf_rank refuses
+    # a composite p, where a unit need not be invertible mod p**M
+    "padic-p-zero": (lambda: PadicInt(0, 5, 2), ValueError, "p must be >= 2"),
+    "padic-p-one": (lambda: PadicInt(1, 3, 2), ValueError, "p must be >= 2"),
+    "padic-p-negative": (lambda: PadicInt(-3, 1, 2), ValueError, "p must be >= 2"),
+    "snf-composite-p": (
+        lambda: snf_rank([[PadicInt(4, 2, 3)]]), ValueError, "p = 4 is not prime",
+    ),
+    "snf-composite-p-unit-entries": (
+        lambda: snf_rank([[PadicInt(6, 1, 2), PadicInt(6, 5, 2)]]),
+        ValueError, "p = 6 is not prime",
+    ),
 }
 
 
@@ -105,3 +132,22 @@ def test_context_bound_refuses_before_the_primality_test(monkeypatch):
     monkeypatch.setattr(precision, "_is_prime", no_test)
     with pytest.raises(ValueError, match="K must be <="):
         PrecisionContext(3, MAX_PRECISION + 1)
+
+
+def test_snf_rank_tests_primality_once_before_elimination(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return n != 4
+
+    def no_elimination(*args):
+        raise AssertionError("the Smith form ran")
+
+    monkeypatch.setattr(iwasawa, "_is_prime", counted)
+    assert snf_rank([[PadicInt(3, a + b, 4) for b in range(3)] for a in range(3)]).rank_at_precision == 1
+    assert calls == [3]
+    monkeypatch.setattr(iwasawa, "_smith_rank", no_elimination)
+    with pytest.raises(ValueError, match="p = 4 is not prime"):
+        snf_rank([[PadicInt(4, a * b + 1, 3) for b in range(3)] for a in range(3)])
+    assert calls == [3, 4]

@@ -27,9 +27,9 @@ _EXPORTS = {
     "errors": (
         "ContextMismatch", "DegenerateAction", "InternalPrecisionLoss",
         "InvalidAction", "MathematicalError", "NotAUnit", "NotDivisible",
-        "NotPolynomial", "NotPreparable", "PrecisionError",
-        "PrecisionInsufficient", "SchemaError", "SkewSeriesError",
-        "SubstitutionDiverges", "SystemSingularAtPrecision", "VanishedAtPrecision",
+        "NotPreparable", "PrecisionError", "PrecisionInsufficient",
+        "SchemaError", "SkewSeriesError", "SubstitutionDiverges",
+        "SystemSingularAtPrecision", "VanishedAtPrecision",
     ),
     "growth": ("GrowthResult",),
     "iwasawa": (

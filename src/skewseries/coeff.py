@@ -122,14 +122,16 @@ def vbinom(ctx: PrecisionContext, e: int) -> Vec:
     reduced exponent also makes e of any sign or size cost K binomials.
     C(e, a) is the falling factorial e(e-1)...(e-a+1) over a!.  It is
     kept mod p**(K+v), v = v_p((K-1)!), so once a!'s p-part p**v_a is
-    divided out exactly it is still known mod p**K; the unit part of a!
-    is inverted mod p**K.  Every intermediate stays below p**(2K+v).
+    divided out exactly it is still known mod p**K.  The unit part u_a of
+    a! is x_1...x_a, x_a the unit part of a; only the last u_a is inverted
+    mod p**K, and u_(a-1)**-1 = u_a**-1 * x_a walks down from it.  Every
+    intermediate stays below p**(2K+v).
     """
     p, K = ctx.p, ctx.K
     v = sum((K - 1) // p**i for i in range(1, K.bit_length() + 1))  # Legendre
     top, big = p**K, p ** (K + v)
     e %= top
-    out, fall, unit, va = [0], 1, 1, 0
+    out, xs, fall, unit, va = [0], [], 1, 1, 0
     for a in range(1, K):
         fall = fall * (e - a + 1) % big
         if not fall:  # then so is every later falling factorial
@@ -138,8 +140,13 @@ def vbinom(ctx: PrecisionContext, e: int) -> Vec:
         while x % p == 0:
             x //= p
             va += 1
+        xs.append(x)
         unit = unit * x % top
-        out.append(fall // p**va * pow(unit, -1, top))
+        out.append(fall // p**va)
+    inv = pow(unit, -1, top)
+    for a in range(len(xs), 0, -1):
+        out[a] *= inv
+        inv = inv * xs[a - 1] % top
     return vcanon(ctx, out, K)
 
 
@@ -160,10 +167,6 @@ class CoeffSeries(_Frozen):
         super().__init__(ctx, vcanon(ctx, coeffs, ctx.K))
 
     # -- constructors --------------------------------------------------
-    @classmethod
-    def from_ints(cls, ctx: PrecisionContext, vals: Iterable[int]) -> "CoeffSeries":
-        return cls(ctx, list(vals))
-
     @classmethod
     def zero(cls, ctx: PrecisionContext) -> "CoeffSeries":
         return cls(ctx, ())
@@ -237,8 +240,3 @@ class CoeffSeries(_Frozen):
     def compose(self, t: "CoeffSeries") -> "CoeffSeries":
         self.ctx.check_same(t.ctx)
         return CoeffSeries(self.ctx, vcompose(self.ctx, self.coeffs, t.coeffs, self.ctx.K))
-
-    def reduce_mod_p(self) -> "CoeffSeries":
-        """Image in F_p[[X]]/(X**K) (the char-p context at the same K)."""
-        rctx = PrecisionContext(self.ctx.p, self.ctx.K, CHARP)
-        return CoeffSeries(rctx, self.coeffs)

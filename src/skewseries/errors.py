@@ -26,10 +26,6 @@ class NotPreparable(MathematicalError):
     """Preparation requires a series of finite reduced order."""
 
 
-class NotPolynomial(MathematicalError):
-    """A polynomial of bounded degree was required."""
-
-
 class InvalidAction(MathematicalError):
     """The twist exponent does not define a valid action (eps != 1 mod p)."""
 

@@ -189,7 +189,7 @@ def descend_ideal(
     """
     ctx = sd.ctx
     K = ctx.K
-    gamma = CoeffSeries.from_ints(ctx, (1, 1))
+    gamma = CoeffSeries(ctx, (1, 1))
     if sd.apply_sigma(gamma) == gamma:
         raise DegenerateAction(
             "sigma fixes 1+X at this precision; the descent step vanishes "
@@ -285,6 +285,8 @@ def snf_rank(matrix: Sequence[Sequence[PadicInt]], guard: int = 2) -> SNFResult:
     band (> M - guard) set precision_flag.
     """
     rows = [list(r) for r in matrix]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("matrix rows must have equal length")
     entries = [x for r in rows for x in r]
     p, M = (entries[0].p, entries[0].prec) if entries else (2, 1)  # no divisors
     if any(x.p != p or x.prec != M for x in entries):

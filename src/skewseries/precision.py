@@ -201,9 +201,6 @@ class PrecisionContext(_Frozen):
         lad = top + (1,) * K
         object.__setattr__(self, "_windows", {q: lad[K - q : 2 * K - q] for q in range(K + 1)})
 
-    def with_K(self, K: int) -> "PrecisionContext":
-        return PrecisionContext(self.p, K, self.mode)
-
     def slot_moduli(self, q: int) -> tuple[int, ...]:
         """Per-X-degree moduli of a coefficient vector at m-precision q in 0..K."""
         try:

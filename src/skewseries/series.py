@@ -48,7 +48,6 @@ exact because G_K is a two-sided ideal.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from math import comb
 from operator import mul, sub
 
 from .coeff import (
@@ -61,7 +60,7 @@ from .coeff import (
     vsub,
     vzero,
 )
-from .errors import ContextMismatch, NotAUnit, NotPolynomial
+from .errors import ContextMismatch, NotAUnit
 from .precision import AtLeast, _Frozen
 from .skew import EPSILON_GUARD, SkewData
 
@@ -114,22 +113,6 @@ def _horner(sd: SkewData, coeffs: Sequence[Vec]) -> Rows:
         rows = _y_step(sd, rows)
         rows = (vadd(ctx, rows[0], c, K),) + rows[1:]
     return rows
-
-
-def _pascal(K: int, vecs: Sequence[Vec], n: int, sign: int) -> list[list[int]]:
-    """Raw K-digit vectors i < n of sum_j sign**(j-i) C(j, i) vecs[j].
-
-    sign = 1 takes Z-coefficients to Y-coefficients (Z = Y + 1), and
-    sign = -1 is the inverse transform.
-    """
-    out = []
-    for i in range(n):
-        acc = [0] * K
-        for j in range(i, len(vecs)):
-            coef = comb(j, i) * sign ** (j - i)
-            acc = [x + coef * y for x, y in zip(acc, vecs[j])]
-        out.append(acc)
-    return out
 
 
 def _y_powers(sd: SkewData, gr: Rows) -> Iterator[Rows]:
@@ -220,9 +203,6 @@ class SkewSeries(_Frozen):
         if not 0 <= j < self.sd.ctx.K:
             raise IndexError(j)
         return CoeffSeries(self.sd.ctx, self.rows[j])
-
-    def coefficients(self) -> tuple[CoeffSeries, ...]:
-        return tuple(CoeffSeries(self.sd.ctx, r) for r in self.rows)
 
     def __repr__(self) -> str:
         terms = []
@@ -341,28 +321,6 @@ class SkewSeries(_Frozen):
             if any(self.rows[j]):
                 return j
         return -1
-
-    # -- basis changes ---------------------------------------------------
-    def to_z_form(self, max_deg: int) -> list[CoeffSeries]:
-        """Coefficients in the Z = Y + 1 basis, where Z r = sigma(r) Z.
-
-        Scalars are sigma-fixed, so the change of basis is the integer
-        Pascal transform c_i = sum_j (-1)**(j-i) C(j, i) a_j.
-        """
-        if self.y_degree() > max_deg:
-            raise NotPolynomial(
-                f"visible Y-degree {self.y_degree()} exceeds max_deg = {max_deg}"
-            )
-        ctx = self.sd.ctx
-        deg = min(max_deg, ctx.K - 1)
-        return [CoeffSeries(ctx, c) for c in _pascal(ctx.K, self.rows[: deg + 1], deg + 1, -1)]
-
-    @classmethod
-    def from_z_form(cls, sd: SkewData, zcoeffs: Sequence[CoeffSeries]) -> "SkewSeries":
-        """Inverse Pascal transform: a_j = sum_i C(i, j) c_i."""
-        for c in zcoeffs:
-            sd.ctx.check_same(c.ctx)
-        return cls(sd, _pascal(sd.ctx.K, [c.coeffs for c in zcoeffs], sd.ctx.K, 1))
 
     # -- right-coefficient form ------------------------------------------
     def right_coefficients(self) -> list[CoeffSeries]:

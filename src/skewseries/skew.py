@@ -121,11 +121,6 @@ class SkewData(_Frozen):
         object.__setattr__(self, "_sig_cols", tuple(map(self.pack, pows)))
 
     # -- identity ------------------------------------------------------
-    @property
-    def sigma_of_X(self) -> CoeffSeries:
-        K = self.ctx.K
-        return CoeffSeries(self.ctx, self.unpack(self._sig_cols[1], K) if K > 1 else ())
-
     def __repr__(self) -> str:
         c = self.ctx
         return f"SkewData(p={c.p}, K={c.K}, mode={c.mode}, eps={self.epsilon_raw})"
@@ -160,7 +155,8 @@ class SkewData(_Frozen):
         with self._lock:
             cached = self._derived.get((K, eps))
             if cached is None:
-                ctx = self.ctx if K == self.ctx.K else self.ctx.with_K(K)
+                c = self.ctx
+                ctx = c if K == c.K else PrecisionContext(c.p, K, c.mode)
                 cached = self._derived[K, eps] = SkewData(ctx, eps, _sibling=self)
             return cached
 
@@ -197,9 +193,6 @@ class SkewData(_Frozen):
     def apply_sigma(self, r: CoeffSeries) -> CoeffSeries:
         self.ctx.check_same(r.ctx)
         return CoeffSeries(self.ctx, self.sig_vec(r.coeffs, self.ctx.K))
-
-    def apply_sigma_inv(self, r: CoeffSeries) -> CoeffSeries:
-        return self.opposite().apply_sigma(r)
 
     def apply_delta(self, r: CoeffSeries) -> CoeffSeries:
         self.ctx.check_same(r.ctx)
@@ -258,7 +251,8 @@ class SkewData(_Frozen):
     def y(self, power: int = 1):
         if power < 0:
             raise ValueError("power must be >= 0")
-        return self._series([vzero(self.ctx)] * power + [vone(self.ctx)])
+        # Y**power lies in G_K once power >= K, so no more rows are built
+        return self._series([vzero(self.ctx)] * min(power, self.ctx.K) + [vone(self.ctx)])
 
     def embed(self, r: CoeffSeries | int):
         if isinstance(r, int):

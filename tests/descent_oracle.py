@@ -14,7 +14,7 @@ from skewseries import CoeffSeries, DegenerateAction, VanishedAtPrecision
 
 def descend_ideal(sd, zcoeffs):
     """(r, steps, trace) of the descent, or the exception the package raises."""
-    gamma = CoeffSeries.from_ints(sd.ctx, (1, 1))
+    gamma = CoeffSeries(sd.ctx, (1, 1))
     if sd.apply_sigma(gamma) == gamma:
         raise DegenerateAction("sigma fixes 1+X at this precision")
     coeffs, steps, trace = list(zcoeffs), 0, []

@@ -95,9 +95,9 @@ def test_criterion_2_division_oracle_equivalence():
                 yield SkewSeries.from_rows(
                     sd,
                     [
-                        CoeffSeries.from_ints(ctx, v[0:3]),
-                        CoeffSeries.from_ints(ctx, v[3:5]),
-                        CoeffSeries.from_ints(ctx, v[5:6]),
+                        CoeffSeries(ctx, v[0:3]),
+                        CoeffSeries(ctx, v[3:5]),
+                        CoeffSeries(ctx, v[5:6]),
                     ],
                 )
 
@@ -183,7 +183,7 @@ def test_criterion_5_cyclotomic_tower():
             for n in (1, 2, 3):
                 assert xi(ctx, n) * omega(ctx, n - 1) == omega(ctx, n)
             want = (2, 1) if p == 2 else (3, 3, 1)
-            assert xi(ctx, 1) == CoeffSeries.from_ints(ctx, want)
+            assert xi(ctx, 1) == CoeffSeries(ctx, want)
 
 
 def test_criterion_6_normality_witnesses():
@@ -205,7 +205,7 @@ def test_criterion_7_ideal_descent():
             sd, [CoeffSeries.x(ctx), CoeffSeries.one(ctx)]
         )
         # X(1+X)(3X+3X^2+X^3) = 3X^2+6X^3+4X^4+X^5
-        assert r == CoeffSeries.from_ints(ctx, (0, 0, 3, 6, 4, 1))
+        assert r == CoeffSeries(ctx, (0, 0, 3, 6, 4, 1))
         assert steps == 1
 
         rng = Random("acceptance7")

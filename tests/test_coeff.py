@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import skewseries.coeff
 from skewseries import AtLeast, CoeffSeries, NotAUnit, PadicInt, PrecisionContext
 from skewseries.coeff import vbinom, vcanon, vone, vorder
 from skewseries.precision import CHARP, INTEGRAL
@@ -180,18 +181,6 @@ def test_compose_laws():
         assert f.compose(t).compose(u) == f.compose(t.compose(u))
 
 
-def test_reduce_mod_p_is_ring_map():
-    rng = Random(207)
-    for _ in range(200):
-        p = rng.choice((2, 3, 5))
-        K = rng.randrange(1, 6)
-        ctx = PrecisionContext(p, K, INTEGRAL)
-        a = rand_coeff(ctx, rng)
-        b = rand_coeff(ctx, rng)
-        assert (a * b).reduce_mod_p() == (a.reduce_mod_p() * b.reduce_mod_p()).reduce_mod_p()
-        assert (a + b).reduce_mod_p() == (a.reduce_mod_p() + b.reduce_mod_p()).reduce_mod_p()
-
-
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
 @pytest.mark.parametrize("p", (2, 3, 5, 1000003))
 def test_vbinom_against_repeated_squaring(p, mode):
@@ -202,6 +191,25 @@ def test_vbinom_against_repeated_squaring(p, mode):
         big = rng.randrange(p ** (K + 5), p ** (K + 6))
         for e in (0, 1, p, 1 + p, p**2, p**3, p**K, p**K + 1, big):
             assert ko._add(ctx, vbinom(ctx, e), vone(ctx), K) == ko.one_plus_x_pow(ctx, e)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_vbinom_takes_one_modular_inverse(p, mode, monkeypatch):
+    inverses = []
+
+    def spy(*args):
+        if len(args) == 3:
+            inverses.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(skewseries.coeff, "pow", spy, raising=False)
+    for K in (1, 2, 5, 17, 64):
+        ctx = PrecisionContext(p, K, mode)
+        for e in (1 + p, -1, p**K - 1):
+            inverses.clear()
+            vbinom(ctx, e)
+            assert len(inverses) == 1
 
 
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))

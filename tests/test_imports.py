@@ -1,14 +1,19 @@
 """Every module of the package, the tests and the benchmark uses each name it
 imports at module level; a name listed in the module's ``__all__`` counts as
-used, since the module re-exports it."""
+used, since the module re-exports it.  Every public function, method and
+class of the package has a caller outside the tests."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIRS = (ROOT / "src" / "skewseries", ROOT / "tests", ROOT / "perfbench")
+
+# public names that may wait for a caller, each with the reason
+UNCALLED = {"SkewData.twist_table": "waits for ROADMAP item 4(b)"}
 
 
 def exported(tree: ast.Module) -> set[str]:
@@ -48,3 +53,73 @@ def test_no_unused_module_level_imports():
 def test_an_export_counts_as_used():
     source = 'from os import path, sep\nimport json\n__all__ = ["sep"]\n'
     assert unused_imports(source, "m.py") == ["m.py:1: path", "m.py:2: json"]
+
+
+def public_defs(tree: ast.Module):
+    """(qualified name, def node) of each public module-level function and
+    class, and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of each name read, attribute taken, name imported, or
+    identifier-shaped string (such as a profiled function's name)."""
+    refs = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            refs.append((n.id, n.lineno))
+        elif isinstance(n, ast.Attribute):
+            refs.append((n.attr, n.lineno))
+        elif isinstance(n, ast.alias):
+            refs.append((n.name, n.lineno))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            refs.append((n.value, n.lineno))
+    return refs
+
+
+def uncalled(package: dict[str, str], callers: dict[str, str], words: set[str]) -> list[str]:
+    """Public defs of ``package`` (path -> code) that no line outside their own
+    def refers to, in ``package`` or ``callers``, and that are not in ``words``."""
+    trees = {path: ast.parse(code) for path, code in {**package, **callers}.items()}
+    refs = {path: references(tree) for path, tree in trees.items()}
+    out = []
+    for path in package:
+        for qual, node in public_defs(trees[path]):
+            name = node.name
+            inside = range(node.lineno, node.end_lineno + 1)
+            if name in words or any(
+                n == name and (where != path or line not in inside)
+                for where, rs in refs.items() for n, line in rs
+            ):
+                continue
+            out.append(f"{path}: {qual}")
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    def read(paths):
+        return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+
+    package, bench = read(sorted(DIRS[0].glob("*.py"))), read(sorted(DIRS[2].glob("*.py")))
+    # README counts by its code (fenced blocks and inline spans), not its prose
+    readme = re.findall(r"```.*?```|`[^`\n]+`", (ROOT / "README.md").read_text(), re.S)
+    words = set(re.findall(r"\w+", "\n".join(readme)))
+    found = [u for u in uncalled(package, bench, words) if u.split(": ")[1] not in UNCALLED]
+    assert found == []
+
+
+def test_a_call_inside_its_own_def_or_a_docstring_does_not_count():
+    source = (
+        "def loop(n):\n    return loop(n - 1)\n\n"
+        "class C:\n    def used(self):\n        return 1\n\n"
+        "    def spare(self):\n        return self.used()\n"
+    )
+    prose = {"b.py": '"""C, loop and spare."""\n'}
+    assert uncalled({"m.py": source}, prose, set()) == ["m.py: loop", "m.py: C", "m.py: C.spare"]
+    assert uncalled({"m.py": source}, {"b.py": "C().spare()\n"}, {"loop"}) == []

@@ -18,7 +18,7 @@ PUBLIC = [
     "AtLeast", "AxiomReport", "CHARP", "CoeffSeries", "ContextMismatch",
     "DegenerateAction", "DistinguishedPoly", "GrowthResult", "INTEGRAL",
     "InternalPrecisionLoss", "InvalidAction", "MathematicalError", "ModuleSpec",
-    "NotAUnit", "NotDivisible", "NotPolynomial", "NotPreparable", "PadicInt",
+    "NotAUnit", "NotDivisible", "NotPreparable", "PadicInt",
     "PrecisionContext", "PrecisionError", "PrecisionInsufficient", "SNFResult",
     "SchemaError", "SkewData", "SkewSeries", "SkewSeriesError",
     "SubstitutionDiverges", "SystemSingularAtPrecision", "TowerReport",

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from skewseries import iwasawa
-from skewseries.errors import NotPolynomial, SchemaError
+from skewseries.errors import SchemaError
 from skewseries.iwasawa import (
     MAX_TOWER_LEVEL, ModuleSpec, normal_witness, omega_tower_check, rank_growth, snf_rank,
 )
@@ -48,6 +48,14 @@ CASES = {
         lambda: snf_rank([[PadicInt(3, 1, 4), PadicInt(3, 1, 5)]]),
         ValueError, "matrix entries must share prime and precision",
     ),
+    "snf-ragged-empty-row": (
+        lambda: snf_rank([[PadicInt(3, 1, 2)], []]),
+        ValueError, "matrix rows must have equal length",
+    ),
+    "snf-ragged-short-row": (
+        lambda: snf_rank([[PadicInt(3, 1, 2), PadicInt(3, 3, 2)], [PadicInt(3, 2, 2)]]),
+        ValueError, "matrix rows must have equal length",
+    ),
     "distinguished-negative-s": (
         lambda: load_distinguished(_distinguished(s=-1)),
         SchemaError, "distinguished: degree s must be >= 0",
@@ -61,10 +69,6 @@ CASES = {
         SchemaError, "distinguished: lower coefficients must lie in the maximal ideal",
     ),
     "series-row-out-of-range": (lambda: _sd().one().row(4), IndexError, "4"),
-    "z-form-past-max-deg": (
-        lambda: _sd().y(2).to_z_form(1),
-        NotPolynomial, "visible Y-degree 2 exceeds max_deg = 1",
-    ),
     "twist-table-negative-n": (
         lambda: _sd().twist_table(_sd().embed(1).row(0), -1), ValueError, "n must be >= 0",
     ),

@@ -191,23 +191,6 @@ def test_not_a_unit_iff_row0_constant_divisible():
                 f.inverse()
 
 
-def test_z_form_round_trip():
-    rng = Random(406)
-    for sd in skews():
-        K = sd.ctx.K
-        for _ in range(25):
-            f = rand_series(sd, rng)
-            zc = f.to_z_form(K - 1)
-            assert SkewSeries.from_z_form(sd, zc) == f
-
-
-def test_from_z_form_rejects_coefficients_over_another_context():
-    sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
-    for ctx in (PrecisionContext(3, 2, INTEGRAL), PrecisionContext(5, 4, INTEGRAL)):
-        with pytest.raises(ContextMismatch):
-            SkewSeries.from_z_form(sd, [CoeffSeries.one(sd.ctx), CoeffSeries(ctx, (1, 1))])
-
-
 def test_right_coefficients_round_trip():
     rng = Random(407)
     for sd in skews():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 from random import Random
 
 import pytest
@@ -27,8 +28,8 @@ def test_sigma_of_x_known_value():
     # sigma(X) = (1+X)^4 - 1 = 4X + 6X^2 + 4X^3 + ...; at K=4 the X^3
     # slot is stored mod 3, so 4 canonicalizes to 1.
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
-    assert sd.sigma_of_X.coeffs == (0, 4, 6, 1)
     x = CoeffSeries.x(sd.ctx)
+    assert sd.apply_sigma(x).coeffs == (0, 4, 6, 1)
     assert sd.apply_delta(x).coeffs == (0, 3, 6, 1)
 
 
@@ -42,7 +43,7 @@ def test_closed_form_twist_matches_vpow_route(p, mode):
         x = CoeffSeries.x(ctx)
         for eps in (1, 1 + p, 1 + p * (p**K - 1)):
             sd = build_skew(ctx, eps)
-            sig, isig = sd.sigma_of_X, sd.apply_sigma_inv(x)
+            sig, isig = sd.apply_sigma(x), sd.opposite().apply_sigma(x)
             assert sig.coeffs == ko.twisted_x(sd)
             assert isig.coeffs == ko.twisted_x(sd, inverse=True)
             # what the constructor relies on without checking: sigma(X)
@@ -85,8 +86,8 @@ def test_sigma_is_ring_map_and_invertible():
             b = rand_coeff(sd.ctx, rng)
             assert sd.apply_sigma(a * b) == sd.apply_sigma(a) * sd.apply_sigma(b)
             assert sd.apply_sigma(a + b) == sd.apply_sigma(a) + sd.apply_sigma(b)
-            assert sd.apply_sigma_inv(sd.apply_sigma(a)) == a
-            assert sd.apply_sigma(sd.apply_sigma_inv(a)) == a
+            assert sd.opposite().apply_sigma(sd.apply_sigma(a)) == a
+            assert sd.apply_sigma(sd.opposite().apply_sigma(a)) == a
 
 
 def test_delta_twisted_leibniz():
@@ -122,6 +123,19 @@ def test_commutative_degeneration_of_twist():
             a = rand_coeff(sd.ctx, rng)
             assert sd.apply_sigma(a) == a
             assert sd.apply_delta(a).is_zero()
+
+
+def test_high_power_of_y_builds_no_rows_past_k():
+    # Y**power lies in G_K once power >= K; a huge power costs no memory
+    sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
+    assert sd.y(3).rows[3][0] == 1 and sd.y(4) == sd.zero()
+    tracemalloc.start()
+    try:
+        assert sd.y(10**6) == sd.zero()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_twist_table_cache_consistency():

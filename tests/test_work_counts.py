@@ -154,11 +154,12 @@ def test_right_coefficients_build_the_opposite_once(work):
     sd = build_skew(PrecisionContext(3, 8), 4)
     f = rand_series(sd, Random(4))
     work()
-    g = SkewSeries.from_right_coefficients(sd, f.coefficients())
+    ls = [f.row(j) for j in range(sd.ctx.K)]
+    g = SkewSeries.from_right_coefficients(sd, ls)
     assert work()[3] == 0  # the left direction steps with sigma
     bs = f.right_coefficients()
     assert work()[3] == 1  # cold: sd.opposite()
-    assert g.right_coefficients() == list(f.coefficients())
+    assert g.right_coefficients() == ls
     assert f.right_coefficients() == bs
     assert work()[3] == 0  # warm
 

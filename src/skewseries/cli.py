@@ -151,12 +151,15 @@ def cmd_descend(args) -> int:
 
 
 def cmd_rankgrowth(args) -> int:
+    import os
     from pathlib import Path
 
     from .iwasawa import MAX_TOWER_LEVEL, rank_growth
 
     if not args.out:
         raise SchemaError("rankgrowth requires --out (the CSV is written alongside)")
+    if Path(args.out).suffix == ".csv":
+        raise SchemaError("rankgrowth --out must not end in .csv (the CSV is written alongside)")
     spec = _load_kind(args, "module_spec")
     if 2 <= args.n_max <= MAX_TOWER_LEVEL:  # rank_growth refuses other n_max
         # the CSV's largest lambda_n is d*p**n_max + c, and c <= sum of deg F
@@ -171,7 +174,11 @@ def cmd_rankgrowth(args) -> int:
         f"{n},{lam},{int(flag)}\n" for n, lam, flag in growth.table
     )
     write_json_atomic(args.out, summary)
-    write_text_atomic(str(Path(args.out).with_suffix(".csv")), csv_text)
+    try:
+        write_text_atomic(str(Path(args.out).with_suffix(".csv")), csv_text)
+    except BaseException:
+        os.unlink(args.out)  # both files or neither
+        raise
     return 0
 
 

@@ -189,18 +189,18 @@ def descend_ideal(
     """
     ctx = sd.ctx
     K = ctx.K
+    coeffs = list(zcoeffs)
+    for c in coeffs:  # before any other check, and for a coefficient that dies too
+        c.ctx.check_same(ctx)
     gamma = CoeffSeries(ctx, (1, 1))
     if sd.apply_sigma(gamma) == gamma:
         raise DegenerateAction(
             "sigma fixes 1+X at this precision; the descent step vanishes "
             "identically (twist exponent is 1 at precision)"
         )
-    coeffs = list(zcoeffs)
     ords = [vorder(ctx, c.coeffs, K) for c in coeffs]
     if all(o >= K for o in ords):
         raise VanishedAtPrecision("input polynomial is zero at this precision")
-    for c in coeffs:  # no product is taken with a coefficient that dies
-        c.ctx.check_same(ctx)
     sig_gamma = [gamma]  # sigma**i(gamma) up to the top degree, which only falls
     for _ in range(max(i for i, o in enumerate(ords) if o < K)):
         sig_gamma.append(sd.apply_sigma(sig_gamma[-1]))

@@ -19,17 +19,18 @@ Nothing here imports from the package under test.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import count
 from math import comb
 
 
 def _order(p: int, K: int, mode: str) -> int:
-    """p**n, the order of gamma and of h in G/N."""
-    if mode == "charp":
-        N = 1
-        while N < K:
-            N *= p
-        return N
-    return p ** (K - 1)
+    """p**n, the order of gamma and of h in G/N: p**(K - 1) (never below K)
+    in integral mode, the least p**n >= K in char p."""
+    N = 1 if mode == "charp" else p ** (K - 1)
+    while N < K:
+        N *= p
+    return N
 
 
 def canon(p, K, mode, rows):
@@ -58,10 +59,11 @@ def lift(p, K, mode, rows):
     return {k: c for k, c in out.items() if c}
 
 
-def project(p, K, mode, elems):
-    """Rows of sum c_ab gamma**a h**b, each term (1 + X)**a (1 + Y)**b."""
+def element(p, K, mode, terms):
+    """Rows of sum c gamma**a h**b over terms {(a, b): c}, each term
+    (1 + X)**a (1 + Y)**b."""
     by_b = {}
-    for (a, b), c in elems.items():
+    for (a, b), c in terms.items():
         xs = by_b.setdefault(b, [0] * K)
         for i in range(K):
             xs[i] += c * comb(a, i)
@@ -74,6 +76,11 @@ def project(p, K, mode, elems):
     return canon(p, K, mode, rows)
 
 
+def add(p, K, mode, f, g):
+    """Rows of f + g."""
+    return canon(p, K, mode, [[x + y for x, y in zip(r, s)] for r, s in zip(f, g)])
+
+
 def mul(p, K, mode, eps, f, g):
     """Rows of f*g, multiplied in the group ring by (a, b)(c, d) = (a + eps**b c, b + d)."""
     N = _order(p, K, mode)
@@ -84,4 +91,34 @@ def mul(p, K, mode, eps, f, g):
         for (c, d), y in gl:
             key = ((a + e * c) % N, (b + d) % N)
             out[key] = out.get(key, 0) + x * y
-    return project(p, K, mode, out)
+    return element(p, K, mode, out)
+
+
+def descend(p, K, mode, eps, zcoeffs):
+    """(digits of r, steps) of the two-sided-ideal descent of b = sum c_j h**j,
+    or None once every coefficient vanishes mod G_K.
+
+    A step by the top visible degree s is b -> gamma**(eps**s) b - b gamma.
+    As h**j gamma = gamma**(eps**j) h**j, it sends c gamma**a h**j to
+    c (gamma**(a + eps**s) - gamma**(a + eps**j)) h**j, and kills h**s.
+    """
+    N = _order(p, K, mode)
+    b = [lift(p, K, mode, [c]) for c in zcoeffs]  # c_j as {(a, 0): coefficient}
+    for steps in count():
+        digits = [element(p, K, mode, c)[0] for c in b]
+        visible = [j for j, d in enumerate(digits) if any(d)]
+        if not visible:
+            return None
+        if len(visible) == 1:
+            return digits[visible[0]], steps
+        s = visible[-1]
+        b = [_step(c, pow(eps, s, N), pow(eps, j, N), N) for j, c in enumerate(b[:s])]
+
+
+def _step(c, top, own, N):
+    """sum x (gamma**(a + top) - gamma**(a + own)) over the terms x gamma**a of c."""
+    out = Counter()
+    for (a, _), x in c.items():
+        out[(a + top) % N, 0] += x
+        out[(a + own) % N, 0] -= x
+    return out

@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-import commutative_oracle as co
+import group_ring_oracle as gro
 from skewseries import (
     AtLeast,
     CHARP,
@@ -121,35 +121,27 @@ def test_criterion_2_division_oracle_equivalence():
                 assert divide(g, f) == divide_oracle(g, f)
 
 
-def test_criterion_3_commutative_degeneration():
-    with criterion(3, "trivial-twist agreement with commutative oracle"):
-        configs = [
-            (2, "zp", 4),
-            (3, "zp", 4),
-            (5, "zp", 3),
-            (3, "fp", 4),
-            (2, "fp", 5),
-        ]
+def test_criterion_3_group_ring_agreement():
+    with criterion(3, "agreement with the independent group-ring model"):
+        configs = [(2, INTEGRAL, 4), (3, INTEGRAL, 4), (5, INTEGRAL, 3),
+                   (3, CHARP, 4), (2, CHARP, 5)]
         n_mul = n_prep = 0
-        for p, mode, K in configs:
-            ring = INTEGRAL if mode == "zp" else CHARP
-            sd = build_skew(PrecisionContext(p, K, ring), 1)
-            rng = Random(f"acceptance3:{p}:{mode}:{K}")
+        for (p, mode, K), e in itertools.product(configs, (0, 1)):
+            eps = 1 + e * p  # the trivial twist and a nontrivial one
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"acceptance3:{p}:{mode}:{K}:{eps}")
             for _ in range(30):
-                a = rand_series(sd, rng)
-                b = rand_series(sd, rng)
-                assert (a * b).rows == co.mul(p, K, mode, a.rows, b.rows)
+                a, b = rand_series(sd, rng), rand_series(sd, rng)
+                assert (a * b).rows == gro.mul(p, K, mode, eps, a.rows, b.rows)
                 n_mul += 1
             for _ in range(25):
                 s = rng.randrange(1, K)
                 f = rand_reduced_order(sd, rng, s)
-                eps, F = prepare(f)
-                e2, s2, low2 = co.prepare(p, K, mode, f.rows)
-                assert eps.rows == e2
-                assert F.degree == s2 == s
-                assert tuple(c.coeffs for c in F.lower) == low2
+                unit, F = prepare(f)
+                assert F.degree == s
+                assert gro.mul(p, K, mode, eps, unit.rows, F.as_series().rows) == f.rows
                 n_prep += 1
-        assert n_mul >= 100 and n_prep >= 100
+        assert n_mul >= 300 and n_prep >= 250
 
 
 def test_criterion_4_twist_depth_bounds():

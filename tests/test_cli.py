@@ -25,6 +25,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def _write(tmp_path, obj: dict) -> str:
+    """Path of in.json, holding obj."""
+    src = tmp_path / "in.json"
+    write_json_atomic(str(src), obj)
+    return str(src)
+
+
 def test_xi_stdout(capsys):
     assert run("xi", "--p", "2", "--K", "8", "--n", "1") == 0
     obj = json.loads(capsys.readouterr().out)
@@ -46,10 +53,9 @@ def test_omega_out_file(tmp_path, capsys):
 def test_prepare_round_trip(tmp_path, capsys):
     sd = build_skew(PrecisionContext(3, 6, INTEGRAL), 4)
     f = (sd.one() + sd.y()) * (sd.y() - 3)
-    src = tmp_path / "f.json"
-    write_json_atomic(str(src), dump_series(f))
+    src = _write(tmp_path, dump_series(f))
     out = tmp_path / "prep.json"
-    assert run("prepare", "--in", str(src), "--out", str(out)) == 0
+    assert run("prepare", "--in", src, "--out", str(out)) == 0
     capsys.readouterr()
     obj = json.loads(out.read_text())
     assert obj["subcommand"] == "prepare" and obj["seed"] == 0
@@ -63,20 +69,18 @@ def test_prepare_round_trip(tmp_path, capsys):
 def test_prepare_byte_determinism(tmp_path, capsys):
     sd = build_skew(PrecisionContext(3, 6, INTEGRAL), 4)
     f = (sd.one() + sd.y()) * (sd.y() - 3)
-    src = tmp_path / "f.json"
-    write_json_atomic(str(src), dump_series(f))
+    src = _write(tmp_path, dump_series(f))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run("prepare", "--in", str(src), "--out", str(a)) == 0
-    assert run("prepare", "--in", str(src), "--out", str(b)) == 0
+    assert run("prepare", "--in", src, "--out", str(a)) == 0
+    assert run("prepare", "--in", src, "--out", str(b)) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_divide(tmp_path, capsys):
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
-    src = tmp_path / "prob.json"
-    write_json_atomic(str(src), dump_division_problem(sd.y(2), sd.y() - 3))
-    assert run("divide", "--in", str(src)) == 0
+    src = _write(tmp_path, dump_division_problem(sd.y(2), sd.y() - 3))
+    assert run("divide", "--in", src) == 0
     obj = json.loads(capsys.readouterr().out)
     assert load_object(obj["q"]) == sd.y() + 3
     assert load_object(obj["rem"]) == sd.embed(9)
@@ -85,9 +89,8 @@ def test_divide(tmp_path, capsys):
 def test_divide_refuses_a_lift_above_the_limit(tmp_path, capsys):
     # reduced order s = 11 at K = 12 lifts to K' = 133 > MAX_PRECISION
     sd = build_skew(PrecisionContext(3, 12, INTEGRAL), 4)
-    src, out = tmp_path / "prob.json", tmp_path / "out.json"
-    write_json_atomic(str(src), dump_division_problem(sd.y(2), sd.y(11) + 3))
-    assert run("divide", "--in", str(src), "--out", str(out)) == 3
+    src, out = _write(tmp_path, dump_division_problem(sd.y(2), sd.y(11) + 3)), tmp_path / "o.json"
+    assert run("divide", "--in", src, "--out", str(out)) == 3
     assert capsys.readouterr().err == (
         "skewseries: schema error: division refused: division by a divisor of reduced "
         f"order s = 11 at K = 12 lifts to K' = s*K + 1 = 133, above the limit {MAX_PRECISION}\n"
@@ -98,39 +101,32 @@ def test_divide_refuses_a_lift_above_the_limit(tmp_path, capsys):
 def test_invert_unit_and_nonunit(tmp_path, capsys):
     sd = build_skew(PrecisionContext(2, 4, INTEGRAL), 3)
     u = sd.one() - sd.y()
-    src = tmp_path / "u.json"
-    write_json_atomic(str(src), dump_series(u))
-    assert run("invert", "--in", str(src)) == 0
+    src = _write(tmp_path, dump_series(u))
+    assert run("invert", "--in", src) == 0
     obj = json.loads(capsys.readouterr().out)
     inv = load_object(obj)
     assert inv * u == sd.one()
     assert obj["subcommand"] == "invert"
 
-    nu = sd.embed(2) + sd.y()
-    write_json_atomic(str(src), dump_series(nu))
-    assert run("invert", "--in", str(src)) == 1
+    _write(tmp_path, dump_series(sd.embed(2) + sd.y()))  # not a unit
+    assert run("invert", "--in", src) == 1
     capsys.readouterr()
 
 
 def test_descend(tmp_path, capsys):
     sd = build_skew(PrecisionContext(3, 6, INTEGRAL), 4)
     x = CoeffSeries.x(sd.ctx)
-    src = tmp_path / "z.json"
-    write_json_atomic(str(src), dump_z_poly(sd, [x, CoeffSeries.one(sd.ctx)]))
-    assert run("descend", "--in", str(src)) == 0
+    src = _write(tmp_path, dump_z_poly(sd, [x, CoeffSeries.one(sd.ctx)]))
+    assert run("descend", "--in", src) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["steps"] == 1
     assert load_object(obj["r"]).coeffs == (0, 0, 3, 6, 4, 1)
 
 
 def test_rankgrowth_artifacts(tmp_path, capsys):
-    src = tmp_path / "spec.json"
-    write_json_atomic(
-        str(src), dump_module_spec(ModuleSpec(2, d=1, torsion_polys=((2, 1),)))
-    )
+    src = _write(tmp_path, dump_module_spec(ModuleSpec(2, d=1, torsion_polys=((2, 1),))))
     out = tmp_path / "growth.json"
-    args = ("rankgrowth", "--in", str(src), "--n-max", "3", "--K", "8",
-            "--out", str(out))
+    args = ("rankgrowth", "--in", src, "--n-max", "3", "--K", "8", "--out", str(out))
     assert run(*args) == 0
     capsys.readouterr()
     summary = json.loads(out.read_text())
@@ -145,15 +141,14 @@ def test_rankgrowth_artifacts(tmp_path, capsys):
 
 
 def test_out_files_follow_the_umask(tmp_path, capsys):
-    src = tmp_path / "spec.json"
-    write_json_atomic(str(src), dump_module_spec(ModuleSpec(2, d=1, torsion_polys=((2, 1),))))
+    src = _write(tmp_path, dump_module_spec(ModuleSpec(2, d=1, torsion_polys=((2, 1),))))
     old = os.umask(0o022)
     try:
         for umask in (0o022, 0o077, 0o002):
             os.umask(umask)
             om, growth = tmp_path / f"omega-{umask:o}.json", tmp_path / f"growth-{umask:o}.json"
             assert run("omega", "--p", "3", "--K", "4", "--n", "1", "--out", str(om)) == 0
-            assert run("rankgrowth", "--in", str(src), "--n-max", "3", "--K", "8",
+            assert run("rankgrowth", "--in", src, "--n-max", "3", "--K", "8",
                        "--out", str(growth)) == 0
             for path in (om, growth, growth.with_suffix(".csv")):
                 assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
@@ -181,20 +176,36 @@ def test_precision_above_the_limit_is_refused(tmp_path, capsys):
 
 
 def test_rankgrowth_requires_out(tmp_path, capsys):
-    src = tmp_path / "spec.json"
-    write_json_atomic(str(src), dump_module_spec(ModuleSpec(2, d=1)))
-    assert run("rankgrowth", "--in", str(src), "--n-max", "3", "--K", "8") == 3
+    src = _write(tmp_path, dump_module_spec(ModuleSpec(2, d=1)))
+    assert run("rankgrowth", "--in", src, "--n-max", "3", "--K", "8") == 3
     capsys.readouterr()
 
 
-def test_rankgrowth_rejects_precision_or_guard_below_one(tmp_path, capsys):
-    src = tmp_path / "spec.json"
-    write_json_atomic(
-        str(src),
-        dump_module_spec(ModuleSpec(3, d=1, torsion_polys=((0, 1), (3, 3, 1), (3, 1)))),
+def test_rankgrowth_refuses_an_out_path_that_is_its_own_csv(tmp_path, capsys):
+    src = _write(tmp_path, dump_module_spec(ModuleSpec(2, d=1)))
+    argv = ("rankgrowth", "--in", src, "--n-max", "3", "--K", "8")
+    assert run(*argv, "--out", str(tmp_path / "g.csv")) == 3
+    assert capsys.readouterr().err == (
+        "skewseries: schema error: rankgrowth --out must not end in .csv "
+        "(the CSV is written alongside)\n"
     )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+def test_rankgrowth_leaves_no_json_when_the_csv_cannot_be_written(tmp_path, capsys):
+    src = _write(tmp_path, dump_module_spec(ModuleSpec(2, d=1)))
+    argv = ("rankgrowth", "--in", src, "--n-max", "3", "--K", "8")
+    (tmp_path / "g.csv").mkdir()
+    assert run(*argv, "--out", str(tmp_path / "g.json")) == 3
+    assert capsys.readouterr().err.startswith("skewseries: i/o error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "in.json"]
+
+
+def test_rankgrowth_rejects_precision_or_guard_below_one(tmp_path, capsys):
+    spec = ModuleSpec(3, d=1, torsion_polys=((0, 1), (3, 3, 1), (3, 1)))
+    src = _write(tmp_path, dump_module_spec(spec))
     out = tmp_path / "growth.json"
-    base = ("rankgrowth", "--in", str(src), "--n-max", "3", "--out", str(out))
+    base = ("rankgrowth", "--in", src, "--n-max", "3", "--out", str(out))
     # the last --n-max on a command line wins: 10**9 overrides base's 3
     for flags in (("--K", "0"), ("--K", "-1"), ("--K", "8", "--guard", "0"),
                   ("--K", "8", "--n-max", "1000000000")):
@@ -207,10 +218,9 @@ def test_rankgrowth_rejects_precision_or_guard_below_one(tmp_path, capsys):
 
 
 def test_rankgrowth_rejects_precision_above_max(tmp_path, capsys):
-    src = tmp_path / "spec.json"
-    write_json_atomic(str(src), dump_module_spec(ModuleSpec(3, d=1, torsion_polys=((3, 1),))))
+    src = _write(tmp_path, dump_module_spec(ModuleSpec(3, d=1, torsion_polys=((3, 1),))))
     out = tmp_path / "growth.json"
-    argv = ("rankgrowth", "--in", str(src), "--n-max", "3", "--out", str(out))
+    argv = ("rankgrowth", "--in", src, "--n-max", "3", "--out", str(out))
     assert run(*argv, "--K", str(MAX_PRECISION + 1)) == 3
     assert "invalid rank-growth parameters" in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".csv").exists()
@@ -247,9 +257,8 @@ def test_schema_rejection_exit_3(tmp_path, capsys):
 
 def test_wrong_kind_exit_3(tmp_path, capsys):
     sd = build_skew(PrecisionContext(2, 3, INTEGRAL), 3)
-    src = tmp_path / "series.json"
-    write_json_atomic(str(src), dump_series(sd.one()))
-    assert run("divide", "--in", str(src)) == 3
+    src = _write(tmp_path, dump_series(sd.one()))
+    assert run("divide", "--in", src) == 3
     capsys.readouterr()
 
 

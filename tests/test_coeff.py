@@ -11,20 +11,9 @@ from skewseries import AtLeast, CoeffSeries, NotAUnit, PadicInt, PrecisionContex
 from skewseries.coeff import vbinom, vcanon, vone, vorder
 from skewseries.precision import CHARP, INTEGRAL
 
+import group_ring_oracle as gro
 import kernel_oracle as ko
 from util import rand_coeff
-
-
-def naive_product(ctx, a, b):
-    """Independent Cauchy product, canonicalized slot by slot."""
-    K = ctx.K
-    acc = [0] * K
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j < K:
-                acc[i + j] += x * y
-    moduli = ctx.slot_moduli(K)
-    return tuple(v % m for v, m in zip(acc, moduli))
 
 
 def test_known_inverse():
@@ -40,7 +29,7 @@ def test_product_matches_naive_oracle():
         ctx = PrecisionContext(p, K, rng.choice((INTEGRAL, CHARP)))
         a = rand_coeff(ctx, rng)
         b = rand_coeff(ctx, rng)
-        assert (a * b).coeffs == naive_product(ctx, a.coeffs, b.coeffs)
+        assert (a * b).coeffs == gro.mul(p, K, ctx.mode, 1, [a.coeffs], [b.coeffs])[0]
 
 
 def test_ring_laws():
@@ -141,14 +130,14 @@ def test_unit_iff_constant_unit():
 
 
 def naive_compose(ctx, f, t):
-    """f(t(X)) via repeated naive products; t must lie in m."""
+    """f(t(X)) via repeated products in the group-ring model; t must lie in m."""
     K = ctx.K
     moduli = ctx.slot_moduli(K)
     acc = [0] * K
     power = [1] + [0] * (K - 1)
     for i in range(K):
         if i > 0:
-            power = list(naive_product(ctx, power, t))
+            power = gro.mul(ctx.p, K, ctx.mode, 1, [power], [t])[0]
         acc = [x + f[i] * y for x, y in zip(acc, power)]
     return tuple(v % m for v, m in zip(acc, moduli))
 

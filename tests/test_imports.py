@@ -1,12 +1,14 @@
 """Every module of the package, the tests and the benchmark uses each name it
 imports at module level; a name listed in the module's ``__all__`` counts as
 used, since the module re-exports it.  Every public function, method and
-class of the package has a caller outside the tests."""
+class of the package has a caller outside the tests, and every helper of
+the tests has a caller among them."""
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +69,11 @@ def public_defs(tree: ast.Module):
                     yield f"{node.name}.{sub.name}", sub
 
 
+def top_level_defs(tree: ast.Module):
+    """(name, def node) of each module-level function and class, private or not."""
+    return [(n.name, n) for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+
+
 def references(tree: ast.AST) -> list[tuple[str, int]]:
     """(name, line) of each name read, attribute taken, name imported, or
     identifier-shaped string (such as a profiled function's name)."""
@@ -83,14 +90,17 @@ def references(tree: ast.AST) -> list[tuple[str, int]]:
     return refs
 
 
-def uncalled(package: dict[str, str], callers: dict[str, str], words: set[str]) -> list[str]:
-    """Public defs of ``package`` (path -> code) that no line outside their own
-    def refers to, in ``package`` or ``callers``, and that are not in ``words``."""
+def uncalled(
+    package: dict[str, str], callers: dict[str, str], words: set[str], defs=public_defs
+) -> list[str]:
+    """The ``defs`` (public ones by default) of ``package`` (path -> code) that no
+    line outside their own def refers to, in ``package`` or ``callers``, and
+    that are not in ``words``."""
     trees = {path: ast.parse(code) for path, code in {**package, **callers}.items()}
     refs = {path: references(tree) for path, tree in trees.items()}
     out = []
     for path in package:
-        for qual, node in public_defs(trees[path]):
+        for qual, node in defs(trees[path]):
             name = node.name
             inside = range(node.lineno, node.end_lineno + 1)
             if name in words or any(
@@ -123,3 +133,28 @@ def test_a_call_inside_its_own_def_or_a_docstring_does_not_count():
     prose = {"b.py": '"""C, loop and spare."""\n'}
     assert uncalled({"m.py": source}, prose, set()) == ["m.py: loop", "m.py: C", "m.py: C.spare"]
     assert uncalled({"m.py": source}, {"b.py": "C().spare()\n"}, {"loop"}) == []
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """The top-level name of each module that ``tree`` imports, anywhere in it."""
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    names += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    return {name.split(".")[0] for name in names}
+
+
+def test_every_test_helper_and_its_defs_have_a_caller():
+    """A module under tests/ not named test_*.py is imported by one there, and
+    each function and class it defines is referred to outside its own def: an
+    oracle left behind after its last caller moved away fails."""
+    code = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(DIRS[1].glob("*.py"))}
+    helpers = {path: c for path, c in code.items() if not Path(path).name.startswith("test_")}
+    tests = {path: c for path, c in code.items() if path not in helpers}
+    imported = set().union(*(imported_modules(ast.parse(c)) for c in code.values()))
+    assert [path for path in helpers if Path(path).stem not in imported] == []
+    assert uncalled(helpers, tests, set(), top_level_defs) == []
+
+
+def test_group_ring_oracle_imports_only_the_standard_library():
+    # so the model shares no code with the package it checks
+    tree = ast.parse((DIRS[1] / "group_ring_oracle.py").read_text())
+    assert imported_modules(tree) <= sys.stdlib_module_names

@@ -6,9 +6,11 @@ from __future__ import annotations
 import pytest
 
 from skewseries import iwasawa
-from skewseries.errors import SchemaError
+from skewseries.coeff import CoeffSeries
+from skewseries.errors import ContextMismatch, SchemaError
 from skewseries.iwasawa import (
-    MAX_TOWER_LEVEL, ModuleSpec, normal_witness, omega_tower_check, rank_growth, snf_rank,
+    MAX_TOWER_LEVEL, ModuleSpec, descend_ideal, normal_witness, omega_tower_check, rank_growth,
+    snf_rank,
 )
 from skewseries.precision import INTEGRAL, MAX_PRECISION, PadicInt, PrecisionContext
 from skewseries.serialize import dump_distinguished, load_distinguished
@@ -32,6 +34,10 @@ def _distinguished(**fields) -> dict:
     return {**dump_distinguished(F), **fields}
 
 
+OTHER = PrecisionContext(5, 4)  # a context that _sd() does not have
+MISMATCH = ("contexts differ: PrecisionContext(p=5, K=4, mode='integral') "
+            "vs PrecisionContext(p=3, K=4, mode='integral')")
+
 CASES = {
     "tower-n_max-below-1": (
         lambda: omega_tower_check(PrecisionContext(3, 4), 0),
@@ -43,6 +49,16 @@ CASES = {
     ),
     "normal-witness-negative-n": (
         lambda: normal_witness(_sd(), -1), ValueError, "n must be >= 0",
+    ),
+    # a coefficient over another context is refused before any other check:
+    # even a zero one, and even where eps = 1 leaves no descent step
+    "descend-zero-over-another-context": (
+        lambda: descend_ideal(_sd(), [CoeffSeries.zero(OTHER)]),
+        ContextMismatch, MISMATCH,
+    ),
+    "descend-degenerate-over-another-context": (
+        lambda: descend_ideal(build_skew(_sd().ctx, 1), [CoeffSeries.one(OTHER)]),
+        ContextMismatch, MISMATCH,
     ),
     "snf-mixed-entries": (
         lambda: snf_rank([[PadicInt(3, 1, 4), PadicInt(3, 1, 5)]]),

@@ -20,7 +20,7 @@ import skewseries.series
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 from skewseries.series import _mul_rows, _packed, _y_powers
 
-import commutative_oracle as co
+import group_ring_oracle as gro
 from inverse_oracle import geometric_inverse
 from twist_oracle import table_from_right_coefficients, table_right_coefficients
 from util import rand_coeff, rand_series, rand_unit
@@ -144,8 +144,6 @@ def test_two_sided_inverse():
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
 @pytest.mark.parametrize("p, eps", ((2, 3), (3, 4), (5, 6), (2, 1), (3, 1), (5, 1)))
 def test_newton_inverse_matches_oracles(p, eps, mode):
-    # eps = 1 is the trivial twist, where the commutative oracle applies too.
-    co_mode = "zp" if mode == INTEGRAL else "fp"
     for K in (1, 2, 3, 8, 16, 17):
         sd = build_skew(PrecisionContext(p, K, mode), eps)
         rng = Random(f"newton-inverse:{p}:{eps}:{mode}:{K}")
@@ -154,8 +152,8 @@ def test_newton_inverse_matches_oracles(p, eps, mode):
             v = u.inverse()
             assert v.rows == geometric_inverse(u).rows
             assert u * v == sd.one() == v * u
-            if eps == 1:
-                assert v.rows == co.inv(p, K, co_mode, u.rows)
+            # u*v = 1 in the group-ring model pins every digit of v
+            assert gro.mul(p, K, mode, eps, u.rows, v.rows) == sd.one().rows
 
 
 def test_inverse_does_not_recanonicalize_at_its_own_precision(monkeypatch):

@@ -154,7 +154,7 @@ def normal_witness(sd: SkewData, n: int) -> tuple[CoeffSeries, SkewSeries]:
         raise ValueError("n must be >= 0")
     ctx = sd.ctx
     u = _quotient(ctx, sd.epsilon_raw % ctx.p**ctx.K, omega(ctx, n), n + 1)
-    w = SkewSeries.from_rows(sd, [u - 1, u])
+    w = SkewSeries(sd, [(u - 1).coeffs, u.coeffs])
     return u, w
 
 

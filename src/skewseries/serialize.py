@@ -255,7 +255,7 @@ def load_series(
         _load_coeff_vector(r, sd.ctx, K - j, normalize, f"{where}.rows[{j}]")
         for j, r in enumerate(raw)
     ]
-    return SkewSeries.from_rows(sd, rows)
+    return SkewSeries(sd, rows)
 
 
 # -- distinguished polynomials -------------------------------------------

@@ -181,22 +181,6 @@ class SkewSeries(_Frozen):
         object.__setattr__(f, "rows", rows)
         return f
 
-    # -- constructors --------------------------------------------------
-    @classmethod
-    def from_rows(
-        cls, sd: SkewData, rows: Iterable[CoeffSeries | Sequence[int] | int]
-    ) -> "SkewSeries":
-        data = []
-        for r in rows:
-            if isinstance(r, CoeffSeries):
-                sd.ctx.check_same(r.ctx)
-                data.append(r.coeffs)
-            elif isinstance(r, int):
-                data.append((r,))
-            else:
-                data.append(tuple(r))
-        return cls(sd, data)
-
     # -- views ---------------------------------------------------------
     def row(self, j: int) -> CoeffSeries:
         """Row j as a coefficient series (its digits above m**(K-j) are 0)."""

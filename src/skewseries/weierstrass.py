@@ -82,11 +82,8 @@ class DistinguishedPoly(_Frozen):
                 raise ValueError("lower coefficients must lie in the maximal ideal")
 
     def as_series(self) -> SkewSeries:
-        rows: list[CoeffSeries | int] = list(self.lower)
-        if self.degree < self.sd.ctx.K:
-            rows.append(1)
-        # a monic top at degree >= K lies in G_K and is invisible
-        return SkewSeries.from_rows(self.sd, rows)
+        # a monic top at degree >= K lies in G_K, and the constructor drops it
+        return SkewSeries(self.sd, [a.coeffs for a in self.lower] + [(1,)])
 
     def __repr__(self) -> str:
         return f"DistinguishedPoly(degree={self.degree}, lower={list(self.lower)!r})"
@@ -287,8 +284,8 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
             rhs.append(gb.rows[n][b] * scale % mod)
     x = iter(solve_mod_prime_power(rows_mat, rhs, p, N))
 
-    qb = SkewSeries.from_rows(big, [list(islice(x, Kb - j)) for j in range(Kb)])
+    qb = SkewSeries(big, [list(islice(x, Kb - j)) for j in range(Kb)])
     # qb is x reduced mod G_K', a two-sided ideal, so qb*f = x*f mod G_K'
     rem = gb - SkewSeries._trusted(big, _mul_rows(big, qb.rows, _packed(big, yjf)))
-    remb = SkewSeries.from_rows(big, rem.rows[:s])
+    remb = SkewSeries(big, rem.rows[:s])
     return change_precision(qb, sd), change_precision(remb, sd)

@@ -53,4 +53,4 @@ def _divide_core(
                 "remainder extends to degree >= reduced order; "
                 "working precision too small for this divisor"
             )
-    return quot, SkewSeries.from_rows(sd, [list(r) for r in rem.rows[:s]])
+    return quot, SkewSeries(sd, [list(r) for r in rem.rows[:s]])

@@ -92,12 +92,12 @@ def test_criterion_2_division_oracle_equivalence():
         def sweep_series():
             # every slot over {0,1,2}; rows (3,2,1) slots at K=3
             for v in itertools.product((0, 1, 2), repeat=6):
-                yield SkewSeries.from_rows(
+                yield SkewSeries(
                     sd,
                     [
-                        CoeffSeries(ctx, v[0:3]),
-                        CoeffSeries(ctx, v[3:5]),
-                        CoeffSeries(ctx, v[5:6]),
+                        CoeffSeries(ctx, v[0:3]).coeffs,
+                        CoeffSeries(ctx, v[3:5]).coeffs,
+                        CoeffSeries(ctx, v[5:6]).coeffs,
                     ],
                 )
 

@@ -244,6 +244,34 @@ def test_selfcheck_small_seed(capsys):
     assert all(" 0 failed" in line for line in lines)
 
 
+def _seven_failures(res, rng):
+    res.check(True)
+    for k in range(7):
+        res.check(False, f"failure {k}")
+
+
+def test_selfcheck_reports_a_failing_suite(monkeypatch, tmp_path, capsys):
+    from skewseries import selfcheck
+
+    monkeypatch.setattr(selfcheck, "ALL_SUITES", [("broken", _seven_failures)])
+    report = "broken: 1 passed, 7 failed" + "".join(f"\n  - failure {k}" for k in range(5))
+    lines = []
+    result = selfcheck.run_selfcheck(3, emit=lines.append)
+    assert result == {
+        "passed": False,
+        "suites": [{"name": "broken", "passed": 1, "failed": 7,
+                    "failures": [f"failure {k}" for k in range(5)]}],
+    }
+    assert lines == [report]
+    out = tmp_path / "selfcheck.json"
+    assert run("selfcheck", "--seed", "3", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (report + "\n", "")
+    obj = json.loads(out.read_text())
+    assert obj["passed"] is False
+    assert obj["suites"] == result["suites"]
+
+
 def test_schema_rejection_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -142,6 +142,12 @@ def naive_compose(ctx, f, t):
     return tuple(v % m for v, m in zip(acc, moduli))
 
 
+def test_int_minus_a_series_is_the_int_minus_the_series():
+    ctx = PrecisionContext(3, 4, INTEGRAL)
+    c = CoeffSeries(ctx, (1, 2))  # 1 + 2X
+    assert 3 - c == CoeffSeries(ctx, (2, -2))
+
+
 def test_compose_against_naive_oracle():
     rng = Random(205)
     for _ in range(200):

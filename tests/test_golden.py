@@ -137,7 +137,7 @@ def _inputs() -> dict[str, tuple[list[str], dict | str | None]]:
         dump_module_spec(spec),
     )
     in_m = rand_series(sd4, Random("golden-error-no-unit"))
-    in_m = SkewSeries.from_rows(sd4, [[r[0] - r[0] % 3, *r[1:]] for r in in_m.rows])
+    in_m = SkewSeries(sd4, [[r[0] - r[0] % 3, *r[1:]] for r in in_m.rows])
     cases["error-no-visible-unit"] = (["prepare", "--seed", "7"], dump_series(in_m))
     return cases
 

@@ -253,7 +253,7 @@ def test_witness_w_shape():
 
     sd = build_skew(PrecisionContext(3, 6, INTEGRAL), 4)
     u, w = normal_witness(sd, 1)
-    assert w == SkewSeries.from_rows(sd, [u - CoeffSeries.one(sd.ctx), u])
+    assert w == SkewSeries(sd, [(u - CoeffSeries.one(sd.ctx)).coeffs, u.coeffs])
     assert all(w.row(j).is_zero() for j in range(2, 6))
 
 

@@ -109,6 +109,17 @@ def test_primality_agrees_with_a_sieve():
         assert _is_prime(p)
 
 
+@pytest.mark.parametrize("q", (1093, 3511))
+def test_wieferich_squares_are_refused(q):
+    # q**2 for a Wieferich prime q passes trial division and the strong
+    # base-2 test.  (D/q**2) = (D/q)**2 is never -1, so the square check
+    # refuses it; without that check Selfridge's search would run on to
+    # |D| = q, where the Jacobi symbol vanishes.
+    n = q * q
+    assert pow(2, n - 1, n) == 1
+    assert not _is_prime(n)
+
+
 @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
 def test_strong_pseudoprimes_are_refused(n, capsys):
     assert not _is_prime(n)

@@ -7,7 +7,9 @@ import pytest
 
 from skewseries import iwasawa
 from skewseries.coeff import CoeffSeries
-from skewseries.errors import ContextMismatch, SchemaError
+from skewseries.errors import (
+    ContextMismatch, SchemaError, SubstitutionDiverges, SystemSingularAtPrecision,
+)
 from skewseries.iwasawa import (
     MAX_TOWER_LEVEL, ModuleSpec, descend_ideal, normal_witness, omega_tower_check, rank_growth,
     snf_rank,
@@ -15,7 +17,7 @@ from skewseries.iwasawa import (
 from skewseries.precision import INTEGRAL, MAX_PRECISION, PadicInt, PrecisionContext
 from skewseries.serialize import dump_distinguished, load_distinguished
 from skewseries.skew import build_skew
-from skewseries.weierstrass import DistinguishedPoly
+from skewseries.weierstrass import DistinguishedPoly, divide_oracle
 
 
 def _sd():
@@ -24,6 +26,11 @@ def _sd():
 
 def _growth(M: int, guard: int = 2):
     return rank_growth(ModuleSpec(3, 1, ((3, 1),)), 3, M, guard)
+
+
+def _divide_oracle_by_a_series_in_m():
+    sd = _sd()
+    return divide_oracle(sd.y(2), sd.embed(3) + sd.embed(3) * sd.y())
 
 
 def _distinguished(**fields) -> dict:
@@ -89,6 +96,15 @@ CASES = {
         lambda: _sd().twist_table(_sd().embed(1).row(0), -1), ValueError, "n must be >= 0",
     ),
     "y-negative-power": (lambda: _sd().y(-1), ValueError, "power must be >= 0"),
+    "series-plus-str": (lambda: _sd().y() + "x", TypeError, "expected SkewSeries, got str"),
+    "compose-outside-m": (
+        lambda: CoeffSeries.x(_sd().ctx).compose(1 + CoeffSeries.x(_sd().ctx)),
+        SubstitutionDiverges, "substituted series must lie in m",
+    ),
+    "divide-oracle-no-visible-unit": (
+        _divide_oracle_by_a_series_in_m, SystemSingularAtPrecision,
+        "no visible reduced order: the multiplication map has no unit pivot at this precision",
+    ),
     "distinguished-poly-lower-count": (
         lambda: DistinguishedPoly(_sd(), 2, ()),
         ValueError, "need exactly `degree` lower coefficients",
@@ -115,6 +131,8 @@ CASES = {
     "padic-p-zero": (lambda: PadicInt(0, 5, 2), ValueError, "p must be >= 2"),
     "padic-p-one": (lambda: PadicInt(1, 3, 2), ValueError, "p must be >= 2"),
     "padic-p-negative": (lambda: PadicInt(-3, 1, 2), ValueError, "p must be >= 2"),
+    "padic-negative-prec": (lambda: PadicInt(3, 1, -1), ValueError, "prec must be >= 0"),
+    "padic-plus-int": (lambda: PadicInt(3, 1, 2) + 1, TypeError, "expected PadicInt, got int"),
     "snf-composite-p": (
         lambda: snf_rank([[PadicInt(4, 2, 3)]]), ValueError, "p = 4 is not prime",
     ),

@@ -137,7 +137,7 @@ def test_prepare_reports_a_unit_lower_coefficient_as_precision_loss(monkeypatch)
     # DistinguishedPoly's ValueError for a lower coefficient outside m
     # reaches the caller as InternalPrecisionLoss
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
-    f = SkewSeries.from_rows(sd, [3, 1])
+    f = SkewSeries(sd, [[3], [1]])
     monkeypatch.setattr(weierstrass, "_divide_core", lambda sd, g, f, s: (sd.one(), sd.one()))
     with pytest.raises(InternalPrecisionLoss, match="escapes the maximal ideal"):
         prepare(f)
@@ -205,6 +205,18 @@ def test_oracle_agreement_random():
             f = rand_reduced_order(sd, rng, s)
             g = rand_series(sd, rng)
             assert divide(g, f) == divide_oracle(g, f)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+def test_oracle_agreement_on_a_unit_divisor(mode):
+    # s = 0 needs no lift: both routes give (g * f**-1, 0) at K itself
+    rng = Random(f"unit-divisor:{mode}")
+    sd = build_skew(PrecisionContext(3, 4, mode), 4)
+    for _ in range(40):
+        f = rand_unit(sd, rng)
+        g = rand_series(sd, rng)
+        want = (g * f.inverse(), sd.zero())
+        assert divide_oracle(g, f) == divide(g, f) == want
 
 
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
@@ -282,7 +294,7 @@ def test_base_precision_division_is_congruence_solving():
     # division identity itself.  q*f at K generally does not divide back
     # to q digit-for-digit (its lift solves a different congruence).
     sd = build_skew(PrecisionContext(2, 4, INTEGRAL), 1)
-    q = SkewSeries.from_rows(sd, [[10, 2, 3, 0], [1, 0, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    q = SkewSeries(sd, [[10, 2, 3, 0], [1, 0, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
     f = sd.y() - 2
     q2, rem2 = divide(q * f, f)
     assert q * f == q2 * f + rem2     # the identity holds exactly
@@ -366,7 +378,7 @@ def test_lift_recovers_a_known_quotient_and_remainder(p, mode):
             big = sd.at_precision(s * K + 1)
             q = rand_series(big, rng)
             f = rand_reduced_order(big, rng, s)
-            r = SkewSeries.from_rows(big, rand_series(big, rng).rows[:s])
+            r = SkewSeries(big, rand_series(big, rng).rows[:s])
             got = _divide_core(big, q * f + r, f, s, sd)
             assert got == (change_precision(q, sd), change_precision(r, sd))
 

@@ -24,7 +24,7 @@ def rand_unit(sd: SkewData, rng: Random) -> SkewSeries:
     if r0[0] % sd.ctx.p == 0:
         r0[0] += 1 + rng.randrange(sd.ctx.p - 1)
     rows[0] = CoeffSeries(sd.ctx, r0)
-    return SkewSeries.from_rows(sd, rows)
+    return SkewSeries(sd, [r.coeffs for r in rows])
 
 
 def rand_reduced_order(sd: SkewData, rng: Random, s: int) -> SkewSeries:
@@ -40,4 +40,4 @@ def rand_reduced_order(sd: SkewData, rng: Random, s: int) -> SkewSeries:
         if j == s and vals[0] % sd.ctx.p == 0:
             vals[0] += 1 + rng.randrange(sd.ctx.p - 1)
         rows.append(vals)
-    return SkewSeries.from_rows(sd, rows)
+    return SkewSeries(sd, rows)

@@ -195,10 +195,7 @@ class SkewData(_Frozen):
         return CoeffSeries(self.ctx, self.sig_vec(r.coeffs, self.ctx.K))
 
     def apply_delta(self, r: CoeffSeries) -> CoeffSeries:
-        self.ctx.check_same(r.ctx)
-        return CoeffSeries(
-            self.ctx, vsub(self.ctx, self.sig_vec(r.coeffs, self.ctx.K), r.coeffs, self.ctx.K)
-        )
+        return self.apply_sigma(r) - r
 
     # -- twist tables --------------------------------------------------
     def _twist_rows(self, u: Vec, n: int) -> list[list[Vec]]:

@@ -3,6 +3,12 @@
 The golden tests call ``main()`` in a process that has already imported the
 whole package, so they cannot see a handler that misses its own import.
 These tests start a new interpreter for every run.
+
+``test_fresh_process_matches_golden_bytes`` is the one fresh-process golden
+check: it runs every case of the corpus as ``python -X dev -W error -m
+skewseries.cli``, so a warning (a file left open, say) fails the case, and
+compares the run through ``test_golden._check_case``.  The module-loading
+tests run one case per subcommand, ``CASES``.
 """
 
 from __future__ import annotations
@@ -14,9 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import _infile, _manifest, _placeholder, GOLDEN
+from test_golden import _check_case, _infile, _manifest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = {
+    "skewseries" + ("" if f.stem == "__init__" else f".{f.stem}")
+    for f in (SRC / "skewseries").glob("*.py")
+}
 
 # one golden case per subcommand
 CASES = {
@@ -55,26 +65,14 @@ def _argv(name: str, out: Path) -> list[str]:
     return [*_manifest()[name]["argv"], *inflag, "--out", str(out)]
 
 
-@pytest.mark.parametrize("subcommand", sorted(CASES))
-def test_fresh_process_matches_golden_bytes(subcommand, tmp_path):
-    name = CASES[subcommand]
-    case = _manifest()[name]
+@pytest.mark.parametrize("name", sorted(_manifest()))
+def test_fresh_process_matches_golden_bytes(name, tmp_path):
     out = tmp_path / "out.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "skewseries.cli", *_argv(name, out)],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "skewseries.cli", *_argv(name, out)],
         capture_output=True, text=True, env=_env(),
     )
-    assert (proc.returncode, proc.stdout, _placeholder(proc.stderr, _infile(name))) == (
-        case["exit"], case["stdout"], case["stderr"]
-    )
-    for written, expected in (
-        (out, GOLDEN / f"{name}.out.json"),
-        (out.with_suffix(".csv"), GOLDEN / f"{name}.out.csv"),
-    ):
-        if expected.exists():
-            assert written.read_bytes() == expected.read_bytes()
-        else:
-            assert not written.exists()
+    _check_case(name, proc.returncode, proc.stdout, proc.stderr, out)
 
 
 @pytest.mark.parametrize("subcommand", sorted(CASES))
@@ -89,6 +87,10 @@ def test_subcommand_loads_only_its_modules(subcommand, tmp_path):
     loaded = set(listing.read_text().split())
     assert "skewseries.cli" in loaded
     assert ("skewseries.selfcheck" in loaded) == (subcommand == "selfcheck")
+    if subcommand == "selfcheck":
+        # selfcheck runs every module, so one installed `skewseries selfcheck`
+        # run proves the whole wheel
+        assert {m for m in loaded if m.partition(".")[0] == "skewseries"} == PACKAGE
     if subcommand in ("prepare", "divide", "invert", "axioms"):
         assert not loaded & {"skewseries.iwasawa", "dataclasses", "inspect"}
 

@@ -19,6 +19,12 @@ JSON); the path of the input file is written ``<in>`` in the manifest,
 and usage lines are formatted at 80 columns, so the corpus does not
 depend on where the checkout lives or on the terminal.
 
+This module runs every case in-process through ``main()``: the fast check,
+and the twin of the regenerator below.  ``test_cold_start.py`` runs every
+case again in a fresh ``python -X dev -W error`` process, where a leaked
+file handle or any other warning changes stderr.  Both compare a run with
+the corpus through ``_check_case``.
+
 Regenerate the corpus only at a commit whose output is the reference:
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -163,15 +169,12 @@ def _placeholder(text: str, infile: Path | None) -> str:
     return text.replace(str(infile), "<in>") if infile is not None else text
 
 
-@pytest.mark.parametrize("name", sorted(_manifest()))
-def test_cli_output_matches_golden_bytes(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+def _check_case(name: str, code: int, stdout: str, stderr: str, out: Path) -> None:
+    """Assert that one run of case `name`, given ``--out out``, reproduced it:
+    the exit code, stdout and stderr of the manifest, and the bytes of each
+    output file the corpus holds; where it holds none, no file is left."""
     case = _manifest()[name]
-    out = tmp_path / "out.json"
-    infile = _infile(name)
-    code = _run(case["argv"], infile, out)
-    captured = capsys.readouterr()
-    assert (code, captured.out, _placeholder(captured.err, infile)) == (
+    assert (code, stdout, _placeholder(stderr, _infile(name))) == (
         case["exit"], case["stdout"], case["stderr"]
     )
     for written, expected in (
@@ -182,6 +185,15 @@ def test_cli_output_matches_golden_bytes(name, tmp_path, capsys, monkeypatch):
             assert written.read_bytes() == expected.read_bytes()
         else:
             assert not written.exists()
+
+
+@pytest.mark.parametrize("name", sorted(_manifest()))
+def test_cli_output_matches_golden_bytes(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = tmp_path / "out.json"
+    code = _run(_manifest()[name]["argv"], _infile(name), out)
+    captured = capsys.readouterr()
+    _check_case(name, code, captured.out, captured.err, out)
 
 
 def test_golden_corpus_is_complete():

@@ -97,6 +97,23 @@ CASES = {
     ),
     "y-negative-power": (lambda: _sd().y(-1), ValueError, "power must be >= 0"),
     "series-plus-str": (lambda: _sd().y() + "x", TypeError, "expected SkewSeries, got str"),
+    # an operand of no ring type is left to Python, which refuses it
+    "coeff-plus-str": (
+        lambda: CoeffSeries.x(_sd().ctx) + "x",
+        TypeError, "unsupported operand type(s) for +: 'CoeffSeries' and 'str'",
+    ),
+    "coeff-minus-float": (
+        lambda: CoeffSeries.x(_sd().ctx) - 1.5,
+        TypeError, "unsupported operand type(s) for -: 'CoeffSeries' and 'float'",
+    ),
+    "series-times-float": (
+        lambda: _sd().y() * 1.5,
+        TypeError, "unsupported operand type(s) for *: 'SkewSeries' and 'float'",
+    ),
+    "float-times-series": (
+        lambda: 1.5 * _sd().y(),
+        TypeError, "unsupported operand type(s) for *: 'float' and 'SkewSeries'",
+    ),
     "compose-outside-m": (
         lambda: CoeffSeries.x(_sd().ctx).compose(1 + CoeffSeries.x(_sd().ctx)),
         SubstitutionDiverges, "substituted series must lie in m",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from random import Random
 
 import pytest
@@ -25,7 +26,7 @@ from skewseries import (
     write_json_atomic,
 )
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
-from skewseries.serialize import load_coeff, load_series
+from skewseries.serialize import load_coeff, load_series, write_text_atomic
 
 from util import rand_coeff, rand_series, rand_unit
 
@@ -108,6 +109,38 @@ def test_atomic_write_and_read(tmp_path):
     # overwrite is atomic and idempotent
     write_json_atomic(str(path), dump_series(f))
     assert path.read_text() == text
+
+
+def test_atomic_write_retries_a_taken_temp_name(tmp_path, monkeypatch):
+    taken = tmp_path / f".tmp-{bytes(8).hex()}.part"
+    taken.write_text("another writer's part file")
+    draws = iter([bytes(8), bytes(8), b"\x01" * 8])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    target = tmp_path / "f.txt"
+    write_text_atomic(str(target), "text\n")
+    assert next(draws, None) is None
+    assert target.read_text() == "text\n"
+    assert taken.read_text() == "another writer's part file"
+    assert sorted(tmp_path.iterdir()) == sorted([taken, target])
+
+
+def test_atomic_write_raises_the_replace_error_when_cleanup_fails(tmp_path, monkeypatch):
+    def no_replace(src, dst):
+        raise PermissionError("replace refused")
+
+    tried = []
+
+    def no_unlink(path):
+        tried.append(path)
+        raise OSError("unlink refused")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    monkeypatch.setattr(os, "unlink", no_unlink)
+    with pytest.raises(PermissionError, match="replace refused"):
+        write_text_atomic(str(tmp_path / "f.txt"), "text\n")
+    [left] = tmp_path.iterdir()
+    assert tried == [str(left)]
+    assert left.name.startswith(".tmp-") and left.name.endswith(".part")
 
 
 def test_read_json_failures(tmp_path):

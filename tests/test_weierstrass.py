@@ -134,13 +134,20 @@ def test_prepare_idempotent_on_distinguished():
 
 
 def test_prepare_reports_a_unit_lower_coefficient_as_precision_loss(monkeypatch):
-    # DistinguishedPoly's ValueError for a lower coefficient outside m
-    # reaches the caller as InternalPrecisionLoss
+    # DistinguishedPoly's ValueError for a lower coefficient outside m, and
+    # a quotient of Y**s by f that is no unit, reach the caller as
+    # InternalPrecisionLoss
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     f = SkewSeries(sd, [[3], [1]])
-    monkeypatch.setattr(weierstrass, "_divide_core", lambda sd, g, f, s: (sd.one(), sd.one()))
-    with pytest.raises(InternalPrecisionLoss, match="escapes the maximal ideal"):
-        prepare(f)
+    for quotient, text in (
+        (sd.one(), "lower coefficient of the distinguished factor escapes the "
+                   "maximal ideal; K is too small for this input"),
+        (sd.embed(3), "quotient of Y**s by f is not a unit"),
+    ):
+        monkeypatch.setattr(weierstrass, "_divide_core", lambda sd, g, f, s: (quotient, sd.one()))
+        with pytest.raises(InternalPrecisionLoss) as info:
+            prepare(f)
+        assert str(info.value) == text
 
 
 def test_prepare_known_example():

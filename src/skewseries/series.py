@@ -43,7 +43,9 @@ Y-step per coefficient for b_0 + Y(b_1 + Y(b_2 + ...)).  As s Y =
 Y sigma^-1(s) + (sigma^-1 - id)(s), right coefficients are left ones in
 the opposite ring (Ore, 1933), so (...(a_2 Y + a_1) Y) + a_0 is the same
 pass over ``SkewData.opposite()``.  Canonicalizing after each step is
-exact because G_K is a two-sided ideal.
+exact because G_K is a two-sided ideal.  As Y**j G_(K-j) lies in G_K,
+the partial sum from c_j on is needed only mod G_(K-j), so step j runs
+at hi = K - j and only the last one at full precision.
 """
 from __future__ import annotations
 
@@ -74,44 +76,49 @@ def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(vcanon(sd.ctx, rows[j] if j < len(rows) else (), K - j) for j in range(K))
 
 
-def _y_step(sd: SkewData, rows: Rows) -> Rows:
+def _y_step(sd: SkewData, rows: Rows, hi: int | None = None) -> Rows:
     """Rows of Y * f: row j becomes sigma(f_(j-1)) + delta(f_j).
 
+    Only rows j < hi are computed (hi defaults to K), each reduced at
+    q = hi - j: Y*f mod the coarser G_hi, with the rows from hi up zero.
     sigma is additive, so sigma(f_(j-1)) + sigma(f_j) is one sum of
-    the packed columns ``sd._sig_cols``: with q = K - j, a slot adds
-    q + 1 products of two digits below m from row j - 1 (none if j = 0)
-    and q from row j, 2q + 1 <= 2K - 1 <= K**2 in all, which the slot
-    width of :mod:`skewseries.skew` holds.  f_j is subtracted from the
-    unpacked digits, so nothing borrows across slots, and the row is
-    reduced once.
+    the packed columns ``sd._sig_cols``: a slot adds q + 1 products of
+    two digits below m from row j - 1 (none if j = 0) and q from row j,
+    and as q <= K - j that is 2q + 1 <= 2K - 1 <= K**2 in all, which
+    the slot width of :mod:`skewseries.skew` holds.  f_j is subtracted
+    from the unpacked digits, so nothing borrows across slots, and the
+    row is reduced once.
     """
     ctx, cols = sd.ctx, sd._sig_cols
     K = ctx.K
-    zero = vzero(ctx)
-    out = []
+    hi = K if hi is None else hi
+    out = [vzero(ctx)] * K
     prev = 0
-    for j, r in enumerate(rows):
-        q = K - j
+    for j, r in enumerate(rows[:hi]):
+        q = hi - j
         cur = sum(map(mul, r[:q], cols)) if any(r) else 0
         if prev or cur:
-            out.append(vcanon(ctx, map(sub, sd.unpack(prev + cur, q), r), q))
-        else:
-            out.append(zero)
+            out[j] = vcanon(ctx, map(sub, sd.unpack(prev + cur, q), r), q)
         prev = cur
     return tuple(out)
 
 
 def _horner(sd: SkewData, coeffs: Sequence[Vec]) -> Rows:
-    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) over ``sd``."""
+    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) over ``sd``, each canonical.
+
+    The partial sum from c_j on is needed only mod G_(K-j), so the step
+    that adds c_j runs at hi = K - j (see the module notes).
+    """
     ctx = sd.ctx
     K = ctx.K
-    coeffs = list(coeffs[:K])  # Y**j c_j lies in G_K for j >= K
-    while coeffs and not any(coeffs[-1]):
+    coeffs = list(coeffs[:K]) or [()]  # Y**j c_j lies in G_K for j >= K
+    while len(coeffs) > 1 and not any(coeffs[-1]):
         coeffs.pop()
-    rows = _canon_rows(sd, coeffs[-1:])
-    for c in reversed(coeffs[:-1]):
-        rows = _y_step(sd, rows)
-        rows = (vadd(ctx, rows[0], c, K),) + rows[1:]
+    n = len(coeffs) - 1
+    rows = (vcanon(ctx, coeffs[n], K - n),) + (vzero(ctx),) * (K - 1)
+    for j in range(n - 1, -1, -1):
+        rows = _y_step(sd, rows, K - j)
+        rows = (vadd(ctx, rows[0], coeffs[j], K - j),) + rows[1:]
     return rows
 
 
@@ -321,7 +328,7 @@ class SkewSeries(_Frozen):
         for b in bcoeffs:
             sd.ctx.check_same(b.ctx)
             coeffs.append(b.coeffs)
-        return cls(sd, _horner(sd, coeffs))
+        return cls._trusted(sd, _horner(sd, coeffs))
 
 
 def change_precision(f: SkewSeries, sd: SkewData) -> SkewSeries:

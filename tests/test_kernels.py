@@ -12,7 +12,7 @@ import pytest
 from skewseries import SkewSeries, build_skew, divide, prepare
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 from skewseries.coeff import vcanon, vzero
-from skewseries.series import _canon_rows, _horner, _mul_rows, _packed, _y_powers
+from skewseries.series import _canon_rows, _horner, _mul_rows, _packed, _y_powers, _y_step
 
 import kernel_oracle as ko
 from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
@@ -148,3 +148,29 @@ def test_mul_rows_with_a_row_bound_is_the_product_mod_g_hi(p, mode):
                     vcanon(sd.ctx, full[j], hi - j) if lo <= j < hi else zero for j in range(K)
                 )
                 assert _mul_rows(sd, f, packed, lo, hi) == want
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_y_step_with_a_row_bound_is_the_step_mod_g_hi(p, mode):
+    # rows j < hi of the full step, each reduced at hi - j, the rest
+    # zero; as Y * G_(hi-1) lies in G_hi, rows known only mod G_(hi-1)
+    # give the same step, which is what Horner's rule feeds it
+    cells = [(K, False) for K in (1, 2, 5, 9)]
+    if mode == INTEGRAL and p < 5:
+        cells.append(({2: 27, 3: 37}[p], True))
+    for K, edge in cells:
+        sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+        ctx, zero = sd.ctx, vzero(sd.ctx)
+        f = _max_rows(sd) if edge else rand_series(sd, Random(f"step-bound:{p}:{mode}:{K}")).rows
+        with_zero_row = tuple(zero if j == K // 2 else r for j, r in enumerate(f))
+        for rows in (f, with_zero_row, (zero,) * K):
+            full = ko._y_step(sd, rows, ko.sigma(sd))
+            assert _y_step(sd, rows) == full
+            for hi in range(1, K + 1):
+                want = tuple(vcanon(ctx, full[j], hi - j) if j < hi else zero for j in range(K))
+                assert _y_step(sd, rows, hi) == want
+                coarse = tuple(
+                    vcanon(ctx, rows[j], hi - 1 - j) if j < hi - 1 else zero for j in range(K)
+                )
+                assert _y_step(sd, coarse, hi) == want

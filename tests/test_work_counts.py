@@ -2,10 +2,11 @@
 
 Spies count the calls of the row kernels and the builds of twist data:
 ``_mul_rows`` (through both its ``series`` and its ``weierstrass``
-binding), ``series._y_step``, ``series._canon_rows`` and
-``SkewData.__init__``, which runs for every fresh or lifted ring.  The
-inputs come from fixed seeds of ``tests/util.py``, so unlike wall time
-the counts do not depend on the host or its load.
+binding), ``series._y_step`` (with the row bound ``hi`` of each Horner
+step), ``series._canon_rows`` and ``SkewData.__init__``, which runs for
+every fresh or lifted ring.  The inputs come from fixed seeds of
+``tests/util.py``, so unlike wall time the counts do not depend on the
+host or its load.
 
 A change that raises one of these counts must say so in CHANGES.md,
 with the old and the new figure, and update the pin here; a change that
@@ -150,18 +151,30 @@ def test_iwasawa_side_builds_no_twist_data(work):
     assert work()[3] == 0
 
 
-def test_right_coefficients_build_the_opposite_once(work):
+def test_right_coefficients_build_the_opposite_once(work, monkeypatch):
     sd = build_skew(PrecisionContext(3, 8), 4)
     f = rand_series(sd, Random(4))
+    his = []
+    counted = series._y_step
+
+    def bounded(sd, rows, hi=None):
+        his.append(hi)
+        return counted(sd, rows, hi)
+
+    monkeypatch.setattr(series, "_y_step", bounded)
     work()
     ls = [f.row(j) for j in range(sd.ctx.K)]
     g = SkewSeries.from_right_coefficients(sd, ls)
-    assert work()[3] == 0  # the left direction steps with sigma
+    # the left direction steps with sigma; the step that adds c_j runs
+    # mod G_(K-j), and no row is canonicalized a second time
+    assert work() == (0, 6, 0, 0) and his == [3, 4, 5, 6, 7, 8]
+    his.clear()
     bs = f.right_coefficients()
-    assert work()[3] == 1  # cold: sd.opposite()
+    assert work() == (0, 6, 0, 1) and his == [3, 4, 5, 6, 7, 8]  # cold: sd.opposite()
     assert g.right_coefficients() == ls
     assert f.right_coefficients() == bs
     assert work()[3] == 0  # warm
+    assert list(sd._derived) == [(8, sd.opposite().epsilon_raw)]  # no lift
 
 
 def test_algorithms_never_take_the_opposite(monkeypatch):

@@ -7,6 +7,7 @@ One job per invocation.  Algebraic objects travel as strict JSON (see
 * 1 — mathematical error (non-unit input, unpreparable series, ...)
 * 2 — precision error (the answer is not determined at the stored K)
 * 3 — I/O, schema, or configuration error
+* 130 — interrupted (Ctrl-C): no output file is left
 
 Outputs are written atomically and are byte-identical for identical
 configurations, including the seed, which is recorded in every output.
@@ -268,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     except MathematicalError as exc:
         print(f"skewseries: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # the atomic writers have removed their files
+        print("skewseries: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ representatives and re-canonicalize, so tuple equality is exactly
 equality mod m**q.
 
 The module-level ``v*`` helpers are the arithmetic kernels shared with
-the skew series layer (whose row j lives at m-precision K - j); the
-:class:`CoeffSeries` class is the public full-precision (q = K) wrapper.
+the skew series layer (row j at m-precision K - j); :class:`CoeffSeries`
+is the full-precision (q = K) wrapper, by the rule of ``precision._Frozen``.
 """
 from __future__ import annotations
 
@@ -188,34 +188,31 @@ class CoeffSeries(_Frozen):
             return vcanon(self.ctx, (other,), self.ctx.K)
         return NotImplemented
 
-    def __add__(self, other):
+    def _binop(self, kernel, other):
         v = self._other(other)
         if v is NotImplemented:
             return NotImplemented
-        return CoeffSeries(self.ctx, vadd(self.ctx, self.coeffs, v, self.ctx.K))
+        return self._trusted(self.ctx, kernel(self.ctx, self.coeffs, v, self.ctx.K))
+
+    def __add__(self, other):
+        return self._binop(vadd, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return CoeffSeries(self.ctx, vsub(self.ctx, self.coeffs, v, self.ctx.K))
+        return self._binop(vsub, other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CoeffSeries(self.ctx, vsub(self.ctx, vzero(self.ctx), self.coeffs, self.ctx.K))
+        return self._trusted(self.ctx, vsub(self.ctx, vzero(self.ctx), self.coeffs, self.ctx.K))
 
     def __mul__(self, other):
         # a SkewSeries gets NotImplemented, and its __rmul__ acts on the left
-        if isinstance(other, int):  # an integer scales every digit
+        if isinstance(other, int):  # an integer scales every digit; the products are raw
             return CoeffSeries(self.ctx, [other * x for x in self.coeffs])
-        v = self._other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return CoeffSeries(self.ctx, vmul(self.ctx, self.coeffs, v, self.ctx.K))
+        return self._binop(vmul, other)
 
     __rmul__ = __mul__
 
@@ -235,8 +232,8 @@ class CoeffSeries(_Frozen):
         return not any(self.coeffs)
 
     def inverse(self) -> "CoeffSeries":
-        return CoeffSeries(self.ctx, vinv(self.ctx, self.coeffs, self.ctx.K))
+        return self._trusted(self.ctx, vinv(self.ctx, self.coeffs, self.ctx.K))
 
     def compose(self, t: "CoeffSeries") -> "CoeffSeries":
         self.ctx.check_same(t.ctx)
-        return CoeffSeries(self.ctx, vcompose(self.ctx, self.coeffs, t.coeffs, self.ctx.K))
+        return self._trusted(self.ctx, vcompose(self.ctx, self.coeffs, t.coeffs, self.ctx.K))

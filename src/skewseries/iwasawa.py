@@ -52,7 +52,7 @@ def omega(ctx: PrecisionContext, n: int) -> CoeffSeries:
         raise ValueError("omega is defined for n >= -1")
     if n == -1:
         return CoeffSeries.one(ctx)
-    return CoeffSeries(ctx, vbinom(ctx, pow(ctx.p, n, ctx.p**ctx.K)))
+    return CoeffSeries._trusted(ctx, vbinom(ctx, pow(ctx.p, n, ctx.p**ctx.K)))
 
 
 def _quotient(ctx: PrecisionContext, e: int, w: CoeffSeries, d: int) -> CoeffSeries:

@@ -150,9 +150,21 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """An immutable, hashable record: its slots are set only by object.__setattr__."""
+    """An immutable, hashable record: its slots are set only by object.__setattr__.
+
+    The wrap rule of ``CoeffSeries`` and ``SkewSeries``: kernels reduce each
+    output once and ``_trusted`` binds it; only the public constructors
+    reduce, for input from outside the package and raw sums."""
 
     __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """Bind ``fields``, already canonical, to __match_args__ without __init__."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields):
+            object.__setattr__(obj, name, value)
+        return obj
 
     def __hash__(self) -> int:
         return hash(self._fields())

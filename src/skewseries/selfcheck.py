@@ -61,7 +61,7 @@ class SuiteResult:
 
 
 def _rand_coeff(ctx: PrecisionContext, rng: Random, in_m: bool = False) -> CoeffSeries:
-    return CoeffSeries(ctx, _random_vec(ctx, rng, in_m))
+    return CoeffSeries._trusted(ctx, _random_vec(ctx, rng, in_m))
 
 
 def _rand_series(sd: SkewData, rng: Random) -> SkewSeries:

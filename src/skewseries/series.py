@@ -15,10 +15,8 @@ inherited from ``_Frozen`` compares (sd, rows) and so is the mod-G_K
 comparator; it never compares invisible tails.
 
 G_K is a two-sided ideal and reduction by a slot modulus commutes with
-+ and *, so the row kernels (``_mul_rows``, ``_y_step``) build raw
-integer sums and reduce each output row exactly once, with one
-``vcanon``.  ``SkewSeries._trusted`` wraps rows that are already
-canonical without a second pass; the public constructors canonicalize.
++ and *, so the row kernels (``_mul_rows``, ``_y_step``) reduce raw sums
+once per output row, and ``_trusted`` wraps them (``precision._Frozen``).
 
 The raw sums are taken on rows packed into ints (see
 :mod:`skewseries.skew`): a Y-step is one sum of packed columns per row,
@@ -180,20 +178,12 @@ class SkewSeries(_Frozen):
     def __init__(self, sd: SkewData, rows: Sequence[Sequence[int]]):
         super().__init__(sd, _canon_rows(sd, rows))
 
-    @classmethod
-    def _trusted(cls, sd: SkewData, rows: Rows) -> "SkewSeries":
-        """Wrap ``rows``, a K-tuple of canonical row tuples, unchecked."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "sd", sd)
-        object.__setattr__(f, "rows", rows)
-        return f
-
     # -- views ---------------------------------------------------------
     def row(self, j: int) -> CoeffSeries:
         """Row j as a coefficient series (its digits above m**(K-j) are 0)."""
         if not 0 <= j < self.sd.ctx.K:
             raise IndexError(j)
-        return CoeffSeries(self.sd.ctx, self.rows[j])
+        return CoeffSeries._trusted(self.sd.ctx, self.rows[j])
 
     def __repr__(self) -> str:
         terms = []
@@ -317,7 +307,7 @@ class SkewSeries(_Frozen):
     def right_coefficients(self) -> list[CoeffSeries]:
         """Coefficients b_j with f = sum_j Y**j b_j (see the module notes)."""
         sd = self.sd
-        return [CoeffSeries(sd.ctx, r) for r in _horner(sd.opposite(), self.rows)]
+        return [CoeffSeries._trusted(sd.ctx, r) for r in _horner(sd.opposite(), self.rows)]
 
     @classmethod
     def from_right_coefficients(

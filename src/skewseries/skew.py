@@ -39,11 +39,10 @@ the series layer itself steps one Y at a time (see
 """
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
 from collections import OrderedDict
 from collections.abc import Sequence
 from operator import mul
-from random import Random
 from struct import Struct
 
 from .coeff import (
@@ -112,7 +111,7 @@ class SkewData(_Frozen):
             # little-endian on every host
             object.__setattr__(self, "_words", tuple(Struct(f"<{q}Q") for q in range(K + 1)))
         object.__setattr__(self, "_twist", OrderedDict())
-        object.__setattr__(self, "_lock", threading.Lock())
+        object.__setattr__(self, "_lock", allocate_lock())
         object.__setattr__(self, "_derived", {})
         # sigma(X)**0, ..., sigma(X)**(K-1), packed: the columns ``_apply`` reads
         t, pows = vbinom(ctx, epsilon_residue), [vone(ctx)]
@@ -192,7 +191,7 @@ class SkewData(_Frozen):
 
     def apply_sigma(self, r: CoeffSeries) -> CoeffSeries:
         self.ctx.check_same(r.ctx)
-        return CoeffSeries(self.ctx, self.sig_vec(r.coeffs, self.ctx.K))
+        return CoeffSeries._trusted(self.ctx, self.sig_vec(r.coeffs, self.ctx.K))
 
     def apply_delta(self, r: CoeffSeries) -> CoeffSeries:
         return self.apply_sigma(r) - r
@@ -234,10 +233,11 @@ class SkewData(_Frozen):
         return [[CoeffSeries(self.ctx, e) for e in row] for row in rows]
 
     # -- series constructors -------------------------------------------
-    def _series(self, rows):
+    def _series(self, rows):  # canonical rows; those from K up lie in G_K and go
         from .series import SkewSeries  # lazy: series imports this module
 
-        return SkewSeries(self, rows)
+        K = self.ctx.K
+        return SkewSeries._trusted(self, tuple(rows[:K]) + (vzero(self.ctx),) * (K - len(rows)))
 
     def zero(self):
         return self._series(())
@@ -298,7 +298,7 @@ class AxiomReport(_Record):
         return {"samples": self.samples, "seed": self.seed, "checks": checks, "passed": self.passed}
 
 
-def _random_vec(ctx: PrecisionContext, rng: Random, in_m: bool = False) -> Vec:
+def _random_vec(ctx: PrecisionContext, rng, in_m: bool = False) -> Vec:
     # digit a is drawn below p**(K - a) in either mode and then reduced:
     # selfcheck draws its coefficients here too, so both share one stream
     vals = [rng.randrange(ctx.p ** (ctx.K - a)) for a in range(ctx.K)]
@@ -312,6 +312,8 @@ def validate_axioms(sd: SkewData, samples: int = 100, seed: int = 0) -> AxiomRep
 
     Failures are collected into the report, not raised.
     """
+    from random import Random  # here, so that no other job loads random
+
     ctx = sd.ctx
     K = ctx.K
     rng = Random(seed)

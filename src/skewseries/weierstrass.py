@@ -166,7 +166,7 @@ def _divide_core(
                 "remainder extends to degree >= reduced order; "
                 "working precision too small for this divisor"
             )
-    return change_precision(total, out) * change_precision(G, out), SkewSeries(out, rem.rows[:s])
+    return change_precision(total, out) * change_precision(G, out), rem
 
 
 def _gauge_free_precision(s: int, K: int) -> int:

@@ -6,6 +6,8 @@ import json
 import os
 import stat
 
+import pytest
+
 from skewseries import (
     CoeffSeries,
     ModuleSpec,
@@ -17,6 +19,7 @@ from skewseries import (
     load_object,
     write_json_atomic,
 )
+from skewseries import series
 from skewseries.cli import main
 from skewseries.precision import INTEGRAL, MAX_PRECISION, PrecisionContext
 
@@ -199,6 +202,42 @@ def test_rankgrowth_leaves_no_json_when_the_csv_cannot_be_written(tmp_path, caps
     assert run(*argv, "--out", str(tmp_path / "g.json")) == 3
     assert capsys.readouterr().err.startswith("skewseries: i/o error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "in.json"]
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def run_interrupted(*argv):
+    try:
+        return run(*argv)
+    except KeyboardInterrupt:  # escaping, it would stop the whole test session
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+
+
+def test_interrupt_exits_130_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
+    src = _write(tmp_path, dump_series(sd.one() + sd.y()))
+    monkeypatch.setattr(series, "_y_step", _interrupt)
+    assert run_interrupted("invert", "--in", src, "--out", str(tmp_path / "inv.json")) == 130
+    assert capsys.readouterr().err == "skewseries: interrupted\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+def test_rankgrowth_interrupted_in_its_csv_write_leaves_no_json(tmp_path, capsys, monkeypatch):
+    src = _write(tmp_path, dump_module_spec(ModuleSpec(2, d=1)))
+    replace = os.replace
+
+    def csv_interrupted(tmp, path):  # the .part file is written, then interrupted
+        if str(path).endswith(".csv"):
+            _interrupt()
+        replace(tmp, path)
+
+    monkeypatch.setattr(os, "replace", csv_interrupted)
+    argv = ("rankgrowth", "--in", src, "--n-max", "3", "--K", "8")
+    assert run_interrupted(*argv, "--out", str(tmp_path / "g.json")) == 130
+    assert capsys.readouterr().err == "skewseries: interrupted\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 
 def test_rankgrowth_rejects_precision_or_guard_below_one(tmp_path, capsys):

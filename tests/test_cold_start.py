@@ -111,7 +111,12 @@ def test_bare_interpreter_loads_no_typing(tmp_path):
             capture_output=True, text=True, env=_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert "typing" not in listing.read_text().split(), subcommand
+        loaded = set(listing.read_text().split())
+        assert "typing" not in loaded, subcommand
+        # skew.py takes its lock from _thread and imports random only in
+        # validate_axioms, the one job that draws
+        assert "threading" not in loaded, subcommand
+        assert ("random" in loaded) == (subcommand == "axioms"), subcommand
 
 
 def _loaded_modules(subcommand: str, tmp_path: Path, *flags: str) -> set[str]:

@@ -1,6 +1,6 @@
 """The packed reduce-once row kernels against their digit-loop,
-reduce-every-product twins, and the rows that skip canonicalization
-against `_canon_rows`."""
+reduce-every-product twins, and the values that skip canonicalization
+(through `_Frozen._trusted`) against `_canon_rows` and `vcanon`."""
 
 from __future__ import annotations
 
@@ -9,8 +9,20 @@ from random import Random
 
 import pytest
 
-from skewseries import SkewSeries, build_skew, divide, prepare
-from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
+from skewseries import (
+    CoeffSeries,
+    DegenerateAction,
+    SkewSeries,
+    VanishedAtPrecision,
+    build_skew,
+    descend_ideal,
+    divide,
+    normal_witness,
+    omega,
+    prepare,
+    xi,
+)
+from skewseries.precision import CHARP, INTEGRAL, PrecisionContext, _Frozen
 from skewseries.coeff import vcanon, vzero
 from skewseries.series import _canon_rows, _horner, _mul_rows, _packed, _y_powers, _y_step
 
@@ -101,19 +113,29 @@ def test_row_kernels_at_the_slot_width_edge():
 
 @pytest.mark.parametrize("p, eps, mode", GRID)
 def test_trusted_rows_are_canonical(p, eps, mode, monkeypatch):
-    wrap = SkewSeries._trusted.__func__
+    # every value bound by _Frozen._trusted, for either class, is canonical
+    wrap = _Frozen._trusted.__func__
     calls = []
 
-    def checked(cls, sd, rows):
-        assert isinstance(rows, tuple)
-        assert len(rows) == sd.ctx.K
-        assert _canon_rows(sd, rows) == rows
-        calls.append(sd.ctx.K)
-        return wrap(cls, sd, rows)
+    def checked(cls, *fields):
+        if cls is CoeffSeries:
+            ctx, c = fields
+            assert isinstance(c, tuple)
+            assert len(c) == ctx.K
+            assert vcanon(ctx, c, ctx.K) == c
+        else:
+            assert cls is SkewSeries
+            sd, rows = fields
+            assert isinstance(rows, tuple)
+            assert len(rows) == sd.ctx.K
+            assert _canon_rows(sd, rows) == rows
+            calls.append(sd.ctx.K)
+        return wrap(cls, *fields)
 
-    monkeypatch.setattr(SkewSeries, "_trusted", classmethod(checked))
+    monkeypatch.setattr(_Frozen, "_trusted", classmethod(checked))
     for K in (1, 2, 3, 8):
         sd = build_skew(PrecisionContext(p, K, mode), eps)
+        ctx = sd.ctx
         rng = Random(f"trusted:{p}:{eps}:{mode}:{K}")
         f, g = rand_series(sd, rng), rand_series(sd, rng)
         assert (f - g) + g == f * sd.one() == -(-f) == (3 + f) - 3
@@ -123,6 +145,22 @@ def test_trusted_rows_are_canonical(p, eps, mode, monkeypatch):
             d = rand_reduced_order(sd, rng, s)
             divide(g, d)
             prepare(d)
+        a, b = rand_coeff(ctx, rng), rand_coeff(ctx, rng, in_m=True)
+        u = rand_unit(sd, rng).row(0)  # a unit of the coefficient ring
+        assert (a - b) + b == a * CoeffSeries.one(ctx) == -(-a) == (3 + a) - 3
+        assert u * u.inverse() == CoeffSeries.one(ctx) == -1 * -u * u.inverse()
+        a.compose(b)
+        assert tuple(f.row(j).coeffs for j in range(K)) == f.rows
+        sd.apply_delta(a)
+        for n in range(3):
+            omega(ctx, n)
+            xi(ctx, n)
+            normal_witness(sd, n)
+        try:
+            descend_ideal(sd, [a, b, CoeffSeries.one(ctx)])
+        except (DegenerateAction, VanishedAtPrecision):  # too little is visible at K
+            pass
+        assert sd.y(K) == sd.y(K + 2) == sd.zero() != sd.y(K - 1)
     assert calls and max(calls) > 8  # the division ran at its lifted precision
 
 

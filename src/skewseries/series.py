@@ -37,13 +37,17 @@ run on a ladder of precisions, each at most twice the one before, through
 full precision.
 
 Right coefficients, f = sum_j Y**j b_j, come by Horner's rule: one
-Y-step per coefficient for b_0 + Y(b_1 + Y(b_2 + ...)).  As s Y =
-Y sigma^-1(s) + (sigma^-1 - id)(s), right coefficients are left ones in
-the opposite ring (Ore, 1933), so (...(a_2 Y + a_1) Y) + a_0 is the same
-pass over ``SkewData.opposite()``.  Canonicalizing after each step is
-exact because G_K is a two-sided ideal.  As Y**j G_(K-j) lies in G_K,
-the partial sum from c_j on is needed only mod G_(K-j), so step j runs
-at hi = K - j and only the last one at full precision.
+Y-step per coefficient for b_0 + Y(b_1 + Y(b_2 + ...)), each adding its
+term's packed rows to the packed sum before the row is reduced, from
+zero rows on.  As s Y = Y sigma^-1(s) + (sigma^-1 - id)(s), right
+coefficients are left ones in the opposite ring (Ore, 1933), so
+(...(a_2 Y + a_1) Y) + a_0 is the same pass over ``SkewData.opposite()``.
+Canonicalizing after each step is exact because G_K is a two-sided
+ideal.  As Y**j G_(K-j) lies in G_K, the partial sum from t_j on is
+needed only mod G_(K-j), so step j runs at hi = K - j and only the last
+one at full precision.  A term may be any series whose packed slots
+stay below m**2: Weierstrass division forms G*f, G = sum_k c_k Y**k
+with integers 0 <= c_k < p, over the terms c_k*f.
 """
 from __future__ import annotations
 
@@ -74,18 +78,19 @@ def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(vcanon(sd.ctx, rows[j] if j < len(rows) else (), K - j) for j in range(K))
 
 
-def _y_step(sd: SkewData, rows: Rows, hi: int | None = None) -> Rows:
-    """Rows of Y * f: row j becomes sigma(f_(j-1)) + delta(f_j).
+def _y_step(sd: SkewData, rows: Rows, hi: int | None = None, plus: Sequence[int] = ()) -> Rows:
+    """Rows of Y * f + t: row j becomes sigma(f_(j-1)) + delta(f_j) + t_j.
 
-    Only rows j < hi are computed (hi defaults to K), each reduced at
-    q = hi - j: Y*f mod the coarser G_hi, with the rows from hi up zero.
-    sigma is additive, so sigma(f_(j-1)) + sigma(f_j) is one sum of
-    the packed columns ``sd._sig_cols``: a slot adds q + 1 products of
-    two digits below m from row j - 1 (none if j = 0) and q from row j,
-    and as q <= K - j that is 2q + 1 <= 2K - 1 <= K**2 in all, which
-    the slot width of :mod:`skewseries.skew` holds.  f_j is subtracted
-    from the unpacked digits, so nothing borrows across slots, and the
-    row is reduced once.
+    ``plus`` holds the packed rows of the term t (none: t = 0).  Only
+    rows j < hi are computed (hi defaults to K), each reduced at
+    q = hi - j: Y*f + t mod the coarser G_hi, with the rows from hi up
+    zero.  sigma is additive, so sigma(f_(j-1)) + sigma(f_j) + t_j is one
+    sum of the packed columns ``sd._sig_cols`` and the packed t_j: a
+    slot adds q + 1 products of two digits below m from row j - 1 (none
+    if j = 0), q from row j and one slot of t_j, which the slot width
+    of :mod:`skewseries.skew` holds when that slot is below m**2.  f_j
+    is subtracted from the unpacked digits, so nothing borrows across
+    slots, and the row is reduced once.
     """
     ctx, cols = sd.ctx, sd._sig_cols
     K = ctx.K
@@ -95,28 +100,27 @@ def _y_step(sd: SkewData, rows: Rows, hi: int | None = None) -> Rows:
     for j, r in enumerate(rows[:hi]):
         q = hi - j
         cur = sum(map(mul, r[:q], cols)) if any(r) else 0
-        if prev or cur:
-            out[j] = vcanon(ctx, map(sub, sd.unpack(prev + cur, q), r), q)
+        t = plus[j] if j < len(plus) else 0
+        if prev or cur or t:
+            out[j] = vcanon(ctx, map(sub, sd.unpack(prev + cur + t, q), r), q)
         prev = cur
     return tuple(out)
 
 
-def _horner(sd: SkewData, coeffs: Sequence[Vec]) -> Rows:
-    """Rows of c_0 + Y(c_1 + Y(c_2 + ...)) over ``sd``, each canonical.
+def _horner(sd: SkewData, terms: Sequence[Sequence[int]]) -> Rows:
+    """Rows of t_0 + Y(t_1 + Y(t_2 + ...)) over ``sd``, each canonical.
 
-    The partial sum from c_j on is needed only mod G_(K-j), so the step
-    that adds c_j runs at hi = K - j (see the module notes).
+    Each term t_j is given by its packed rows.  The partial sum from t_j
+    on is needed only mod G_(K-j), so the step that adds t_j runs at
+    hi = K - j (see the module notes); the first one steps zero rows.
     """
-    ctx = sd.ctx
-    K = ctx.K
-    coeffs = list(coeffs[:K]) or [()]  # Y**j c_j lies in G_K for j >= K
-    while len(coeffs) > 1 and not any(coeffs[-1]):
-        coeffs.pop()
-    n = len(coeffs) - 1
-    rows = (vcanon(ctx, coeffs[n], K - n),) + (vzero(ctx),) * (K - 1)
-    for j in range(n - 1, -1, -1):
-        rows = _y_step(sd, rows, K - j)
-        rows = (vadd(ctx, rows[0], coeffs[j], K - j),) + rows[1:]
+    K = sd.ctx.K
+    terms = list(terms[:K])  # Y**j t_j lies in G_K for j >= K
+    while terms and not any(terms[-1]):
+        terms.pop()
+    rows = (vzero(sd.ctx),) * K
+    for j in range(len(terms) - 1, -1, -1):
+        rows = _y_step(sd, rows, K - j, terms[j])
     return rows
 
 
@@ -307,18 +311,19 @@ class SkewSeries(_Frozen):
     def right_coefficients(self) -> list[CoeffSeries]:
         """Coefficients b_j with f = sum_j Y**j b_j (see the module notes)."""
         sd = self.sd
-        return [CoeffSeries._trusted(sd.ctx, r) for r in _horner(sd.opposite(), self.rows)]
+        rows = _horner(sd.opposite(), [(sd.pack(r),) for r in self.rows])
+        return [CoeffSeries._trusted(sd.ctx, r) for r in rows]
 
     @classmethod
     def from_right_coefficients(
         cls, sd: SkewData, bcoeffs: Sequence[CoeffSeries]
     ) -> "SkewSeries":
         """Reassemble sum_j Y**j b_j into left-coefficient rows."""
-        coeffs = []
+        terms = []
         for b in bcoeffs:
             sd.ctx.check_same(b.ctx)
-            coeffs.append(b.coeffs)
-        return cls._trusted(sd, _horner(sd, coeffs))
+            terms.append((sd.pack(b.coeffs),))
+        return cls._trusted(sd, _horner(sd, terms))
 
 
 def change_precision(f: SkewSeries, sd: SkewData) -> SkewSeries:

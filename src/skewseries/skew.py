@@ -29,8 +29,12 @@ back.  w is the least multiple of 8 holding K**2 * m**2, where m is p**K
 (p in char-p mode).  Canonical digits are nonnegative and below m, and a
 kernel slot sums at most K**2 products of two digits, so no slot carries
 into the next: the slots hold exactly what a digit loop would add up.
-The Y-step's slot, sigma(f_(j-1)) + sigma(f_j) in row j, sums at most
-2(K - j) + 1 <= 2K - 1 <= K**2 of them (row j - 1 is absent when j = 0).
+The Y-step's slot, sigma(f_(j-1)) + sigma(f_j) + t_j in row j, sums
+q + 1 products from row j - 1 (none when j = 0) and q from row j,
+q = K - j, so 2q + 1 <= 2K - 1 of them, plus one slot of the packed term
+t_j, which is below m**2 (Horner's rule adds c*f_j with c < p <= m): in
+all below 2K * m**2 <= K**2 * m**2 for K >= 2.  At K = 1 Horner's rule
+takes its one step on zero rows, so the slot holds the term alone.
 
 ``twist_table`` lists the rows (Y**n r)_i of the skew commutation rule
 and memoizes them per coefficient value, least recently used first out;

@@ -13,15 +13,20 @@ K_out + (s-1)(K_out-1-k), matters, and each q*h is formed mod
 G_(N_(k+1)+s) and total*h mod G_(K_out).  With total the sum of the
 iterates, quot = total*G, and as quot*f = total*(Y**s - h) exactly,
 rem = g - total*Y**s + total*h.  So one table of Y**i h, grown on demand,
-serves the contraction and the remainder, Y**i f is read only to form
-h, and the rows below s of each q*h, which the shift-down drops, are
+serves the contraction and the remainder, f is read only to form h,
+and the rows below s of each q*h, which the shift-down drops, are
 never computed.  Both identities hold for any G, and the contraction
 needs only h in mA.  As sigma(r) = r and delta(r) = 0 mod m, A/mA is
 the commutative ring F_p[[Y]], so G need only invert the image of
 g0 = shift_down(f, s) there mod Y**(K-s): then h = -G*(f - g0*Y**s) +
 (1 - G*g0)*Y**s has its coefficients in m mod G_K.  `divide` takes that
 G, whose coefficients are integers below p; `prepare` inverts g0
-exactly, since its output carries the gauge of G.
+exactly, since its output carries the gauge of G, and as G*g0 = 1 mod
+G_K there, h = -G*f_lo with f_lo the rows < s of f.  Integers commute
+with Y, as sigma fixes Z_p and delta kills it, so divide's G*f =
+c_0 f + Y(c_1 f + Y(c_2 f + ...)) is Horner's rule at shrinking precision
+over the terms c_k f, as for right coefficients, and Y**i G is G moved up
+i rows: total*G takes no Y-step.
 
 Precision is the delicate part.  Right-multiplication by f is not
 injective on representatives: e.g. (p**2 + Y**2)*(Y**2 - p) vanishes mod
@@ -62,7 +67,7 @@ from .errors import (
 )
 from .linalg import solve_mod_prime_power
 from .precision import CHARP, INTEGRAL, MAX_PRECISION, AtLeast, PrecisionContext, _Frozen
-from .series import SkewSeries, _mul_rows, _packed, _y_powers, change_precision
+from .series import SkewSeries, _horner, _mul_rows, _packed, _y_powers, change_precision
 from .skew import SkewData
 
 
@@ -121,14 +126,27 @@ def _divide_core(
     gauge.  Only the iterates q_0 .. q_(K_out-1) are taken, each to the
     precision that reaches the output, so total, rem and the remainder
     check live mod G_(K_out), and the quotient trunc(total) * trunc(G)
-    is total*G mod the two-sided G_(K_out).
+    is total*G mod the two-sided G_(K_out).  At the lift G's coefficients
+    are integers, which commute with Y: G*f is Horner's rule over the
+    terms c_k*f, and the table of Y**i G is G moved up i rows.
     """
     out = sd if out is None else out
     ctx = sd.ctx
     K, Ko = ctx.K, out.ctx.K
+    zero = vzero(ctx)
     g0 = _shift_down(sd, f, s)
-    G = _residue_inverse(sd, g0, K - s) if K > s * Ko else g0.inverse()
-    h = sd.y(s) - G * f
+    if K > s * Ko:
+        # the terms c_k*f are packed as c_k times f's packed rows, and the
+        # packed rows of Y**i G, G moved up i rows, are the bare c_k
+        cs = [r[0] for r in _residue_inverse(sd, g0, K - s).rows]
+        fp = tuple(map(sd.pack, f.rows))
+        h = sd.y(s) - SkewSeries._trusted(sd, _horner(sd, [[c * x for x in fp] for c in cs]))
+        gpows = ([cs[j - i] if j >= i else 0 for j in range(Ko)] for i in range(Ko))
+    else:
+        # G*g0 = 1 mod G_K, so Y**s - G*f = -G*f_lo with f_lo the rows < s of f
+        G = g0.inverse()
+        h = -(G * SkewSeries._trusted(sd, f.rows[:s] + (zero,) * (K - s)))
+        gpows = _packed(sd, _y_powers(sd, G.rows))
     if not isinstance(h.reduced_order(), AtLeast):  # a row of h is a unit
         raise InternalPrecisionLoss(
             "correction series escaped the maximal ideal; "
@@ -149,15 +167,12 @@ def _divide_core(
             break
         qs.append(q)
     # the sum of the iterates mod G_Ko, reduced once per row
-    zero = vzero(ctx)
     rows = zip(*(q.rows[:Ko] for q in qs))
     total = SkewSeries._trusted(
-        sd,
-        tuple(vcanon(ctx, map(sum, zip(*r)), Ko - j) for j, r in enumerate(rows))
-        + (zero,) * (K - Ko),
+        out, tuple(vcanon(out.ctx, map(sum, zip(*r)), Ko - j) for j, r in enumerate(rows))
     )
     # quot*f = total*G*f = total*(Y**s - h): total*Y**s moves each row up s
-    th = _mul_rows(sd, total.rows, hpows.__copy__(), 0, Ko)
+    th = _mul_rows(sd, change_precision(total, sd).rows, hpows.__copy__(), 0, Ko)
     up = (zero,) * s + total.rows
     rem = SkewSeries(out, [[a - b + c for a, b, c in zip(*r)] for r in zip(g.rows[:Ko], up, th)])
     for j in range(s, Ko):
@@ -166,7 +181,7 @@ def _divide_core(
                 "remainder extends to degree >= reduced order; "
                 "working precision too small for this divisor"
             )
-    return change_precision(total, out) * change_precision(G, out), rem
+    return SkewSeries._trusted(out, _mul_rows(out, total.rows, gpows)), rem
 
 
 def _gauge_free_precision(s: int, K: int) -> int:

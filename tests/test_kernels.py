@@ -51,8 +51,9 @@ def test_row_kernels_match_reduce_every_product_oracle(p, eps, mode):
                 assert _mul_rows(sd, f.rows, packed, lo) == ko._mul_rows(sd, f.rows, table, lo)
             bs = [rand_coeff(sd.ctx, rng).coeffs for _ in range(K)]
             for coeffs in (f.rows, bs):
-                assert _horner(sd, coeffs) == ko._horner(sd, coeffs, ko.sigma(sd))
-                assert _horner(sd.opposite(), coeffs) == ko._horner(
+                terms = [(sd.pack(c),) for c in coeffs]
+                assert _horner(sd, terms) == ko._horner(sd, coeffs, ko.sigma(sd))
+                assert _horner(sd.opposite(), terms) == ko._horner(
                     sd, coeffs, ko.sigma_inv(sd)
                 )
 
@@ -103,8 +104,9 @@ def test_row_kernels_at_the_slot_width_edge():
             for lo in range(K + 1):
                 want = (vzero(sd.ctx),) * lo + full[lo:]
                 assert _mul_rows(sd, top, packed, lo) == want
-        assert _horner(sd, top) == ko._horner(sd, top, ko.sigma(sd))
-        assert _horner(sd.opposite(), top) == ko._horner(sd, top, ko.sigma_inv(sd))
+        terms = [(sd.pack(c),) for c in top]
+        assert _horner(sd, terms) == ko._horner(sd, top, ko.sigma(sd))
+        assert _horner(sd.opposite(), terms) == ko._horner(sd, top, ko.sigma_inv(sd))
     assert widths[3, 17, INTEGRAL] == 8 and widths[5, 17, INTEGRAL] > 8
     for p, K, w in ((2, 27, 8), (3, 37, 16)):
         assert widths[p, K, INTEGRAL] == w
@@ -212,3 +214,41 @@ def test_y_step_with_a_row_bound_is_the_step_mod_g_hi(p, mode):
                     vcanon(ctx, rows[j], hi - 1 - j) if j < hi - 1 else zero for j in range(K)
                 )
                 assert _y_step(sd, coarse, hi) == want
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_y_step_adds_a_packed_term_and_horner_multiplies_by_central_g(p, mode):
+    # a step with ``plus`` is the oracle's step plus the unpacked term,
+    # reduced at hi - j; Horner's rule over the terms c_k*f is G*f for
+    # G = sum_k c_k Y**k with integers 0 <= c_k < p, which commute with Y.
+    # Maximal rows with c = p - 1 at the zero-slack widths fill the slots.
+    cells = [(K, False) for K in (1, 2, 3, 9)]
+    if mode == INTEGRAL and p < 5:
+        cells.append(({2: 27, 3: 37}[p], True))
+    for K, edge in cells:
+        sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+        ctx, zero = sd.ctx, vzero(sd.ctx)
+        rng = Random(f"plus:{p}:{mode}:{K}")
+        if edge:
+            f = t = _max_rows(sd)
+            cs = [p - 1] * K
+        else:
+            f, t = (rand_series(sd, rng).rows for _ in range(2))
+            cs = [rng.randrange(p) for _ in range(K)]
+        fp = [sd.pack(r) for r in f]
+        for c in {cs[0], p - 1}:
+            plus = [c * sd.pack(r) for r in t]
+            for rows in (f, (zero,) * K):
+                full = ko._y_step(sd, rows, ko.sigma(sd))
+                for hi in range(1, K + 1):
+                    want = tuple(
+                        ko._canon(ctx, [x + c * y for x, y in zip(full[j], t[j])], hi - j)
+                        if j < hi
+                        else zero
+                        for j in range(K)
+                    )
+                    assert _y_step(sd, rows, hi, plus) == want
+        G = tuple((c,) + zero[1:] for c in cs)
+        want = ko._mul_rows(sd, G, list(islice(ko._y_powers(sd, f), K)))
+        assert _horner(sd, [[c * x for x in fp] for c in cs]) == want

@@ -40,6 +40,7 @@ from skewseries import (
 )
 from skewseries import series, weierstrass
 from skewseries.precision import PrecisionContext
+from skewseries.series import change_precision
 
 from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
 
@@ -84,11 +85,12 @@ def test_divide_counts_cold_then_warm(work):
     f, g = _division_inputs()
     work()
     divide(g, f)
-    # the lift to K' = 17 only: G inverts g0 mod m, no Newton rungs; G*f,
-    # K - 1 = 7 contraction steps, total*h and the quotient at K
-    assert work() == (10, 32, 3, 1)
+    # the lift to K' = 17 only: G inverts g0 mod m, no Newton rungs; G*f by
+    # Horner's rule, K - 1 = 7 contraction steps, total*h and the quotient
+    # at K over G moved up, so the one row canonicalization is the remainder's
+    assert work() == (9, 27, 1, 1)
     divide(g, f)
-    assert work() == (10, 32, 3, 0)  # at_precision keeps the lifted ring
+    assert work() == (9, 27, 1, 0)  # at_precision keeps the lifted ring
 
 
 def test_divide_counts_at_large_p(work):
@@ -98,7 +100,30 @@ def test_divide_counts_at_large_p(work):
     g = rand_series(sd, rng)
     work()
     divide(g, f)
-    assert work() == (6, 0, 3, 1)  # K' = 13, K - 1 = 3 contraction steps, all reading h alone
+    # K' = 13, K - 1 = 3 contraction steps, all reading h alone; G is one
+    # constant, so G*f is Horner's one step on zero rows, adding c_0*f
+    assert work() == (5, 1, 1, 1)
+
+
+def test_divide_steps_g_f_at_shrinking_precision(monkeypatch):
+    # G*f adds c_j*f at hi = K' - j, the h-table steps at K' = 17, and the
+    # quotient, formed at K = 8 from G moved up, takes no Y-step
+    f, g = _division_inputs()
+    big = f.sd.at_precision(17)
+    g0 = weierstrass._shift_down(big, change_precision(f, big), 2)
+    cs = [r[0] for r in weierstrass._residue_inverse(big, g0, 15).rows]
+    steps = []
+    real = series._y_step
+
+    def bounded(sd, rows, hi=None, plus=()):
+        steps.append((sd.ctx.K, hi, bool(plus)))
+        return real(sd, rows, hi, plus)
+
+    monkeypatch.setattr(series, "_y_step", bounded)
+    divide(g, f)
+    n = max(k for k, c in enumerate(cs) if c)
+    assert steps[: n + 1] == [(17, 17 - j, True) for j in range(n, -1, -1)]
+    assert steps[n + 1 :] and set(steps[n + 1 :]) == {(17, None, False)}
 
 
 def test_divide_stops_after_k_iterates(monkeypatch):
@@ -157,20 +182,20 @@ def test_right_coefficients_build_the_opposite_once(work, monkeypatch):
     his = []
     counted = series._y_step
 
-    def bounded(sd, rows, hi=None):
+    def bounded(sd, rows, hi=None, plus=()):
         his.append(hi)
-        return counted(sd, rows, hi)
+        return counted(sd, rows, hi, plus)
 
     monkeypatch.setattr(series, "_y_step", bounded)
     work()
     ls = [f.row(j) for j in range(sd.ctx.K)]
     g = SkewSeries.from_right_coefficients(sd, ls)
-    # the left direction steps with sigma; the step that adds c_j runs
-    # mod G_(K-j), and no row is canonicalized a second time
-    assert work() == (0, 6, 0, 0) and his == [3, 4, 5, 6, 7, 8]
+    # the left direction steps with sigma from zero rows; the step that
+    # adds c_j runs mod G_(K-j), and no row is canonicalized a second time
+    assert work() == (0, 7, 0, 0) and his == [2, 3, 4, 5, 6, 7, 8]
     his.clear()
     bs = f.right_coefficients()
-    assert work() == (0, 6, 0, 1) and his == [3, 4, 5, 6, 7, 8]  # cold: sd.opposite()
+    assert work() == (0, 7, 0, 1) and his == [2, 3, 4, 5, 6, 7, 8]  # cold: sd.opposite()
     assert g.right_coefficients() == ls
     assert f.right_coefficients() == bs
     assert work()[3] == 0  # warm

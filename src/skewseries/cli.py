@@ -199,62 +199,78 @@ def cmd_axioms(args) -> int:
 # -- parser --------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="skewseries",
-        description="Exact arithmetic in skew power series rings at finite precision.",
-    )
-    sub = ap.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+def _cyclotomic_flags(sp) -> None:
+    _add_context_flags(sp, epsilon=False)
+    sp.add_argument("--n", type=int, required=True, help="tower level")
 
-    def job(name: str, handler, help_text: str):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--seed", type=int, default=0, help="recorded in outputs")
-        sp.add_argument("--out", metavar="FILE", help="output path (default stdout)")
-        sp.set_defaults(func=handler)
-        return sp
 
-    def file_job(name: str, handler, help_text: str):
-        sp = job(name, handler, help_text)
-        sp.add_argument(
-            "--in", dest="infile", metavar="FILE", required=True, help="input JSON"
-        )
-        sp.add_argument(
-            "--normalize",
-            action="store_true",
-            help="reduce out-of-range residues instead of rejecting them",
-        )
-        return sp
-
-    job("selfcheck", cmd_selfcheck, "run every invariant suite")
-
-    file_job("prepare", cmd_prepare, "factor a series as unit * distinguished poly")
-    file_job("divide", cmd_divide, "divide with remainder by a unit-order series")
-    file_job("invert", cmd_invert, "two-sided inverse of a unit")
-
-    for name, help_text in (
-        ("omega", "cyclotomic element (1+X)^(p^n) - 1"),
-        ("xi", "cyclotomic layer quotient omega_n / omega_(n-1)"),
-    ):
-        sp = job(name, cmd_cyclotomic, help_text)
-        _add_context_flags(sp, epsilon=False)
-        sp.add_argument("--n", type=int, required=True, help="tower level")
-
-    file_job("descend", cmd_descend, "descend a Z-polynomial to a scalar generator")
-
-    sp = file_job("rankgrowth", cmd_rankgrowth, "coinvariant rank growth table")
+def _rankgrowth_flags(sp) -> None:
     sp.add_argument("--n-max", type=int, required=True, help="largest tower level")
     sp.add_argument("--K", type=int, required=True,
                     help="scalar precision: ranks are computed mod p^K")
     sp.add_argument("--guard", type=int, default=2, help="precision guard band")
 
-    sp = job("axioms", cmd_axioms, "check the twist axioms on random samples")
-    _add_context_flags(sp, epsilon=True)
 
+# name: (handler, help, reads --in, further flags), in the order of the help
+_SUBCOMMANDS = {
+    "selfcheck": (cmd_selfcheck, "run every invariant suite", False, None),
+    "prepare": (cmd_prepare, "factor a series as unit * distinguished poly", True, None),
+    "divide": (cmd_divide, "divide with remainder by a unit-order series", True, None),
+    "invert": (cmd_invert, "two-sided inverse of a unit", True, None),
+    "omega": (cmd_cyclotomic, "cyclotomic element (1+X)^(p^n) - 1", False, _cyclotomic_flags),
+    "xi": (cmd_cyclotomic, "cyclotomic layer quotient omega_n / omega_(n-1)", False,
+           _cyclotomic_flags),
+    "descend": (cmd_descend, "descend a Z-polynomial to a scalar generator", True, None),
+    "rankgrowth": (cmd_rankgrowth, "coinvariant rank growth table", True, _rankgrowth_flags),
+    "axioms": (cmd_axioms, "check the twist axioms on random samples", False,
+               lambda sp: _add_context_flags(sp, epsilon=True)),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named `only`.
+
+    A parser for one subcommand parses that subcommand's arguments as
+    the full one does and prints the same bytes: its usage still lists
+    every subcommand.
+    """
+    ap = _Parser(
+        prog="skewseries",
+        description="Exact arithmetic in skew power series rings at finite precision.",
+    )
+    sub = ap.add_subparsers(
+        dest="subcommand",
+        required=True,
+        parser_class=_Parser,
+        metavar=None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}",
+    )
+    for name, (handler, help_text, reads_file, flags) in _SUBCOMMANDS.items():
+        if only not in (None, name):
+            continue
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--seed", type=int, default=0, help="recorded in outputs")
+        sp.add_argument("--out", metavar="FILE", help="output path (default stdout)")
+        sp.set_defaults(func=handler)
+        if reads_file:
+            sp.add_argument(
+                "--in", dest="infile", metavar="FILE", required=True, help="input JSON"
+            )
+            sp.add_argument(
+                "--normalize",
+                action="store_true",
+                help="reduce out-of-range residues instead of rejecting them",
+            )
+        if flags:
+            flags(sp)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known subcommand first needs only its own parser; -h, unknown
+    # names and other errors take the full one
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, ContextMismatch) as exc:

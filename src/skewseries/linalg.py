@@ -6,12 +6,20 @@ rank experiments.  Entries are plain integers mod p**N; a valuation of
 N means "not visible at this precision".
 
 Both run one elimination, whose pivot is the first entry, in row-major
-order, of least valuation in the remaining block.  It is found with one
-`math.gcd` per row, not one `pval` per entry: v_p of a row's gcd is the
-least valuation in that row, so the pivot row is the first row whose gcd
-has the least valuation, and the pivot column is the first entry of that
-row not divisible by p**(v+1).  A row that a step leaves alone already
-has a zero in the pivot column, so its gcd is kept, not recomputed.
+order, of least valuation in the remaining block.  It is found from row
+valuations, not one `pval` per entry: v_p of a row's gcd is the least
+valuation in that row, so the pivot row is the first row of least
+valuation, and the pivot column is the first entry of that row not
+divisible by p**(v+1).
+
+Row valuations never fall during the elimination.  The pivot p**v * u
+divides the whole block, so a row of valuation w >= v gets multiples of
+p**(w-v) times the pivot row, which are divisible by p**w.  A valuation
+read before a row operation therefore stays a lower bound after it, and
+no row of the next block goes below v.  So the search takes a row's gcd
+only when the row's bound is below the best valuation so far (an
+earlier row wins ties) and the bound is stale, and it stops at the first
+row whose valuation is the last pivot's.
 """
 from __future__ import annotations
 
@@ -51,23 +59,36 @@ def _eliminate(
     meets the pivots of that swap-and-drop elimination.  Each step clears
     column j in the other rows by row operations (`b` following the
     rows), leaving an exact zero there.  The pivot divides the whole
-    block, so every quotient is exact.  Returns the pivots (v, u, j, nz,
-    c), with nz the (column, entry) pairs of the rest of the pivot row
-    that are nonzero and c its b entry, and the rows no pivot reached.
+    block, so every quotient is exact.  `val` holds a lower bound on each
+    row's valuation, exact where `exact` says so: a row operation only
+    marks its row stale, and the search reads a stale row's gcd only when
+    that row could still win (see the module docstring).  Returns the
+    pivots (v, u, j, nz, c), with nz the (column, entry) pairs of the
+    rest of the pivot row that are nonzero and c its b entry, and the
+    rows no pivot reached.
     """
     mod = p**N
-    gs = [gcd(*row) for row in A]
+    val = [0] * len(A)  # a lower bound on each row's valuation
+    exact = [False] * len(A)  # whether val[i] is the valuation itself
     rows = list(range(len(A)))
     cols = list(range(len(A[0]) if A else 0))
     piv = []
+    floor = 0  # no row of the block has a lower valuation
     while rows and cols:
-        bi, pk = -1, mod
+        bi, v = -1, N
         for at, i in enumerate(rows):
-            if gs[i] % pk:  # a row valuation below the least so far
-                bi, v = at, pval(gs[i], p, N)
-                pk = p**v
+            if val[i] >= v:
+                continue  # an earlier row wins ties
+            if not exact[i]:
+                val[i], exact[i] = pval(gcd(*A[i]), p, N), True
+                if val[i] >= v:
+                    continue
+            bi, v = at, val[i]
+            if v == floor:
+                break  # no later row goes lower
         if bi < 0:
             break  # the block vanishes mod p**N
+        floor, pk = v, p**v
         i = _take(rows, bi)
         row, c = A[i], None if b is None else b[i]
         j = _take(cols, next(at for at, k in enumerate(cols) if row[k] % (pk * p)))
@@ -81,7 +102,7 @@ def _eliminate(
                 for k, y in nz:
                     r[k] = (r[k] - f * y) % mod
                 r[j] = 0
-                gs[i] = gcd(*r)
+                exact[i] = False
                 if b is not None:
                     b[i] = (b[i] - f * c) % mod
         piv.append((v, u, j, nz, c))
@@ -94,13 +115,13 @@ def solve_mod_prime_power(
     """One solution of A x = b over Z/p**N, free variables set to zero.
 
     Reduces L A M = D, each pivot the first row-major entry of least
-    valuation in the remaining block (found by row gcds, see the module
-    docstring): such a pivot divides the whole block, so clearing its
-    row and column is exact.  The diagonal system D y = L b splits into
-    independent congruences (solvable exactly when the original system
-    is).  M is the product, step by step, of the column operations that
-    clear the pivot row; x = M y is evaluated from the last pivot back,
-    which is back-substitution over the pivot rows.
+    valuation in the remaining block (found from row valuations, see the
+    module docstring): such a pivot divides the whole block, so clearing
+    its row and column is exact.  The diagonal system D y = L b splits
+    into independent congruences (solvable exactly when the original
+    system is).  M is the product, step by step, of the column
+    operations that clear the pivot row; x = M y is evaluated from the
+    last pivot back, which is back-substitution over the pivot rows.
     """
     mod = p**N
     A = [[x % mod for x in row] for row in rows]
@@ -124,9 +145,9 @@ def smith_valuations(mat: list[list[int]], p: int, N: int) -> list[int]:
 
     Returned sorted ascending, each capped at N (N meaning the divisor
     is not visible, i.e. a kernel direction at this precision).  The
-    pivots are those of `solve_mod_prime_power`, found by row gcds; each
-    divides its whole block, so row operations alone expose the divisors
-    and no column operation is carried out.
+    pivots are those of `solve_mod_prime_power`, found from row
+    valuations; each divides its whole block, so row operations alone
+    expose the divisors and no column operation is carried out.
     """
     mod = p**N
     A = [[x % mod for x in row] for row in mat]

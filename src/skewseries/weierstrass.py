@@ -263,9 +263,10 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     In integral mode the slot congruence mod p**(K'-n-b) is scaled by
     p**(n+b) into a uniform modulus p**K'; in char-p mode everything
     already lives mod p.  Solved with valuation-pivoting elimination;
-    then rem = g - q*f from the same table of Y**j * f.  Meant for small
-    K (matrix side grows like K'**2 with K' = s*K + 1); ValueError when
-    K' exceeds MAX_PRECISION, as in `divide`.
+    then the rows < s of rem = g - q*f, from the rows < s of the same
+    table of Y**j * f.  Meant for small K (matrix side grows like K'**2
+    with K' = s*K + 1); ValueError when K' exceeds MAX_PRECISION, as in
+    `divide`.
     """
     sd = f.sd
     sd.check_same(g.sd)
@@ -287,20 +288,21 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
 
     integral = sd.ctx.mode == INTEGRAL
     N = Kb if integral else 1
-    mod = p**N
     rows_mat: list[list[int]] = []
     rhs: list[int] = []
     for n in range(s, Kb):
         for b in range(Kb - n):
             scale = p ** (n + b) if integral else 1
-            rows_mat.append(
-                [yjf[j][n][b - a] * scale % mod if a <= b else 0 for j, a in qslots]
-            )
-            rhs.append(gb.rows[n][b] * scale % mod)
+            rows_mat.append([yjf[j][n][b - a] * scale if a <= b else 0 for j, a in qslots])
+            rhs.append(gb.rows[n][b] * scale)
+    # the solver reduces its own copy of the system mod p**N
     x = iter(solve_mod_prime_power(rows_mat, rhs, p, N))
 
     qb = SkewSeries(big, [list(islice(x, Kb - j)) for j in range(Kb)])
-    # qb is x reduced mod G_K', a two-sided ideal, so qb*f = x*f mod G_K'
-    rem = gb - SkewSeries._trusted(big, _mul_rows(big, qb.rows, _packed(big, yjf)))
+    # qb is x reduced mod G_K', a two-sided ideal, so qb*f = x*f mod G_K';
+    # only rows < s of the remainder are kept, so rows >= s of each Y**j * f
+    # are packed as zeros
+    low = ((*map(big.pack, rows[:s]), *(0,) * (Kb - s)) for rows in yjf)
+    rem = gb - SkewSeries._trusted(big, _mul_rows(big, qb.rows, low))
     remb = SkewSeries(big, rem.rows[:s])
     return change_precision(qb, sd), change_precision(remb, sd)

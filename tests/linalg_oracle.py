@@ -1,10 +1,11 @@
 """Two separate full diagonalizations over Z/p**N: the slow twins of the
-shared row-gcd elimination in `skewseries.linalg`, kept as a differential
-oracle.
+shared row-valuation elimination in `skewseries.linalg`, kept as a
+differential oracle.
 
 Each step here scans every entry of the remaining block with `pval` and
 takes the first entry of least valuation in row-major order; the package
-finds the same entry with one `math.gcd` per row.  Here both functions
+finds the same entry from lower bounds on the row valuations, taking a
+row's `math.gcd` only when that row could hold the pivot.  Here both functions
 clear the pivot row by column operations, and the solver builds the
 column-operation matrix M to return x = M y; the package back-substitutes
 over the pivot rows instead.

@@ -20,7 +20,8 @@ from skewseries import (
     write_json_atomic,
 )
 from skewseries import series
-from skewseries.cli import main
+from skewseries import cli
+from skewseries.cli import _SUBCOMMANDS, build_parser, main
 from skewseries.precision import INTEGRAL, MAX_PRECISION, PrecisionContext
 
 
@@ -387,3 +388,43 @@ def test_normalize_flag(tmp_path, capsys):
     # 9 normalizes to 1: a unit, prepared as (unit, 1)
     assert run("prepare", "--in", str(lax), "--normalize") == 0
     capsys.readouterr()
+
+
+# the required flags of each subcommand, so that an unknown flag reaches
+# the top parser, whose usage lists every subcommand
+_REQUIRED = {
+    **{name: ["--in", "in.json"] for name in ("prepare", "divide", "invert", "descend")},
+    "selfcheck": [],
+    "omega": ["--p", "3", "--K", "4", "--n", "1"],
+    "xi": ["--p", "3", "--K", "4", "--n", "1"],
+    "rankgrowth": ["--in", "in.json", "--n-max", "2", "--K", "4"],
+    "axioms": ["--p", "3", "--K", "4", "--epsilon", "4"],
+}
+
+
+@pytest.mark.parametrize("name", list(_SUBCOMMANDS))
+@pytest.mark.parametrize("error", [None, "usage", "unknown flag"])
+def test_one_subcommand_parser_prints_the_full_parsers_bytes(name, error, capsys):
+    """Help, a subcommand's usage error and the top parser's error about an
+    unknown flag print the same bytes through the parser of one subcommand."""
+    tail = {None: ["-h"], "usage": ["--seed", "x"], "unknown flag": [*_REQUIRED[name], "--bogus"]}
+    seen = []
+    for only in (None, name):
+        with pytest.raises(SystemExit) as exc:
+            build_parser(only).parse_args([name, *tail[error]])
+        seen.append((exc.value.code, *capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == (0 if error is None else 3)
+    if error == "unknown flag":
+        assert seen[0][2].endswith("skewseries: error: unrecognized arguments: --bogus\n")
+
+
+def test_main_builds_one_subcommand_only_when_argv_names_it(monkeypatch, capsys):
+    built = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or full(only))
+    for argv in (["omega", "-h"], ["-h"], ["omeg", "-h"], ["-h", "omega"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == ["omega", None, None, None, None]

@@ -1,5 +1,7 @@
-"""The row-gcd elimination of `skewseries.linalg` against the entry-by-entry
-pivot search and full diagonalization kept in `linalg_oracle.py`."""
+"""The elimination of `skewseries.linalg`, which finds each pivot from
+lower bounds on the row valuations and takes a row's gcd only when that
+row could hold the pivot, against the entry-by-entry pivot search and
+full diagonalization kept in `linalg_oracle.py`."""
 
 from __future__ import annotations
 
@@ -86,11 +88,39 @@ def test_division_oracle_systems_match(mode, monkeypatch):
         return solve_mod_prime_power(rows, rhs, p, N)
 
     monkeypatch.setattr("skewseries.weierstrass.solve_mod_prime_power", capture)
-    for p, K, s in [(2, 3, 1), (3, 3, 2), (5, 2, 1)]:
+    # (3, 5, 2) is the shape of the benchmark's oracle solve, at K' = 11
+    cases = [(2, 3, 1), (3, 3, 2), (5, 2, 1), (3, 5, 2), (2, 4, 3), (1000003, 2, 1)]
+    for p, K, s in cases:
         sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
         rng = Random(f"linalg-divide:{p}:{K}:{s}:{mode}")
         divide_oracle(rand_series(sd, rng), rand_reduced_order(sd, rng, s))
-    assert len(systems) == 3
+    assert len(systems) == len(cases)
     for rows, rhs, p, N in systems:
         assert solve_mod_prime_power(rows, rhs, p, N) == lo.solve_mod_prime_power(rows, rhs, p, N)
         assert smith_valuations(rows, p, N) == lo.smith_valuations(rows, p, N)
+    rows, _, _, N = systems[3]
+    assert (len(rows), len(rows[0])) == (45, 66)
+    if mode == INTEGRAL:  # a unit pivot in char p
+        vals = smith_valuations(rows, 3, N)
+        assert (min(vals), max(vals)) == (2, 10)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ties_go_to_the_first_row(p):
+    """Every entry of a row has the row's valuation, drawn from two values,
+    so most pivot searches meet several rows of the least valuation."""
+    rng = Random(f"linalg-ties:{p}")
+    for _ in range(60):
+        N = rng.randrange(1, 5)
+        mod = p**N
+        m, n = rng.randrange(1, 9), rng.randrange(1, 9)
+        v0 = rng.randrange(N)
+        A = []
+        for _ in range(m):
+            v = min(v0 + rng.randrange(2), N - 1)
+            A.append([p**v * (p * rng.randrange(mod) + rng.randrange(1, p)) for _ in range(n)])
+        assert smith_valuations(A, p, N) == lo.smith_valuations(A, p, N)
+        rhs = [rng.randrange(mod) for _ in range(m)]
+        assert _solve(solve_mod_prime_power, A, rhs, p, N) == _solve(
+            lo.solve_mod_prime_power, A, rhs, p, N
+        )

@@ -14,6 +14,11 @@ lowers one updates the pin too.
 
 The opposite twist (``SkewData.opposite``, whose sigma is sigma^-1) is
 twist data too: only the right-coefficient direction builds it, once.
+
+The elimination of ``skewseries.linalg`` takes a row's gcd only when its
+pivot search could pick that row; the count of ``linalg.gcd`` calls pins
+that, since a search that takes more gcds than it needs finds the same
+pivots.
 """
 
 from __future__ import annotations
@@ -22,23 +27,27 @@ import pickle
 import sys
 import threading
 from collections import Counter
+from math import comb
 from random import Random
 
 import pytest
 
 from skewseries import (
     CoeffSeries,
+    ModuleSpec,
     SkewData,
     SkewSeries,
     build_skew,
     descend_ideal,
     divide,
+    divide_oracle,
     dump_division_problem,
     load_object,
     normal_witness,
     prepare,
+    rank_growth,
 )
-from skewseries import series, weierstrass
+from skewseries import linalg, series, weierstrass
 from skewseries.precision import PrecisionContext
 from skewseries.series import change_precision
 
@@ -124,6 +133,41 @@ def test_divide_steps_g_f_at_shrinking_precision(monkeypatch):
     n = max(k for k, c in enumerate(cs) if c)
     assert steps[: n + 1] == [(17, 17 - j, True) for j in range(n, -1, -1)]
     assert steps[n + 1 :] and set(steps[n + 1 :]) == {(17, None, False)}
+
+
+@pytest.fixture
+def gcds(monkeypatch):
+    """A function that returns and resets the count of row gcds."""
+    calls = [0]
+    real = linalg.gcd
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "gcd", counted)
+
+    def take() -> int:
+        seen, calls[0] = calls[0], 0
+        return seen
+
+    return take
+
+
+def test_division_oracle_row_gcds(gcds):
+    # one 45 x 66 solve at K' = 11; the eager search took 405 gcds
+    sd = build_skew(PrecisionContext(3, 5), 4)
+    rng = Random(2)
+    f = rand_reduced_order(sd, rng, 2)
+    divide_oracle(rand_series(sd, rng), f)
+    assert gcds() == 130
+
+
+def test_rank_growth_row_gcds(gcds):
+    # three 27 x 27 Smith forms; the eager search took 263 gcds
+    omega_3 = (0, *(comb(27, a) for a in range(1, 28)))
+    rank_growth(ModuleSpec(3, 1, (omega_3,)), 5, 24, strict=False)
+    assert gcds() == 167
 
 
 def test_divide_stops_after_k_iterates(monkeypatch):

@@ -184,9 +184,10 @@ def cmd_rankgrowth(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    from .skew import validate_axioms
+    from .skew import build_skew, validate_axioms
 
-    sd = make_context("invalid context", args.p, args.K, args.mode, args.epsilon)
+    ctx = make_context("invalid context", args.p, args.K, args.mode, args.epsilon)
+    sd = build_skew(ctx, args.epsilon)
     report = validate_axioms(sd, samples=100, seed=args.seed)
     for check in report.checks:
         status = "ok" if not check.failures else f"FAILED ({check.failures}x)"

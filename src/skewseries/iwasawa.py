@@ -100,13 +100,6 @@ class TowerReport(_Record):
     def passed(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def to_dict(self) -> dict:
-        entries = [dict(zip(e.__slots__, e._fields())) for e in self.entries]
-        return {
-            "p": self.p, "K": self.K, "n_max": self.n_max, "entries": entries,
-            "warnings": list(self.warnings), "passed": self.passed,
-        }
-
 
 def omega_tower_check(ctx: PrecisionContext, n_max: int) -> TowerReport:
     """Verify xi_n * omega_(n-1) = omega_n, xi_n(0) = p, omega_n(0) = 0.

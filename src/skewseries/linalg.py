@@ -18,8 +18,7 @@ p**(w-v) times the pivot row, which are divisible by p**w.  A valuation
 read before a row operation therefore stays a lower bound after it, and
 no row of the next block goes below v.  So the search takes a row's gcd
 only when the row's bound is below the best valuation so far (an
-earlier row wins ties) and the bound is stale, and it stops at the first
-row whose valuation is the last pivot's.
+earlier row wins ties) and the bound is stale.
 """
 from __future__ import annotations
 
@@ -73,7 +72,6 @@ def _eliminate(
     rows = list(range(len(A)))
     cols = list(range(len(A[0]) if A else 0))
     piv = []
-    floor = 0  # no row of the block has a lower valuation
     while rows and cols:
         bi, v = -1, N
         for at, i in enumerate(rows):
@@ -84,11 +82,9 @@ def _eliminate(
                 if val[i] >= v:
                     continue
             bi, v = at, val[i]
-            if v == floor:
-                break  # no later row goes lower
         if bi < 0:
             break  # the block vanishes mod p**N
-        floor, pk = v, p**v
+        pk = p**v
         i = _take(rows, bi)
         row, c = A[i], None if b is None else b[i]
         j = _take(cols, next(at for at, k in enumerate(cols) if row[k] % (pk * p)))

@@ -12,10 +12,10 @@ file.
 Metadata keys ("seed", "subcommand", "n", "params") may ride along on
 any object and are ignored by loaders; everything else unexpected is
 rejected.  The ring context (p, K, mode, epsilon), whether read from an
-object or from CLI flags, is built by `make_context` alone.
+object or from CLI flags, is checked by `make_context` alone.
 
 The envelope every kind shares is read by `_open` (the kind tag, then
-the keys) and `_ring` (p, K, mode, then epsilon) and written by `_head`,
+the keys) and `_context` (p, K, mode, then epsilon) and written by `_head`,
 so an object with several faults reports the first in the order kind,
 keys, p, K, mode, epsilon, then its own fields.
 """
@@ -31,7 +31,7 @@ from .coeff import CoeffSeries
 from .errors import InvalidAction, SchemaError
 from .precision import CHARP, INTEGRAL, PrecisionContext
 from .series import SkewSeries
-from .skew import SkewData, build_skew
+from .skew import SkewData, build_skew, check_epsilon
 
 MODE_TO_JSON = {INTEGRAL: "zp", CHARP: "fp"}
 JSON_TO_MODE = {"zp": INTEGRAL, "fp": CHARP}
@@ -160,28 +160,26 @@ def check_printable(n: int, where: str, what: str) -> None:
 
 
 def make_context(where: str, p: int, K: int, mode: str, epsilon: int | None = None):
-    """The ring fixed by (p, K, mode), twisted by epsilon unless it is None.
+    """The context fixed by (p, K, mode), with epsilon checked against it unless None.
 
-    Returns a PrecisionContext, or the SkewData over it when epsilon is
-    given.  Every JSON object and every set of CLI context flags comes
-    through here; a bad value raises SchemaError prefixed by ``where``.
+    Every JSON object and every set of CLI context flags comes through
+    here; a bad value raises SchemaError prefixed by ``where``.  The twist
+    by a checked epsilon is ``build_skew(ctx, epsilon)``.
     """
     if mode not in JSON_TO_MODE:
         raise SchemaError(f"{where}: mode must be one of {sorted(JSON_TO_MODE)}")
     try:
         ctx = PrecisionContext(p, K, JSON_TO_MODE[mode])
         check_printable(p**K, where, "p**K")
-        return ctx if epsilon is None else build_skew(ctx, epsilon)
+        if epsilon is not None:
+            check_epsilon(ctx, epsilon)
+        return ctx
     except (ValueError, InvalidAction) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _ring(obj: dict, where: str, twisted: bool = True, sd: SkewData | None = None):
-    """make_context on obj's p, K, mode and, when twisted, epsilon.
-
-    Given sd, returns sd: fields unequal to sd's are built and must pass
-    ``sd.check_same``, equal ones reuse its twist data.
-    """
+def _context(obj: dict, where: str, twisted: bool = True) -> tuple[PrecisionContext, int | None]:
+    """make_context on obj's p, K, mode and, when twisted, epsilon, which it returns too."""
     p = _int_field(obj, "p", where)
     K = _int_field(obj, "K", where)
     mode = _need(obj, "mode", where)
@@ -190,10 +188,20 @@ def _ring(obj: dict, where: str, twisted: bool = True, sd: SkewData | None = Non
     eps = None
     if twisted:
         eps = _parse_int_string(_need(obj, "epsilon", where), where + ".epsilon")
+    return make_context(where, p, K, mode, eps), eps
+
+
+def _ring(obj: dict, where: str, sd: SkewData | None = None) -> SkewData:
+    """The twist named by obj's p, K, mode and epsilon.
+
+    Given sd, returns sd: fields unequal to sd's must pass
+    ``sd.check_same``, equal ones reuse its twist data.
+    """
+    ctx, eps = _context(obj, where)
     if sd is None:
-        return make_context(where, p, K, mode, eps)
-    if (p, K, mode, eps) != (sd.ctx.p, sd.ctx.K, MODE_TO_JSON[sd.ctx.mode], sd.epsilon_raw):
-        sd.check_same(make_context(where, p, K, mode, eps))
+        return build_skew(ctx, eps)
+    if (ctx, eps) != (sd.ctx, sd.epsilon_raw):
+        sd.check_same(build_skew(ctx, eps))
     return sd
 
 
@@ -226,9 +234,8 @@ def dump_coeff(c: CoeffSeries, epsilon: int | None = None) -> dict:
 def load_coeff(obj: dict, normalize: bool = False) -> CoeffSeries:
     where = "coeff_series"
     _open(obj, where, _CTX_FIELDS | {"coeffs"})
-    twisted = "epsilon" in obj
-    ring = _ring(obj, where, twisted)
-    ctx = ring.ctx if twisted else ring
+    # an epsilon is checked, but builds no twist: the coefficients do not read it
+    ctx, _ = _context(obj, where, "epsilon" in obj)
     return _load_coeff(_need(obj, "coeffs", where), ctx, normalize, where + ".coeffs")
 
 

@@ -36,10 +36,11 @@ t_j, which is below m**2 (Horner's rule adds c*f_j with c < p <= m): in
 all below 2K * m**2 <= K**2 * m**2 for K >= 2.  At K = 1 Horner's rule
 takes its one step on zero rows, so the slot holds the term alone.
 
-``twist_table`` lists the rows (Y**n r)_i of the skew commutation rule
-and memoizes them per coefficient value, least recently used first out;
-the series layer itself steps one Y at a time (see
-:mod:`skewseries.series`) and does not use the tables.
+``_twist_rows`` lists the rows (Y**n u)_i of the skew commutation rule
+and memoizes them per digit row, least recently used first out.  No
+package code calls it: the series layer steps one Y at a time (see
+:mod:`skewseries.series`), and the tables serve the tests' oracle and
+the benchmark's tracer, which reads the ``_twist`` cache.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ from .precision import PrecisionContext, _Frozen, _Record
 # read the exponent mod p**(K + EPSILON_GUARD).
 EPSILON_GUARD = 5
 
-# Twist tables kept per SkewData by ``twist_table``, so memory stays
+# Twist tables kept per SkewData by ``_twist_rows``, so memory stays
 # flat in long-running use.
 TWIST_CACHE_SIZE = 512
 
@@ -94,12 +95,7 @@ class SkewData(_Frozen):
         self, ctx: PrecisionContext, epsilon_residue: int, *, _sibling: "SkewData | None" = None
     ):
         # a _sibling over the same ctx lends its packing, which depends on ctx only
-        if epsilon_residue < 0:
-            raise InvalidAction("epsilon must be a nonnegative residue")
-        if epsilon_residue % ctx.p != 1 % ctx.p:
-            raise InvalidAction(
-                f"epsilon = {epsilon_residue} is not congruent to 1 mod p = {ctx.p}"
-            )
+        check_epsilon(ctx, epsilon_residue)
         K = ctx.K
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "epsilon_raw", epsilon_residue)
@@ -180,22 +176,21 @@ class SkewData(_Frozen):
         return [int.from_bytes(b[i : i + w], "little") for i in range(0, q * w, w)]
 
     # -- applying the twist --------------------------------------------
-    def _apply(self, u: Vec, q: int) -> Sequence[int]:
-        """Raw, unreduced digits of sigma(u) in the slots below q.
+    def _apply(self, u: Vec) -> Sequence[int]:
+        """Raw, unreduced digits of sigma(u), K of them.
 
         It sums u_a times the packed a-th power of sigma(X); u is
         canonical, so a slot sums at most K products of digits.  The
-        caller reduces the finished row once, at precision q or coarser.
+        caller reduces the finished row once.
         """
-        q = min(self.ctx.K, q)
-        return self.unpack(sum(map(mul, u[:q], self._sig_cols)), q)
+        return self.unpack(sum(map(mul, u, self._sig_cols)), self.ctx.K)
 
-    def sig_vec(self, u: Vec, q: int) -> Vec:
-        return vcanon(self.ctx, self._apply(u, q), q)
+    def sig_vec(self, u: Vec) -> Vec:
+        return vcanon(self.ctx, self._apply(u), self.ctx.K)
 
     def apply_sigma(self, r: CoeffSeries) -> CoeffSeries:
         self.ctx.check_same(r.ctx)
-        return CoeffSeries._trusted(self.ctx, self.sig_vec(r.coeffs, self.ctx.K))
+        return CoeffSeries._trusted(self.ctx, self.sig_vec(r.coeffs))
 
     def apply_delta(self, r: CoeffSeries) -> CoeffSeries:
         return self.apply_sigma(r) - r
@@ -221,20 +216,12 @@ class SkewData(_Frozen):
             zero = (0,) * K
             while len(rows) <= n:
                 prev = rows[-1]
-                sig = [self._apply(e, K) for e in prev]
+                sig = [self._apply(e) for e in prev]
                 rows.append([
                     vcanon(ctx, [x + y - z for x, y, z in zip(a, b, r)], K)
                     for a, b, r in zip([zero] + sig, sig + [zero], prev + [zero])
                 ])
             return [row[:] for row in rows[: n + 1]]
-
-    def twist_table(self, r: CoeffSeries, n: int) -> list[list[CoeffSeries]]:
-        """Rows 0..n of (Y**m r)_i as full-precision coefficient series."""
-        self.ctx.check_same(r.ctx)
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        rows = self._twist_rows(r.coeffs, n)
-        return [[CoeffSeries(self.ctx, e) for e in row] for row in rows]
 
     # -- series constructors -------------------------------------------
     def _series(self, rows):  # canonical rows; those from K up lie in G_K and go
@@ -260,6 +247,14 @@ class SkewData(_Frozen):
             r = CoeffSeries(self.ctx, (r,))
         self.ctx.check_same(r.ctx)
         return self._series((r.coeffs,))
+
+
+def check_epsilon(ctx: PrecisionContext, epsilon_residue: int) -> None:
+    """Refuse, with InvalidAction, an eps that is negative or not 1 mod p."""
+    if epsilon_residue < 0:
+        raise InvalidAction("epsilon must be a nonnegative residue")
+    if epsilon_residue % ctx.p != 1 % ctx.p:
+        raise InvalidAction(f"epsilon = {epsilon_residue} is not congruent to 1 mod p = {ctx.p}")
 
 
 def build_skew(ctx: PrecisionContext, epsilon_residue: int) -> SkewData:
@@ -334,12 +329,12 @@ def validate_axioms(sd: SkewData, samples: int = 100, seed: int = 0) -> AxiomRep
         r = _random_vec(ctx, rng)
         s = _random_vec(ctx, rng)
         rm = _random_vec(ctx, rng, in_m=True)
-        sig_r = sd.sig_vec(r, K)
-        sig_s = sd.sig_vec(s, K)
+        sig_r = sd.sig_vec(r)
+        sig_s = sd.sig_vec(s)
         rs = vmul(ctx, r, s, K)
-        lhs = sd.sig_vec(rs, K)
+        lhs = sd.sig_vec(rs)
         rhs = vmul(ctx, sig_r, sig_s, K)
-        add_ok = sd.sig_vec(vadd(ctx, r, s, K), K) == vadd(ctx, sig_r, sig_s, K)
+        add_ok = sd.sig_vec(vadd(ctx, r, s, K)) == vadd(ctx, sig_r, sig_s, K)
         ring.record(lhs == rhs and add_ok, f"r={list(r)}, s={list(s)}")
         d_r = vsub(ctx, sig_r, r, K)
         d_s = vsub(ctx, sig_s, s, K)
@@ -347,10 +342,10 @@ def validate_axioms(sd: SkewData, samples: int = 100, seed: int = 0) -> AxiomRep
         want = vadd(ctx, vmul(ctx, d_r, s, K), vmul(ctx, sig_r, d_s, K), K)
         leib.record(d_rs == want, f"r={list(r)}, s={list(s)}")
         dm.record(vorder(ctx, d_r, K) >= min(1, K), f"r={list(r)}")
-        d_rm = vsub(ctx, sd.sig_vec(rm, K), rm, K)
+        d_rm = vsub(ctx, sd.sig_vec(rm), rm, K)
         dm2.record(vorder(ctx, d_rm, K) >= min(2, K), f"r={list(rm)}")
         o = vorder(ctx, r, K)
         ordp.record(vorder(ctx, sig_r, K) == o, f"r={list(r)}")
-        back = op.sig_vec(sig_r, K) == r and sd.sig_vec(op.sig_vec(r, K), K) == r
+        back = op.sig_vec(sig_r) == r and sd.sig_vec(op.sig_vec(r)) == r
         inv.record(back, f"r={list(r)}")
     return report

@@ -104,15 +104,13 @@ def _shift_down(sd: SkewData, f: SkewSeries, s: int) -> SkewSeries:
     return SkewSeries._trusted(sd, f.rows[s:] + (vzero(sd.ctx),) * s)
 
 
-def _residue_inverse(sd: SkewData, g0: SkewSeries, n: int) -> SkewSeries:
-    """G = sum_(k < n) c_k Y**k with G*g0 = 1 mod (m, Y**n), each c_k in 0..p-1.
+def _residue_inverse(sd: SkewData, g0: SkewSeries, n: int) -> tuple[int, ...]:
+    """c_0 .. c_(n-1) in 0..p-1 with G*g0 = 1 mod (m, Y**n), G = sum_k c_k Y**k.
 
     A/mA is F_p[[Y]], the char-p coefficient ring with Y in place of X,
     so the c_k are the inverse there, mod Y**n, of g0's row constants.
     """
-    zero = vzero(sd.ctx)
-    c = vinv(PrecisionContext(sd.ctx.p, n, CHARP), tuple(r[0] for r in g0.rows[:n]), n)
-    return SkewSeries._trusted(sd, tuple((x,) + zero[1:] for x in c) + (zero,) * (sd.ctx.K - n))
+    return vinv(PrecisionContext(sd.ctx.p, n, CHARP), tuple(r[0] for r in g0.rows[:n]), n)
 
 
 def _divide_core(
@@ -138,7 +136,7 @@ def _divide_core(
     if K > s * Ko:
         # the terms c_k*f are packed as c_k times f's packed rows, and the
         # packed rows of Y**i G, G moved up i rows, are the bare c_k
-        cs = [r[0] for r in _residue_inverse(sd, g0, K - s).rows]
+        cs = _residue_inverse(sd, g0, K - s)
         fp = tuple(map(sd.pack, f.rows))
         h = sd.y(s) - SkewSeries._trusted(sd, _horner(sd, [[c * x for x in fp] for c in cs]))
         gpows = ([cs[j - i] if j >= i else 0 for j in range(Ko)] for i in range(Ko))

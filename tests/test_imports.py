@@ -14,9 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DIRS = (ROOT / "src" / "skewseries", ROOT / "tests", ROOT / "perfbench")
 
-# public names that may wait for a caller, each with the reason
-UNCALLED = {"SkewData.twist_table": "waits for ROADMAP item 4(b)"}
-
 
 def exported(tree: ast.Module) -> set[str]:
     """The names of a literal module-level ``__all__``; none for a computed one."""
@@ -120,8 +117,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     # README counts by its code (fenced blocks and inline spans), not its prose
     readme = re.findall(r"```.*?```|`[^`\n]+`", (ROOT / "README.md").read_text(), re.S)
     words = set(re.findall(r"\w+", "\n".join(readme)))
-    found = [u for u in uncalled(package, bench, words) if u.split(": ")[1] not in UNCALLED]
-    assert found == []
+    assert uncalled(package, bench, words) == []
 
 
 def test_a_call_inside_its_own_def_or_a_docstring_does_not_count():

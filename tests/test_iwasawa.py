@@ -162,8 +162,6 @@ def test_tower_vacuous_warning_at_tiny_precision():
     assert report.passed            # vacuously: nothing visible survives
     assert report.warnings          # but the report says so
     assert all(e.vacuous for e in report.entries)
-    d = report.to_dict()
-    assert d["warnings"]
 
 
 def test_tower_computes_each_omega_once(monkeypatch):
@@ -183,25 +181,25 @@ def test_tower_computes_each_omega_once(monkeypatch):
 
 
 def _tower_reference(ctx, n_max):
-    """omega_tower_check's dict, built level by level from xi and omega."""
+    """omega_tower_check's entries, as field tuples (n, product_ok,
+    xi_constant_ok, omega_constant_zero, vacuous), its warnings and its
+    verdict, built level by level from xi and omega."""
     entries = []
     for n in range(1, n_max + 1):
         om, x = omega(ctx, n), xi(ctx, n)
-        entries.append({
-            "n": n,
-            "product_ok": x * omega(ctx, n - 1) == om,
-            "xi_constant_ok": x.coeffs[0] == ctx.p % ctx.slot_moduli(ctx.K)[0],
-            "omega_constant_zero": om.coeffs[0] == 0,
-            "vacuous": om.is_zero(),
-        })
-    vacuous = [e["n"] for e in entries if e["vacuous"]]
+        entries.append((
+            n,
+            x * omega(ctx, n - 1) == om,
+            x.coeffs[0] == ctx.p % ctx.slot_moduli(ctx.K)[0],
+            om.coeffs[0] == 0,
+            om.is_zero(),
+        ))
+    vacuous = [e[0] for e in entries if e[4]]
     warnings = [
         f"vacuous-tail: omega_n vanishes mod m**{ctx.K} from n = {vacuous[0]}; "
         "increase K for a nonvacuous check"
     ] if vacuous else []
-    passed = all(e["product_ok"] and e["xi_constant_ok"] and e["omega_constant_zero"] for e in entries)
-    return {"p": ctx.p, "K": ctx.K, "n_max": n_max, "entries": entries,
-            "warnings": warnings, "passed": passed}
+    return entries, warnings, all(all(e[1:4]) for e in entries)
 
 
 @pytest.mark.parametrize("mode", [INTEGRAL, CHARP])
@@ -211,9 +209,12 @@ def test_tower_report_matches_a_per_level_reference(p, mode):
     kinds = set()
     for K in (1, 2, 8, 9):
         ctx = PrecisionContext(p, K, mode)
-        want = _tower_reference(ctx, K + 2)
-        assert omega_tower_check(ctx, K + 2).to_dict() == want
-        kinds.update(e["vacuous"] for e in want["entries"])
+        report = omega_tower_check(ctx, K + 2)
+        entries, warnings, passed = _tower_reference(ctx, K + 2)
+        assert (report.p, report.K, report.n_max) == (p, K, K + 2)
+        assert [e._fields() for e in report.entries] == entries
+        assert (report.warnings, report.passed) == (warnings, passed)
+        kinds.update(e[4] for e in entries)
     assert kinds == {False, True}
 
 

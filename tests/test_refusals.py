@@ -92,9 +92,6 @@ CASES = {
         SchemaError, "distinguished: lower coefficients must lie in the maximal ideal",
     ),
     "series-row-out-of-range": (lambda: _sd().one().row(4), IndexError, "4"),
-    "twist-table-negative-n": (
-        lambda: _sd().twist_table(_sd().embed(1).row(0), -1), ValueError, "n must be >= 0",
-    ),
     "y-negative-power": (lambda: _sd().y(-1), ValueError, "power must be >= 0"),
     "series-plus-str": (lambda: _sd().y() + "x", TypeError, "expected SkewSeries, got str"),
     # an operand of no ring type is left to Python, which refuses it

@@ -16,11 +16,12 @@ from skewseries import (
     build_skew,
     validate_axioms,
 )
-from skewseries.coeff import vorder
+from skewseries.coeff import vcanon, vorder
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 from skewseries.skew import EPSILON_GUARD, TWIST_CACHE_SIZE
 
 import kernel_oracle as ko
+from twist_oracle import twist_table
 from util import rand_coeff, rand_unit
 
 
@@ -145,26 +146,26 @@ def test_twist_table_cache_consistency():
     for _ in range(20):
         r = rand_coeff(sd.ctx, rng)
         n = rng.randrange(0, 5)
-        assert sd.twist_table(r, n) == build_skew(sd.ctx, 4).twist_table(r, n)
+        assert twist_table(sd, r, n) == twist_table(build_skew(sd.ctx, 4), r, n)
     # More distinct rows than the cache holds: the oldest are evicted,
     # and recomputing an evicted table gives the same rows.
     fresh = [CoeffSeries(sd.ctx, (i % 81, i // 81)) for i in range(TWIST_CACHE_SIZE + 100)]
     for r in fresh:
-        sd.twist_table(r, 2)
+        twist_table(sd, r, 2)
     assert len(sd._twist) <= TWIST_CACHE_SIZE
     for r in fresh[:5] + fresh[-5:]:
-        assert sd.twist_table(r, 3) == build_skew(sd.ctx, 4).twist_table(r, 3)
+        assert twist_table(sd, r, 3) == twist_table(build_skew(sd.ctx, 4), r, 3)
     assert len(sd._twist) <= TWIST_CACHE_SIZE
 
 
 def test_twist_cache_keeps_recently_used_rows():
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     kept = CoeffSeries(sd.ctx, (1, 1, 1))
-    sd.twist_table(kept, 1)
+    twist_table(sd, kept, 1)
     for i in range(2 * TWIST_CACHE_SIZE):
-        sd.twist_table(CoeffSeries(sd.ctx, (i % 81, i // 81)), 1)
+        twist_table(sd, CoeffSeries(sd.ctx, (i % 81, i // 81)), 1)
         if i % 100 == 0:
-            sd.twist_table(kept, 1)
+            twist_table(sd, kept, 1)
     assert kept.coeffs in sd._twist
 
 
@@ -204,11 +205,32 @@ def test_at_precision_and_inverse_under_threads():
 def test_twist_table_first_rows():
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     x = CoeffSeries.x(sd.ctx)
-    table = sd.twist_table(x, 1)
+    table = twist_table(sd, x, 1)
     assert table[0] == [x]
     # Y x = delta(x) + sigma(x) Y
     assert table[1][0] == sd.apply_delta(x)
     assert table[1][1] == sd.apply_sigma(x)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_twist_table_rows_are_the_rows_of_y_power_times_r(p, mode):
+    # the tables' sigma/delta recursion against the package's Y-steps:
+    # row j of Y**m * r is (Y**m r)_j mod m**(K - j) for j <= m, else zero
+    rng = Random(f"twist-rows:{p}:{mode}")
+    agreements = 0
+    for K in (1, 4, 7):
+        sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+        for _ in range(5):
+            r = rand_coeff(sd.ctx, rng)
+            table = twist_table(sd, r, K - 1)
+            for m in range(K):
+                rows = (sd.y(m) * sd.embed(r)).rows
+                for j in range(K):
+                    want = table[m][j].coeffs if j <= m else (0,) * K
+                    assert rows[j] == vcanon(sd.ctx, want, K - j), (K, m, j)
+                    agreements += 1
+    assert agreements == 5 * (1 + 16 + 49)
 
 
 def test_axiom_report():

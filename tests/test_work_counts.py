@@ -41,6 +41,7 @@ from skewseries import (
     descend_ideal,
     divide,
     divide_oracle,
+    dump_coeff,
     dump_division_problem,
     load_object,
     normal_witness,
@@ -120,7 +121,7 @@ def test_divide_steps_g_f_at_shrinking_precision(monkeypatch):
     f, g = _division_inputs()
     big = f.sd.at_precision(17)
     g0 = weierstrass._shift_down(big, change_precision(f, big), 2)
-    cs = [r[0] for r in weierstrass._residue_inverse(big, g0, 15).rows]
+    cs = weierstrass._residue_inverse(big, g0, 15)
     steps = []
     real = series._y_step
 
@@ -208,6 +209,15 @@ def test_load_division_problem_counts(work):
     work()
     load_object(obj)
     assert work() == (0, 0, 2, 1)  # the divisor reuses the dividend's twist data
+
+
+def test_load_coeff_with_epsilon_builds_no_twist_data(work):
+    # the epsilon is checked against the context, and nothing reads a twist
+    c = rand_coeff(PrecisionContext(3, 8), Random(7))
+    obj = dump_coeff(c, epsilon=4)
+    work()
+    assert load_object(obj) == c
+    assert work()[3] == 0
 
 
 def test_iwasawa_side_builds_no_twist_data(work):

@@ -11,7 +11,8 @@ ring, whose left coefficients are the right coefficients here, so row
 j of the sigma^-1-table of a_j holds the right coefficients of a_j Y**j.
 Each table costs about j**2/2 applications of the twist at full
 precision, against one Y-step per coefficient for Horner's rule in the
-package.
+package.  The tables are the rows of `SkewData._twist_rows`, which
+memoizes them per digit row.
 """
 
 from __future__ import annotations
@@ -21,13 +22,19 @@ from typing import Sequence
 from skewseries import CoeffSeries, SkewData, SkewSeries, build_skew
 
 
+def twist_table(sd: SkewData, r: CoeffSeries, n: int) -> list[list[CoeffSeries]]:
+    """Rows 0..n of (Y**m r)_i as full-precision coefficient series."""
+    sd.ctx.check_same(r.ctx)
+    return [[CoeffSeries(sd.ctx, e) for e in row] for row in sd._twist_rows(r.coeffs, n)]
+
+
 def _sum_table_rows(sd: SkewData, coeffs: Sequence[CoeffSeries]) -> list[list[int]]:
     K = sd.ctx.K
     out = [[0] * K for _ in range(K)]
     for j, c in enumerate(coeffs[:K]):
         if c.is_zero():
             continue
-        for i, e in enumerate(sd.twist_table(c, j)[j]):
+        for i, e in enumerate(twist_table(sd, c, j)[j]):
             out[i] = [x + y for x, y in zip(out[i], e.coeffs)]
     return out
 

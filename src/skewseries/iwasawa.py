@@ -42,6 +42,14 @@ from .skew import SkewData
 # take a fraction of a second, 6*10**4 over ten seconds.
 MAX_TOWER_LEVEL = 10_000
 
+# Largest degree of a torsion polynomial that ModuleSpec accepts: every
+# distinguished polynomial at K <= MAX_PRECISION has a lower degree.
+# Each level of rank_growth takes a Smith form of a deg F x deg F matrix
+# mod p**M, and omega_n vanishes mod (p**M, F) only near n = M: F = X**128
+# at M = 128 and n_max >= 135 takes 21 s at p = 2, 39 s at p = 3 and
+# 381 s at p = 1000003, which the cap does not bound.
+MAX_TORSION_DEGREE = 128
+
 
 # -- cyclotomic tower ----------------------------------------------------
 
@@ -227,6 +235,8 @@ def _check_poly(p: int, poly: Sequence[int]) -> tuple[int, ...]:
     F = tuple(int(c) for c in poly)
     if len(F) < 2 or F[-1] != 1:
         raise ValueError("torsion polynomial must be monic of degree >= 1")
+    if len(F) - 1 > MAX_TORSION_DEGREE:
+        raise ValueError(f"torsion polynomial degree must be <= {MAX_TORSION_DEGREE}")
     if any(c % p for c in F[:-1]):
         raise ValueError("lower coefficients must be divisible by p")
     return F

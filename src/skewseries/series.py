@@ -21,14 +21,19 @@ once per output row, and ``_trusted`` wraps them (``precision._Frozen``).
 The raw sums are taken on rows packed into ints (see
 :mod:`skewseries.skew`): a Y-step is one sum of packed columns per row,
 and f*g one big-int product per pair of rows, unpacked once per row.
+A row that ``_y_step`` returns holds only its live digits, q = hi - j
+of them, and a zero row is ``()``; rows are padded to K digits only
+where they become the rows of a series, at the end of ``_horner``.
 
 Multiplication follows the commutation rule directly: f*g accumulates
 r_i * (Y**i g) over a table of the powers Y**i g, each one Y-step from
-the one before.  ``f * g`` advances the table as it reads it; a caller
-that multiplies many series by one fixed g builds the packed table once
-and passes it to ``_mul_rows``.  Because canonical representatives have
-fewer than K rows, the infinite inner sums of the distributed product
-truncate on their own.
+the one before.  ``_table`` packs each power once, for the product and
+for the next step alike, which subtracts its f_j inside the packed sum
+it already forms.  ``f * g`` advances the table as it reads it; a
+caller that multiplies many series by one fixed g builds the table
+once and passes it to ``_mul_rows``.  Because canonical representatives
+have fewer than K rows, the infinite inner sums of the distributed
+product truncate on their own.
 
 Inversion is Newton iteration: each round squares the error 1 - f*x
 and so doubles the filtration level to which x inverts f.  The rounds
@@ -52,7 +57,7 @@ with integers 0 <= c_k < p, over the terms c_k*f.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from operator import mul, sub
+from operator import mod, mul, sub
 
 from .coeff import (
     CoeffSeries,
@@ -78,31 +83,44 @@ def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(vcanon(sd.ctx, rows[j] if j < len(rows) else (), K - j) for j in range(K))
 
 
-def _y_step(sd: SkewData, rows: Rows, hi: int | None = None, plus: Sequence[int] = ()) -> Rows:
+def _y_step(
+    sd: SkewData, rows: Rows, hi: int | None = None, plus: Sequence[int] = (),
+    packed: Sequence[int] | None = None,
+) -> Rows:
     """Rows of Y * f + t: row j becomes sigma(f_(j-1)) + delta(f_j) + t_j.
 
     ``plus`` holds the packed rows of the term t (none: t = 0).  Only
     rows j < hi are computed (hi defaults to K), each reduced at
-    q = hi - j: Y*f + t mod the coarser G_hi, with the rows from hi up
-    zero.  sigma is additive, so sigma(f_(j-1)) + sigma(f_j) + t_j is one
-    sum of the packed columns ``sd._sig_cols`` and the packed t_j: a
-    slot adds q + 1 products of two digits below m from row j - 1 (none
-    if j = 0), q from row j and one slot of t_j, which the slot width
-    of :mod:`skewseries.skew` holds when that slot is below m**2.  f_j
-    is subtracted from the unpacked digits, so nothing borrows across
-    slots, and the row is reduced once.
+    q = hi - j: Y*f + t mod the coarser G_hi.  Row j comes back with
+    its q live digits, and rows that vanish, those from hi up among
+    them, as ``()`` (see the module notes); the input rows may be of
+    either form.  sigma is additive, so sigma(f_(j-1)) + sigma(f_j) +
+    t_j is one sum of the packed columns ``sd._sig_cols`` and the packed
+    t_j; the slot width of :mod:`skewseries.skew` holds it.
+
+    ``packed``, when given, holds the packed rows of f itself, with
+    canonical digits, and -f_j is subtracted from the packed sum: slot a
+    of sigma(f_j) holds f_j[a] times the X**a digit of sigma(X)**a, a
+    unit and so at least 1, plus nonnegative products, so none of the q
+    low slots borrows.  Without it f_j is subtracted digit by digit, and
+    may be a row known only mod G_(hi-1), one digit short, as in Horner's
+    rule.
     """
     ctx, cols = sd.ctx, sd._sig_cols
     K = ctx.K
     hi = K if hi is None else hi
-    out = [vzero(ctx)] * K
+    out = [()] * K
     prev = 0
     for j, r in enumerate(rows[:hi]):
         q = hi - j
         cur = sum(map(mul, r[:q], cols)) if any(r) else 0
         t = plus[j] if j < len(plus) else 0
         if prev or cur or t:
-            out[j] = vcanon(ctx, map(sub, sd.unpack(prev + cur + t, q), r), q)
+            if packed is not None:
+                digits = sd.unpack(prev + cur + t - packed[j], q)
+            else:
+                digits = map(sub, sd.unpack(prev + cur + t, q), r[:q] + (0,) * (q - len(r)))
+            out[j] = tuple(map(mod, digits, ctx.slot_moduli(q)))
         prev = cur
     return tuple(out)
 
@@ -113,27 +131,32 @@ def _horner(sd: SkewData, terms: Sequence[Sequence[int]]) -> Rows:
     Each term t_j is given by its packed rows.  The partial sum from t_j
     on is needed only mod G_(K-j), so the step that adds t_j runs at
     hi = K - j (see the module notes); the first one steps zero rows.
+    The kernel rows are padded to K digits here, where they become rows
+    of a series.
     """
     K = sd.ctx.K
     terms = list(terms[:K])  # Y**j t_j lies in G_K for j >= K
     while terms and not any(terms[-1]):
         terms.pop()
-    rows = (vzero(sd.ctx),) * K
+    rows = ((),) * K
     for j in range(len(terms) - 1, -1, -1):
         rows = _y_step(sd, rows, K - j, terms[j])
-    return rows
+    zero = vzero(sd.ctx)
+    return tuple(r + zero[len(r) :] for r in rows)
 
 
-def _y_powers(sd: SkewData, gr: Rows) -> Iterator[Rows]:
-    """Rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand."""
+def _table(sd: SkewData, rows: Rows) -> Iterator[tuple[int, ...]]:
+    """Packed rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand.
+
+    Each step folds -f_j into its packed sum through the packed rows of
+    the power before, and its rows are packed once, for the product and
+    for the next step alike.
+    """
+    packed = tuple(map(sd.pack, rows))
     while True:
-        yield gr
-        gr = _y_step(sd, gr)
-
-
-def _packed(sd: SkewData, table: Iterable[Rows]) -> Iterator[tuple[int, ...]]:
-    """The rows of each power in ``table``, packed for ``_mul_rows``."""
-    return (tuple(map(sd.pack, rows)) for rows in table)
+        yield packed
+        rows = _y_step(sd, rows, packed=packed)
+        packed = tuple(map(sd.pack, rows))
 
 
 def _mul_rows(
@@ -241,8 +264,7 @@ class SkewSeries(_Frozen):
             return NotImplemented
         other = self._same(other)
         sd = self.sd
-        table = _packed(sd, _y_powers(sd, other.rows))
-        return SkewSeries._trusted(sd, _mul_rows(sd, self.rows, table))
+        return SkewSeries._trusted(sd, _mul_rows(sd, self.rows, _table(sd, other.rows)))
 
     def __rmul__(self, other) -> "SkewSeries":
         # left action of the coefficient ring: c * f is embed(c) * f

@@ -33,8 +33,11 @@ The Y-step's slot, sigma(f_(j-1)) + sigma(f_j) + t_j in row j, sums
 q + 1 products from row j - 1 (none when j = 0) and q from row j,
 q = K - j, so 2q + 1 <= 2K - 1 of them, plus one slot of the packed term
 t_j, which is below m**2 (Horner's rule adds c*f_j with c < p <= m): in
-all below 2K * m**2 <= K**2 * m**2 for K >= 2.  At K = 1 Horner's rule
-takes its one step on zero rows, so the slot holds the term alone.
+all below 2K * m**2 <= K**2 * m**2 for K >= 2.  At K = 1 a step is one
+product (a table step) or the term on zero rows (Horner's one step),
+below m**2.  A table step also subtracts the packed f_j: the X**a digit
+of sigma(X)**a is 1 mod p, so slot a of sigma(f_j) is at least f_j[a],
+no slot goes negative and none borrows from the next.
 
 ``_twist_rows`` lists the rows (Y**n u)_i of the skew commutation rule
 and memoizes them per digit row, least recently used first out.  No
@@ -168,7 +171,7 @@ class SkewData(_Frozen):
         return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in row), "little")
 
     def unpack(self, n: int, q: int) -> Sequence[int]:
-        """The q low slots of a nonnegative packed sum, as integers."""
+        """The q low slots of a packed sum, as integers; they must be nonnegative."""
         w = self._w
         b = (n & self._masks[q]).to_bytes(q * w, "little")
         if w == 8:

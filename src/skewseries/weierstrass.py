@@ -67,7 +67,7 @@ from .errors import (
 )
 from .linalg import solve_mod_prime_power
 from .precision import CHARP, INTEGRAL, MAX_PRECISION, AtLeast, PrecisionContext, _Frozen
-from .series import SkewSeries, _horner, _mul_rows, _packed, _y_powers, change_precision
+from .series import SkewSeries, _horner, _mul_rows, _table, change_precision
 from .skew import SkewData
 
 
@@ -144,7 +144,7 @@ def _divide_core(
         # G*g0 = 1 mod G_K, so Y**s - G*f = -G*f_lo with f_lo the rows < s of f
         G = g0.inverse()
         h = -(G * SkewSeries._trusted(sd, f.rows[:s] + (zero,) * (K - s)))
-        gpows = _packed(sd, _y_powers(sd, G.rows))
+        gpows = _table(sd, G.rows)
     if not isinstance(h.reduced_order(), AtLeast):  # a row of h is a unit
         raise InternalPrecisionLoss(
             "correction series escaped the maximal ideal; "
@@ -152,7 +152,7 @@ def _divide_core(
         )
     # Y**i h is stepped to and packed when a product first reads it: each
     # copy of the tee reads one shared table from h on
-    hpows = tee(_packed(sd, _y_powers(sd, h.rows)), 1)[0]
+    hpows = tee(_table(sd, h.rows), 1)[0]
     # q_0 .. q_(Ko-1) settle the output, and q_k matters mod G_(N_k) only,
     # N_k = Ko + (s-1)(Ko-1-k) (module docstring); at Ko = K every bound is K
     q = _shift_down(sd, g, s)
@@ -279,9 +279,10 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     Kb = big.ctx.K
     gb, fb = change_precision(g, big), change_precision(f, big)
 
-    # representatives of Y**j * f: digit (n, b) of X**a * Y**j * f is
-    # yjf[j][n][b - a], the X-shift moving digits up
-    yjf = list(islice(_y_powers(big, fb.rows), Kb))
+    # packed rows of Y**j * f, and their digits: digit (n, b) of
+    # X**a * Y**j * f is yjf[j][n][b - a], the X-shift moving digits up
+    table = list(islice(_table(big, fb.rows), Kb))
+    yjf = [[big.unpack(x, Kb - n) for n, x in enumerate(pk)] for pk in table]
     qslots = [(j, a) for j in range(Kb) for a in range(Kb - j)]
 
     integral = sd.ctx.mode == INTEGRAL
@@ -300,7 +301,7 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     # qb is x reduced mod G_K', a two-sided ideal, so qb*f = x*f mod G_K';
     # only rows < s of the remainder are kept, so rows >= s of each Y**j * f
     # are packed as zeros
-    low = ((*map(big.pack, rows[:s]), *(0,) * (Kb - s)) for rows in yjf)
+    low = (pk[:s] + (0,) * (Kb - s) for pk in table)
     rem = gb - SkewSeries._trusted(big, _mul_rows(big, qb.rows, low))
     remb = SkewSeries(big, rem.rows[:s])
     return change_precision(qb, sd), change_precision(remb, sd)

@@ -6,7 +6,8 @@ With c = (row 0)**-1, h = 1 - c*f lies in G_1, so the partial sum
 full products at precision K, against about two per precision level
 for the Newton iteration in the package.  The same sum over R/m**q
 inverts a coefficient series with q - 1 products, against the single
-coefficient recurrence of `vinv`.
+coefficient recurrence of `vinv`.  The products go through the digit-loop
+row kernels of `kernel_oracle`, not the package's packed ones.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from skewseries import CoeffSeries, NotAUnit, SkewSeries
 from skewseries.coeff import Vec, vadd, vcanon, vis_unit, vmul, vone, vsub
 from skewseries.precision import PrecisionContext
-from skewseries.series import _mul_rows, _packed, _y_powers
+
+from kernel_oracle import _mul_rows, _y_powers
 
 
 def geometric_vinv(ctx: PrecisionContext, u: Vec, q: int) -> Vec:
@@ -43,7 +45,6 @@ def geometric_inverse(f: SkewSeries) -> SkewSeries:
     h = tuple(vsub(ctx, a, b, K - j) for j, (a, b) in enumerate(zip(one, h)))
     acc = one
     for _ in range(K - 1):
-        acc = _mul_rows(sd, h, _packed(sd, _y_powers(sd, acc)))
+        acc = _mul_rows(sd, h, _y_powers(sd, acc))
         acc = tuple(vadd(ctx, a, b, K - j) for j, (a, b) in enumerate(zip(acc, one)))
-    cpows = _packed(sd, _y_powers(sd, sd.embed(CoeffSeries(ctx, c)).rows))
-    return SkewSeries(sd, _mul_rows(sd, acc, cpows))
+    return SkewSeries(sd, _mul_rows(sd, acc, _y_powers(sd, sd.embed(CoeffSeries(ctx, c)).rows)))

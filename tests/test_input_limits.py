@@ -14,8 +14,9 @@ import pytest
 
 from skewseries.cli import main
 from skewseries.errors import SchemaError
+from skewseries.iwasawa import MAX_TORSION_DEGREE
 from skewseries.precision import PrecisionContext, _is_prime
-from skewseries.serialize import make_context
+from skewseries.serialize import load_object, make_context
 
 DEFAULT_DIGITS = 4300
 
@@ -112,3 +113,16 @@ def test_rank_growth_whose_lambda_cannot_be_printed_is_refused(tmp_path, capsys)
     assert main([*argv, "--out", str(out)]) == 0
     last = out.with_suffix(".csv").read_text().splitlines()[-1]
     assert last == f"9012,{3**9012 + 1},0"
+
+
+def test_torsion_polynomial_above_the_degree_cap_is_refused(tmp_path, capsys):
+    # refused while the spec is read, before rank growth starts
+    def spec(degree: int) -> dict:
+        F = ["0"] * degree + ["1"]
+        return {"kind": "module_spec", "p": 3, "d": 1, "torsion_polys": [["3", "1"], F]}
+
+    (tmp_path / "big.json").write_text(json.dumps(spec(MAX_TORSION_DEGREE + 1)))
+    err = _refused(tmp_path, capsys, "rankgrowth", "--n-max", "2", "--K", "2",
+                   "--in", str(tmp_path / "big.json"))
+    assert f"torsion polynomial degree must be <= {MAX_TORSION_DEGREE}" in err
+    assert len(load_object(spec(MAX_TORSION_DEGREE)).torsion_polys[1]) == MAX_TORSION_DEGREE + 1

@@ -29,7 +29,9 @@ from skewseries import (
 )
 import skewseries.coeff
 import skewseries.iwasawa
-from skewseries.iwasawa import MAX_TOWER_LEVEL, _coinvariant, _omega_tower, _poly_rem
+from skewseries.iwasawa import (
+    MAX_TORSION_DEGREE, MAX_TOWER_LEVEL, _coinvariant, _omega_tower, _poly_rem,
+)
 from skewseries.coeff import vone
 from skewseries.precision import CHARP, INTEGRAL, MAX_PRECISION, PrecisionContext
 
@@ -615,6 +617,13 @@ def test_module_spec_validation():
         ModuleSpec(2, d=0, torsion_polys=((1, 1),))       # lower not in (p)
     with pytest.raises(ValueError):
         rank_growth(ModuleSpec(2, d=1), 1, 8)             # n_max < 2
+    top = (0,) * MAX_TORSION_DEGREE + (1,)                # X**128 is accepted
+    assert ModuleSpec(2, d=0, torsion_polys=(top,)).torsion_polys == (top,)
+    for F in ((0,) + top, (0,) * 10**4 + (1,)):           # refused before any work
+        with pytest.raises(ValueError, match="degree must be <= 128"):
+            ModuleSpec(2, d=0, torsion_polys=((2, 1), F))
+        with pytest.raises(ValueError, match="degree must be <= 128"):
+            coinvariant_rank(2, F, 0, 8)
     spec = ModuleSpec(3, d=1, torsion_polys=((3, 0, 1),))
     for n_max in (MAX_TOWER_LEVEL + 1, 10**9):           # refused before any work
         with pytest.raises(ValueError):

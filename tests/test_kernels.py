@@ -24,7 +24,7 @@ from skewseries import (
 )
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext, _Frozen
 from skewseries.coeff import vcanon, vzero
-from skewseries.series import _canon_rows, _horner, _mul_rows, _packed, _y_powers, _y_step
+from skewseries.series import _canon_rows, _horner, _mul_rows, _table, _y_step
 
 import kernel_oracle as ko
 from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
@@ -44,9 +44,9 @@ def test_row_kernels_match_reduce_every_product_oracle(p, eps, mode):
         rng = Random(f"kernels:{p}:{eps}:{mode}:{K}")
         for _ in range(4 if K <= 3 else 1):
             f, g = rand_series(sd, rng), rand_series(sd, rng)
-            table = list(islice(_y_powers(sd, g.rows), K))
-            assert table == list(islice(ko._y_powers(sd, g.rows), K))
-            packed = list(_packed(sd, table))
+            table = list(islice(ko._y_powers(sd, g.rows), K))
+            packed = list(islice(_table(sd, g.rows), K))
+            assert packed == _packed(sd, table)
             for lo in range(K + 1):
                 assert _mul_rows(sd, f.rows, packed, lo) == ko._mul_rows(sd, f.rows, table, lo)
             bs = [rand_coeff(sd.ctx, rng).coeffs for _ in range(K)]
@@ -75,6 +75,17 @@ def test_vcanon_matches_digit_loop(p, mode):
                     assert vcanon(ctx, iter(vals), q) == want
 
 
+def _packed(sd, table):
+    """The rows of each power in ``table``, packed for ``_mul_rows``."""
+    return [tuple(map(sd.pack, rows)) for rows in table]
+
+
+def _padded(sd, rows):
+    """Kernel rows, which hold their live digits only, padded to K digits."""
+    K = sd.ctx.K
+    return tuple(tuple(r) + (0,) * (K - len(r)) for r in rows)
+
+
 def _max_rows(sd):
     """Every digit at its slot modulus - 1: the largest canonical rows."""
     K = sd.ctx.K
@@ -95,12 +106,12 @@ def test_row_kernels_at_the_slot_width_edge():
         sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
         widths[p, K, mode] = sd._w
         top = _max_rows(sd)
-        powers = list(islice(_y_powers(sd, top), K))
-        assert powers == list(islice(ko._y_powers(sd, top), K))
+        powers = list(islice(ko._y_powers(sd, top), K))
+        assert list(islice(_table(sd, top), K)) == _packed(sd, powers)
         # a table of maximal rows fills every slot of every product
         for table in ([top] * K, powers):
             full = ko._mul_rows(sd, top, table)
-            packed = list(_packed(sd, table))
+            packed = _packed(sd, table)
             for lo in range(K + 1):
                 want = (vzero(sd.ctx),) * lo + full[lo:]
                 assert _mul_rows(sd, top, packed, lo) == want
@@ -178,8 +189,9 @@ def test_mul_rows_with_a_row_bound_is_the_product_mod_g_hi(p, mode):
         sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
         rng = Random(f"row-bound:{p}:{mode}:{K}")
         f, g = (_max_rows(sd),) * 2 if edge else (rand_series(sd, rng).rows for _ in range(2))
-        table = list(islice(_y_powers(sd, g), K))
-        packed = list(_packed(sd, table))
+        table = list(islice(ko._y_powers(sd, g), K))
+        packed = list(islice(_table(sd, g), K))
+        assert packed == _packed(sd, table)
         full = ko._mul_rows(sd, f, table)
         zero = vzero(sd.ctx)
         for hi in sorted({1, K // 2 + 1, K - 1, K} - {0}):
@@ -206,14 +218,14 @@ def test_y_step_with_a_row_bound_is_the_step_mod_g_hi(p, mode):
         with_zero_row = tuple(zero if j == K // 2 else r for j, r in enumerate(f))
         for rows in (f, with_zero_row, (zero,) * K):
             full = ko._y_step(sd, rows, ko.sigma(sd))
-            assert _y_step(sd, rows) == full
+            assert _padded(sd, _y_step(sd, rows)) == full
             for hi in range(1, K + 1):
                 want = tuple(vcanon(ctx, full[j], hi - j) if j < hi else zero for j in range(K))
-                assert _y_step(sd, rows, hi) == want
+                assert _padded(sd, _y_step(sd, rows, hi)) == want
                 coarse = tuple(
                     vcanon(ctx, rows[j], hi - 1 - j) if j < hi - 1 else zero for j in range(K)
                 )
-                assert _y_step(sd, coarse, hi) == want
+                assert _padded(sd, _y_step(sd, coarse, hi)) == want
 
 
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
@@ -248,7 +260,47 @@ def test_y_step_adds_a_packed_term_and_horner_multiplies_by_central_g(p, mode):
                         else zero
                         for j in range(K)
                     )
-                    assert _y_step(sd, rows, hi, plus) == want
+                    assert _padded(sd, _y_step(sd, rows, hi, plus)) == want
         G = tuple((c,) + zero[1:] for c in cs)
         want = ko._mul_rows(sd, G, list(islice(ko._y_powers(sd, f), K)))
         assert _horner(sd, [[c * x for x in fp] for c in cs]) == want
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_y_step_folds_packed_rows_into_the_packed_sum(p, mode):
+    # with ``packed`` -f_j is subtracted inside the packed sum; padded to
+    # K, each step is the oracle's, with or without a term, at every row
+    # bound.  Maximal rows with c = p - 1 at the zero-slack widths fill
+    # every slot.
+    cells = [(K, False) for K in (1, 2, 3, 5, 9)]
+    if mode == INTEGRAL and p < 5:
+        cells.append(({2: 27, 3: 37}[p], True))
+    for K, edge in cells:
+        sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+        ctx, zero = sd.ctx, vzero(sd.ctx)
+        rng = Random(f"packed-step:{p}:{mode}:{K}")
+        # the X**a digit of sigma(X)**a is 1 mod p, so slot a of sigma(f_j)
+        # is at least f_j[a] and subtracting f_j borrows from no slot
+        for twist in (sd, sd.opposite()):
+            assert all(twist.unpack(col, K)[a] % p == 1 for a, col in enumerate(twist._sig_cols))
+        if edge:
+            f = t = _max_rows(sd)
+            c = p - 1
+        else:
+            f, t = (rand_series(sd, rng).rows for _ in range(2))
+            c = rng.randrange(p)
+        with_zero_row = tuple(zero if j == K // 2 else r for j, r in enumerate(f))
+        for rows in (f, with_zero_row, (zero,) * K):
+            full = ko._y_step(sd, rows, ko.sigma(sd))
+            packed = tuple(map(sd.pack, rows))
+            for plus in ((), [c * sd.pack(r) for r in t]):
+                terms = t if plus else (zero,) * K
+                for hi in range(1, K + 1):
+                    want = tuple(
+                        ko._canon(ctx, [x + c * y for x, y in zip(full[j], terms[j])], hi - j)
+                        if j < hi
+                        else zero
+                        for j in range(K)
+                    )
+                    assert _padded(sd, _y_step(sd, rows, hi, plus, packed)) == want

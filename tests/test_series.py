@@ -19,7 +19,7 @@ from skewseries import (
 import skewseries.series
 from skewseries.coeff import vcanon
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
-from skewseries.series import _mul_rows, _packed, _y_powers
+from skewseries.series import _mul_rows, _table
 
 import group_ring_oracle as gro
 from inverse_oracle import geometric_inverse
@@ -118,7 +118,7 @@ def test_mul_rows_computes_only_the_rows_from_lo():
         for _ in range(5):
             f, g = rand_series(sd, rng), rand_series(sd, rng)
             full = (f * g).rows
-            table = list(_packed(sd, islice(_y_powers(sd, g.rows), K)))
+            table = list(islice(_table(sd, g.rows), K))
             for lo in range(K + 1):
                 part = _mul_rows(sd, f.rows, table, lo)
                 assert len(part) == K

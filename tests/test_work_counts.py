@@ -15,6 +15,11 @@ lowers one updates the pin too.
 The opposite twist (``SkewData.opposite``, whose sigma is sigma^-1) is
 twist data too: only the right-coefficient direction builds it, once.
 
+A second spy counts the digit rows reduced by ``coeff.vcanon``
+(through every module that binds it) and the rows packed by
+``SkewData.pack``: the rows of a Y-power table are reduced inline by
+``_y_step`` and packed once, so they pass through ``vcanon`` no more.
+
 The elimination of ``skewseries.linalg`` takes a row's gcd only when its
 pivot search could pick that row; the count of ``linalg.gcd`` calls pins
 that, since a search that takes more gcds than it needs finds the same
@@ -48,7 +53,7 @@ from skewseries import (
     prepare,
     rank_growth,
 )
-from skewseries import linalg, series, weierstrass
+from skewseries import coeff, linalg, series, skew, weierstrass
 from skewseries.precision import PrecisionContext
 from skewseries.series import change_precision
 
@@ -125,15 +130,61 @@ def test_divide_steps_g_f_at_shrinking_precision(monkeypatch):
     steps = []
     real = series._y_step
 
-    def bounded(sd, rows, hi=None, plus=()):
+    def bounded(sd, rows, hi=None, plus=(), packed=None):
         steps.append((sd.ctx.K, hi, bool(plus)))
-        return real(sd, rows, hi, plus)
+        return real(sd, rows, hi, plus, packed)
 
     monkeypatch.setattr(series, "_y_step", bounded)
     divide(g, f)
     n = max(k for k, c in enumerate(cs) if c)
     assert steps[: n + 1] == [(17, 17 - j, True) for j in range(n, -1, -1)]
     assert steps[n + 1 :] and set(steps[n + 1 :]) == {(17, None, False)}
+
+
+@pytest.fixture
+def digit_work(monkeypatch):
+    """A function that returns and resets (vcanon calls, pack calls)."""
+    counts = Counter()
+    vcanon, pack = coeff.vcanon, SkewData.pack
+
+    def reduced(*args):
+        counts["vcanon"] += 1
+        return vcanon(*args)
+
+    def packed(*args):
+        counts["pack"] += 1
+        return pack(*args)
+
+    for module in (coeff, series, skew, weierstrass):
+        monkeypatch.setattr(module, "vcanon", reduced)
+    monkeypatch.setattr(SkewData, "pack", packed)
+
+    def take() -> tuple[int, int]:
+        seen = counts["vcanon"], counts["pack"]
+        counts.clear()
+        return seen
+
+    return take
+
+
+def test_digit_rows_reduced_and_packed(digit_work):
+    # warm calls, so no twist data is built: the table rows are packed
+    # once and reduced inline, where they went through vcanon (253, 485
+    # and 472 calls) before
+    sd = build_skew(PrecisionContext(3, 16), 4)
+    rng = Random(8)
+    f, g = rand_series(sd, rng), rand_series(sd, rng)
+    u = rand_unit(sd, Random(2))
+    h, d = _division_inputs()[::-1]
+    for job, want in (
+        (lambda: f * g, (16, 272)),  # the K product rows; 16 rows of f, 16 of each power
+        (u.inverse, (135, 515)),
+        (lambda: divide(h, d), (127, 305)),
+    ):
+        job()
+        digit_work()
+        job()
+        assert digit_work() == want
 
 
 @pytest.fixture
@@ -236,9 +287,9 @@ def test_right_coefficients_build_the_opposite_once(work, monkeypatch):
     his = []
     counted = series._y_step
 
-    def bounded(sd, rows, hi=None, plus=()):
+    def bounded(sd, rows, hi=None, plus=(), packed=None):
         his.append(hi)
-        return counted(sd, rows, hi, plus)
+        return counted(sd, rows, hi, plus, packed)
 
     monkeypatch.setattr(series, "_y_step", bounded)
     work()

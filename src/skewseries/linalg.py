@@ -1,9 +1,10 @@
 """Linear algebra over Z/p**N with minimal-valuation pivoting.
 
 Two consumers: the independent linear-system route to Weierstrass
-division, and the Smith-style elementary divisor computation behind the
-rank experiments.  Entries are plain integers mod p**N; a valuation of
-N means "not visible at this precision".
+division, which solves one block per X-degree, and the Smith-style
+elementary divisor computation behind the rank experiments.  Entries
+are plain integers mod p**N; a valuation of N means "not visible at
+this precision".
 
 Both run one elimination, whose pivot is the first entry, in row-major
 order, of least valuation in the remaining block.  It is found from row

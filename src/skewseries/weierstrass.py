@@ -57,6 +57,7 @@ wanted, come from the same construct-natively-elevated pattern.
 from __future__ import annotations
 
 from itertools import islice, tee
+from operator import mul
 
 from .coeff import CoeffSeries, vcanon, vinv, vzero
 from .errors import (
@@ -254,17 +255,24 @@ def prepare(f: SkewSeries) -> tuple[SkewSeries, DistinguishedPoly]:
 
 
 def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:
-    """Independent route to `divide` via one modular linear solve.
+    """Independent route to `divide` via modular linear solves.
 
     Right-multiplication by f is linear on stored coordinates, so the
     rows >= s of g = q*f + rem are a linear system in the digits of q.
     In integral mode the slot congruence mod p**(K'-n-b) is scaled by
     p**(n+b) into a uniform modulus p**K'; in char-p mode everything
-    already lives mod p.  Solved with valuation-pivoting elimination;
-    then the rows < s of rem = g - q*f, from the rows < s of the same
-    table of Y**j * f.  Meant for small K (matrix side grows like K'**2
-    with K' = s*K + 1); ValueError when K' exceeds MAX_PRECISION, as in
-    `divide`.
+    already lives mod p.  X**a moves digits up by a, so digit (n, b) of
+    g involves the digits (j, a) of q with a <= b only, and the system
+    is solved by forward substitution over b: block b takes the digits
+    (j, b), j < K' - b, from the equations (n, b), s <= n < K' - b, with
+    the constant digits of (Y**j * f)_n as entries.  As A/mA = F_p[[Y]]
+    and f = Y**s * unit mod m, (Y**j * f)_n lies in m for n < j + s and
+    has a unit constant at n = j + s: the columns j = n - s are unit
+    lower triangular mod p, so each block is solvable whatever the
+    blocks before chose, and any solution truncates to the same answer
+    at K' = s*K + 1.  Then the rows < s of rem = g - q*f, from the rows
+    < s of the same table of Y**j * f.  ValueError when K' exceeds
+    MAX_PRECISION, as in `divide`.
     """
     sd = f.sd
     sd.check_same(g.sd)
@@ -279,25 +287,24 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     Kb = big.ctx.K
     gb, fb = change_precision(g, big), change_precision(f, big)
 
-    # packed rows of Y**j * f, and their digits: digit (n, b) of
-    # X**a * Y**j * f is yjf[j][n][b - a], the X-shift moving digits up
+    # packed rows of Y**j * f; cols[n][d] holds digit X**d of (Y**j * f)_n
+    # for every j, and X**a * Y**j * f moves it up to digit d + a
     table = list(islice(_table(big, fb.rows), Kb))
-    yjf = [[big.unpack(x, Kb - n) for n, x in enumerate(pk)] for pk in table]
-    qslots = [(j, a) for j in range(Kb) for a in range(Kb - j)]
+    cols = [list(zip(*(big.unpack(pk[n], Kb - n) for pk in table))) for n in range(Kb)]
 
     integral = sd.ctx.mode == INTEGRAL
     N = Kb if integral else 1
-    rows_mat: list[list[int]] = []
-    rhs: list[int] = []
-    for n in range(s, Kb):
-        for b in range(Kb - n):
-            scale = p ** (n + b) if integral else 1
-            rows_mat.append([yjf[j][n][b - a] * scale if a <= b else 0 for j, a in qslots])
-            rhs.append(gb.rows[n][b] * scale)
-    # the solver reduces its own copy of the system mod p**N
-    x = iter(solve_mod_prime_power(rows_mat, rhs, p, N))
+    x: list[list[int]] = []  # x[a][j] is digit X**a of row j of q
+    for b in range(Kb - s):
+        # the equations of block b, less what the solved digits (j, a < b) give
+        eqs = [(n, p ** (n + b) if integral else 1) for n in range(s, Kb - b)]
+        known = [sum(sum(map(mul, cols[n][b - a], xa)) for a, xa in enumerate(x)) for n, _ in eqs]
+        rows_mat = [[c * e for c in cols[n][0][: Kb - b]] for n, e in eqs]
+        rhs = [(gb.rows[n][b] - k) * e for (n, e), k in zip(eqs, known)]
+        # the solver reduces its own copy of the block mod p**N
+        x.append(solve_mod_prime_power(rows_mat, rhs, p, N))
 
-    qb = SkewSeries(big, [list(islice(x, Kb - j)) for j in range(Kb)])
+    qb = SkewSeries(big, [[xa[j] for xa in x[: Kb - j]] for j in range(Kb)])
     # qb is x reduced mod G_K', a two-sided ideal, so qb*f = x*f mod G_K';
     # only rows < s of the remainder are kept, so rows >= s of each Y**j * f
     # are packed as zeros

@@ -14,6 +14,7 @@ from skewseries.errors import SystemSingularAtPrecision
 from skewseries.linalg import smith_valuations, solve_mod_prime_power
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 
+import division_system_oracle as so
 import linalg_oracle as lo
 from util import rand_reduced_order, rand_series
 
@@ -80,7 +81,8 @@ def test_diagonalization_matches_entry_scan_oracle(p, N):
 
 @pytest.mark.parametrize("mode", [INTEGRAL, CHARP])
 def test_division_oracle_systems_match(mode, monkeypatch):
-    """The systems `divide_oracle` builds, captured and run through both."""
+    """The blocks `divide_oracle` solves, captured and run through both,
+    and the whole system of one division, built by its slow twin."""
     systems = []
 
     def capture(rows, rhs, p, N):
@@ -93,12 +95,18 @@ def test_division_oracle_systems_match(mode, monkeypatch):
     for p, K, s in cases:
         sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
         rng = Random(f"linalg-divide:{p}:{K}:{s}:{mode}")
-        divide_oracle(rand_series(sd, rng), rand_reduced_order(sd, rng, s))
-    assert len(systems) == len(cases)
+        g, f = rand_series(sd, rng), rand_reduced_order(sd, rng, s)
+        divide_oracle(g, f)
+        if (p, K, s) == (3, 5, 2):
+            whole = so.division_system(g, f, s)[:4]
+    # one block per X-degree b = 0 .. K' - s - 1, with K' = s*K + 1
+    assert len(systems) == sum(s * K + 1 - s for _, K, s in cases)
+    # and the whole system of the benchmark's shape, as one solve took it
+    systems.append(whole)
     for rows, rhs, p, N in systems:
         assert solve_mod_prime_power(rows, rhs, p, N) == lo.solve_mod_prime_power(rows, rhs, p, N)
         assert smith_valuations(rows, p, N) == lo.smith_valuations(rows, p, N)
-    rows, _, _, N = systems[3]
+    rows, _, _, N = systems[-1]
     assert (len(rows), len(rows[0])) == (45, 66)
     if mode == INTEGRAL:  # a unit pivot in char p
         vals = smith_valuations(rows, 3, N)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import mul
 from random import Random
 
 import pytest
@@ -19,11 +20,13 @@ from skewseries import (
     divide_oracle,
     prepare,
 )
+from skewseries.linalg import solve_mod_prime_power
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 import skewseries.weierstrass as weierstrass
 from skewseries.weierstrass import _divide_core
 
 from contraction_oracle import _divide_core as oracle_divide_core
+import division_system_oracle as system_oracle
 from util import rand_reduced_order, rand_series, rand_unit
 
 
@@ -256,6 +259,44 @@ def test_divide_matches_linear_solve_oracle(p, mode):
                 f = rand_reduced_order(sd, rng, s)
                 for g in (rand_series(sd, rng), sd.y(s)):
                     assert divide(g, f) == divide_oracle(g, f)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5, 1000003))
+def test_block_oracle_matches_the_whole_system(p, mode, monkeypatch):
+    # divide_oracle solves one X-degree block at a time; its block solutions,
+    # put together before any reduction, solve every congruence of the whole
+    # system, and the three routes agree digit for digit
+    blocks = []
+
+    def capture(rows, rhs, p, N):
+        blocks.append(solve_mod_prime_power(rows, rhs, p, N))
+        return blocks[-1]
+
+    monkeypatch.setattr(weierstrass, "solve_mod_prime_power", capture)
+    for eps in (1, 1 + p):
+        for K, s in ((2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (6, 2), (12, 1)):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"blocks:{p}:{mode}:{eps}:{K}:{s}")
+            f = rand_reduced_order(sd, rng, s)
+            g = rand_series(sd, rng)
+            blocks.clear()
+            assert divide_oracle(g, f) == system_oracle.divide_oracle(g, f) == divide(g, f)
+            assert len(blocks) == s * K + 1 - s  # blocks b = 0 .. K' - s - 1
+            rows, rhs, _, N, slots = system_oracle.division_system(g, f, s)
+            x = [blocks[a][j] if a < len(blocks) else 0 for j, a in slots]
+            assert all((sum(map(mul, r, x)) - c) % p**N == 0 for r, c in zip(rows, rhs))
+
+
+def test_oracle_at_k_prime_25():
+    # K' = s*K + 1 = 25 in each case; solved whole, the system took about
+    # ten times as long as its blocks
+    for K, s, mode in ((8, 3, INTEGRAL), (12, 2, INTEGRAL), (8, 3, CHARP)):
+        sd = build_skew(PrecisionContext(3, K, mode), 4)
+        rng = Random(f"oracle-25:{K}:{s}:{mode}")
+        f = rand_reduced_order(sd, rng, s)
+        g = rand_series(sd, rng)
+        assert divide_oracle(g, f) == divide(g, f)
 
 
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))

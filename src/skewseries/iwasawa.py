@@ -10,7 +10,10 @@ closed form would have degree p**n.  On top of these sit three
 experiment drivers: an explicit witness that omega_n generates the same
 left and right ideal, a two-sided-ideal descent producing a scalar
 element, and the coinvariant rank-growth law lambda_n = d*p**n + c,
-which reads one tower mod (F, p**M) per torsion polynomial F.
+which reads one tower mod (F, p**M) per torsion polynomial F.  Only its
+levels with p**n >= deg F take a Smith form of a deg F x deg F matrix;
+below, omega_n is monic of degree p**n and ``_coinvariant`` works on
+(Z/p**M)[X]/omega_n instead.
 """
 from __future__ import annotations
 
@@ -44,10 +47,12 @@ MAX_TOWER_LEVEL = 10_000
 
 # Largest degree of a torsion polynomial that ModuleSpec accepts: every
 # distinguished polynomial at K <= MAX_PRECISION has a lower degree.
-# Each level of rank_growth takes a Smith form of a deg F x deg F matrix
-# mod p**M, and omega_n vanishes mod (p**M, F) only near n = M: F = X**128
-# at M = 128 and n_max >= 135 takes 21 s at p = 2, 39 s at p = 3 and
-# 381 s at p = 1000003, which the cap does not bound.
+# Each level of rank_growth with p**n >= deg F takes a Smith form of a
+# deg F x deg F matrix mod p**M (a lower level a p**n x p**n one), and
+# omega_n vanishes mod (p**M, F) only near n = M: F = X**128 at M = 128
+# and n_max >= 135 took 21 s at p = 2, 39 s at p = 3 and 381 s at
+# p = 1000003, which the cap does not bound (measured with the full
+# matrix at every level; at most 7 of those levels have p**n < 128).
 MAX_TORSION_DEGREE = 128
 
 
@@ -347,18 +352,37 @@ def _coinvariant(
 ) -> tuple[int, bool]:
     """Corank and guard-band flag of om acting on (Z/p**M)[X]/F by multiplication.
 
-    Column a is X**a * om mod F: column a + 1 is X times column a, reduced
-    only when the shifted-out coefficient is nonzero: for F = omega_3 at
-    p = 3 and n <= 5 that is 13 of 156 columns, and reducing all is 3x slower.
+    The cokernel is (Z/p**M)[X]/(F, om).  When om mod (F, p**M) is monic of
+    degree d with 1 <= d < deg F, as omega_n is at every level with
+    p**n < deg F, that is also the cokernel of G = F mod om acting on
+    (Z/p**M)[X]/om, a d x d matrix.  A finitely generated Z/p**M-module is
+    a unique sum of cyclic modules, so the two matrices share every
+    non-unit elementary divisor and the large one has deg F - d unit ones
+    more: the kernel count is the same, and a valuation 0 lies in the
+    guard band (M - guard, M) exactly when M < guard.  G = 0 (om divides
+    F) is the zero matrix, of corank d, and is taken with no Smith form.
+
+    Column a of the matrix taken is X**a * g mod its modulus (g is om mod
+    F or G), X times column a - 1, reduced.  The levels that still take
+    deg F x deg F need nearly every reduction: all 78 columns of n = 3..5
+    for a generic degree-27 F at p = 3, M = 24, and 1,262 of 1,778 for
+    F = X**128 at p = 2, M = 16.
     """
-    if not any(om):  # the zero matrix: corank deg F and no flag, with no Smith form
-        return len(F) - 1, False
     mod = p**M
-    cols = [_poly_rem(om, F, mod)]
-    for _ in range(len(F) - 2):
-        col = cols[-1]
-        cols.append(_poly_rem([0] + col, F, mod) if col[-1] else [0] + col[:-1])
-    _, rank, flag = _smith_rank(list(zip(*cols)), p, M, guard)
+    om = _poly_rem(om, F, mod)
+    d = max((i for i, c in enumerate(om) if c), default=0)
+    swap = d > 0 and om[d] == 1
+    if swap:
+        monic = tuple(om[: d + 1])
+        F, om = monic, _poly_rem(F, monic, mod)
+    if any(om):
+        cols = [om]
+        for _ in range(len(F) - 2):
+            cols.append(_poly_rem([0] + cols[-1], F, mod))
+        _, rank, flag = _smith_rank(list(zip(*cols)), p, M, guard)
+    else:  # the zero matrix: corank the module's rank, with no Smith form
+        rank, flag = len(F) - 1, False
+    flag = flag or (swap and M < guard)
     if strict and flag:
         raise PrecisionInsufficient(
             f"a pivot valuation falls within {guard} digits of the working "

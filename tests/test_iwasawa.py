@@ -441,12 +441,27 @@ def test_coinvariant_rank_stops_at_the_stable_level(monkeypatch):
     assert list(_omega_tower(3, (3, 0, 1), 40, 6))[-1] == [0, 0]
 
 
+def _coinvariant_route(p, F, om, M):
+    """The module and the element whose Smith form _coinvariant takes:
+    ((Z/p**M)[X]/F, om mod F), or ((Z/p**M)[X]/om, F mod om) where om
+    mod (F, p**M) is monic of degree 1 <= d < deg F."""
+    mod = p**M
+    om = _poly_rem(om, F, mod)
+    d = max((i for i, c in enumerate(om) if c), default=0)
+    if d and om[d] == 1:
+        return tuple(om[: d + 1]), _poly_rem(F, tuple(om[: d + 1]), mod)
+    return F, om
+
+
 @pytest.mark.parametrize("M", [1, 24])
 @pytest.mark.parametrize("p", [2, 3])
 def test_coinvariant_columns_are_x_power_remainders(p, M, monkeypatch):
-    # column a + 1 is built as X * (column a) mod F; each must be the
-    # remainder of X**a * om by F, not just give the same rank.  A zero om
-    # is the zero matrix: corank deg F, no flag, and no Smith form taken
+    # column a + 1 is built as X * (column a) mod the modulus; each must be
+    # the remainder of X**a * g, not just give the same rank.  The full
+    # route takes g = om mod F; where omega_n is monic of degree p**n <
+    # deg F the swapped one takes g = F mod omega_n modulo omega_n.  A zero
+    # g is the zero matrix: corank the modulus's degree, no flag at guard
+    # 1 <= M, and no Smith form taken
     rng = Random(f"coinvariant-columns:{p}:{M}")
     mod = p**M
     omega_3 = (0, *(comb(p**3, a) for a in range(1, p**3 + 1)))
@@ -459,18 +474,26 @@ def test_coinvariant_columns_are_x_power_remainders(p, M, monkeypatch):
         return smith_rank(mat, *args)
 
     monkeypatch.setattr(skewseries.iwasawa, "_smith_rank", spy)
+    routes = {False: 0, True: 0}
     for F in ((p, 1), (0, 1), omega_3, rand_F):
         D = len(F) - 1
         oms = list(_omega_tower(p, F, 4, M))
         oms.append([rng.randrange(-mod, 2 * mod) for _ in range(D)])  # unreduced
-        for om in oms:
+        for n, om in enumerate(oms):
+            modulus, g = _coinvariant_route(p, F, om, M)
+            if n <= 4:  # omega_n mod p is X**(p**n), so 0 mod (F, p) from p**n >= deg F
+                want = (0, *(comb(p**n, a) % mod for a in range(1, p**n + 1)))
+                assert modulus == (want if p**n < D else F)
+            routes[modulus != F] += 1
             del mats[:]
             got = _coinvariant(p, F, om, M, 1, False)
-            if not any(om):
-                assert (got, mats) == ((D, False), [])
+            d = len(modulus) - 1
+            if not any(g):
+                assert (got, mats) == ((d, False), [])
                 continue
-            want = [_poly_rem([0] * a + om, F, mod) for a in range(D)]
+            want = [_poly_rem([0] * a + g, modulus, mod) for a in range(d)]
             assert [list(col) for col in zip(*mats[0])] == want
+    assert min(routes.values()) > 0
 
 
 def test_coinvariant_rejects_negative_level():
@@ -518,10 +541,72 @@ def test_rank_growth_against_from_scratch_oracle(p):
                     assert rank_growth(spec, n_max, M, guard).table == table
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return tuple(out)
+
+
+def _xi_poly(p, k):
+    """xi_k as an integer polynomial: X, or Phi_(p**k)(1 + X) =
+    sum_(i < p) (1 + X)**(i * p**(k-1)) for k >= 1."""
+    if k == 0:
+        return (0, 1)
+    e = p ** (k - 1)
+    return tuple(
+        sum(comb(i * e, a) for i in range(p)) for a in range((p - 1) * e + 1)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coinvariant_routes_against_full_matrix_oracle(p):
+    # F a product of xi_k (k <= 2) and random distinguished factors, so
+    # some omega_n divide F and others are monic of degree p**n < deg F
+    # without dividing it; the oracle always takes the deg F x deg F
+    # matrix.  A swapped level keeps the deg F - d unit divisors of the
+    # full matrix in its flag: with guard > M they fall in the band even
+    # where the small matrix has no finite divisor
+    rng = Random(f"coinvariant-routes:{p}")
+    swapped = hidden_units = 0
+    for M in range(1 + p % 2, 25, 2):  # odd M at p = 2, even M at odd p
+        D, F = rng.randrange(1, 41), (1,)
+        for k in range(3):
+            if len(F) + (p - 1) * p ** max(k - 1, 0) <= D + 1 and rng.random() < 0.6:
+                F = _poly_mul(F, _xi_poly(p, k))
+        while len(F) <= D:
+            e = rng.randrange(1, min(D + 2 - len(F), 9))
+            F = _poly_mul(F, tuple(p * rng.randrange(-3, 4) for _ in range(e)) + (1,))
+        n_max = max(2, next(n for n in range(D + 1) if p**n >= D))
+        spec = ModuleSpec(p, d=rng.randrange(3), torsion_polys=(F,))
+        tower = list(_omega_tower(p, F, n_max, M))
+        for guard in (1, 2, M, M + 1):
+            expect = [rank_oracle._coinvariant(p, F, n, M, guard) for n in range(n_max + 1)]
+            for n, (om, (rank, flag)) in enumerate(zip(tower, expect)):
+                modulus, g = _coinvariant_route(p, F, om, M)
+                swapped += modulus != F
+                hidden_units += modulus != F and not any(g) and flag
+                assert _coinvariant(p, F, om, M, guard, False) == (rank, flag)
+                if flag:  # strict differs only where it raises
+                    with pytest.raises(PrecisionInsufficient) as exc:
+                        _coinvariant(p, F, om, M, guard, True)
+                    assert str(exc.value) == GUARD_BAND.format(guard=guard, M=M)
+            table = tuple((n, spec.d * p**n + r, fl) for n, (r, fl) in enumerate(expect))
+            assert rank_growth(spec, n_max, M, guard, strict=False).table == table
+            if any(fl for _, fl in expect):
+                with pytest.raises(PrecisionInsufficient) as exc:
+                    rank_growth(spec, n_max, M, guard)
+                assert str(exc.value) == GUARD_BAND.format(guard=guard, M=M)
+    assert swapped > 0 and hidden_units > 0
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_rank_growth_takes_no_smith_form_where_omega_vanishes(p, monkeypatch):
     # omega_n = 0 mod (F, p**M) gives the zero matrix, of corank deg F
-    # with no guard-band flag, so no Smith form is taken at such a level
+    # with no guard-band flag, and so does F = 0 mod omega_n where omega_n
+    # is monic of degree p**n < deg F, of corank p**n: no Smith form is
+    # taken at such a level
     smith_rank = skewseries.iwasawa._smith_rank
     mats = []
 
@@ -531,22 +616,24 @@ def test_rank_growth_takes_no_smith_form_where_omega_vanishes(p, monkeypatch):
 
     monkeypatch.setattr(skewseries.iwasawa, "_smith_rank", spy)
     rng = Random(f"vanished-levels:{p}")
-    n_max, vanished = 6, 0
+    n_max, vanished, divides = 6, 0, 0
     for F in _oracle_polys(p, rng):
         for M in (1, 3, 6):
             levels = range(n_max + 1)
             oms = [rank_oracle._omega_mod(p, F, n, M) for n in levels]
             expect = [rank_oracle._coinvariant(p, F, n, M, 2) for n in levels]
+            free = [not any(_coinvariant_route(p, F, om, M)[1]) for om in oms]
             del mats[:]
             g = rank_growth(ModuleSpec(p, d=1, torsion_polys=(F,)), n_max, M, strict=False)
             assert g.table == tuple((n, p**n + r, fl) for n, (r, fl) in enumerate(expect))
-            assert len(mats) == sum(1 for om in oms if any(om))
+            assert len(mats) == free.count(False)
             assert all(any(map(any, mat)) for mat in mats)
             vanished += sum(1 for om in oms if not any(om))
+            divides += sum(1 for om, f in zip(oms, free) if f and any(om))
             del mats[:]
             assert coinvariant_rank(p, F, n_max, M, strict=False) == expect[-1][0]
-            assert len(mats) == (1 if any(oms[-1]) else 0)
-    assert vanished > 0
+            assert len(mats) == (0 if free[-1] else 1)
+    assert vanished > 0 and divides > 0
     with pytest.raises(ValueError, match="guard must be >= 1"):  # omega_0 = 0 mod X
         coinvariant_rank(p, (0, 1), 0, 8, guard=0)
 

@@ -23,7 +23,8 @@ A second spy counts the digit rows reduced by ``coeff.vcanon``
 The elimination of ``skewseries.linalg`` takes a row's gcd only when its
 pivot search could pick that row; the count of ``linalg.gcd`` calls pins
 that, since a search that takes more gcds than it needs finds the same
-pivots.
+pivots.  A spy on ``iwasawa._smith_rank`` records the size of each
+Smith form ``rank_growth`` takes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from skewseries import (
     prepare,
     rank_growth,
 )
-from skewseries import coeff, linalg, series, skew, weierstrass
+from skewseries import coeff, iwasawa, linalg, series, skew, weierstrass
 from skewseries.precision import PrecisionContext
 from skewseries.series import change_precision
 
@@ -217,10 +218,36 @@ def test_division_oracle_row_gcds(gcds):
 
 
 def test_rank_growth_row_gcds(gcds):
-    # three 27 x 27 Smith forms; the eager search took 263 gcds
+    # omega_0, omega_1 and omega_2 divide F = omega_3, so their levels take
+    # the zero matrix on (Z/p**M)[X]/omega_n, and omega_n = 0 mod F from
+    # n = 3: no Smith form at all.  Three 27 x 27 ones, on the full route
+    # at n = 3..5, took 167 gcds, and their eager search 263
     omega_3 = (0, *(comb(27, a) for a in range(1, 28)))
     rank_growth(ModuleSpec(3, 1, (omega_3,)), 5, 24, strict=False)
-    assert gcds() == 167
+    assert gcds() == 0
+
+
+# a distinguished polynomial of degree 27 drawn once at p = 3
+GENERIC_F = (
+    9, 3, 0, -6, -6, -12, 3, 12, 9, -9, 3, 12, -12, 6, -6, 9, 6, -6, -6, -3,
+    -12, -9, -6, 12, -9, 6, -9, 1,
+)
+
+
+def test_rank_growth_smith_sizes_on_a_generic_f(gcds, monkeypatch):
+    # omega_n is monic of degree 3**n < 27 for n <= 2 and does not divide
+    # this F, so those levels take a 3**n x 3**n Smith form; from n = 3 the
+    # full 27 x 27 one.  Six 27 x 27 forms took 375 gcds
+    sizes = []
+    smith_rank = iwasawa._smith_rank
+
+    def spy(mat, *args):
+        sizes.append(len(mat))
+        return smith_rank(mat, *args)
+
+    monkeypatch.setattr(iwasawa, "_smith_rank", spy)
+    rank_growth(ModuleSpec(3, 1, (GENERIC_F,)), 5, 24, strict=False)
+    assert (sizes, gcds()) == ([1, 3, 9, 27, 27, 27], 265)
 
 
 def test_divide_stops_after_k_iterates(monkeypatch):

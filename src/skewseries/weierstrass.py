@@ -66,7 +66,7 @@ from .errors import (
     NotPreparable,
     SystemSingularAtPrecision,
 )
-from .linalg import solve_mod_prime_power
+from .linalg import _eliminate, solve_mod_prime_power
 from .precision import CHARP, INTEGRAL, MAX_PRECISION, AtLeast, PrecisionContext, _Frozen
 from .series import SkewSeries, _horner, _mul_rows, _table, change_precision
 from .skew import SkewData
@@ -260,19 +260,28 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     Right-multiplication by f is linear on stored coordinates, so the
     rows >= s of g = q*f + rem are a linear system in the digits of q.
     In integral mode the slot congruence mod p**(K'-n-b) is scaled by
-    p**(n+b) into a uniform modulus p**K'; in char-p mode everything
-    already lives mod p.  X**a moves digits up by a, so digit (n, b) of
-    g involves the digits (j, a) of q with a <= b only, and the system
-    is solved by forward substitution over b: block b takes the digits
-    (j, b), j < K' - b, from the equations (n, b), s <= n < K' - b, with
-    the constant digits of (Y**j * f)_n as entries.  As A/mA = F_p[[Y]]
+    p**n into the modulus p**(K'-b); in char-p mode everything already
+    lives mod p.  X**a moves digits up by a, so digit (n, b) of g
+    involves the digits (j, a) of q with a <= b only, and the system is
+    solved by forward substitution over b: block b takes the digits
+    (j, b) from the equations (n, b), s <= n < K' - b, with the constant
+    digits of (Y**j * f)_n, times p**n, as entries.  As A/mA = F_p[[Y]]
     and f = Y**s * unit mod m, (Y**j * f)_n lies in m for n < j + s and
-    has a unit constant at n = j + s: the columns j = n - s are unit
-    lower triangular mod p, so each block is solvable whatever the
-    blocks before chose, and any solution truncates to the same answer
-    at K' = s*K + 1.  Then the rows < s of rem = g - q*f, from the rows
-    < s of the same table of Y**j * f.  ValueError when K' exceeds
-    MAX_PRECISION, as in `divide`.
+    has a unit constant at n = j + s.  So row n of the matrix is p**n
+    times a unit at column n - s, multiples of p**(n+1) to its right and
+    multiples of p**n to its left (in char p: lower triangular mod p with
+    a unit at (n, n - s)), and the row operations keep that shape: the
+    pivots are (n, n - s) in row order.  The columns j >= K' - b - s of
+    block b are then free and set to 0, so the rows j >= K' - s of q
+    vanish and the table of Y**j * f stops at Y**(K'-s-1) * f.  Block b's
+    matrix is the leading (K'-b-s)-square corner of block 0's, taken mod
+    p**(K'-b) (mod p in char p), whose elimination is the first K'-b-s
+    steps of block 0's: so block 0's matrix is factored once and each
+    block replays its first K'-b-s pivots (`solve_mod_prime_power`).
+    Each block is solvable whatever the blocks before chose, and any
+    solution truncates to the same answer at K' = s*K + 1.  Then the rows
+    < s of rem = g - q*f, from the rows < s of the same table of
+    Y**j * f.  ValueError when K' exceeds MAX_PRECISION, as in `divide`.
     """
     sd = f.sd
     sd.check_same(g.sd)
@@ -286,25 +295,26 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     big = sd.at_precision(_gauge_free_precision(s, sd.ctx.K))
     Kb = big.ctx.K
     gb, fb = change_precision(g, big), change_precision(f, big)
+    top = Kb - s  # the unknown rows j < top of q
 
     # packed rows of Y**j * f; cols[n][d] holds digit X**d of (Y**j * f)_n
     # for every j, and X**a * Y**j * f moves it up to digit d + a
-    table = list(islice(_table(big, fb.rows), Kb))
+    table = list(islice(_table(big, fb.rows), top))
     cols = [list(zip(*(big.unpack(pk[n], Kb - n) for pk in table))) for n in range(Kb)]
 
     integral = sd.ctx.mode == INTEGRAL
+    scale = [p**n if integral else 1 for n in range(Kb)]
     N = Kb if integral else 1
+    fac = _eliminate([[c * scale[n] % p**N for c in cols[n][0]] for n in range(s, Kb)], p, N)
     x: list[list[int]] = []  # x[a][j] is digit X**a of row j of q
-    for b in range(Kb - s):
+    for b in range(top):
         # the equations of block b, less what the solved digits (j, a < b) give
-        eqs = [(n, p ** (n + b) if integral else 1) for n in range(s, Kb - b)]
-        known = [sum(sum(map(mul, cols[n][b - a], xa)) for a, xa in enumerate(x)) for n, _ in eqs]
-        rows_mat = [[c * e for c in cols[n][0][: Kb - b]] for n, e in eqs]
-        rhs = [(gb.rows[n][b] - k) * e for (n, e), k in zip(eqs, known)]
-        # the solver reduces its own copy of the block mod p**N
-        x.append(solve_mod_prime_power(rows_mat, rhs, p, N))
+        eqs = range(s, Kb - b)
+        known = [sum(sum(map(mul, cols[n][b - a], xa)) for a, xa in enumerate(x)) for n in eqs]
+        rhs = [(gb.rows[n][b] - k) * scale[n] for n, k in zip(eqs, known)]
+        x.append(solve_mod_prime_power(fac, rhs, p, Kb - b if integral else 1))
 
-    qb = SkewSeries(big, [[xa[j] for xa in x[: Kb - j]] for j in range(Kb)])
+    qb = SkewSeries(big, [[xa[j] for xa in x[: Kb - j]] for j in range(top)])
     # qb is x reduced mod G_K', a two-sided ideal, so qb*f = x*f mod G_K';
     # only rows < s of the remainder are kept, so rows >= s of each Y**j * f
     # are packed as zeros

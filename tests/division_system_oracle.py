@@ -8,17 +8,23 @@ slots.  In integral mode the congruence mod p**(K'-n-b) is scaled by
 p**(n+b) into the uniform modulus p**K'; in char-p mode everything
 lives mod p.  Here the whole system, 45 x 66 at p = 3, K = 5, s = 2,
 is eliminated at once, and the table of Y**j * f comes from full
-products.  The package solves the same congruences one X-degree block
-at a time, by forward substitution, and reads the table from its
-Y-steps.
+products.  The package factors one block's matrix and replays it on
+each X-degree block, by forward substitution, and reads the table from
+its Y-steps.
 """
 
 from __future__ import annotations
 
 from skewseries import SkewSeries, change_precision
-from skewseries.linalg import solve_mod_prime_power
+from skewseries.linalg import _eliminate, solve_mod_prime_power
 from skewseries.precision import INTEGRAL
 from skewseries.weierstrass import _gauge_free_precision
+
+
+def solve_whole(rows: list[list[int]], rhs: list[int], p: int, N: int) -> list[int]:
+    """One solution of A x = c over Z/p**N: one elimination, replayed on c."""
+    mod = p**N
+    return solve_mod_prime_power(_eliminate([[a % mod for a in r] for r in rows], p, N), rhs, p, N)
 
 
 def division_system(g: SkewSeries, f: SkewSeries, s: int):
@@ -48,7 +54,7 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     rows, rhs, p, N, slots = division_system(g, f, s)
     big = sd.at_precision(_gauge_free_precision(s, sd.ctx.K))
     Kb = big.ctx.K
-    x = solve_mod_prime_power(rows, rhs, p, N)
+    x = solve_whole(rows, rhs, p, N)
     q = [[0] * (Kb - j) for j in range(Kb)]
     for (j, a), v in zip(slots, x):
         q[j][a] = v

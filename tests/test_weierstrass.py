@@ -20,7 +20,7 @@ from skewseries import (
     divide_oracle,
     prepare,
 )
-from skewseries.linalg import solve_mod_prime_power
+from skewseries.linalg import _eliminate, solve_mod_prime_power
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 import skewseries.weierstrass as weierstrass
 from skewseries.weierstrass import _divide_core
@@ -264,27 +264,40 @@ def test_divide_matches_linear_solve_oracle(p, mode):
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
 @pytest.mark.parametrize("p", (2, 3, 5, 1000003))
 def test_block_oracle_matches_the_whole_system(p, mode, monkeypatch):
-    # divide_oracle solves one X-degree block at a time; its block solutions,
-    # put together before any reduction, solve every congruence of the whole
-    # system, and the three routes agree digit for digit
-    blocks = []
+    # divide_oracle factors one matrix and replays it on each X-degree
+    # block; its pivots are (n, n - s) in row order, its block solutions,
+    # put together before any reduction, solve every congruence of the
+    # whole system, and the three routes agree digit for digit
+    facs, blocks = [], []
 
-    def capture(rows, rhs, p, N):
-        blocks.append(solve_mod_prime_power(rows, rhs, p, N))
+    def eliminate(A, p, N):
+        facs.append(_eliminate(A, p, N))
+        return facs[-1]
+
+    def replay(fac, rhs, p, M):
+        assert fac is facs[-1]
+        blocks.append(solve_mod_prime_power(fac, rhs, p, M))
         return blocks[-1]
 
-    monkeypatch.setattr(weierstrass, "solve_mod_prime_power", capture)
+    monkeypatch.setattr(weierstrass, "_eliminate", eliminate)
+    monkeypatch.setattr(weierstrass, "solve_mod_prime_power", replay)
     for eps in (1, 1 + p):
         for K, s in ((2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (6, 2), (12, 1)):
             sd = build_skew(PrecisionContext(p, K, mode), eps)
             rng = Random(f"blocks:{p}:{mode}:{eps}:{K}:{s}")
             f = rand_reduced_order(sd, rng, s)
             g = rand_series(sd, rng)
+            facs.clear()
             blocks.clear()
             assert divide_oracle(g, f) == system_oracle.divide_oracle(g, f) == divide(g, f)
-            assert len(blocks) == s * K + 1 - s  # blocks b = 0 .. K' - s - 1
+            top = s * K + 1 - s  # K' - s
+            (piv, rest, width), = facs  # one elimination per call
+            # row k of the matrix is the equation n = s + k; pivot k at (n, n - s)
+            assert [(i, j) for _, _, i, j, *_ in piv] == [(k, k) for k in range(top)]
+            assert (rest, width) == ([], top)
+            assert len(blocks) == top  # one replay per block b = 0 .. K' - s - 1
             rows, rhs, _, N, slots = system_oracle.division_system(g, f, s)
-            x = [blocks[a][j] if a < len(blocks) else 0 for j, a in slots]
+            x = [blocks[a][j] if a < top and j < top else 0 for j, a in slots]
             assert all((sum(map(mul, r, x)) - c) % p**N == 0 for r, c in zip(rows, rhs))
 
 

@@ -21,7 +21,7 @@ from collections.abc import Iterator, Sequence
 from itertools import pairwise
 from math import comb
 
-from .coeff import CoeffSeries, vbinom, vorder
+from .coeff import CoeffSeries, vbinom, vcanon, vmul, vorder, vsub
 from .errors import (
     DegenerateAction,
     PrecisionInsufficient,
@@ -192,6 +192,15 @@ def descend_ideal(
     on s - i alone, so d orders serve a degree-d descent.  Only the
     survivor c_i is multiplied out, by sigma**s(gamma) - sigma**i(gamma)
     for each top degree s removed: at most d products.
+
+    Each product is taken only to the precision that reaches the answer
+    (precision tracking, Caruso, Roe and Vaccon, LMS J. Comput. Math.
+    17, 2014): x known mod m**q times d in m**g is known mod m**(q+g),
+    and d is needed only mod m**(q+g) too.  So c_i is reduced mod m**q
+    with q = K less the orders gap[s - i] of all its factors, and each
+    product by a factor of order g runs at q + g, the last at K.  That
+    first q is at least 1: the survivor's final order, ord(c_i) plus the
+    sum of its gaps, is below K, or it would not have survived.
     """
     ctx = sd.ctx
     K = ctx.K
@@ -224,10 +233,13 @@ def descend_ideal(
             trace.append(nz[-1])
         if len(nz) == 1:
             i = nz[0]
-            r = coeffs[i]
+            gi = sig_gamma[i].coeffs
+            q = K - sum(gap[s - i] for s in path)
+            r = vcanon(ctx, coeffs[i].coeffs, q)
             for s in path:
-                r = r * (sig_gamma[s] - sig_gamma[i])
-            return r, len(path)
+                q += gap[s - i]
+                r = vmul(ctx, r, vsub(ctx, sig_gamma[s].coeffs, gi, q), q)
+            return CoeffSeries._trusted(ctx, r), len(path)
         s = nz[-1]
         ords = [ords[i] + gap[s - i] for i in range(s)]
         path.append(s)

@@ -57,7 +57,7 @@ wanted, come from the same construct-natively-elevated pattern.
 from __future__ import annotations
 
 from itertools import islice, tee
-from operator import mul
+from operator import mul, sub
 
 from .coeff import CoeffSeries, vcanon, vinv, vzero
 from .errors import (
@@ -279,9 +279,20 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     steps of block 0's: so block 0's matrix is factored once and each
     block replays its first K'-b-s pivots (`solve_mod_prime_power`).
     Each block is solvable whatever the blocks before chose, and any
-    solution truncates to the same answer at K' = s*K + 1.  Then the rows
-    < s of rem = g - q*f, from the rows < s of the same table of
-    Y**j * f.  ValueError when K' exceeds MAX_PRECISION, as in `divide`.
+    solution truncates to the same answer at K' = s*K + 1.
+
+    The forward sums are read off the packed table: equation row n keeps
+    one packed accumulator, and once block a is solved it gains
+    sum_j x[a][j] * (Y**j * f)_n, packed, moved up a slots, so its slot b
+    holds what the digits (j, a < b) give equation (n, b).  A digit x[a][j]
+    is below p**(K'-a) (p in char p) and a table digit below m, and a slot
+    takes at most one product per (a, j), so at most K'**2 of them: the
+    slot width of :mod:`skewseries.skew` at K' holds the sum, and no slot
+    carries.  Only the output precision K is then read.  q is x reduced
+    mod G_K, and as G_K is a two-sided ideal q*f = x*f mod G_K, so q and
+    the rows < s of rem = g - q*f, from the rows < s of the same table,
+    are exact when formed at K itself.  ValueError when K' exceeds
+    MAX_PRECISION, as in `divide`.
     """
     sd = f.sd
     sd.check_same(g.sd)
@@ -297,28 +308,34 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     gb, fb = change_precision(g, big), change_precision(f, big)
     top = Kb - s  # the unknown rows j < top of q
 
-    # packed rows of Y**j * f; cols[n][d] holds digit X**d of (Y**j * f)_n
-    # for every j, and X**a * Y**j * f moves it up to digit d + a
+    # packed rows of Y**j * f: rows[n][j] is (Y**j * f)_n, whose slot d
+    # holds its digit X**d, and X**a * Y**j * f moves that up to slot d + a
     table = list(islice(_table(big, fb.rows), top))
-    cols = [list(zip(*(big.unpack(pk[n], Kb - n) for pk in table))) for n in range(Kb)]
+    rows = list(zip(*table))
+    width, one = 8 * big._w, big._masks[1]
 
     integral = sd.ctx.mode == INTEGRAL
     scale = [p**n if integral else 1 for n in range(Kb)]
     N = Kb if integral else 1
-    fac = _eliminate([[c * scale[n] % p**N for c in cols[n][0]] for n in range(s, Kb)], p, N)
+    fac = _eliminate([[(c & one) * scale[n] % p**N for c in rows[n]] for n in range(s, Kb)], p, N)
+    # slot b of acc[n] is what the solved digits (j, a < b) give equation
+    # (n, b): each block a adds its digits' packed sum, moved up a slots
+    acc = [0] * Kb
     x: list[list[int]] = []  # x[a][j] is digit X**a of row j of q
     for b in range(top):
-        # the equations of block b, less what the solved digits (j, a < b) give
         eqs = range(s, Kb - b)
-        known = [sum(sum(map(mul, cols[n][b - a], xa)) for a, xa in enumerate(x)) for n in eqs]
-        rhs = [(gb.rows[n][b] - k) * scale[n] for n, k in zip(eqs, known)]
-        x.append(solve_mod_prime_power(fac, rhs, p, Kb - b if integral else 1))
+        rhs = [(gb.rows[n][b] - (acc[n] >> (width * b) & one)) * scale[n] for n in eqs]
+        xb = solve_mod_prime_power(fac, rhs, p, Kb - b if integral else 1)
+        x.append(xb)
+        for n in range(s, Kb - b - 1):  # the equations of the next block
+            acc[n] += sum(map(mul, xb, rows[n])) << (width * b)
 
-    qb = SkewSeries(big, [[xa[j] for xa in x[: Kb - j]] for j in range(top)])
-    # qb is x reduced mod G_K', a two-sided ideal, so qb*f = x*f mod G_K';
-    # only rows < s of the remainder are kept, so rows >= s of each Y**j * f
-    # are packed as zeros
+    # q and the rows < s of rem = g - q*f, both mod G_K: digits of x from
+    # X**(K-j) in row j lie in G_K, and only the rows < s of the product are
+    # kept, so rows >= s of each Y**j * f are packed as zeros
+    K = sd.ctx.K
+    qx = [[xa[j] for xa in x[: K - j]] for j in range(K)]
     low = (pk[:s] + (0,) * (Kb - s) for pk in table)
-    rem = gb - SkewSeries._trusted(big, _mul_rows(big, qb.rows, low))
-    remb = SkewSeries(big, rem.rows[:s])
-    return change_precision(qb, sd), change_precision(remb, sd)
+    qf = _mul_rows(big, qx, low, 0, K)
+    rem = SkewSeries(sd, [list(map(sub, g.rows[j], qf[j])) for j in range(s)])
+    return SkewSeries(sd, qx), rem

@@ -17,6 +17,7 @@ from skewseries import (
     build_skew,
     descend_ideal,
 )
+from skewseries import iwasawa
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
 
 import descent_oracle
@@ -104,6 +105,8 @@ def test_descent_skips_degrees_and_raises():
 
 @pytest.mark.parametrize("deep", [False, True])
 def test_descent_takes_at_most_degree_products(deep, monkeypatch):
+    # the survivor is multiplied out by the digit kernel that iwasawa binds;
+    # a product of CoeffSeries would count too
     sd = build_skew(PrecisionContext(3, 32, INTEGRAL), 4)
     ctx = sd.ctx
     rng = Random(f"descend-products:{deep}")
@@ -112,18 +115,26 @@ def test_descent_takes_at_most_degree_products(deep, monkeypatch):
         zc = [rand_coeff(ctx, rng) for _ in range(deg)] + [CoeffSeries.one(ctx)]
         inputs.append([_deep(ctx, rng, c) for c in zc] if deep else zc)
     products = []
-    mul = CoeffSeries.__mul__
+    vmul, mul = iwasawa.vmul, CoeffSeries.__mul__
+
+    def kernel(ctx, u, v, q):
+        products.append(q)
+        return vmul(ctx, u, v, q)
 
     def counted(self, other):
         products.append(other)
         return mul(self, other)
 
+    monkeypatch.setattr(iwasawa, "vmul", kernel)
     monkeypatch.setattr(CoeffSeries, "__mul__", counted)
     monkeypatch.setattr(CoeffSeries, "__rmul__", counted)
+    taken = 0
     for zc in inputs:
         del products[:]
         try:
-            descend_ideal(sd, zc)
+            steps = descend_ideal(sd, zc)[1]
         except VanishedAtPrecision:
-            pass
-        assert len(products) <= len(zc) - 1
+            steps = 0  # raised before any product
+        assert len(products) == steps <= len(zc) - 1
+        taken += steps
+    assert taken  # the spy sees the products the descent takes

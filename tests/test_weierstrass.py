@@ -313,6 +313,23 @@ def test_oracle_at_k_prime_25():
 
 
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize(("p", "K", "s"), ((2, 13, 2), (3, 12, 3)))
+def test_oracle_at_zero_slack_widths(p, K, s, mode):
+    # K' = 27 at p = 2 and K' = 37 at p = 3: in integral mode K'**2 * m**2
+    # fills the packed slot of 8 and 16 bytes exactly, so the oracle's
+    # forward sums, up to K'**2 products per slot, have no spare bit
+    sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+    big = sd.at_precision(s * K + 1)
+    if mode == INTEGRAL:
+        assert 8 * big._w == (((s * K + 1) * p ** (s * K + 1)) ** 2).bit_length()
+    rng = Random(f"zero-slack:{p}:{K}:{s}:{mode}")
+    for _ in range(2):
+        f = rand_reduced_order(sd, rng, s)
+        g = rand_series(sd, rng)
+        assert divide_oracle(g, f) == divide(g, f)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_divide_matches_full_contraction_at_the_lift(p, mode):
     # the full-product contraction with an exact inverse at K' = s*K + 1,

@@ -24,7 +24,8 @@ The elimination of ``skewseries.linalg`` takes a row's gcd only when its
 pivot search could pick that row; the count of ``linalg.gcd`` calls pins
 that, since a search that takes more gcds than it needs finds the same
 pivots.  A spy on ``iwasawa._smith_rank`` records the size of each
-Smith form ``rank_growth`` takes.
+Smith form ``rank_growth`` takes, and one on ``iwasawa.vmul`` the
+precision of each product ``descend_ideal`` takes.
 """
 
 from __future__ import annotations
@@ -218,6 +219,48 @@ def test_division_oracle_row_gcds(gcds):
     f = rand_reduced_order(sd, rng, 2)
     divide_oracle(rand_series(sd, rng), f)
     assert gcds() == 16
+
+
+def test_division_oracle_takes_its_remainder_at_k(monkeypatch):
+    # q and the rows < s of rem come at the output precision K = 5 from
+    # one product of x's rows and the table rows < s, not at K' = 11
+    calls = []
+    real = weierstrass._mul_rows
+
+    def spy(sd, fr, gpows, lo=0, hi=None):
+        calls.append((sd.ctx.K, lo, hi))
+        return real(sd, fr, gpows, lo, hi)
+
+    sd = build_skew(PrecisionContext(3, 5), 4)
+    rng = Random(2)
+    f = rand_reduced_order(sd, rng, 2)
+    g = rand_series(sd, rng)
+    want = divide(g, f)
+    monkeypatch.setattr(weierstrass, "_mul_rows", spy)
+    assert divide_oracle(g, f) == want
+    assert calls == [(11, 0, 5)]
+
+
+def test_descent_product_precisions(monkeypatch):
+    # the survivor c_0 of a degree-8 descent at p = 3, K = 32, eps = 4 is
+    # multiplied by the factors of the path 8 .. 1, whose orders (gaps) are
+    # 2, 2, 3, 2, 2, 3, 2, 2: each product runs at K less the gaps still to
+    # come, and only the last at K.  All eight ran at K = 32 before
+    precisions = []
+    vmul = iwasawa.vmul
+
+    def spy(ctx, u, v, q):
+        precisions.append(q)
+        return vmul(ctx, u, v, q)
+
+    sd = build_skew(PrecisionContext(3, 32), 4)
+    rng = Random(3)
+    zc = [rand_coeff(sd.ctx, rng) for _ in range(8)] + [CoeffSeries.one(sd.ctx)]
+    monkeypatch.setattr(iwasawa, "vmul", spy)
+    trace: list[int] = []
+    descend_ideal(sd, zc, trace=trace)
+    assert trace == [8, 7, 6, 5, 4, 3, 2, 1, 0]
+    assert precisions == [16, 18, 21, 23, 25, 28, 30, 32]
 
 
 def test_rank_growth_row_gcds(gcds):

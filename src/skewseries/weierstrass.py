@@ -57,7 +57,7 @@ wanted, come from the same construct-natively-elevated pattern.
 from __future__ import annotations
 
 from itertools import islice, tee
-from operator import mul, sub
+from operator import mul
 
 from .coeff import CoeffSeries, vcanon, vinv, vzero
 from .errors import (
@@ -188,6 +188,8 @@ def _gauge_free_precision(s: int, K: int) -> int:
 
     ValueError when that lift exceeds MAX_PRECISION: the twist data alone
     grows like K'**3, so such a division is refused before any work.
+    s = 0 returns K, with no lift (f is a unit, rem = 0): only
+    `divide_oracle` asks, as `divide` and `prepare` return first.
     """
     if s < 1:
         return K
@@ -279,20 +281,24 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     steps of block 0's: so block 0's matrix is factored once and each
     block replays its first K'-b-s pivots (`solve_mod_prime_power`).
     Each block is solvable whatever the blocks before chose, and any
-    solution truncates to the same answer at K' = s*K + 1.
+    solution truncates to the same answer at K' = s*K + 1.  Only the
+    blocks b < K, K <= K' - s as K' - s - K = (s - 1)(K - 1), are solved:
+    row j of q keeps the digits X**a with a < K - j, and block b's right
+    side reads the digits a < b only.
 
-    The forward sums are read off the packed table: equation row n keeps
-    one packed accumulator, and once block a is solved it gains
+    The forward sums are read off the packed table: row n keeps one
+    packed accumulator, and once block a is solved it gains
     sum_j x[a][j] * (Y**j * f)_n, packed, moved up a slots, so its slot b
     holds what the digits (j, a < b) give equation (n, b).  A digit x[a][j]
     is below p**(K'-a) (p in char p) and a table digit below m, and a slot
-    takes at most one product per (a, j), so at most K'**2 of them: the
-    slot width of :mod:`skewseries.skew` at K' holds the sum, and no slot
-    carries.  Only the output precision K is then read.  q is x reduced
-    mod G_K, and as G_K is a two-sided ideal q*f = x*f mod G_K, so q and
-    the rows < s of rem = g - q*f, from the rows < s of the same table,
-    are exact when formed at K itself.  ValueError when K' exceeds
-    MAX_PRECISION, as in `divide`.
+    takes at most one product per (a, j), so at most K*K' <= K'**2 of
+    them: the slot width of :mod:`skewseries.skew` at K' holds the sum,
+    and no slot carries.  Every block adds to the rows n < K' - b - 1,
+    the rows < s among them, so at the end slot a of row j's accumulator
+    is digit X**a of (x*f)_j.  q is x cut to a < K - j in row j, and as
+    x - q lies in the two-sided ideal G_K, q*f = x*f mod G_K: the rows
+    < s of rem = g - q*f are g less those slots, reduced at K.
+    ValueError when K' exceeds MAX_PRECISION, as in `divide`.
     """
     sd = f.sd
     sd.check_same(g.sd)
@@ -304,13 +310,12 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
         )
     p = sd.ctx.p
     big = sd.at_precision(_gauge_free_precision(s, sd.ctx.K))
-    Kb = big.ctx.K
+    K, Kb = sd.ctx.K, big.ctx.K
     gb, fb = change_precision(g, big), change_precision(f, big)
-    top = Kb - s  # the unknown rows j < top of q
 
     # packed rows of Y**j * f: rows[n][j] is (Y**j * f)_n, whose slot d
     # holds its digit X**d, and X**a * Y**j * f moves that up to slot d + a
-    table = list(islice(_table(big, fb.rows), top))
+    table = list(islice(_table(big, fb.rows), Kb - s))
     rows = list(zip(*table))
     width, one = 8 * big._w, big._masks[1]
 
@@ -322,20 +327,15 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
     # (n, b): each block a adds its digits' packed sum, moved up a slots
     acc = [0] * Kb
     x: list[list[int]] = []  # x[a][j] is digit X**a of row j of q
-    for b in range(top):
+    for b in range(K):
         eqs = range(s, Kb - b)
         rhs = [(gb.rows[n][b] - (acc[n] >> (width * b) & one)) * scale[n] for n in eqs]
         xb = solve_mod_prime_power(fac, rhs, p, Kb - b if integral else 1)
         x.append(xb)
-        for n in range(s, Kb - b - 1):  # the equations of the next block
+        for n in range(Kb - b - 1):  # the next block's equations and the rows < s
             acc[n] += sum(map(mul, xb, rows[n])) << (width * b)
 
-    # q and the rows < s of rem = g - q*f, both mod G_K: digits of x from
-    # X**(K-j) in row j lie in G_K, and only the rows < s of the product are
-    # kept, so rows >= s of each Y**j * f are packed as zeros
-    K = sd.ctx.K
+    # slot a of acc[j] is now digit X**a of (x*f)_j, and x*f = q*f mod G_K
     qx = [[xa[j] for xa in x[: K - j]] for j in range(K)]
-    low = (pk[:s] + (0,) * (Kb - s) for pk in table)
-    qf = _mul_rows(big, qx, low, 0, K)
-    rem = SkewSeries(sd, [list(map(sub, g.rows[j], qf[j])) for j in range(s)])
-    return SkewSeries(sd, qx), rem
+    rem = [[c - d for c, d in zip(g.rows[j], big.unpack(acc[j], K - j))] for j in range(s)]
+    return SkewSeries(sd, qx), SkewSeries(sd, rem)

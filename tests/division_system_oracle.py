@@ -8,9 +8,9 @@ slots.  In integral mode the congruence mod p**(K'-n-b) is scaled by
 p**(n+b) into the uniform modulus p**K'; in char-p mode everything
 lives mod p.  Here the whole system, 45 x 66 at p = 3, K = 5, s = 2,
 is eliminated at once, and the table of Y**j * f comes from full
-products.  The package factors one block's matrix and replays it on
-each X-degree block, by forward substitution, and reads the table from
-its Y-steps.
+products.  The package factors one block's matrix and replays it, by
+forward substitution, on the K X-degree blocks that reach the output,
+and reads the table from its Y-steps.
 """
 
 from __future__ import annotations

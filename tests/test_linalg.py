@@ -152,9 +152,9 @@ def test_one_factorization_solves_every_lower_precision_and_leading_rows(p):
 @pytest.mark.parametrize("mode", [INTEGRAL, CHARP])
 def test_division_oracle_systems_match(mode, monkeypatch):
     """`divide_oracle` factors one matrix per call and replays it on each
-    X-degree block; every block solution solves its own corner of that
-    matrix and agrees mod p with a fresh oracle solve of the corner.  And
-    the whole system of one division, built by its slow twin."""
+    X-degree block below K; every block solution solves its own corner of
+    that matrix and agrees mod p with a fresh oracle solve of the corner.
+    And the whole system of one division, built by its slow twin."""
     facs, solves = [], []
 
     def eliminate(A, p, N):
@@ -177,8 +177,8 @@ def test_division_oracle_systems_match(mode, monkeypatch):
         if (p, K, s) == (3, 5, 2):
             whole = so.division_system(g, f, s)[:4]
     assert len(facs) == len(cases)  # one elimination per call
-    # one replay per X-degree b = 0 .. K' - s - 1, with K' = s*K + 1
-    assert len(solves) == sum(s * K + 1 - s for _, K, s in cases)
+    # one replay per X-degree b = 0 .. K - 1, the blocks that reach the output
+    assert len(solves) == sum(K for _, K, _ in cases)
     for at, rhs, M, x in solves:
         A, p, N = facs[at - 1]
         t = len(rhs)  # block b solves the leading t = K' - b - s rows

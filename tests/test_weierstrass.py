@@ -265,9 +265,10 @@ def test_divide_matches_linear_solve_oracle(p, mode):
 @pytest.mark.parametrize("p", (2, 3, 5, 1000003))
 def test_block_oracle_matches_the_whole_system(p, mode, monkeypatch):
     # divide_oracle factors one matrix and replays it on each X-degree
-    # block; its pivots are (n, n - s) in row order, its block solutions,
-    # put together before any reduction, solve every congruence of the
-    # whole system, and the three routes agree digit for digit
+    # block b < K; its pivots are (n, n - s) in row order, its block
+    # solutions, put together before any reduction, solve every congruence
+    # (n, b < K) of the whole system, and the three routes agree digit for
+    # digit
     facs, blocks = [], []
 
     def eliminate(A, p, N):
@@ -290,15 +291,22 @@ def test_block_oracle_matches_the_whole_system(p, mode, monkeypatch):
             facs.clear()
             blocks.clear()
             assert divide_oracle(g, f) == system_oracle.divide_oracle(g, f) == divide(g, f)
-            top = s * K + 1 - s  # K' - s
+            Kb = s * K + 1
+            top = Kb - s
             (piv, rest, width), = facs  # one elimination per call
             # row k of the matrix is the equation n = s + k; pivot k at (n, n - s)
             assert [(i, j) for _, _, i, j, *_ in piv] == [(k, k) for k in range(top)]
             assert (rest, width) == ([], top)
-            assert len(blocks) == top  # one replay per block b = 0 .. K' - s - 1
+            assert len(blocks) == K  # one replay per block b = 0 .. K - 1
             rows, rhs, _, N, slots = system_oracle.division_system(g, f, s)
-            x = [blocks[a][j] if a < top and j < top else 0 for j, a in slots]
-            assert all((sum(map(mul, r, x)) - c) % p**N == 0 for r, c in zip(rows, rhs))
+            # equation (n, b) reads the digits a <= b only, all solved for b < K
+            eqs = [(n, b) for n in range(s, Kb) for b in range(Kb - n)]
+            assert len(eqs) == len(rows)
+            x = [blocks[a][j] if a < K and j < top else 0 for j, a in slots]
+            assert all(
+                (sum(map(mul, r, x)) - c) % p**N == 0
+                for (n, b), r, c in zip(eqs, rows, rhs) if b < K
+            )
 
 
 def test_oracle_at_k_prime_25():

@@ -13,7 +13,10 @@ element, and the coinvariant rank-growth law lambda_n = d*p**n + c,
 which reads one tower mod (F, p**M) per torsion polynomial F.  Only its
 levels with p**n >= deg F take a Smith form of a deg F x deg F matrix;
 below, omega_n is monic of degree p**n and ``_coinvariant`` works on
-(Z/p**M)[X]/omega_n instead.
+(Z/p**M)[X]/omega_n instead.  A corank at precision M counts every
+valuation that reaches M as kernel, so each level is checked against the
+exact rank over Z_p, deg gcd(F, omega_n), read off the cyclotomic factors
+of F once per call: a count above it is refused like a guard-band pivot.
 """
 from __future__ import annotations
 
@@ -359,10 +362,47 @@ def _omega_tower(p: int, F: tuple[int, ...], n_max: int, M: int) -> Iterator[lis
             g = h
 
 
+def _cyclotomic_divisors(p: int, F: tuple[int, ...]) -> dict[int, int]:
+    """k: phi(p**k) for each k with xi_k | F in Z[X].
+
+    omega_n = xi_0 * xi_1 * ... * xi_n, where each xi_k is Eisenstein, so
+    irreducible over Q_p, of degree phi(p**k); so omega_n is squarefree,
+    and the Z_p-rank of Z_p[X]/(F, omega_n) is deg gcd(F, omega_n), the
+    sum of phi(p**k) over these k <= n (L. C. Washington, Introduction to
+    Cyclotomic Fields, 2nd ed., ch. 13).  Only a xi_k of degree <= deg F
+    can divide F, which leaves about log_p(deg F) + 2 exact tests.
+
+    xi_0 = X divides F when F(0) = 0.  For k >= 1, xi_k(X) =
+    Phi_(p**k)(1 + X) = Phi_p(Y**e) at Y = 1 + X, e = p**(k-1), so with
+    H(Y) = F(Y - 1) and Phi_p(Z) * (Z - 1) = Z**p - 1, xi_k | F exactly
+    when Y**(p*e) - 1 divides R = H * (Y**e - 1).  That is one big-int
+    test at Y = B = 2**w: R mod Y**(p*e) - 1 has coefficients below B/2
+    in size, as |H_j| sums to at most max|F| * 2**(deg F + 1), so it is 0
+    exactly when H(B) * (B**e - 1) is 0 mod B**(p*e) - 1.
+    """
+    D = len(F) - 1
+    w = max(map(abs, F)).bit_length() + D + 3
+    v = 0  # H(B) = F(B - 1), by Horner's rule
+    for c in reversed(F):
+        v = (v << w) - v + c
+    found = {0: 1} if F[0] == 0 else {}
+    k, e = 1, 1
+    while (d := (p - 1) * e) <= D:
+        if v * ((1 << (w * e)) - 1) % ((1 << (w * p * e)) - 1) == 0:
+            found[k] = d
+        k, e = k + 1, e * p
+    return found
+
+
 def _coinvariant(
-    p: int, F: tuple[int, ...], om: list[int], M: int, guard: int, strict: bool
+    p: int, F: tuple[int, ...], om: list[int], M: int, guard: int, strict: bool, exact: int
 ) -> tuple[int, bool]:
     """Corank and guard-band flag of om acting on (Z/p**M)[X]/F by multiplication.
+
+    The flag is also set where the corank exceeds ``exact``, the Z_p-rank
+    of the cokernel over Z_p (``_cyclotomic_divisors``): the kernel
+    directions over Z_p reach M, so the excess is a finite valuation that
+    reached M, an artifact of the precision outside the guard band.
 
     The cokernel is (Z/p**M)[X]/(F, om).  When om mod (F, p**M) is monic of
     degree d with 1 <= d < deg F, as omega_n is at every level with
@@ -394,7 +434,7 @@ def _coinvariant(
         _, rank, flag = _smith_rank(list(zip(*cols)), p, M, guard)
     else:  # the zero matrix: corank the module's rank, with no Smith form
         rank, flag = len(F) - 1, False
-    flag = flag or (swap and M < guard)
+    flag = flag or (swap and M < guard) or rank > exact
     if strict and flag:
         raise PrecisionInsufficient(
             f"a pivot valuation falls within {guard} digits of the working "
@@ -416,9 +456,10 @@ def coinvariant_rank(
     """Z_p-rank of (Z_p[[X]]/F) / omega_n * (Z_p[[X]]/F) at precision M.
 
     The corank of the multiplication-by-omega_n matrix on the basis
-    1, X, ..., X**(deg F - 1).  With `strict` a guard-band pivot raises
-    PrecisionInsufficient instead of silently flagging.  p must be prime,
-    and M may not exceed MAX_PRECISION.
+    1, X, ..., X**(deg F - 1).  With `strict` a guard-band pivot, or a
+    corank above the exact rank over Z_p, raises PrecisionInsufficient
+    instead of silently flagging.  p must be prime, and M may not exceed
+    MAX_PRECISION.
     """
     F = ModuleSpec(p, 0, (poly,)).torsion_polys[0]
     _check_precision(M, guard)
@@ -427,7 +468,8 @@ def coinvariant_rank(
     for om in _omega_tower(p, F, n, M):
         if not any(om):  # omega is zero from here on, up to level n
             break
-    return _coinvariant(p, F, om, M, guard, strict)[0]
+    exact = sum(d for k, d in _cyclotomic_divisors(p, F).items() if k <= n)
+    return _coinvariant(p, F, om, M, guard, strict, exact)[0]
 
 
 def rank_growth(
@@ -439,9 +481,10 @@ def rank_growth(
     Reports the least n0 from which c_n = lambda_n - d*p**n is constant;
     `stabilized` demands that constancy is witnessed by at least two
     points (NotStabilized is reported in the result, never raised).
-    With `strict` a guard-band pivot raises PrecisionInsufficient as in
-    coinvariant_rank; otherwise it is recorded per row.  n_max may not
-    exceed MAX_TOWER_LEVEL, nor M MAX_PRECISION.
+    With `strict` a guard-band pivot or a corank above the exact rank
+    raises PrecisionInsufficient as in coinvariant_rank; otherwise it is
+    recorded per row.  n_max may not exceed MAX_TOWER_LEVEL, nor M
+    MAX_PRECISION.
     """
     from .growth import GrowthResult
 
@@ -454,8 +497,10 @@ def rank_growth(
     cs = [0] * (n_max + 1)  # c_n = lambda_n - d*p**n: the torsion ranks
     flags = [False] * (n_max + 1)
     for F in spec.torsion_polys:
+        divisors, exact = _cyclotomic_divisors(p, F), 0
         for n, om in enumerate(_omega_tower(p, F, n_max, M)):
-            r, fl = _coinvariant(p, F, om, M, guard, strict)
+            exact += divisors.get(n, 0)
+            r, fl = _coinvariant(p, F, om, M, guard, strict, exact)
             cs[n] += r
             flags[n] |= fl
     stable_from = n_max

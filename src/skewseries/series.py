@@ -35,11 +35,16 @@ once and passes it to ``_mul_rows``.  Because canonical representatives
 have fewer than K rows, the infinite inner sums of the distributed
 product truncate on their own.
 
-Inversion is Newton iteration: each round squares the error 1 - f*x
-and so doubles the filtration level to which x inverts f.  The rounds
-run on a ladder of precisions, each at most twice the one before, through
-``SkewData.at_precision``, so only the last one pays for products at
-full precision.
+Inversion is the block triangular solve that Weierstrass division's
+oracle runs, at s = 0 (``_solve_blocks``): x*f = 1 is linear in the
+digits of x, and its equation at X**b reads only their digits X**a with
+a <= b, so x comes one X-degree block at a time from one factorization.
+Scaled by p**n, row n of the matrix holds the constant of (Y**j f)_n in
+column j, which lies in m for j > n and is a unit at j = n, as f is a
+unit mod m: the pivots sit at (n, n), and each block's solution is
+unique at its precision.  So x is the left inverse of f mod G_K, and a
+one-sided inverse of a unit is its two-sided inverse.  Canonical rows
+are unique mod G_K, so any route to the inverse returns the same digits.
 
 Right coefficients, f = sum_j Y**j b_j, come by Horner's rule: one
 Y-step per coefficient for b_0 + Y(b_1 + Y(b_2 + ...)), each adding its
@@ -57,6 +62,7 @@ with integers 0 <= c_k < p, over the terms c_k*f.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 from operator import mod, mul, sub
 
 from .coeff import (
@@ -70,7 +76,8 @@ from .coeff import (
     vzero,
 )
 from .errors import ContextMismatch, NotAUnit
-from .precision import AtLeast, _Frozen
+from .linalg import _eliminate, solve_mod_prime_power
+from .precision import INTEGRAL, AtLeast, _Frozen
 from .skew import EPSILON_GUARD, SkewData
 
 Rows = tuple[Vec, ...]
@@ -193,6 +200,80 @@ def _mul_rows(
     return (vzero(ctx),) * lo + tuple(rows) + (vzero(ctx),) * (K - hi)
 
 
+def _solve_blocks(
+    g: SkewSeries, f: SkewSeries, s: int, K: int
+) -> tuple[list[list[int]], list[int]]:
+    """The q with q*f = g on the rows >= s, by block forward substitution.
+
+    g and f live at the working precision K' of f's twist data, f has
+    reduced order s, and q is returned mod G_K, K <= K' - s: row j holds
+    its digits X**a, a < K - j, reduced at K'.  Also returned are the
+    packed accumulators: slot a of acc[j], j < s, is digit X**a of
+    (x*f)_j, where x is the solution at K' that q truncates.
+
+    Right-multiplication by f is linear on stored coordinates, so the
+    rows >= s of g = q*f + rem are a linear system in the digits of q.
+    In integral mode the slot congruence mod p**(K'-n-b) is scaled by
+    p**n into the modulus p**(K'-b); in char-p mode everything already
+    lives mod p.  X**a moves digits up by a, so digit (n, b) of g
+    involves the digits (j, a) of q with a <= b only, and the system is
+    solved by forward substitution over b: block b takes the digits
+    (j, b) from the equations (n, b), s <= n < K' - b, with the constant
+    digits of (Y**j * f)_n, times p**n, as entries.  As A/mA = F_p[[Y]]
+    and f = Y**s * unit mod m, (Y**j * f)_n lies in m for n < j + s and
+    has a unit constant at n = j + s.  So row n of the matrix is p**n
+    times a unit at column n - s, multiples of p**(n+1) to its right and
+    multiples of p**n to its left (in char p: lower triangular mod p with
+    a unit at (n, n - s)), and the row operations keep that shape: the
+    pivots are (n, n - s) in row order.  The columns j >= K' - b - s of
+    block b are then free and set to 0, so the rows j >= K' - s of q
+    vanish and the table of Y**j * f stops at Y**(K'-s-1) * f.  Block b's
+    matrix is the leading (K'-b-s)-square corner of block 0's, taken mod
+    p**(K'-b) (mod p in char p), whose elimination is the first K'-b-s
+    steps of block 0's: so block 0's matrix is factored once and each
+    block replays its first K'-b-s pivots (`solve_mod_prime_power`).
+    Each block is solvable whatever the blocks before chose.  Only the
+    blocks b < K are solved: row j of q keeps the digits X**a with
+    a < K - j, and block b's right side reads the digits a < b only.
+
+    The forward sums are read off the packed table: row n keeps one
+    packed accumulator, and once block a is solved it gains
+    sum_j x[a][j] * (Y**j * f)_n, packed, moved up a slots, so its slot b
+    holds what the digits (j, a < b) give equation (n, b).  Each digit
+    x[a][j] is first reduced mod p**(K'-a-j) (p in char p), its slot
+    modulus at K': that changes x by an element of G_K', and x*f by one
+    too, which no later right side and no accumulator slot read mod its
+    modulus sees.  A digit is then below m and a table digit below m, and
+    a slot takes at most one product per (a, j), so at most K*K' <= K'**2
+    of them: the slot width of :mod:`skewseries.skew` at K' holds the
+    sum, and no slot carries.  Every block adds to the rows
+    n < K' - b - 1, the rows < s among them, so at the end slot a of row
+    j's accumulator is digit X**a of (x*f)_j.
+    """
+    sd = f.sd
+    ctx = sd.ctx
+    p, Kb = ctx.p, ctx.K
+    # packed rows of Y**j * f: rows[n][j] is (Y**j * f)_n, whose slot d
+    # holds its digit X**d, and X**a * Y**j * f moves that up to slot d + a
+    rows = list(zip(*islice(_table(sd, f.rows), Kb - s)))
+    width, one = 8 * sd._w, sd._masks[1]
+    integral = ctx.mode == INTEGRAL
+    scale = [p**n if integral else 1 for n in range(Kb)]
+    N = Kb if integral else 1
+    fac = _eliminate([[(c & one) * scale[n] % p**N for c in rows[n]] for n in range(s, Kb)], p, N)
+    acc = [0] * Kb
+    x: list[list[int]] = []  # x[a][j] is digit X**a of row j of q
+    for b in range(K):
+        eqs = range(s, Kb - b)
+        rhs = [(g.rows[n][b] - (acc[n] >> (width * b) & one)) * scale[n] for n in eqs]
+        xb = solve_mod_prime_power(fac, rhs, p, Kb - b if integral else 1)
+        xb = list(map(mod, xb, ctx.slot_moduli(Kb - b)))  # canonical at K'
+        x.append(xb)
+        for n in range(Kb - b - 1):  # the next block's equations and the rows < s
+            acc[n] += sum(map(mul, xb, rows[n])) << (width * b)
+    return [[xa[j] for xa in x[: K - j]] for j in range(K)], acc
+
+
 class SkewSeries(_Frozen):
     """An element of A/G_K in canonical row form.
 
@@ -296,30 +377,12 @@ class SkewSeries(_Frozen):
         return vis_unit(self.sd.ctx, self.rows[0])
 
     def inverse(self) -> "SkewSeries":
-        """Two-sided inverse mod G_K by Newton iteration with precision doubling.
-
-        x starts as the inverse of the row-0 constant mod p, which
-        inverts f mod G_1.  If f*x = 1 - e with e in G_m, then
-        x' = x + x*e gives f*x' = 1 - e**2 with e**2 in G_2m, so each
-        round may run at up to twice the precision of the one before.
-        The levels are K, ceil(K/2), ceil(K/4), ..., 1, taken from the
-        bottom up, so only the last round works at precision above K/2.
-        A right inverse of a unit is its two-sided inverse, and
-        canonical rows are unique mod G_K.
-        """
+        """Two-sided inverse mod G_K: the x with x*f = 1 of the block solve
+        at s = 0 (see the module notes), at this precision with no lift."""
         if not self.is_unit():
             raise NotAUnit("row 0 is not a unit of the coefficient ring")
         sd = self.sd
-        ladder = [sd.ctx.K]
-        while ladder[-1] > 1:
-            ladder.append((ladder[-1] + 1) // 2)
-        x = sd.at_precision(1).embed(pow(self.rows[0][0], -1, sd.ctx.p))
-        for m in reversed(ladder[:-1]):
-            sm = sd.at_precision(m)
-            f = change_precision(self, sm)
-            x = change_precision(x, sm)
-            x = x + x * (sm.one() - f * x)
-        return x
+        return SkewSeries(sd, _solve_blocks(sd.one(), self, 0, sd.ctx.K)[0])
 
     # -- polynomial degree ---------------------------------------------
     def y_degree(self) -> int:

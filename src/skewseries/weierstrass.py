@@ -56,8 +56,7 @@ wanted, come from the same construct-natively-elevated pattern.
 """
 from __future__ import annotations
 
-from itertools import islice, tee
-from operator import mul
+from itertools import tee
 
 from .coeff import CoeffSeries, vcanon, vinv, vzero
 from .errors import (
@@ -66,9 +65,8 @@ from .errors import (
     NotPreparable,
     SystemSingularAtPrecision,
 )
-from .linalg import _eliminate, solve_mod_prime_power
-from .precision import CHARP, INTEGRAL, MAX_PRECISION, AtLeast, PrecisionContext, _Frozen
-from .series import SkewSeries, _horner, _mul_rows, _table, change_precision
+from .precision import CHARP, MAX_PRECISION, AtLeast, PrecisionContext, _Frozen
+from .series import SkewSeries, _horner, _mul_rows, _solve_blocks, _table, change_precision
 from .skew import SkewData
 
 
@@ -217,8 +215,8 @@ def divide(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:
             "divisor has no visible unit coefficient (reduced order >= K); "
             "it generates no distinguished polynomial at this precision"
         )
-    if s == 0:
-        return g * f.inverse(), sd.zero()
+    if s == 0:  # q*f = g is the solve that inverts f, with g for 1
+        return SkewSeries(sd, _solve_blocks(g, f, 0, sd.ctx.K)[0]), sd.zero()
     big = sd.at_precision(_gauge_free_precision(s, sd.ctx.K))
     return _divide_core(big, change_precision(g, big), change_precision(f, big), s, sd)
 
@@ -259,46 +257,16 @@ def prepare(f: SkewSeries) -> tuple[SkewSeries, DistinguishedPoly]:
 def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:
     """Independent route to `divide` via modular linear solves.
 
-    Right-multiplication by f is linear on stored coordinates, so the
-    rows >= s of g = q*f + rem are a linear system in the digits of q.
-    In integral mode the slot congruence mod p**(K'-n-b) is scaled by
-    p**n into the modulus p**(K'-b); in char-p mode everything already
-    lives mod p.  X**a moves digits up by a, so digit (n, b) of g
-    involves the digits (j, a) of q with a <= b only, and the system is
-    solved by forward substitution over b: block b takes the digits
-    (j, b) from the equations (n, b), s <= n < K' - b, with the constant
-    digits of (Y**j * f)_n, times p**n, as entries.  As A/mA = F_p[[Y]]
-    and f = Y**s * unit mod m, (Y**j * f)_n lies in m for n < j + s and
-    has a unit constant at n = j + s.  So row n of the matrix is p**n
-    times a unit at column n - s, multiples of p**(n+1) to its right and
-    multiples of p**n to its left (in char p: lower triangular mod p with
-    a unit at (n, n - s)), and the row operations keep that shape: the
-    pivots are (n, n - s) in row order.  The columns j >= K' - b - s of
-    block b are then free and set to 0, so the rows j >= K' - s of q
-    vanish and the table of Y**j * f stops at Y**(K'-s-1) * f.  Block b's
-    matrix is the leading (K'-b-s)-square corner of block 0's, taken mod
-    p**(K'-b) (mod p in char p), whose elimination is the first K'-b-s
-    steps of block 0's: so block 0's matrix is factored once and each
-    block replays its first K'-b-s pivots (`solve_mod_prime_power`).
-    Each block is solvable whatever the blocks before chose, and any
-    solution truncates to the same answer at K' = s*K + 1.  Only the
-    blocks b < K, K <= K' - s as K' - s - K = (s - 1)(K - 1), are solved:
-    row j of q keeps the digits X**a with a < K - j, and block b's right
-    side reads the digits a < b only.
-
-    The forward sums are read off the packed table: row n keeps one
-    packed accumulator, and once block a is solved it gains
-    sum_j x[a][j] * (Y**j * f)_n, packed, moved up a slots, so its slot b
-    holds what the digits (j, a < b) give equation (n, b).  A digit x[a][j]
-    is below p**(K'-a) (p in char p) and a table digit below m, and a slot
-    takes at most one product per (a, j), so at most K*K' <= K'**2 of
-    them: the slot width of :mod:`skewseries.skew` at K' holds the sum,
-    and no slot carries.  Every block adds to the rows n < K' - b - 1,
-    the rows < s among them, so at the end slot a of row j's accumulator
-    is digit X**a of (x*f)_j.  q is x cut to a < K - j in row j, and as
-    x - q lies in the two-sided ideal G_K, q*f = x*f mod G_K: the rows
-    < s of rem = g - q*f are g less those slots, reduced at K.
-    ValueError when K' exceeds MAX_PRECISION, as in `divide`.
+    At the lift K' = s*K + 1 the rows >= s of g = q*f + rem are a block
+    lower triangular system in the digits of q, one block per X-degree,
+    which ``series._solve_blocks`` solves from one factorization; it is
+    the solve that inverts units, at s = 0.  Any solution truncates to
+    the same answer at K' = s*K + 1.  The solver's accumulators hold the
+    digits of (x*f)_j, j < s, for its solution x at K'.  q is x cut to
+    a < K - j in row j, and as x - q lies in the two-sided ideal G_K,
+    q*f = x*f mod G_K: the rows < s of rem = g - q*f are g less those
+    slots, reduced at K.  ValueError when K' exceeds MAX_PRECISION, as
+    in `divide`.
     """
     sd = f.sd
     sd.check_same(g.sd)
@@ -308,34 +276,8 @@ def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]
             "no visible reduced order: the multiplication map has no "
             "unit pivot at this precision"
         )
-    p = sd.ctx.p
-    big = sd.at_precision(_gauge_free_precision(s, sd.ctx.K))
-    K, Kb = sd.ctx.K, big.ctx.K
-    gb, fb = change_precision(g, big), change_precision(f, big)
-
-    # packed rows of Y**j * f: rows[n][j] is (Y**j * f)_n, whose slot d
-    # holds its digit X**d, and X**a * Y**j * f moves that up to slot d + a
-    table = list(islice(_table(big, fb.rows), Kb - s))
-    rows = list(zip(*table))
-    width, one = 8 * big._w, big._masks[1]
-
-    integral = sd.ctx.mode == INTEGRAL
-    scale = [p**n if integral else 1 for n in range(Kb)]
-    N = Kb if integral else 1
-    fac = _eliminate([[(c & one) * scale[n] % p**N for c in rows[n]] for n in range(s, Kb)], p, N)
-    # slot b of acc[n] is what the solved digits (j, a < b) give equation
-    # (n, b): each block a adds its digits' packed sum, moved up a slots
-    acc = [0] * Kb
-    x: list[list[int]] = []  # x[a][j] is digit X**a of row j of q
-    for b in range(K):
-        eqs = range(s, Kb - b)
-        rhs = [(gb.rows[n][b] - (acc[n] >> (width * b) & one)) * scale[n] for n in eqs]
-        xb = solve_mod_prime_power(fac, rhs, p, Kb - b if integral else 1)
-        x.append(xb)
-        for n in range(Kb - b - 1):  # the next block's equations and the rows < s
-            acc[n] += sum(map(mul, xb, rows[n])) << (width * b)
-
-    # slot a of acc[j] is now digit X**a of (x*f)_j, and x*f = q*f mod G_K
-    qx = [[xa[j] for xa in x[: K - j]] for j in range(K)]
+    K = sd.ctx.K
+    big = sd.at_precision(_gauge_free_precision(s, K))
+    qx, acc = _solve_blocks(change_precision(g, big), change_precision(f, big), s, K)
     rem = [[c - d for c, d in zip(g.rows[j], big.unpack(acc[j], K - j))] for j in range(s)]
     return SkewSeries(sd, qx), SkewSeries(sd, rem)

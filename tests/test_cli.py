@@ -144,6 +144,23 @@ def test_rankgrowth_artifacts(tmp_path, capsys):
     assert (out.read_bytes(), (tmp_path / "growth.csv").read_bytes()) == before
 
 
+def test_rankgrowth_refuses_the_artifact_that_guard_1_cannot_flag(tmp_path, capsys):
+    # the band (M - 1, M) of --guard 1 holds no valuation, but from n = 15
+    # the precision-16 count 1 of F = X + 3 exceeds its exact rank 0
+    src = _write(tmp_path, dump_module_spec(ModuleSpec(3, 0, [(3, 1)])))
+    out = tmp_path / "growth.json"
+    argv = ("rankgrowth", "--in", src, "--K", "16", "--out", str(out))
+    assert run(*argv, "--n-max", "20", "--guard", "1") == 2
+    assert capsys.readouterr().err == (
+        "skewseries: precision error: a pivot valuation falls within 1 digits of the "
+        "working precision 16; raise M to separate kernel from artifact\n"
+    )
+    assert not out.exists() and not (tmp_path / "growth.csv").exists()
+    assert run(*argv, "--n-max", "14", "--guard", "1") == 0
+    capsys.readouterr()
+    assert (tmp_path / "growth.csv").read_text().endswith("14,0,0\n")
+
+
 def test_out_files_follow_the_umask(tmp_path, capsys):
     src = _write(tmp_path, dump_module_spec(ModuleSpec(2, d=1, torsion_polys=((2, 1),))))
     old = os.umask(0o022)

@@ -423,10 +423,36 @@ def test_coinvariant_strict_flag():
     assert coinvariant_rank(2, (2, 1), 0, 8, guard=2) == 0
 
 
+def test_coinvariant_rank_refuses_the_artifact_of_a_vanished_omega():
+    # F = X + 3 has the root -3 and omega_n(-3) = (-2)**(3**n) - 1 has
+    # valuation n + 1, finite at every n: the exact rank is 0.  At M = 16
+    # that valuation reaches M from n = 15, past the guard band, where the
+    # Smith form counts a kernel direction that is not there
+    with pytest.raises(PrecisionInsufficient) as exc:
+        coinvariant_rank(3, (3, 1), 15, 16)
+    assert str(exc.value) == GUARD_BAND.format(guard=2, M=16)
+    assert coinvariant_rank(3, (3, 1), 15, 16, strict=False) == 1
+    assert coinvariant_rank(3, (3, 1), 13, 16) == 0
+
+
+def test_rank_growth_flags_every_artifact_row():
+    # the guard band flags n = 14 only; from n = 15 the count of 1 exceeds
+    # the exact rank 0, and those rows are flagged too
+    g = rank_growth(ModuleSpec(3, 0, [(3, 1)]), 20, 16, strict=False)
+    assert [(n, lam) for n, lam, _ in g.table] == [(n, int(n >= 15)) for n in range(21)]
+    assert [n for n, _, fl in g.table if fl] == list(range(14, 21))
+    with pytest.raises(PrecisionInsufficient):
+        rank_growth(ModuleSpec(3, 0, [(3, 1)]), 20, 16, guard=1)
+
+
 def test_coinvariant_rank_stops_at_the_stable_level(monkeypatch):
     # 1 + omega_n mod (F, p**M) reaches 1 and stays there, so a huge n
-    # costs no more remainders than the first levels do
-    want = coinvariant_rank(3, (3, 0, 1), 40, 6)
+    # costs no more remainders than the first levels do.  Its corank there,
+    # deg F = 2, is an artifact of M = 6 (the exact rank is 0), so the
+    # strict call refuses it
+    with pytest.raises(PrecisionInsufficient):
+        coinvariant_rank(3, (3, 0, 1), 40, 6)
+    want = coinvariant_rank(3, (3, 0, 1), 40, 6, strict=False)
     rem = skewseries.iwasawa._poly_rem
     calls = []
 
@@ -437,7 +463,7 @@ def test_coinvariant_rank_stops_at_the_stable_level(monkeypatch):
         return rem(*args)
 
     monkeypatch.setattr(skewseries.iwasawa, "_poly_rem", counted)
-    assert coinvariant_rank(3, (3, 0, 1), 10**9, 6) == want
+    assert coinvariant_rank(3, (3, 0, 1), 10**9, 6, strict=False) == want
     assert list(_omega_tower(3, (3, 0, 1), 40, 6))[-1] == [0, 0]
 
 
@@ -486,7 +512,8 @@ def test_coinvariant_columns_are_x_power_remainders(p, M, monkeypatch):
                 assert modulus == (want if p**n < D else F)
             routes[modulus != F] += 1
             del mats[:]
-            got = _coinvariant(p, F, om, M, 1, False)
+            # exact = deg F bounds every corank: the flag is the guard band's alone
+            got = _coinvariant(p, F, om, M, 1, False, D)
             d = len(modulus) - 1
             if not any(g):
                 assert (got, mats) == ((d, False), [])
@@ -527,7 +554,10 @@ def test_rank_growth_against_from_scratch_oracle(p):
             assert tower == [rank_oracle._omega_mod(p, F, n, M) for n in levels]
             for guard in (1, 2, 3):
                 expect = [rank_oracle._coinvariant(p, F, n, M, guard) for n in levels]
-                got = [_coinvariant(p, F, om, M, guard, False) for om in tower]
+                got = [
+                    _coinvariant(p, F, om, M, guard, False, rank_oracle.exact_rank(p, F, n))
+                    for n, om in enumerate(tower)
+                ]
                 assert got == expect
                 table = tuple(
                     (n, spec.d * p**n + r, fl) for n, (r, fl) in enumerate(expect)
@@ -587,10 +617,11 @@ def test_coinvariant_routes_against_full_matrix_oracle(p):
                 modulus, g = _coinvariant_route(p, F, om, M)
                 swapped += modulus != F
                 hidden_units += modulus != F and not any(g) and flag
-                assert _coinvariant(p, F, om, M, guard, False) == (rank, flag)
+                exact = rank_oracle.exact_rank(p, F, n)
+                assert _coinvariant(p, F, om, M, guard, False, exact) == (rank, flag)
                 if flag:  # strict differs only where it raises
                     with pytest.raises(PrecisionInsufficient) as exc:
-                        _coinvariant(p, F, om, M, guard, True)
+                        _coinvariant(p, F, om, M, guard, True, exact)
                     assert str(exc.value) == GUARD_BAND.format(guard=guard, M=M)
             table = tuple((n, spec.d * p**n + r, fl) for n, (r, fl) in enumerate(expect))
             assert rank_growth(spec, n_max, M, guard, strict=False).table == table

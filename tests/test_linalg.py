@@ -165,8 +165,8 @@ def test_division_oracle_systems_match(mode, monkeypatch):
         solves.append((len(facs), rhs, M, solve_mod_prime_power(fac, rhs, p, M)))
         return solves[-1][-1]
 
-    monkeypatch.setattr("skewseries.weierstrass._eliminate", eliminate)
-    monkeypatch.setattr("skewseries.weierstrass.solve_mod_prime_power", replay)
+    monkeypatch.setattr("skewseries.series._eliminate", eliminate)
+    monkeypatch.setattr("skewseries.series.solve_mod_prime_power", replay)
     # (3, 5, 2) is the shape of the benchmark's oracle solve, at K' = 11
     cases = [(2, 3, 1), (3, 3, 2), (5, 2, 1), (3, 5, 2), (2, 4, 3), (1000003, 2, 1)]
     for p, K, s in cases:

@@ -12,6 +12,7 @@ from skewseries import (
     CoeffSeries,
     ContextMismatch,
     NotAUnit,
+    SkewData,
     SkewSeries,
     build_skew,
     change_precision,
@@ -19,12 +20,12 @@ from skewseries import (
 import skewseries.series
 from skewseries.coeff import vcanon
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
-from skewseries.series import _mul_rows, _table
+from skewseries.series import _mul_rows, _solve_blocks, _table
 
 import group_ring_oracle as gro
-from inverse_oracle import geometric_inverse
+from inverse_oracle import geometric_inverse, newton_inverse
 from twist_oracle import table_from_right_coefficients, table_right_coefficients
-from util import rand_coeff, rand_series, rand_unit
+from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
 
 
 CONFIGS = (
@@ -159,9 +160,9 @@ def test_newton_inverse_matches_oracles(p, eps, mode):
 
 
 def test_inverse_does_not_recanonicalize_at_its_own_precision(monkeypatch):
-    # one _canon_rows pass per rung below K, which truncates f; x is only
-    # lifted and sm.one() is built canonical, and at K itself
-    # change_precision hands f back instead of truncating it to itself
+    # the Newton twin: one _canon_rows pass per rung below K, which
+    # truncates f; x is only lifted and sm.one() is built canonical, and at
+    # K itself change_precision hands f back instead of truncating it to itself
     sd = build_skew(PrecisionContext(3, 17, INTEGRAL), 4)
     f = rand_unit(sd, Random(413))
     canon = skewseries.series._canon_rows
@@ -172,9 +173,66 @@ def test_inverse_does_not_recanonicalize_at_its_own_precision(monkeypatch):
         return canon(sd, rows)
 
     monkeypatch.setattr(skewseries.series, "_canon_rows", spy)
-    g = f.inverse()
+    g = newton_inverse(f)
     assert passes == [2, 3, 5, 9]
     assert f * g == sd.one()
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5, 1000003))
+def test_inverse_matches_the_newton_twin(p, mode):
+    # the block solve and Newton's ladder, two routes to the one inverse mod G_K
+    for eps in (1, 1 + p):
+        for K in range(1, 18):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"solve-inverse:{p}:{mode}:{eps}:{K}")
+            for _ in range(8 if K <= 4 else 3 if K <= 9 else 2):
+                u = rand_unit(sd, rng)
+                assert u.inverse().rows == newton_inverse(u).rows
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_block_solve_digits_are_canonical_at_the_working_precision(p):
+    # each block's solution is reduced by its slot moduli at K' before it
+    # enters the forward sums, so digit X**a of row j of q is below
+    # p**(K' - j - a); the replay alone leaves digits up to p**(K' - a)
+    sd = build_skew(PrecisionContext(p, 5, INTEGRAL), 1 + p)
+    rng = Random(f"canonical-blocks:{p}")
+    for s in (1, 2, 3):
+        big = sd.at_precision(s * 5 + 1)
+        f = change_precision(rand_reduced_order(sd, rng, s), big)
+        rows, _ = _solve_blocks(change_precision(rand_series(sd, rng), big), f, s, 5)
+        moduli = [big.ctx.slot_moduli(big.ctx.K - j) for j in range(5)]
+        assert all(d < m for r, ms in zip(rows, moduli) for d, m in zip(r, ms))
+
+
+def test_inverse_builds_no_twist_data_and_no_lift(monkeypatch):
+    # s = 0 needs no lift: the solve runs at K on the unit's own twist data
+    sd = build_skew(PrecisionContext(3, 16, INTEGRAL), 4)
+    u = rand_unit(sd, Random(414))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("twist data built or lifted")
+
+    monkeypatch.setattr(SkewData, "__init__", refused)
+    monkeypatch.setattr(SkewData, "at_precision", refused)
+    v = u.inverse()
+    assert u * v == sd.one() == v * u
+    assert sd._derived == {}
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+def test_not_a_unit_is_raised_before_any_solve_work(mode, monkeypatch):
+    sd = build_skew(PrecisionContext(3, 6, mode), 4)
+    f = sd.embed(3) + sd.y()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solve work before the unit check")
+
+    for name in ("_solve_blocks", "_table", "_y_step", "_eliminate", "solve_mod_prime_power"):
+        monkeypatch.setattr(skewseries.series, name, refused)
+    with pytest.raises(NotAUnit, match="row 0 is not a unit"):
+        f.inverse()
 
 
 def test_not_a_unit_iff_row0_constant_divisible():

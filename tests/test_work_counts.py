@@ -180,7 +180,7 @@ def test_digit_rows_reduced_and_packed(digit_work):
     h, d = _division_inputs()[::-1]
     for job, want in (
         (lambda: f * g, (16, 272)),  # the K product rows; 16 rows of f, 16 of each power
-        (u.inverse, (135, 515)),
+        (u.inverse, (16, 256)),  # the K rows of the result; 16 rows of f and 15 powers
         (lambda: divide(h, d), (127, 305)),
     ):
         job()
@@ -319,14 +319,18 @@ def test_prepare_counts(work):
     f, _ = _division_inputs()
     work()
     prepare(f)
-    assert work() == (21, 39, 5, 3)  # the rungs 1, 2, 4 below K = 8
+    # the contraction at K = 8 as before; the inverses of g0 and v are block
+    # solves at K = 8, which build no lift and form no product
+    assert work() == (9, 28, 3, 0)
 
 
 def test_inverse_counts(work):
     u = rand_unit(build_skew(PrecisionContext(3, 16), 4), Random(2))
     work()
     u.inverse()
-    assert work() == (8, 33, 3, 4)  # the rungs 1, 2, 4, 8 below K = 16
+    # one block solve at K = 16: a table of K - 1 = 15 Y-steps, no product, no
+    # lift, and the result's rows canonicalized once
+    assert work() == (0, 15, 1, 0)
 
 
 def test_load_division_problem_counts(work):

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 class GrowthResult:
     """lambda_n = d*p**n + c from n = stable_from on, and the table it was read from.
 
+    ``stabilized`` holds when that tail spans at least two levels and
+    none of its rows carries the precision flag; c and stable_from are
+    read from the table, flagged rows included.
+
     Still a dataclass: callers rebuild altered copies with
     ``dataclasses.replace`` (the benchmark's checks corrupt a result that
     way), which refuses the ``_Record`` slot classes of the other records.

@@ -480,11 +480,11 @@ def rank_growth(
     The p-power torsion summands contribute nothing to the free rank.
     Reports the least n0 from which c_n = lambda_n - d*p**n is constant;
     `stabilized` demands that constancy is witnessed by at least two
-    points (NotStabilized is reported in the result, never raised).
-    With `strict` a guard-band pivot or a corank above the exact rank
-    raises PrecisionInsufficient as in coinvariant_rank; otherwise it is
-    recorded per row.  n_max may not exceed MAX_TOWER_LEVEL, nor M
-    MAX_PRECISION.
+    points, none of them flagged (NotStabilized is reported in the
+    result, never raised).  With `strict` a guard-band pivot or a corank
+    above the exact rank raises PrecisionInsufficient as in
+    coinvariant_rank; otherwise it is recorded per row.  n_max may not
+    exceed MAX_TOWER_LEVEL, nor M MAX_PRECISION.
     """
     from .growth import GrowthResult
 
@@ -510,7 +510,7 @@ def rank_growth(
         d=spec.d,
         c=cs[n_max],
         stable_from=stable_from,
-        stabilized=stable_from < n_max,
+        stabilized=stable_from < n_max and not any(flags[stable_from:]),
         table=tuple(
             (n, spec.d * p**n + c, fl) for n, (c, fl) in enumerate(zip(cs, flags))
         ),

@@ -39,16 +39,18 @@ below m**2.  A table step also subtracts the packed f_j: the X**a digit
 of sigma(X)**a is 1 mod p, so slot a of sigma(f_j) is at least f_j[a],
 no slot goes negative and none borrows from the next.
 
-``_twist_rows`` lists the rows (Y**n u)_i of the skew commutation rule
-and memoizes them per digit row, least recently used first out.  No
-package code calls it: the series layer steps one Y at a time (see
-:mod:`skewseries.series`), and the tables serve the tests' oracle and
-the benchmark's tracer, which reads the ``_twist`` cache.
+``_twist_rows`` lists the rows (Y**n u)_i of the skew commutation rule,
+built afresh on every call.  No package code calls it: the series layer
+steps one Y at a time (see :mod:`skewseries.series`), and the tables
+serve the tests' oracle.  It keeps its name because the benchmark's
+tracer profiles it by name, and the ``_twist`` slot stays, always the
+empty tuple, because the tracer reads its length.  The one cache a
+``SkewData`` fills is ``_derived``, the lifts and the opposite, under
+``_lock``.
 """
 from __future__ import annotations
 
 from _thread import allocate_lock
-from collections import OrderedDict
 from collections.abc import Sequence
 from operator import mul
 from struct import Struct
@@ -71,10 +73,6 @@ from .precision import PrecisionContext, _Frozen, _Record
 # Digits of epsilon past K that identify a twist: equality and hashing
 # read the exponent mod p**(K + EPSILON_GUARD).
 EPSILON_GUARD = 5
-
-# Twist tables kept per SkewData by ``_twist_rows``, so memory stays
-# flat in long-running use.
-TWIST_CACHE_SIZE = 512
 
 
 class SkewData(_Frozen):
@@ -113,7 +111,7 @@ class SkewData(_Frozen):
             object.__setattr__(self, "_masks", tuple((1 << (8 * w * q)) - 1 for q in range(K + 1)))
             # little-endian on every host
             object.__setattr__(self, "_words", tuple(Struct(f"<{q}Q") for q in range(K + 1)))
-        object.__setattr__(self, "_twist", OrderedDict())
+        object.__setattr__(self, "_twist", ())
         object.__setattr__(self, "_lock", allocate_lock())
         object.__setattr__(self, "_derived", {})
         # sigma(X)**0, ..., sigma(X)**(K-1), packed: the columns ``_apply`` reads
@@ -208,23 +206,15 @@ class SkewData(_Frozen):
         """
         ctx = self.ctx
         K = ctx.K
-        with self._lock:
-            rows = self._twist.get(u)
-            if rows is None:
-                rows = self._twist[u] = [[u]]
-                if len(self._twist) > TWIST_CACHE_SIZE:
-                    self._twist.popitem(last=False)
-            else:
-                self._twist.move_to_end(u)
-            zero = (0,) * K
-            while len(rows) <= n:
-                prev = rows[-1]
-                sig = [self._apply(e) for e in prev]
-                rows.append([
-                    vcanon(ctx, [x + y - z for x, y, z in zip(a, b, r)], K)
-                    for a, b, r in zip([zero] + sig, sig + [zero], prev + [zero])
-                ])
-            return [row[:] for row in rows[: n + 1]]
+        rows, zero = [[u]], (0,) * K
+        while len(rows) <= n:
+            prev = rows[-1]
+            sig = [self._apply(e) for e in prev]
+            rows.append([
+                vcanon(ctx, [x + y - z for x, y, z in zip(a, b, r)], K)
+                for a, b, r in zip([zero] + sig, sig + [zero], prev + [zero])
+            ])
+        return rows
 
     # -- series constructors -------------------------------------------
     def _series(self, rows):  # canonical rows; those from K up lie in G_K and go

@@ -255,18 +255,18 @@ def prepare(f: SkewSeries) -> tuple[SkewSeries, DistinguishedPoly]:
 
 
 def divide_oracle(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:
-    """Independent route to `divide` via modular linear solves.
+    """Independent route to `divide` via modular linear solves, for s >= 1.
 
     At the lift K' = s*K + 1 the rows >= s of g = q*f + rem are a block
     lower triangular system in the digits of q, one block per X-degree,
-    which ``series._solve_blocks`` solves from one factorization; it is
-    the solve that inverts units, at s = 0.  Any solution truncates to
-    the same answer at K' = s*K + 1.  The solver's accumulators hold the
-    digits of (x*f)_j, j < s, for its solution x at K'.  q is x cut to
-    a < K - j in row j, and as x - q lies in the two-sided ideal G_K,
-    q*f = x*f mod G_K: the rows < s of rem = g - q*f are g less those
-    slots, reduced at K.  ValueError when K' exceeds MAX_PRECISION, as
-    in `divide`.
+    which ``series._solve_blocks`` solves from one factorization.  At
+    s = 0 that solve at K is also `divide`'s route, so the cross-check
+    covers s >= 1 only.  Any solution truncates to the same answer at
+    K' = s*K + 1.  The solver's accumulators hold the digits of (x*f)_j,
+    j < s, for its solution x at K'.  q is x cut to a < K - j in row j,
+    and as x - q lies in the two-sided ideal G_K, q*f = x*f mod G_K: the
+    rows < s of rem = g - q*f are g less those slots, reduced at K.
+    ValueError when K' exceeds MAX_PRECISION, as in `divide`.
     """
     sd = f.sd
     sd.check_same(g.sd)

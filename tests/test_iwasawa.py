@@ -441,6 +441,7 @@ def test_rank_growth_flags_every_artifact_row():
     g = rank_growth(ModuleSpec(3, 0, [(3, 1)]), 20, 16, strict=False)
     assert [(n, lam) for n, lam, _ in g.table] == [(n, int(n >= 15)) for n in range(21)]
     assert [n for n, _, fl in g.table if fl] == list(range(14, 21))
+    assert not g.stabilized  # the tail c = 1 is read from flagged rows
     with pytest.raises(PrecisionInsufficient):
         rank_growth(ModuleSpec(3, 0, [(3, 1)]), 20, 16, guard=1)
 
@@ -704,7 +705,8 @@ def test_stable_from_is_the_least_level_of_the_constant_tail():
         g = rank_growth(ModuleSpec(p, d=1, torsion_polys=polys), n_max, 8, strict=False)
         cs = [lam - p**n for n, lam, _ in g.table]
         want = min(n0 for n0 in range(n_max + 1) if set(cs[n0:]) == {cs[n_max]})
-        assert (g.stable_from, g.stabilized) == (want, want < n_max)
+        clean = not any(fl for n, _, fl in g.table if n >= want)
+        assert (g.stable_from, g.stabilized) == (want, want < n_max and clean)
         starts.add(want)
     assert len(starts) > 2  # the tail starts at several levels
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import tracemalloc
@@ -13,16 +14,19 @@ from skewseries import (
     AtLeast,
     CoeffSeries,
     InvalidAction,
+    SkewSeries,
     build_skew,
+    divide,
+    prepare,
     validate_axioms,
 )
 from skewseries.coeff import vcanon, vorder
 from skewseries.precision import CHARP, INTEGRAL, PrecisionContext
-from skewseries.skew import EPSILON_GUARD, TWIST_CACHE_SIZE
+from skewseries.skew import EPSILON_GUARD
 
 import kernel_oracle as ko
 from twist_oracle import twist_table
-from util import rand_coeff, rand_unit
+from util import rand_coeff, rand_reduced_order, rand_series, rand_unit
 
 
 def test_sigma_of_x_known_value():
@@ -139,34 +143,54 @@ def test_high_power_of_y_builds_no_rows_past_k():
     assert peak < 10**6
 
 
-def test_twist_table_cache_consistency():
-    # A fresh SkewData has an empty cache, so its table is computed anew.
-    rng = Random(306)
-    sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
-    for _ in range(20):
-        r = rand_coeff(sd.ctx, rng)
-        n = rng.randrange(0, 5)
-        assert twist_table(sd, r, n) == twist_table(build_skew(sd.ctx, 4), r, n)
-    # More distinct rows than the cache holds: the oldest are evicted,
-    # and recomputing an evicted table gives the same rows.
-    fresh = [CoeffSeries(sd.ctx, (i % 81, i // 81)) for i in range(TWIST_CACHE_SIZE + 100)]
-    for r in fresh:
-        twist_table(sd, r, 2)
-    assert len(sd._twist) <= TWIST_CACHE_SIZE
-    for r in fresh[:5] + fresh[-5:]:
-        assert twist_table(sd, r, 3) == twist_table(build_skew(sd.ctx, 4), r, 3)
-    assert len(sd._twist) <= TWIST_CACHE_SIZE
+def _mixed_pass(twists) -> None:
+    rng = Random(312)  # every pass draws the same operands
+    for sd in twists:
+        K = sd.ctx.K
+        f, g, u = rand_series(sd, rng), rand_series(sd, rng), rand_unit(sd, rng)
+        assert (f * g) * u.inverse() * u == f * g
+        assert SkewSeries.from_right_coefficients(sd, f.right_coefficients()) == f
+        for s in range(K - 1):
+            d = rand_reduced_order(sd, rng, s)
+            q, rem = divide(g, d)
+            assert q * d + rem == g
+            unit, F = prepare(d)
+            assert unit.is_unit() and F.degree == s
 
 
-def test_twist_cache_keeps_recently_used_rows():
-    sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
-    kept = CoeffSeries(sd.ctx, (1, 1, 1))
-    twist_table(sd, kept, 1)
-    for i in range(2 * TWIST_CACHE_SIZE):
-        twist_table(sd, CoeffSeries(sd.ctx, (i % 81, i // 81)), 1)
-        if i % 100 == 0:
-            twist_table(sd, kept, 1)
-    assert kept.coeffs in sd._twist
+def _twists_reached(twists):
+    seen, todo = {}, list(twists)
+    while todo:
+        sd = todo.pop()
+        if id(sd) not in seen:
+            seen[id(sd)] = sd
+            todo.extend(sd._derived.values())
+    return list(seen.values())
+
+
+def test_a_second_mixed_pass_retains_no_memory():
+    # _derived (lifts and opposites) is the one cache a SkewData fills:
+    # the warm-up pass fills it, and an identical second pass finds every
+    # entry there and keeps nothing new
+    twists = [
+        build_skew(PrecisionContext(p, K, mode), 1 + p)
+        for p in (2, 3)
+        for K in (4, 6)
+        for mode in (INTEGRAL, CHARP)
+    ]
+    _mixed_pass(twists)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        _mixed_pass(twists)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert retained < 64 * 1024
+    assert all(sd._twist == () for sd in _twists_reached(twists))
 
 
 def test_at_precision_and_inverse_under_threads():

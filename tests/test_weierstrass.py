@@ -28,6 +28,7 @@ from skewseries.weierstrass import _divide_core
 
 from contraction_oracle import _divide_core as oracle_divide_core
 import division_system_oracle as system_oracle
+from inverse_oracle import newton_inverse
 from util import rand_reduced_order, rand_series, rand_unit
 
 
@@ -220,7 +221,9 @@ def test_oracle_agreement_random():
 
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
 def test_oracle_agreement_on_a_unit_divisor(mode):
-    # s = 0 needs no lift: both routes give (g * f**-1, 0) at K itself
+    # s = 0 needs no lift: both routes give (g * f**-1, 0) at K itself.
+    # Both are one block solve, so Newton's inverse, which shares no code
+    # with the solver, is the independent check
     rng = Random(f"unit-divisor:{mode}")
     sd = build_skew(PrecisionContext(3, 4, mode), 4)
     for _ in range(40):
@@ -228,6 +231,7 @@ def test_oracle_agreement_on_a_unit_divisor(mode):
         g = rand_series(sd, rng)
         want = (g * f.inverse(), sd.zero())
         assert divide_oracle(g, f) == divide(g, f) == want
+        assert want[0] == g * newton_inverse(f)
 
 
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))

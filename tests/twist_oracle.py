@@ -12,7 +12,7 @@ j of the sigma^-1-table of a_j holds the right coefficients of a_j Y**j.
 Each table costs about j**2/2 applications of the twist at full
 precision, against one Y-step per coefficient for Horner's rule in the
 package.  The tables are the rows of `SkewData._twist_rows`, which
-memoizes them per digit row.
+builds them afresh on every call.
 """
 
 from __future__ import annotations

@@ -9,12 +9,18 @@ representatives and re-canonicalize, so tuple equality is exactly
 equality mod m**q.
 
 The module-level ``v*`` helpers are the arithmetic kernels shared with
-the skew series layer (row j at m-precision K - j); :class:`CoeffSeries`
-is the full-precision (q = K) wrapper, by the rule of ``precision._Frozen``.
+the skew series layer (row j at m-precision K - j): ``vcanon`` reduces,
+``vadd``, ``vsub``, ``vmul`` and ``vinv`` act at a precision q, and
+``vorder`` reads the m-adic order.  The powers of an element t of m are
+taken in one place, ``vpowers``: ``vcompose`` sums u(t) over them,
+``skew.SkewData`` packs the powers of sigma(X) = (1 + X)**eps - 1 (the
+closed form of ``vbinom``) as its columns, and ``iwasawa._quotient``
+composes a polynomial in w with w.  :class:`CoeffSeries` is the
+full-precision (q = K) wrapper, by the rule of ``precision._Frozen``.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from operator import mod, mul
 
 from .errors import NotAUnit, SubstitutionDiverges
@@ -103,16 +109,30 @@ def vinv(ctx: PrecisionContext, u: Vec, q: int) -> Vec:
     return vcanon(ctx, c, q)
 
 
-def vcompose(ctx: PrecisionContext, u: Vec, t: Vec, q: int) -> Vec:
-    """u(t) for t in m, by Horner evaluation; exact mod m**q."""
+def vpowers(ctx: PrecisionContext, t: Vec) -> Iterator[Vec]:
+    """1, t, t**2, ... mod m**K, up to the last power that does not vanish.
+
+    t must lie in m: then t**k lies in m**k, so at most K powers are
+    yielded.  Each power is one ``vmul`` by t, taken only when asked for.
+    """
+    power = vone(ctx)
+    while any(power):
+        yield power
+        power = vmul(ctx, power, t, ctx.K)
+
+
+def vcompose(ctx: PrecisionContext, u: Iterable[int], t: Vec) -> Vec:
+    """u(t) = sum_a u_a * t**a for t in m, exact mod m**K.
+
+    The terms are summed raw, digit by digit, over ``vpowers`` and
+    reduced once, as the reduction is additive.  u may be any iterable of
+    integers; a canonical u_a is known mod p**(K-a), which is enough, as
+    t**a lies in m**a.  The sum stops where u or the powers of t end.
+    """
     if t[0] % ctx.p != 0:
         raise SubstitutionDiverges("substituted series must lie in m")
-    res = vzero(ctx)
-    for a in range(ctx.K - 1, -1, -1):
-        res = vmul(ctx, res, t, q)
-        if u[a]:
-            res = vadd(ctx, res, vcanon(ctx, [u[a]], q), q)
-    return res
+    terms = ([c * x for x in power] for c, power in zip(u, vpowers(ctx, t)))
+    return vcanon(ctx, map(sum, zip(*terms)), ctx.K)
 
 
 def vbinom(ctx: PrecisionContext, e: int) -> Vec:
@@ -236,4 +256,4 @@ class CoeffSeries(_Frozen):
 
     def compose(self, t: "CoeffSeries") -> "CoeffSeries":
         self.ctx.check_same(t.ctx)
-        return self._trusted(self.ctx, vcompose(self.ctx, self.coeffs, t.coeffs, self.ctx.K))
+        return self._trusted(self.ctx, vcompose(self.ctx, self.coeffs, t.coeffs))

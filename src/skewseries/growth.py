@@ -17,7 +17,8 @@ class GrowthResult:
 
     ``stabilized`` holds when that tail spans at least two levels and
     none of its rows carries the precision flag; c and stable_from are
-    read from the table, flagged rows included.
+    read from the table, flagged rows included.  ``to_dict`` notes which
+    of the two withholds ``stabilized``.
 
     Still a dataclass: callers rebuild altered copies with
     ``dataclasses.replace`` (the benchmark's checks corrupt a result that
@@ -38,5 +39,8 @@ class GrowthResult:
             "stabilized": self.stabilized,
         }
         if not self.stabilized:
-            out["note"] = "NotStabilized: no constant tail of length >= 2 by n_max"
+            why = "no constant tail of length >= 2 by n_max"
+            if self.stable_from < self.table[-1][0]:  # the tail is there, but flagged
+                why = f"the constant tail from n = {self.stable_from} holds flagged rows"
+            out["note"] = f"NotStabilized: {why}"
         return out

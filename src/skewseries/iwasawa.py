@@ -2,11 +2,14 @@
 
 The coefficient ring carries the tower omega_n = (1+X)**p**n - 1, whose
 digits are binomial coefficients (``coeff.vbinom``), and its ratios
-xi_n, summed as ((1 + w)**p - 1)/w with w = omega_(n-1) by
-``_quotient``, never by power-series division (dividing by a non-unit is
-ill-conditioned at triangular precision).  The recursion 1 + omega_n =
-(1 + omega_(n-1))**p is kept only for the tower in (Z/p**M)[X]/F, where a
-closed form would have degree p**n.  On top of these sit three
+xi_n = ((1 + w)**p - 1)/w with w = omega_(n-1).  ``_quotient`` forms
+((1 + w)**e - 1)/w as the composition sum_k C(e, k+1) * w**k, summed
+over the powers of w that ``coeff.vpowers`` takes, never by power-series
+division (dividing by a non-unit is ill-conditioned at triangular
+precision); the unit of ``normal_witness`` is the same quotient at
+e = eps.  The recursion 1 + omega_n = (1 + omega_(n-1))**p is kept only
+for the tower in (Z/p**M)[X]/F, where a closed form would have degree
+p**n.  On top of these sit three
 experiment drivers: an explicit witness that omega_n generates the same
 left and right ideal, a two-sided-ideal descent producing a scalar
 element, and the coinvariant rank-growth law lambda_n = d*p**n + c,
@@ -24,7 +27,7 @@ from collections.abc import Iterator, Sequence
 from itertools import pairwise
 from math import comb
 
-from .coeff import CoeffSeries, vbinom, vcanon, vmul, vorder, vsub
+from .coeff import CoeffSeries, vbinom, vcanon, vcompose, vmul, vorder, vsub
 from .errors import (
     DegenerateAction,
     PrecisionInsufficient,
@@ -71,32 +74,29 @@ def omega(ctx: PrecisionContext, n: int) -> CoeffSeries:
     return CoeffSeries._trusted(ctx, vbinom(ctx, pow(ctx.p, n, ctx.p**ctx.K)))
 
 
-def _quotient(ctx: PrecisionContext, e: int, w: CoeffSeries, d: int) -> CoeffSeries:
-    """((1 + w)**e - 1)/w = sum_(k < e) C(e, k+1) * w**k, for w in m**d.
+def _quotient(ctx: PrecisionContext, e: int, w: CoeffSeries) -> CoeffSeries:
+    """((1 + w)**e - 1)/w = sum_(k < e) C(e, k+1) * w**k, for w in m.
 
-    No division: w**k lies in m**(k*d), so only k < K/d is visible, at
-    most K terms whatever e is.  Summed forward, as the powers of w thin
-    out with k, where Horner's rule would keep a dense accumulator.
+    No division: it is the polynomial sum_k C(e, k+1) * Z**k composed
+    with Z = w, one ``coeff.vcompose``.  Its binomials are drawn lazily,
+    and the sum ends at the first power of w that vanishes mod m**K: for
+    w in m**d only k < K/d is visible, at most K terms whatever e is.
     """
-    acc = CoeffSeries.zero(ctx)
-    term = CoeffSeries.one(ctx)
-    for k in range(min(e, -(-ctx.K // d))):
-        acc = acc + comb(e, k + 1) * term
-        term = term * w
-    return acc
+    return CoeffSeries._trusted(ctx, vcompose(ctx, (comb(e, k + 1) for k in range(e)), w.coeffs))
 
 
 def xi(ctx: PrecisionContext, n: int) -> CoeffSeries:
     """xi_0 = X; xi_n = omega_n / omega_(n-1) for n >= 1.
 
-    With w = omega_(n-1), which lies in m**n, 1 + omega_n = (1 + w)**p,
-    so xi_n is ``_quotient`` at e = p, d = n.
+    With w = omega_(n-1), 1 + omega_n = (1 + w)**p, so xi_n is
+    ``_quotient`` at e = p: w lies in m**n, so at most K/n powers of w
+    are visible.
     """
     if n < 0:
         raise ValueError("xi is defined for n >= 0")
     if n == 0:
         return CoeffSeries.x(ctx)
-    return _quotient(ctx, ctx.p, omega(ctx, n - 1), n)
+    return _quotient(ctx, ctx.p, omega(ctx, n - 1))
 
 
 class TowerEntry(_Frozen):
@@ -129,7 +129,7 @@ def omega_tower_check(ctx: PrecisionContext, n_max: int) -> TowerReport:
     entries = []
     levels = pairwise(omega(ctx, n) for n in range(n_max + 1))
     for n, (om_prev, om) in enumerate(levels, 1):
-        x = _quotient(ctx, ctx.p, om_prev, n)
+        x = _quotient(ctx, ctx.p, om_prev)
         entries.append(
             TowerEntry(
                 n=n,
@@ -155,14 +155,14 @@ def normal_witness(sd: SkewData, n: int) -> tuple[CoeffSeries, SkewSeries]:
 
     The witness identity Y * omega_n = omega_n * w (mod G_K) exhibits
     Y*omega_n inside omega_n*A, the computational content of omega_n
-    being a normal element.  As sigma(omega_n) = (1 + omega_n)**eps - 1
-    and omega_n lies in m**(n+1), u is ``_quotient`` at e = eps mod p**K
-    (all the twist shows mod m**K), d = n + 1.
+    being a normal element.  As sigma(omega_n) = (1 + omega_n)**eps - 1,
+    u is the ``_quotient`` of omega_n, which lies in m**(n+1), at
+    e = eps mod p**K (all the twist shows mod m**K).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     ctx = sd.ctx
-    u = _quotient(ctx, sd.epsilon_raw % ctx.p**ctx.K, omega(ctx, n), n + 1)
+    u = _quotient(ctx, sd.epsilon_raw % ctx.p**ctx.K, omega(ctx, n))
     w = SkewSeries(sd, [(u - 1).coeffs, u.coeffs])
     return u, w
 

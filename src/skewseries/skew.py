@@ -12,8 +12,10 @@ what makes the skew series layer's triangular precision bookkeeping work.
 mod p**(K + EPSILON_GUARD), and only its caches fill in place.  Applying
 sigma is a Z_p-linear combination of the powers of sigma(X) =
 (1 + X)**eps - 1 = sum_(a >= 1) C(eps, a) X**a, the closed form of
-``coeff.vbinom``; each power is kept once, packed as the column the
-kernels read.  The constructor checks eps only: with e = eps mod p**K,
+``coeff.vbinom``: sigma(r) is r composed with sigma(X).  The powers come
+from ``coeff.vpowers``, all K of them, as sigma(X)**a has X-order
+exactly a, and each is kept once, packed as the column the kernels
+read.  The constructor checks eps only: with e = eps mod p**K,
 sigma(X) has the unit X-coefficient e, and p | e - 1 puts delta(X) in
 m**2.  sigma^-1 is the sigma of ``opposite()``, the twist by eps**-1 mod
 p**(K + EPSILON_GUARD) over the same context, built on first use: as
@@ -64,6 +66,7 @@ from .coeff import (
     vmul,
     vone,
     vorder,
+    vpowers,
     vsub,
     vzero,
 )
@@ -115,9 +118,7 @@ class SkewData(_Frozen):
         object.__setattr__(self, "_lock", allocate_lock())
         object.__setattr__(self, "_derived", {})
         # sigma(X)**0, ..., sigma(X)**(K-1), packed: the columns ``_apply`` reads
-        t, pows = vbinom(ctx, epsilon_residue), [vone(ctx)]
-        for _ in range(K - 1):
-            pows.append(vmul(ctx, pows[-1], t, K))
+        pows = vpowers(ctx, vbinom(ctx, epsilon_residue))
         object.__setattr__(self, "_sig_cols", tuple(map(self.pack, pows)))
 
     # -- identity ------------------------------------------------------

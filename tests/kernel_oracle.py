@@ -14,7 +14,10 @@ by repeated squaring (``one_plus_x_pow``), then its powers by a
 digit-loop product.  They share no code with the package's closed form
 or packed columns.  ``power_sum`` sums the powers of one series by
 doubling, the slow twin of the package's binomial sums for xi_n and the
-normality unit.
+normality unit.  ``quotient_loop`` is the loop those binomial sums ran
+before they became one ``coeff.vcompose``: a forward sum over
+``CoeffSeries`` objects, bounded by an m-order hint d of w that the
+caller passed.
 
 The oracle reduces with ``_canon``, a loop over the digits that calls
 ``%`` only where the slot modulus exceeds 1, and builds its own sums and
@@ -25,9 +28,10 @@ is the code under test.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from skewseries import SkewData
+from skewseries import CoeffSeries, SkewData
 from skewseries.coeff import Vec, vone, vzero
 from skewseries.precision import PrecisionContext
 
@@ -98,6 +102,16 @@ def power_sum(ctx: PrecisionContext, y: Vec, count: int) -> Vec:
         if bit == "1":  # S(c + 1) = S(c) + y**c
             acc = _add(ctx, acc, pw, K)
             pw = _mul(ctx, pw, y, K)
+    return acc
+
+
+def quotient_loop(ctx: PrecisionContext, e: int, w: CoeffSeries, d: int) -> CoeffSeries:
+    """sum_(k < e) C(e, k+1) * w**k for w in m**d: only k < K/d is visible."""
+    acc = CoeffSeries.zero(ctx)
+    term = CoeffSeries.one(ctx)
+    for k in range(min(e, -(-ctx.K // d))):
+        acc = acc + comb(e, k + 1) * term
+        term = term * w
     return acc
 
 

@@ -161,6 +161,41 @@ def test_rankgrowth_refuses_the_artifact_that_guard_1_cannot_flag(tmp_path, caps
     assert (tmp_path / "growth.csv").read_text().endswith("14,0,0\n")
 
 
+def test_every_subcommand_at_k_1(tmp_path, capsys):
+    # at K = 1 a series is its constant digit mod p: 2 is a unit, 3 is zero,
+    # and sigma fixes 1 + X, so the descent has no step to take
+    sd = build_skew(PrecisionContext(3, 1, INTEGRAL), 4)
+    unit, zero = sd.embed(2), sd.embed(3)
+    one, x = CoeffSeries.one(sd.ctx), CoeffSeries.x(sd.ctx)
+    ctx_flags, growth_flags = ("--p", "3", "--K", "1"), ("--n-max", "2", "--K", "1")
+    cases = [  # (subcommand, input object or None, further flags, exit code)
+        ("prepare", dump_series(unit), (), 0),
+        ("prepare", dump_series(zero), (), 1),
+        ("invert", dump_series(unit), (), 0),
+        ("invert", dump_series(zero), (), 1),
+        ("divide", dump_division_problem(unit, unit), (), 0),
+        ("divide", dump_division_problem(unit, zero), (), 1),
+        ("descend", dump_z_poly(sd, [x, one]), (), 1),
+        ("rankgrowth", dump_module_spec(ModuleSpec(3, 0, [(3, 1)])), growth_flags, 2),
+        ("rankgrowth", dump_module_spec(ModuleSpec(3, 1)), growth_flags, 0),
+        ("omega", None, (*ctx_flags, "--n", "1"), 0),
+        ("xi", None, (*ctx_flags, "--n", "1"), 0),
+        ("axioms", None, (*ctx_flags, "--epsilon", "4"), 0),
+    ]
+    assert {case[0] for case in cases} == set(_SUBCOMMANDS) - {"selfcheck"}
+    for i, (name, obj, flags, code) in enumerate(cases):
+        out, csv = tmp_path / f"{i}.json", tmp_path / f"{i}.csv"
+        src = () if obj is None else ("--in", _write(tmp_path, obj))
+        assert run(name, *src, *flags, "--out", str(out)) == code, (name, code)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert out.exists() == (code == 0), (name, code)
+        if name == "rankgrowth":
+            assert csv.exists() == (code == 0)
+            if code == 0:
+                assert csv.read_text() == "n,lambda_n,flag\n0,1,0\n1,3,0\n2,9,0\n"
+
+
 def test_out_files_follow_the_umask(tmp_path, capsys):
     src = _write(tmp_path, dump_module_spec(ModuleSpec(2, d=1, torsion_polys=((2, 1),))))
     old = os.umask(0o022)

@@ -87,6 +87,23 @@ def test_tower_and_witness_against_squaring_oracle(p, mode):
                 assert u.coeffs == ko.power_sum(ctx, y, sd.epsilon_raw)
 
 
+def test_quotient_matches_the_loop_it_replaced():
+    # the loop took min(e, ceil(K/d)) terms for omega_n in m**(n+1); the
+    # composition stops where the powers of omega_n vanish instead
+    cases = 0
+    for p in (2, 3, 5, 1000003):
+        for mode in (INTEGRAL, CHARP):
+            for K in (1, 2, 5, 8, 16, 32):
+                ctx = PrecisionContext(p, K, mode)
+                for n in range(5):
+                    w = omega(ctx, n)
+                    for e in (1, 2, p, 1 + p, 4 + p**20):
+                        got = skewseries.iwasawa._quotient(ctx, e, w)
+                        assert got == ko.quotient_loop(ctx, e, w, n + 1), (p, mode, K, n, e)
+                        cases += 1
+    assert cases == 1200
+
+
 def test_omega_takes_no_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("omega multiplied series")
@@ -690,6 +707,15 @@ def test_rank_growth_not_stabilized_reports_note():
     assert not g.stabilized
     assert g.stable_from == 3
     assert "note" in g.to_dict()
+
+
+def test_rank_growth_note_names_a_flagged_tail():
+    # the tail n = 15..20 is six levels long; only its flags withhold the verdict
+    g = rank_growth(ModuleSpec(3, 0, [(3, 1)]), 20, 16, strict=False)
+    assert (g.c, g.stable_from, g.stabilized) == (1, 15, False)
+    assert g.to_dict()["note"] == "NotStabilized: the constant tail from n = 15 holds flagged rows"
+    g = rank_growth(ModuleSpec(2, d=0, torsion_polys=((2, 4, 6, 4, 1),)), 3, 8)
+    assert g.to_dict()["note"] == "NotStabilized: no constant tail of length >= 2 by n_max"
 
 
 def test_stable_from_is_the_least_level_of_the_constant_tail():

@@ -25,7 +25,9 @@ pivot search could pick that row; the count of ``linalg.gcd`` calls pins
 that, since a search that takes more gcds than it needs finds the same
 pivots.  A spy on ``iwasawa._smith_rank`` records the size of each
 Smith form ``rank_growth`` takes, and one on ``iwasawa.vmul`` the
-precision of each product ``descend_ideal`` takes.
+precision of each product ``descend_ideal`` takes.  One on ``coeff.vmul``
+counts the powers that ``coeff.vpowers`` takes for ``xi``,
+``normal_witness`` and ``CoeffSeries.compose``.
 """
 
 from __future__ import annotations
@@ -261,6 +263,39 @@ def test_descent_product_precisions(monkeypatch):
     descend_ideal(sd, zc, trace=trace)
     assert trace == [8, 7, 6, 5, 4, 3, 2, 1, 0]
     assert precisions == [16, 18, 21, 23, 25, 28, 30, 32]
+
+
+def test_power_kernel_products(monkeypatch):
+    # coeff.vpowers takes each power of t by one vmul, only when the sum
+    # asks for it, and stops at the first power that vanishes mod m**K.
+    # Before it, _quotient took min(e, ceil(K/d)) products for w in m**d
+    # and compose took K by Horner's rule: 3, 3, 4, 16 and 9 below
+    calls = 0
+    vmul = coeff.vmul
+
+    def spy(ctx, u, v, q):
+        nonlocal calls
+        calls += 1
+        return vmul(ctx, u, v, q)
+
+    def products(run) -> int:
+        nonlocal calls
+        calls = 0
+        run()
+        return calls
+
+    sds = [build_skew(PrecisionContext(3, 32), eps) for eps in (4, 4 + 3**20)]
+    ctx = PrecisionContext(3, 9)
+    f, t = CoeffSeries(ctx, range(1, 10)), CoeffSeries(ctx, (0, 0, 0, 1))
+    monkeypatch.setattr(coeff, "vmul", spy)
+    # xi_1 = 3 + 3X + X**2: the binomials end after three terms
+    assert products(lambda: iwasawa.xi(PrecisionContext(3, 8), 1)) == 2
+    # omega_1 lies in m**2, so its cube vanishes mod m**6
+    assert products(lambda: iwasawa.xi(PrecisionContext(1000003, 6), 2)) == 3
+    # e = 4 gives four binomials; e = 4 + 3**20 runs until omega_1**16 vanishes
+    assert [products(lambda: normal_witness(sd, 1)) for sd in sds] == [3, 16]
+    # X**3, X**6, then X**9 = 0 mod m**9
+    assert products(lambda: f.compose(t)) == 3
 
 
 def test_rank_growth_row_gcds(gcds):

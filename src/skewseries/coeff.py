@@ -25,7 +25,7 @@ from operator import mod, mul
 
 from .errors import NotAUnit, SubstitutionDiverges
 from .linalg import pval
-from .precision import CHARP, AtLeast, PrecisionContext, _Frozen
+from .precision import AtLeast, PrecisionContext, _Frozen
 
 Vec = tuple[int, ...]
 
@@ -71,15 +71,16 @@ def vmul(ctx: PrecisionContext, u: Vec, v: Vec, q: int) -> Vec:
 
 
 def vorder(ctx: PrecisionContext, u: Vec, q: int) -> int:
-    """m-adic order of u, capped at q (== q means not visible); v_p is ``linalg.pval``."""
+    """m-adic order of u, capped at q (== q means not visible); v_p is ``linalg.pval``.
+
+    In char p a canonical digit is 0 or a unit below p, so the first
+    nonzero digit ends the loop in either mode.
+    """
     best = q
-    charp = ctx.mode == CHARP
     for a, x in enumerate(u):
         if a >= best:
             break
         if x:
-            if charp:
-                return a
             best = a + pval(x, ctx.p, best - a)  # capped at best - a, past which best cannot fall
     return best
 

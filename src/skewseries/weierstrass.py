@@ -12,21 +12,23 @@ output at K_out below the working K only q_k mod G_(N_k), with N_k =
 K_out + (s-1)(K_out-1-k), matters, and each q*h is formed mod
 G_(N_(k+1)+s) and total*h mod G_(K_out).  With total the sum of the
 iterates, quot = total*G, and as quot*f = total*(Y**s - h) exactly,
-rem = g - total*Y**s + total*h.  So one table of Y**i h, grown on demand,
-serves the contraction and the remainder, f is read only to form h,
-and the rows below s of each q*h, which the shift-down drops, are
-never computed.  Both identities hold for any G, and the contraction
-needs only h in mA.  As sigma(r) = r and delta(r) = 0 mod m, A/mA is
-the commutative ring F_p[[Y]], so G need only invert the image of
-g0 = shift_down(f, s) there mod Y**(K-s): then h = -G*(f - g0*Y**s) +
-(1 - G*g0)*Y**s has its coefficients in m mod G_K.  `divide` takes that
-G, whose coefficients are integers below p; `prepare` inverts g0
-exactly, since its output carries the gauge of G, and as G*g0 = 1 mod
-G_K there, h = -G*f_lo with f_lo the rows < s of f.  Integers commute
-with Y, as sigma fixes Z_p and delta kills it, so divide's G*f =
-c_0 f + Y(c_1 f + Y(c_2 f + ...)) is Horner's rule at shrinking precision
-over the terms c_k f, as for right coefficients, and Y**i G is G moved up
-i rows: total*G takes no Y-step.
+rem = g - total*Y**s + total*h.  So `_divide_core` runs the contraction
+from g and h alone, one table of Y**i h, grown on demand, serves the
+iterates and the remainder, and the rows below s of each q*h, which the
+shift-down drops, are never computed; each caller builds its own G and
+h = Y**s - G*f and finishes from total.  Both identities hold for any G,
+and the contraction needs only h in mA.  As sigma(r) = r and delta(r) =
+0 mod m, A/mA is the commutative ring F_p[[Y]], so G need only invert
+the image of g0 = shift_down(f, s) there mod Y**(K-s): then h =
+-G*(f - g0*Y**s) + (1 - G*g0)*Y**s has its coefficients in m mod G_K.
+`divide` takes that G, whose coefficients are integers below p.
+Integers commute with Y, as sigma fixes Z_p and delta kills it, so
+divide's G*f = c_0 f + Y(c_1 f + Y(c_2 f + ...)) is Horner's rule at
+shrinking precision over the terms c_k f, as for right coefficients,
+and Y**i G is G moved up i rows: total*G takes no Y-step.  `prepare`
+inverts g0 exactly, so G*g0 = 1 mod G_K and h = -G*f_lo with f_lo the
+rows < s of f.  It never forms quot: its unit is quot**-1 = g0*total**-1,
+one block solve, whose digits carry the gauge of that G.
 
 Precision is the delicate part.  Right-multiplication by f is not
 injective on representatives: e.g. (p**2 + Y**2)*(Y**2 - p) vanishes mod
@@ -113,37 +115,19 @@ def _residue_inverse(sd: SkewData, g0: SkewSeries, n: int) -> tuple[int, ...]:
 
 
 def _divide_core(
-    sd: SkewData, g: SkewSeries, f: SkewSeries, s: int, out: SkewData | None = None
+    sd: SkewData, g: SkewSeries, h: SkewSeries, s: int, out: SkewData
 ) -> tuple[SkewSeries, SkewSeries]:
-    """Division at the working precision K of ``sd``, returned at ``out``'s.
+    """The contraction at the working precision K of ``sd``, out at ``out``'s.
 
-    ``out`` defaults to ``sd``, with K_out <= K; s >= 1 assumed.  At the
-    gauge-free lift K >= s*K_out + 1, G inverts g0 in F_p[[Y]] mod
-    Y**(K-s); otherwise G is g0's exact inverse, which keeps `prepare`'s
-    gauge.  Only the iterates q_0 .. q_(K_out-1) are taken, each to the
-    precision that reaches the output, so total, rem and the remainder
-    check live mod G_(K_out), and the quotient trunc(total) * trunc(G)
-    is total*G mod the two-sided G_(K_out).  At the lift G's coefficients
-    are integers, which commute with Y: G*f is Horner's rule over the
-    terms c_k*f, and the table of Y**i G is G moved up i rows.
+    h = Y**s - G*f for the caller's G, K_out <= K and s >= 1.  Only the
+    iterates q_0 .. q_(K_out-1) are taken, each to the precision that
+    reaches the output.  Returns total, their sum, and rem = g -
+    total*Y**s + total*h, which is g - (total*G)*f, both mod G_(K_out),
+    with the rows >= s of rem checked to vanish.  f and G are never
+    read: the quotient total*G is the caller's to form, if it needs it.
     """
-    out = sd if out is None else out
     ctx = sd.ctx
     K, Ko = ctx.K, out.ctx.K
-    zero = vzero(ctx)
-    g0 = _shift_down(sd, f, s)
-    if K > s * Ko:
-        # the terms c_k*f are packed as c_k times f's packed rows, and the
-        # packed rows of Y**i G, G moved up i rows, are the bare c_k
-        cs = _residue_inverse(sd, g0, K - s)
-        fp = tuple(map(sd.pack, f.rows))
-        h = sd.y(s) - SkewSeries._trusted(sd, _horner(sd, [[c * x for x in fp] for c in cs]))
-        gpows = ([cs[j - i] if j >= i else 0 for j in range(Ko)] for i in range(Ko))
-    else:
-        # G*g0 = 1 mod G_K, so Y**s - G*f = -G*f_lo with f_lo the rows < s of f
-        G = g0.inverse()
-        h = -(G * SkewSeries._trusted(sd, f.rows[:s] + (zero,) * (K - s)))
-        gpows = _table(sd, G.rows)
     if not isinstance(h.reduced_order(), AtLeast):  # a row of h is a unit
         raise InternalPrecisionLoss(
             "correction series escaped the maximal ideal; "
@@ -170,7 +154,7 @@ def _divide_core(
     )
     # quot*f = total*G*f = total*(Y**s - h): total*Y**s moves each row up s
     th = _mul_rows(sd, change_precision(total, sd).rows, hpows.__copy__(), 0, Ko)
-    up = (zero,) * s + total.rows
+    up = (vzero(ctx),) * s + total.rows
     rem = SkewSeries(out, [[a - b + c for a, b, c in zip(*r)] for r in zip(g.rows[:Ko], up, th)])
     for j in range(s, Ko):
         if any(rem.rows[j]):
@@ -178,7 +162,7 @@ def _divide_core(
                 "remainder extends to degree >= reduced order; "
                 "working precision too small for this divisor"
             )
-    return SkewSeries._trusted(out, _mul_rows(out, total.rows, gpows)), rem
+    return total, rem
 
 
 def _gauge_free_precision(s: int, K: int) -> int:
@@ -215,17 +199,29 @@ def divide(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:
             "divisor has no visible unit coefficient (reduced order >= K); "
             "it generates no distinguished polynomial at this precision"
         )
+    K = sd.ctx.K
     if s == 0:  # q*f = g is the solve that inverts f, with g for 1
-        return SkewSeries(sd, _solve_blocks(g, f, 0, sd.ctx.K)[0]), sd.zero()
-    big = sd.at_precision(_gauge_free_precision(s, sd.ctx.K))
-    return _divide_core(big, change_precision(g, big), change_precision(f, big), s, sd)
+        return SkewSeries(sd, _solve_blocks(g, f, 0, K)[0]), sd.zero()
+    big = sd.at_precision(_gauge_free_precision(s, K))
+    f = change_precision(f, big)
+    # G inverts g0 in F_p[[Y]] mod Y**(K'-s); the terms c_k*f of G*f are
+    # packed as c_k times f's packed rows, and the packed rows of Y**i G,
+    # G moved up i rows, are the bare c_k
+    cs = _residue_inverse(big, _shift_down(big, f, s), big.ctx.K - s)
+    fp = tuple(map(big.pack, f.rows))
+    h = big.y(s) - SkewSeries._trusted(big, _horner(big, [[c * x for x in fp] for c in cs]))
+    total, rem = _divide_core(big, change_precision(g, big), h, s, sd)
+    gpows = ([cs[j - i] if j >= i else 0 for j in range(K)] for i in range(K))
+    return SkewSeries._trusted(sd, _mul_rows(sd, total.rows, gpows)), rem
 
 
 def prepare(f: SkewSeries) -> tuple[SkewSeries, DistinguishedPoly]:
     """Factor f = eps * F with eps a unit and F distinguished of degree s.
 
-    Divides Y**s by f: Y**s = v*f + rem, then F := Y**s - rem and
-    eps := v**-1, all at the ambient precision.  The factorization
+    Divides Y**s by f at the ambient precision: with G = g0**-1 the
+    contraction gives total and rem, Y**s = v*f + rem for v = total*G,
+    and F := Y**s - rem.  eps := v**-1 = g0*total**-1 is one block
+    solve, so v is never formed.  The factorization
     identity eps*F = f mod G_K, the degree s, and the m-membership of
     F's lower coefficients hold unconditionally; the individual digits
     of eps carry the algorithm's gauge.  For digit-canonical factors
@@ -241,10 +237,15 @@ def prepare(f: SkewSeries) -> tuple[SkewSeries, DistinguishedPoly]:
         )
     if s == 0:
         return f, DistinguishedPoly(sd, 0, ())
-    v, rem = _divide_core(sd, sd.y(s), f, s)
-    if not v.is_unit():
+    K = sd.ctx.K
+    g0 = _shift_down(sd, f, s)
+    G = g0.inverse()
+    # G*g0 = 1 mod G_K, so Y**s - G*f = -G*f_lo with f_lo the rows < s of f
+    h = -(G * SkewSeries._trusted(sd, f.rows[:s] + (vzero(sd.ctx),) * (K - s)))
+    total, rem = _divide_core(sd, sd.y(s), h, s, sd)
+    if not total.is_unit():  # as v = total*G and G is a unit
         raise InternalPrecisionLoss("quotient of Y**s by f is not a unit")
-    eps = v.inverse()
+    eps = SkewSeries(sd, _solve_blocks(g0, total, 0, K)[0])
     try:
         return eps, DistinguishedPoly(sd, s, tuple(-rem.row(j) for j in range(s)))
     except ValueError:

@@ -1,20 +1,23 @@
 """The contraction of `weierstrass._divide_core` with every product taken
-in full: the slow twin of the package's table-based contraction and of
-both of its finishes, kept as a differential oracle.
+in full, finished as one division: the slow twin of the package's
+table-based contraction and of the quotients its callers form, kept as a
+differential oracle.
 
 Each right multiplication by h or f rebuilds the powers Y**i h or Y**i f
 of its fixed right operand, and each product computes the rows below s
 that the shift-down then drops.  G is the exact inverse of g0 at the
 working precision K, the iteration runs until q vanishes at K, every
 iterate is kept at full precision, quot = total*G is a full product at
-K and rem = g - quot*f a second one.  The package builds both tables
-once per division and skips those rows; at the lift K = s*K_out + 1 it
+K and rem = g - quot*f a second one.  The package builds the table of h
+once per division and skips those rows, and its `_divide_core` returns
+total and rem = g - total*Y**s + total*h, formed from that table mod
+G_(K_out), for its caller to finish.  `divide` lifts to K = s*K_out + 1,
 inverts g0 only in F_p[[Y]] mod Y**(K - s), takes only the iterates
-q_0 .. q_(K_out-1), each mod the G_N whose digits reach the output,
-forms quot at the output precision K_out, and forms total*h and rem =
-g - total*Y**s + total*h from the h-table mod G_(K_out).  At K_out = K
-the rows of (quot, rem) must not change; at K = s*K_out + 1 their
-truncations to K_out must not.
+q_0 .. q_(K_out-1), each mod the G_N whose digits reach the output, and
+forms quot at K_out; `prepare` takes G = g0**-1 at K, forms no quot,
+and returns its inverse g0*total**-1.  At K_out = K the rows of
+(total*G, rem) must not change, and prepare's unit is this quot's
+inverse; at K = s*K_out + 1 the truncations to K_out must not change.
 """
 
 from __future__ import annotations

@@ -140,16 +140,18 @@ def test_prepare_idempotent_on_distinguished():
 
 def test_prepare_reports_a_unit_lower_coefficient_as_precision_loss(monkeypatch):
     # DistinguishedPoly's ValueError for a lower coefficient outside m, and
-    # a quotient of Y**s by f that is no unit, reach the caller as
-    # InternalPrecisionLoss
+    # a sum of iterates that is no unit (so the quotient total*G of Y**s by
+    # f is none), reach the caller as InternalPrecisionLoss
     sd = build_skew(PrecisionContext(3, 4, INTEGRAL), 4)
     f = SkewSeries(sd, [[3], [1]])
-    for quotient, text in (
+    for total, text in (
         (sd.one(), "lower coefficient of the distinguished factor escapes the "
                    "maximal ideal; K is too small for this input"),
         (sd.embed(3), "quotient of Y**s by f is not a unit"),
     ):
-        monkeypatch.setattr(weierstrass, "_divide_core", lambda sd, g, f, s: (quotient, sd.one()))
+        monkeypatch.setattr(
+            weierstrass, "_divide_core", lambda sd, g, h, s, out: (total, sd.one())
+        )
         with pytest.raises(InternalPrecisionLoss) as info:
             prepare(f)
         assert str(info.value) == text
@@ -237,7 +239,8 @@ def test_oracle_agreement_on_a_unit_divisor(mode):
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_divide_core_matches_contraction_oracle(p, mode):
-    # The table-based contraction must give the rows of the full products.
+    # The table-based contraction, given prepare's h = -G*f_lo with G the
+    # exact inverse of g0, must give the rows of the full products.
     for eps in (1, 1 + p):
         for K in (2, 3, 5, 8, 17):
             sd = build_skew(PrecisionContext(p, K, mode), eps)
@@ -246,10 +249,31 @@ def test_divide_core_matches_contraction_oracle(p, mode):
                 if s >= K:
                     continue
                 f = rand_reduced_order(sd, rng, s)
+                G = weierstrass._shift_down(sd, f, s).inverse()
+                h = -(G * SkewSeries(sd, f.rows[:s]))
                 for g in (rand_series(sd, rng), sd.y(s)):
-                    got = _divide_core(sd, g, f, s)
+                    total, rem = _divide_core(sd, g, h, s, sd)
                     want = oracle_divide_core(sd, g, f, s)
-                    assert (got[0].rows, got[1].rows) == (want[0].rows, want[1].rows)
+                    assert ((total * G).rows, rem.rows) == (want[0].rows, want[1].rows)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 5, 1000003))
+def test_prepare_matches_the_inverse_of_the_full_quotient(p, mode):
+    # prepare's eps = g0 * total**-1, one block solve, against Newton's
+    # inverse of the full-product quotient v of Y**s by f, and F's lower
+    # coefficients against the negated rows < s of that division's remainder
+    for eps in (1, 1 + p):
+        for K in (2, 3, 5) if p > 5 else (2, 3, 5, 8):
+            sd = build_skew(PrecisionContext(p, K, mode), eps)
+            rng = Random(f"prepare-twin:{p}:{mode}:{eps}:{K}")
+            for s in range(1, K):
+                for _ in range(2):
+                    f = rand_reduced_order(sd, rng, s)
+                    v, rem = oracle_divide_core(sd, sd.y(s), f, s)
+                    unit, F = prepare(f)
+                    assert unit == newton_inverse(v)
+                    assert F.lower == tuple(-rem.row(j) for j in range(s))
 
 
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
@@ -365,7 +389,7 @@ def test_divide_matches_full_contraction_at_the_lift(p, mode):
 
 def test_quotient_uniqueness_at_working_precision():
     # For q, f built natively at K' = s*K + 1, dividing the product back
-    # by f recovers q and a zero remainder on every digit visible at K.
+    # by f at K' recovers q and a zero remainder on every digit visible at K.
     rng = Random(507)
     for p, K in ((2, 3), (3, 3), (2, 4)):
         sd = build_skew(PrecisionContext(p, K, INTEGRAL), 1 + p)
@@ -374,7 +398,7 @@ def test_quotient_uniqueness_at_working_precision():
             sd2 = sd.at_precision(s * K + 1)
             qh = rand_series(sd2, rng)
             fh = rand_reduced_order(sd2, rng, s)
-            Q, R = _divide_core(sd2, qh * fh, fh, s)
+            Q, R = divide(qh * fh, fh)
             assert change_precision(Q, sd) == change_precision(qh, sd)
             assert change_precision(R, sd).is_zero()
 
@@ -460,7 +484,7 @@ def test_divide_matches_full_contraction_at_the_lift_wide(p, mode):
 @pytest.mark.parametrize("p", (2, 3, 1000003))
 def test_lift_recovers_a_known_quotient_and_remainder(p, mode):
     # q, f and r with deg r < s built natively at K' = s*K + 1: the
-    # division of q*f + r there, finished at K, is q and r truncated to K
+    # division of q*f + r there, truncated to K, is q and r truncated to K
     for K in (3, 4):
         sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
         rng = Random(f"known:{p}:{mode}:{K}")
@@ -469,8 +493,10 @@ def test_lift_recovers_a_known_quotient_and_remainder(p, mode):
             q = rand_series(big, rng)
             f = rand_reduced_order(big, rng, s)
             r = SkewSeries(big, rand_series(big, rng).rows[:s])
-            got = _divide_core(big, q * f + r, f, s, sd)
-            assert got == (change_precision(q, sd), change_precision(r, sd))
+            got = divide(q * f + r, f)
+            assert tuple(change_precision(x, sd) for x in got) == (
+                change_precision(q, sd), change_precision(r, sd)
+            )
 
 
 def _lift_cases():

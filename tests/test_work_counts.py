@@ -354,9 +354,10 @@ def test_prepare_counts(work):
     f, _ = _division_inputs()
     work()
     prepare(f)
-    # the contraction at K = 8 as before; the inverses of g0 and v are block
-    # solves at K = 8, which build no lift and form no product
-    assert work() == (9, 28, 3, 0)
+    # the contraction at K = 8 as before; prepare inverts only g0 and forms no
+    # quotient: g0**-1 and eps = g0 * total**-1 are block solves at K = 8,
+    # which build no lift and form no product
+    assert work() == (8, 24, 3, 0)
 
 
 def test_inverse_counts(work):

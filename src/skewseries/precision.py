@@ -194,7 +194,7 @@ class AtLeast(_Frozen):
 
 
 class PrecisionContext(_Frozen):
-    __slots__ = ("p", "K", "mode", "_windows")
+    __slots__ = ("p", "K", "mode", "_windows", "_rows")
     __match_args__ = ("p", "K", "mode")
 
     def __init__(self, p: int, K: int, mode: str = INTEGRAL):
@@ -212,6 +212,7 @@ class PrecisionContext(_Frozen):
         top = (p,) * K if mode == CHARP else tuple(p**e for e in range(K, 0, -1))
         lad = top + (1,) * K
         object.__setattr__(self, "_windows", {q: lad[K - q : 2 * K - q] for q in range(K + 1)})
+        object.__setattr__(self, "_rows", {})  # filled by _row_moduli, per cap, on first use
 
     def slot_moduli(self, q: int) -> tuple[int, ...]:
         """Per-X-degree moduli of a coefficient vector at m-precision q in 0..K."""
@@ -219,6 +220,22 @@ class PrecisionContext(_Frozen):
             return self._windows[q]
         except KeyError:
             raise ValueError(f"m-precision {q!r} outside 0..{self.K}") from None
+
+    def _row_moduli(self, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+        """The moduli of the live digits of rows at m-precision K, K - 1, ..., 1.
+
+        Entry i is ``slot_moduli(K - i)`` cut to min(K - i, cap) digits
+        (K - i with no cap): each digit keeps its own modulus, never that
+        of m-precision cap.  A row kernel whose row j runs at hi - j reads
+        the entries from K - hi on.  Built on first use, once per cap;
+        threads that race here build equal tuples, and either may stay.
+        """
+        rows = self._rows.get(cap)
+        if rows is None:
+            c = self.K if cap is None else cap
+            w = self._windows
+            rows = self._rows[cap] = tuple(w[q][: min(q, c)] for q in range(self.K, 0, -1))
+        return rows
 
     def check_same(self, other: "PrecisionContext") -> None:
         if self != other:

@@ -25,6 +25,19 @@ A row that ``_y_step`` returns holds only its live digits, q = hi - j
 of them, and a zero row is ``()``; rows are padded to K digits only
 where they become the rows of a series, at the end of ``_horner``.
 
+The row kernels (``_y_step``, ``_table``, ``_horner``, ``_mul_rows``)
+take one X-precision, a digit cap c, none by default: row j then keeps
+q = min(hi - j, c) live digits, the low ones.  sigma(X) = X*(unit), so
+sigma and delta map X**c R into itself, I_c = X**c A is a two-sided
+ideal, and the digits X**a with a < c of a step or a product read only
+the digits a < c of its inputs: a capped kernel is the uncapped one mod
+I_c.  Each kept digit is reduced by its own slot modulus at m-precision
+hi - j, not by that of m-precision c.  The per-row moduli come from
+``PrecisionContext._row_moduli(c)``, built once per context and cap, so
+the uncapped kernels pay nothing per row for the option.  Weierstrass
+division at a lift K' caps at the output's K (see
+:mod:`skewseries.weierstrass`).
+
 Multiplication follows the commutation rule directly: f*g accumulates
 r_i * (Y**i g) over a table of the powers Y**i g, each one Y-step from
 the one before.  ``_table`` packs each power once, for the product and
@@ -92,18 +105,20 @@ def _canon_rows(sd: SkewData, rows: Sequence[Sequence[int]]) -> Rows:
 
 def _y_step(
     sd: SkewData, rows: Rows, hi: int | None = None, plus: Sequence[int] = (),
-    packed: Sequence[int] | None = None,
+    packed: Sequence[int] | None = None, cap: int | None = None,
 ) -> Rows:
     """Rows of Y * f + t: row j becomes sigma(f_(j-1)) + delta(f_j) + t_j.
 
     ``plus`` holds the packed rows of the term t (none: t = 0).  Only
     rows j < hi are computed (hi defaults to K), each reduced at
-    q = hi - j: Y*f + t mod the coarser G_hi.  Row j comes back with
-    its q live digits, and rows that vanish, those from hi up among
-    them, as ``()`` (see the module notes); the input rows may be of
-    either form.  sigma is additive, so sigma(f_(j-1)) + sigma(f_j) +
-    t_j is one sum of the packed columns ``sd._sig_cols`` and the packed
-    t_j; the slot width of :mod:`skewseries.skew` holds it.
+    hi - j: Y*f + t mod the coarser G_hi.  Row j comes back with its
+    q = min(hi - j, cap) live digits (q = hi - j with no cap), and rows
+    that vanish, those from hi up among them, as ``()`` (see the module
+    notes); the input rows may be of either form.  sigma is additive,
+    so sigma(f_(j-1)) + sigma(f_j) + t_j is one sum of the packed
+    columns ``sd._sig_cols`` and the packed t_j; the slot width of
+    :mod:`skewseries.skew` holds it.  With a cap the columns are first
+    cut to their cap low slots, which are all a capped row reads.
 
     ``packed``, when given, holds the packed rows of f itself, with
     canonical digits, and -f_j is subtracted from the packed sum: slot a
@@ -116,10 +131,12 @@ def _y_step(
     ctx, cols = sd.ctx, sd._sig_cols
     K = ctx.K
     hi = K if hi is None else hi
+    if cap is not None:
+        cols = [c & sd._masks[cap] for c in cols[:cap]]
     out = [()] * K
     prev = 0
-    for j, r in enumerate(rows[:hi]):
-        q = hi - j
+    for j, (r, mods) in enumerate(zip(rows, ctx._row_moduli(cap)[K - hi :])):
+        q = len(mods)
         cur = sum(map(mul, r[:q], cols)) if any(r) else 0
         t = plus[j] if j < len(plus) else 0
         if prev or cur or t:
@@ -127,12 +144,12 @@ def _y_step(
                 digits = sd.unpack(prev + cur + t - packed[j], q)
             else:
                 digits = map(sub, sd.unpack(prev + cur + t, q), r[:q] + (0,) * (q - len(r)))
-            out[j] = tuple(map(mod, digits, ctx.slot_moduli(q)))
+            out[j] = tuple(map(mod, digits, mods))
         prev = cur
     return tuple(out)
 
 
-def _horner(sd: SkewData, terms: Sequence[Sequence[int]]) -> Rows:
+def _horner(sd: SkewData, terms: Sequence[Sequence[int]], cap: int | None = None) -> Rows:
     """Rows of t_0 + Y(t_1 + Y(t_2 + ...)) over ``sd``, each canonical.
 
     Each term t_j is given by its packed rows.  The partial sum from t_j
@@ -147,56 +164,63 @@ def _horner(sd: SkewData, terms: Sequence[Sequence[int]]) -> Rows:
         terms.pop()
     rows = ((),) * K
     for j in range(len(terms) - 1, -1, -1):
-        rows = _y_step(sd, rows, K - j, terms[j])
+        rows = _y_step(sd, rows, K - j, terms[j], cap=cap)
     zero = vzero(sd.ctx)
     return tuple(r + zero[len(r) :] for r in rows)
 
 
-def _table(sd: SkewData, rows: Rows) -> Iterator[tuple[int, ...]]:
+def _table(sd: SkewData, rows: Rows, cap: int | None = None) -> Iterator[tuple[int, ...]]:
     """Packed rows of g, Y*g, Y**2*g, ...: one Y-step per power, taken on demand.
 
     Each step folds -f_j into its packed sum through the packed rows of
     the power before, and its rows are packed once, for the product and
-    for the next step alike.
+    for the next step alike.  With a cap, g's rows are cut to their cap
+    low digits and every step keeps that many.
     """
+    if cap is not None:
+        rows = tuple(r[:cap] for r in rows)
     packed = tuple(map(sd.pack, rows))
     while True:
         yield packed
-        rows = _y_step(sd, rows, packed=packed)
+        rows = _y_step(sd, rows, packed=packed, cap=cap)
         packed = tuple(map(sd.pack, rows))
 
 
 def _mul_rows(
-    sd: SkewData, fr: Rows, gpows: Iterable[tuple[int, ...]], lo: int = 0, hi: int | None = None
+    sd: SkewData, fr: Rows, gpows: Iterable[tuple[int, ...]], lo: int = 0,
+    hi: int | None = None, cap: int | None = None,
 ) -> Rows:
     """Rows of f*g from the rows of f and the packed powers Y**i g in ``gpows``.
 
     Only rows lo <= j < hi are computed (hi defaults to K), and row j is
     reduced at precision hi - j: the product mod the coarser G_hi, with
-    the other rows left zero.  As Y**i lies in G_hi for i >= hi, rows of
-    f from hi up add nothing.  Row j sums the packed products
-    f_i * (Y**i g)_j; its slots below K - j are the raw Cauchy sums, each
-    at most K products for each of at most K rows i, so no slot carries
-    when the rows are canonical.  For hi < K each (Y**i g)_j is first
-    cut to its hi - j low slots, which leaves those slots of the product
-    exact; its digits are still below m, so the slot width holds as is.
-    Each finished row is unpacked and reduced exactly once.
+    the other rows left zero.  Row j keeps min(hi - j, cap) live digits
+    (hi - j with no cap), padded with zeros to K.  As Y**i lies in G_hi
+    for i >= hi, rows of f from hi up add nothing.  Row j sums the packed
+    products f_i * (Y**i g)_j; its slots below K - j are the raw Cauchy
+    sums, each at most K products for each of at most K rows i, so no
+    slot carries when the rows are canonical.  For hi < K or a cap each
+    (Y**i g)_j is first cut to row j's live slots, which leaves those
+    slots of the product exact; its digits are still below m, so the
+    slot width holds as is.  Each finished row is unpacked and reduced
+    exactly once.
     """
     ctx = sd.ctx
     K = ctx.K
     hi = K if hi is None else hi
+    wins = ctx._row_moduli(cap)[K - hi :]
     top = max((j for j in range(hi) if any(fr[j])), default=-1)
     acc = [0] * hi
     # zip reads fr first, so no Y-step is taken past Y**top g
-    masks = sd._masks if hi < K else None
+    masks = [sd._masks[len(w)] for w in wins] if hi < K or cap is not None else None
     for fi, cur in zip(fr[: top + 1], gpows):
         if any(fi):
             x = sd.pack(fi)
             for j in range(lo, hi):
                 y = cur[j]
                 if y:
-                    acc[j] += x * (y & masks[hi - j] if masks else y)
-    rows = (vcanon(ctx, sd.unpack(acc[j], hi - j), hi - j) for j in range(lo, hi))
+                    acc[j] += x * (y & masks[j] if masks else y)
+    rows = (vcanon(ctx, sd.unpack(acc[j], len(wins[j])), hi - j) for j in range(lo, hi))
     return (vzero(ctx),) * lo + tuple(rows) + (vzero(ctx),) * (K - hi)
 
 
@@ -227,7 +251,11 @@ def _solve_blocks(
     a unit at (n, n - s)), and the row operations keep that shape: the
     pivots are (n, n - s) in row order.  The columns j >= K' - b - s of
     block b are then free and set to 0, so the rows j >= K' - s of q
-    vanish and the table of Y**j * f stops at Y**(K'-s-1) * f.  Block b's
+    vanish and the table of Y**j * f stops at Y**(K'-s-1) * f.  The
+    matrix reads digit 0 of each table row and the sums its digits
+    below K only, so for K < K' the table keeps K digits per row (the
+    digit cap of the module notes; at K = K', as for inverses, none is
+    dropped).  Block b's
     matrix is the leading (K'-b-s)-square corner of block 0's, taken mod
     p**(K'-b) (mod p in char p), whose elimination is the first K'-b-s
     steps of block 0's: so block 0's matrix is factored once and each
@@ -246,7 +274,8 @@ def _solve_blocks(
     modulus sees.  A digit is then below m and a table digit below m, and
     a slot takes at most one product per (a, j), so at most K*K' <= K'**2
     of them: the slot width of :mod:`skewseries.skew` at K' holds the
-    sum, and no slot carries.  Every block adds to the rows
+    sum, and no slot carries.  The slots from K up, which a table row cut
+    to K digits leaves short, are never read.  Every block adds to the rows
     n < K' - b - 1, the rows < s among them, so at the end slot a of row
     j's accumulator is digit X**a of (x*f)_j.
     """
@@ -255,7 +284,7 @@ def _solve_blocks(
     p, Kb = ctx.p, ctx.K
     # packed rows of Y**j * f: rows[n][j] is (Y**j * f)_n, whose slot d
     # holds its digit X**d, and X**a * Y**j * f moves that up to slot d + a
-    rows = list(zip(*islice(_table(sd, f.rows), Kb - s)))
+    rows = list(zip(*islice(_table(sd, f.rows, K if K < Kb else None), Kb - s)))
     width, one = 8 * sd._w, sd._masks[1]
     integral = ctx.mode == INTEGRAL
     scale = [p**n if integral else 1 for n in range(Kb)]

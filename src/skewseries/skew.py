@@ -39,7 +39,13 @@ all below 2K * m**2 <= K**2 * m**2 for K >= 2.  At K = 1 a step is one
 product (a table step) or the term on zero rows (Horner's one step),
 below m**2.  A table step also subtracts the packed f_j: the X**a digit
 of sigma(X)**a is 1 mod p, so slot a of sigma(f_j) is at least f_j[a],
-no slot goes negative and none borrows from the next.
+no slot goes negative and none borrows from the next.  A step capped at
+c digits (see :mod:`skewseries.series`) applies sigma to the q <= c low
+digits of f_j only, through the columns cut to their c low slots, and a
+capped table's row j holds no digit from q up: slot a < q of the cut sum
+is still at least f_j[a], the slots from q up of the packed f_j are
+empty, and again no slot borrows.  Cutting drops terms, so every slot
+stays within the bound above.
 
 ``_twist_rows`` lists the rows (Y**n u)_i of the skew commutation rule,
 built afresh on every call.  No package code calls it: the series layer

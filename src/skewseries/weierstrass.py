@@ -42,6 +42,23 @@ and truncate: each returns the image of the exact division of the
 canonical integer lifts, independent of algorithmic gauge, which is
 what makes the two routes comparable digit for digit.
 
+Neither route keeps more than K digits per row at the lift, since the
+answer reads only the digits X**a with a < K.  sigma(X) = X*(unit), so
+sigma and delta map X**K R into itself, and I_K = X**K A is a two-sided
+ideal.  Row j of G_K is m**(K-j), which holds X**K, so G_K contains
+G_K' + I_K, and every lifted computation may run mod that sum without
+changing its output mod G_K.  So the row kernels of :mod:`skewseries.series`
+take the digit cap K: `divide` passes it to its Horner G*f and, through
+`_divide_core` (K_out < K there), to the table of Y**i h and the iterate
+products; the block solve passes it to its table of Y**j f.  Each kept
+digit is still reduced by its own slot modulus at its row's m-precision.
+`prepare` runs the contraction at K_out = K, where a cap of K drops
+nothing, so it passes none and its digits, gauge and all, are unchanged.
+The two routes share the cap, so their agreement does not test it: the
+kernel tests compare the capped kernels with the uncapped ones, and the
+slow twins in ``tests/`` (the contraction with full products and the
+whole linear system) take no cap at all.
+
 Note the lift of the stored digits is one particular representative of
 the input's coset; inputs whose intended coefficients wrap around the
 slot moduli (negative numbers, say) have lifts that differ from them by
@@ -121,7 +138,8 @@ def _divide_core(
 
     h = Y**s - G*f for the caller's G, K_out <= K and s >= 1.  Only the
     iterates q_0 .. q_(K_out-1) are taken, each to the precision that
-    reaches the output.  Returns total, their sum, and rem = g -
+    reaches the output, and for K_out < K with K_out digits per row (see
+    the module notes).  Returns total, their sum, and rem = g -
     total*Y**s + total*h, which is g - (total*G)*f, both mod G_(K_out),
     with the rows >= s of rem checked to vanish.  f and G are never
     read: the quotient total*G is the caller's to form, if it needs it.
@@ -133,16 +151,17 @@ def _divide_core(
             "correction series escaped the maximal ideal; "
             "the reduced order of the divisor is inconsistent"
         )
+    cap = Ko if Ko < K else None
     # Y**i h is stepped to and packed when a product first reads it: each
     # copy of the tee reads one shared table from h on
-    hpows = tee(_table(sd, h.rows), 1)[0]
+    hpows = tee(_table(sd, h.rows, cap), 1)[0]
     # q_0 .. q_(Ko-1) settle the output, and q_k matters mod G_(N_k) only,
     # N_k = Ko + (s-1)(Ko-1-k) (module docstring); at Ko = K every bound is K
     q = _shift_down(sd, g, s)
     qs = [q]
     for k in range(1, Ko):
         hi = min(K, Ko + (s - 1) * (Ko - 1 - k) + s)
-        qh = _mul_rows(sd, q.rows, hpows.__copy__(), s, hi)
+        qh = _mul_rows(sd, q.rows, hpows.__copy__(), s, hi, cap)
         q = _shift_down(sd, SkewSeries._trusted(sd, qh), s)
         if q.is_zero():
             break
@@ -209,7 +228,7 @@ def divide(g: SkewSeries, f: SkewSeries) -> tuple[SkewSeries, SkewSeries]:
     # G moved up i rows, are the bare c_k
     cs = _residue_inverse(big, _shift_down(big, f, s), big.ctx.K - s)
     fp = tuple(map(big.pack, f.rows))
-    h = big.y(s) - SkewSeries._trusted(big, _horner(big, [[c * x for x in fp] for c in cs]))
+    h = big.y(s) - SkewSeries._trusted(big, _horner(big, [[c * x for x in fp] for c in cs], K))
     total, rem = _divide_core(big, change_precision(g, big), h, s, sd)
     gpows = ([cs[j - i] if j >= i else 0 for j in range(K)] for i in range(K))
     return SkewSeries._trusted(sd, _mul_rows(sd, total.rows, gpows)), rem

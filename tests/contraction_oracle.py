@@ -18,6 +18,11 @@ forms quot at K_out; `prepare` takes G = g0**-1 at K, forms no quot,
 and returns its inverse g0*total**-1.  At K_out = K the rows of
 (total*G, rem) must not change, and prepare's unit is this quot's
 inverse; at K = s*K_out + 1 the truncations to K_out must not change.
+
+Both division routes of the package keep only K_out digits per row at
+the lift (the row kernels' digit cap), so `divide` agreeing with
+`divide_oracle` does not test the cap.  This twin takes no cap: every
+product here is the public, uncapped ``*``.
 """
 
 from __future__ import annotations

@@ -10,7 +10,11 @@ lives mod p.  Here the whole system, 45 x 66 at p = 3, K = 5, s = 2,
 is eliminated at once, and the table of Y**j * f comes from full
 products.  The package factors one block's matrix and replays it, by
 forward substitution, on the K X-degree blocks that reach the output,
-and reads the table from its Y-steps.
+and reads the table from its Y-steps, which keep K digits per row.
+
+Both division routes of the package share that digit cap, so their
+agreement does not test it.  This twin takes no cap: its table holds
+every digit at K', from the public, uncapped ``*``.
 """
 
 from __future__ import annotations

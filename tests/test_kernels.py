@@ -86,6 +86,11 @@ def _padded(sd, rows):
     return tuple(tuple(r) + (0,) * (K - len(r)) for r in rows)
 
 
+def _cut(sd, rows, c):
+    """Rows cut to their c low digits, padded to K digits."""
+    return _padded(sd, (r[:c] for r in rows))
+
+
 def _max_rows(sd):
     """Every digit at its slot modulus - 1: the largest canonical rows."""
     K = sd.ctx.K
@@ -304,3 +309,45 @@ def test_y_step_folds_packed_rows_into_the_packed_sum(p, mode):
                         for j in range(K)
                     )
                     assert _padded(sd, _y_step(sd, rows, hi, plus, packed)) == want
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+@pytest.mark.parametrize("p", (2, 3, 1000003))
+def test_capped_kernels_are_the_uncapped_rows_cut_to_the_cap(p, mode):
+    # with a cap c, row j keeps the min(hi - j, c) low digits of the
+    # uncapped row, each reduced by its own slot modulus at hi - j, not
+    # at c: in integral mode a kernel that reduces them at c fails here.
+    # Maximal rows with c0 = p - 1 at the zero-slack widths fill every slot
+    cells = [(K, False) for K in (1, 2, 5, 9)]
+    if mode == INTEGRAL and p < 5:
+        cells.append(({2: 27, 3: 37}[p], True))
+    for K, edge in cells:
+        sd = build_skew(PrecisionContext(p, K, mode), 1 + p)
+        rng = Random(f"cap:{p}:{mode}:{K}")
+        if edge:
+            f = g = t = _max_rows(sd)
+            c0 = p - 1
+        else:
+            f, g, t = (rand_series(sd, rng).rows for _ in range(3))
+            c0 = rng.randrange(p)
+        plus = [c0 * sd.pack(r) for r in t]
+        # Horner's rule for right coefficients, and for G*f with G = c0 * sum_k Y**k
+        horner = ([(sd.pack(r),) for r in t], [[c0 * x for x in map(sd.pack, f)]] * K)
+        table = list(islice(_table(sd, g), K))
+        bounds = sorted({1, K // 2 + 1, K - 1, K} - {0})
+        for c in bounds:
+            fc = tuple(r[:c] for r in f)  # as the capped table feeds its steps
+            capped = list(islice(_table(sd, g, c), K))
+            assert capped == [tuple(x & sd._masks[c] for x in power) for power in table]
+            for hi in bounds:
+                for pl in ((), plus):
+                    full = _cut(sd, _y_step(sd, f, hi, pl), c)
+                    assert _padded(sd, _y_step(sd, f, hi, pl, cap=c)) == full
+                    full = _cut(sd, _y_step(sd, f, hi, pl, tuple(map(sd.pack, f))), c)
+                    assert _padded(sd, _y_step(sd, fc, hi, pl, tuple(map(sd.pack, fc)), c)) == full
+                for lo in (0, 1, hi) if K > 1 else (0,):
+                    full = _cut(sd, _mul_rows(sd, f, table, lo, hi), c)
+                    assert _mul_rows(sd, f, table, lo, hi, c) == full
+                    assert _mul_rows(sd, f, capped, lo, hi, c) == full
+            for terms in horner:
+                assert _horner(sd, terms, c) == _cut(sd, _horner(sd, terms), c)

@@ -350,6 +350,17 @@ def test_oracle_at_k_prime_25():
 
 
 @pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
+def test_oracle_at_k_prime_49(mode):
+    # K' = s*K + 1 = 49: both routes keep K = 16 digits per row at the
+    # lift; uncapped, the pair takes about twice as long
+    sd = build_skew(PrecisionContext(3, 16, mode), 4)
+    rng = Random(f"oracle-49:{mode}")
+    f = rand_reduced_order(sd, rng, 3)
+    g = rand_series(sd, rng)
+    assert divide_oracle(g, f) == divide(g, f)
+
+
+@pytest.mark.parametrize("mode", (INTEGRAL, CHARP))
 @pytest.mark.parametrize(("p", "K", "s"), ((2, 13, 2), (3, 12, 3)))
 def test_oracle_at_zero_slack_widths(p, K, s, mode):
     # K' = 27 at p = 2 and K' = 37 at p = 3: in integral mode K'**2 * m**2
@@ -520,8 +531,8 @@ def test_products_one_row_short_are_caught_at_the_lift(monkeypatch):
     # divide returns, or trip one of its guards
     real = weierstrass._mul_rows
 
-    def short(sd, fr, gpows, lo=0, hi=None):
-        return real(sd, fr, gpows, lo, hi if hi is None else hi - 1)
+    def short(sd, fr, gpows, lo=0, hi=None, cap=None):
+        return real(sd, fr, gpows, lo, hi if hi is None else hi - 1, cap)
 
     monkeypatch.setattr(weierstrass, "_mul_rows", short)
     cases = caught = 0

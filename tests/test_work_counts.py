@@ -3,7 +3,7 @@
 Spies count the calls of the row kernels and the builds of twist data:
 ``_mul_rows`` (through both its ``series`` and its ``weierstrass``
 binding), ``series._y_step`` (with the row bound ``hi`` of each Horner
-step), ``series._canon_rows`` and ``SkewData.__init__``, which runs for
+step and the digit cap of the lifted division), ``series._canon_rows`` and ``SkewData.__init__``, which runs for
 every fresh or lifted ring.  The inputs come from fixed seeds of
 ``tests/util.py``, so unlike wall time the counts do not depend on the
 host or its load.
@@ -134,15 +134,42 @@ def test_divide_steps_g_f_at_shrinking_precision(monkeypatch):
     steps = []
     real = series._y_step
 
-    def bounded(sd, rows, hi=None, plus=(), packed=None):
-        steps.append((sd.ctx.K, hi, bool(plus)))
-        return real(sd, rows, hi, plus, packed)
+    def bounded(sd, rows, hi=None, plus=(), packed=None, cap=None):
+        steps.append((sd.ctx.K, hi, bool(plus), cap))
+        return real(sd, rows, hi, plus, packed, cap)
 
     monkeypatch.setattr(series, "_y_step", bounded)
     divide(g, f)
+    # every step at the lift keeps the K = 8 digits that reach the output
     n = max(k for k, c in enumerate(cs) if c)
-    assert steps[: n + 1] == [(17, 17 - j, True) for j in range(n, -1, -1)]
-    assert steps[n + 1 :] and set(steps[n + 1 :]) == {(17, None, False)}
+    assert steps[: n + 1] == [(17, 17 - j, True, 8) for j in range(n, -1, -1)]
+    assert steps[n + 1 :] and set(steps[n + 1 :]) == {(17, None, False, 8)}
+
+
+def test_divide_keeps_k_digits_per_row_at_the_lift(monkeypatch):
+    # at K' = 17 every Y-step row and every product row carries at most
+    # K = 8 live digits; uncapped, the rows near the top carry up to 17
+    f, g = _division_inputs()
+    widths = {"y_step": [], "mul_rows": []}
+    y_step, mul_rows = series._y_step, weierstrass._mul_rows
+
+    def stepped(sd, *args, **kwargs):
+        out = y_step(sd, *args, **kwargs)
+        if sd.ctx.K == 17:
+            widths["y_step"] += [len(r) for r in out]
+        return out
+
+    def multiplied(sd, *args, **kwargs):
+        out = mul_rows(sd, *args, **kwargs)
+        if sd.ctx.K == 17:
+            widths["mul_rows"] += [max((a + 1 for a, x in enumerate(r) if x), default=0) for r in out]
+        return out
+
+    monkeypatch.setattr(series, "_y_step", stepped)
+    monkeypatch.setattr(weierstrass, "_mul_rows", multiplied)
+    divide(g, f)
+    assert all(widths.values())
+    assert {k: max(v) for k, v in widths.items()} == {"y_step": 8, "mul_rows": 8}
 
 
 @pytest.fixture
@@ -401,9 +428,9 @@ def test_right_coefficients_build_the_opposite_once(work, monkeypatch):
     his = []
     counted = series._y_step
 
-    def bounded(sd, rows, hi=None, plus=(), packed=None):
+    def bounded(sd, rows, hi=None, plus=(), packed=None, cap=None):
         his.append(hi)
-        return counted(sd, rows, hi, plus, packed)
+        return counted(sd, rows, hi, plus, packed, cap)
 
     monkeypatch.setattr(series, "_y_step", bounded)
     work()
